@@ -3,15 +3,21 @@
 
 GO ?= go
 
-.PHONY: ci build vet test race staticcheck cover bench-engine bench-obs bench-faults bench-kits bench-sign bench-qos sca-gate qos fuzz soak
+.PHONY: ci build vet bench-vet test race staticcheck cover bench-engine bench-obs bench-faults bench-kits bench-sign bench-qos sca-gate qos fuzz soak
 
-ci: vet staticcheck build test race
+ci: vet bench-vet staticcheck build test race
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# bench/ is its own module, so the root ./... never compiles it; vet it
+# separately so deleting an internal API it imports fails here, not in
+# bench/run.sh.
+bench-vet:
+	cd bench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -71,10 +77,11 @@ qos:
 	$(GO) test -race -count=1 ./internal/qos/...
 	$(GO) test -race -count=1 -run 'Lane|QoS|RateLimited|RetryDecision|Deadline' ./internal/engine/... ./internal/server/...
 
-# Native fuzzing of everything that parses hostile bytes: the wire
+# Native fuzzing of everything that parses hostile bytes — the wire
 # frame decoders (both directions), the response-id fast path, and the
-# QoS spec parser. The committed corpus under testdata/fuzz/ replays as
-# plain tests on every `go test`; this target mines for NEW inputs.
+# QoS spec parser — plus the word-level Montgomery kernel's witness
+# identity. The committed corpus under testdata/fuzz/ replays as plain
+# tests on every `go test`; this target mines for NEW inputs.
 # Go's fuzzer takes one -fuzz target per invocation, hence the list.
 FUZZTIME ?= 20s
 fuzz:
@@ -82,6 +89,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run xxx -fuzz '^FuzzResponseID$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run xxx -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/qos/
+	$(GO) test -run xxx -fuzz '^FuzzWordWitness$$' -fuzztime $(FUZZTIME) ./internal/highradix/
 
 # The composed soak: a live fleet (montsyslb + three montsysd) that
 # changes shape mid-run — file-watch join, kill -9, registrar goodbye —

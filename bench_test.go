@@ -29,6 +29,7 @@ import (
 	"repro/internal/fpga"
 	"repro/internal/gf2"
 	"repro/internal/highradix"
+	"repro/internal/kits"
 	"repro/internal/logic"
 	"repro/internal/mmmc"
 	"repro/internal/mont"
@@ -101,7 +102,7 @@ func BenchmarkTable1_ModExp(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			ex, err := expo.New(n, expo.Model)
+			ex, err := expo.NewKit(n, kits.Model)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -230,7 +231,7 @@ func BenchmarkVsBlumPaar(b *testing.B) {
 		b.Run(fmt.Sprintf("l=%d", l), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(int64(l)))
 			n := benchRandOdd(rng, l)
-			ex, err := expo.New(n, expo.Model)
+			ex, err := expo.NewKit(n, kits.Model)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -366,16 +367,17 @@ func BenchmarkHostMultipliers(b *testing.B) {
 		}
 	})
 	b.Run("cios-64bit", func(b *testing.B) {
-		c, err := mont.NewCIOS(n)
+		ctx, err := mont.NewCtx(n)
 		if err != nil {
 			b.Fatal(err)
 		}
-		a1, _ := c.NewOperand(x)
-		a2, _ := c.NewOperand(y)
-		out := mont.NewNat(c.Words())
+		w := highradix.NewWord(ctx)
+		s := w.Params().S
+		a1, a2 := mont.WordsFromBig(x, s), mont.WordsFromBig(y, s)
+		out := make([]uint64, s)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.Mul(out, a1, a2)
+			w.MulInto(out, a1, a2)
 		}
 	})
 	b.Run("mathbig-mulmod", func(b *testing.B) {
@@ -465,36 +467,6 @@ func BenchmarkArray2DThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkWordMethods compares the Koç-taxonomy word-level Montgomery
-// methods (CIOS, SOS, FIOS) at RSA-1024 scale on the host.
-func BenchmarkWordMethods(b *testing.B) {
-	const l = 1024
-	rng := rand.New(rand.NewSource(8))
-	n := benchRandOdd(rng, l)
-	c, err := mont.NewCIOS(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x, _ := c.NewOperand(new(big.Int).Rand(rng, n))
-	y, _ := c.NewOperand(new(big.Int).Rand(rng, n))
-	out := mont.NewNat(c.Words())
-	b.Run("CIOS", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.Mul(out, x, y)
-		}
-	})
-	b.Run("SOS", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.MulSOS(out, x, y)
-		}
-	})
-	b.Run("FIOS", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.MulFIOS(out, x, y)
-		}
-	})
-}
-
 // BenchmarkDualField measures the GF(2^m) Montgomery twin on the NIST
 // B-163 field — the Savaş-style dual-field extension: same loop shape,
 // carry-free cells, exactly m iterations.
@@ -528,7 +500,7 @@ func BenchmarkLadderVsBinary(b *testing.B) {
 	const l = 512
 	rng := rand.New(rand.NewSource(10))
 	n := benchRandOdd(rng, l)
-	ex, err := expo.New(n, expo.Model)
+	ex, err := expo.NewKit(n, kits.Model)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -566,7 +538,7 @@ func BenchmarkExpoNetlist(b *testing.B) {
 	const l = 8
 	rng := rand.New(rand.NewSource(11))
 	n := benchRandOdd(rng, l)
-	ref, err := expo.New(n, expo.Model)
+	ref, err := expo.NewKit(n, kits.Model)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -48,8 +48,7 @@
 // fast path, the math/big oracle and the auto-selector side by side —
 // the source of BENCH_kits.json. Rows are labelled per kit; under
 // `auto` the stats line's kit_* counters show the selector's per-job
-// choices. The older -mode flag remains as a shim: -mode simulate is
-// -kit sim.
+// choices.
 //
 // Each sweep point drives the engine closed-loop from 2×workers
 // submitter goroutines, measuring every job's submit→finish latency.
@@ -125,8 +124,7 @@ func main() {
 	jobs := flag.Int("jobs", 200, "jobs per sweep point")
 	bitsList := flag.String("bits", "512,1024", "comma-separated modulus bit lengths, mixed round-robin")
 	keys := flag.Int("keys", 4, "distinct moduli per bit length (exercises the context LRU)")
-	kitList := flag.String("kit", "", "comma-separated compute kits to sweep: model | sim | cios | big | auto (default model, or sim under -mode simulate)")
-	modeName := flag.String("mode", "model", "deprecated: execution mode model | simulate (use -kit)")
+	kitList := flag.String("kit", "model", "comma-separated compute kits to sweep: model | sim | cios | big | auto")
 	variantName := flag.String("variant", "guarded", "array variant for the sim kit: guarded | faithful")
 	expKind := flag.String("exp", "full", "exponent shape: full (private-key-size) | f4 (65537)")
 	queue := flag.Int("queue", 0, "submission queue depth (0 = engine default)")
@@ -184,7 +182,7 @@ func main() {
 			}
 		}()
 	}
-	if err := run(ctx, *workersList, *bitsList, *kitList, *modeName, *variantName, cfg); err != nil {
+	if err := run(ctx, *workersList, *bitsList, *kitList, *variantName, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}
@@ -347,19 +345,7 @@ func (cfg sweepConfig) faultOptions() ([]montsys.EngineOption, error) {
 	return opts, nil
 }
 
-func run(ctx context.Context, workersList, bitsList, kitList, modeName, variantName string, cfg sweepConfig) error {
-	// -kit wins when given; otherwise the deprecated -mode flag picks
-	// the matching kit so old invocations behave identically.
-	if kitList == "" {
-		switch modeName {
-		case "model":
-			kitList = "model"
-		case "simulate":
-			kitList = "sim"
-		default:
-			return fmt.Errorf("unknown mode %q", modeName)
-		}
-	}
+func run(ctx context.Context, workersList, bitsList, kitList, variantName string, cfg sweepConfig) error {
 	var sweepKits []montsys.Kit
 	for _, p := range strings.Split(kitList, ",") {
 		k, err := montsys.ParseKit(p)

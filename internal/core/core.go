@@ -45,10 +45,6 @@ type config struct {
 // this modulus size; resolved once at construction).
 func WithKit(k kits.Kit) Option { return func(c *config) { c.kit = k } }
 
-// WithKitAuto is WithKit(kits.Auto): resolve the kit from the
-// process-cached benchmark table at construction.
-func WithKitAuto() Option { return WithKit(kits.Auto) }
-
 // WithArrayVariant selects the simulated array variant for the Sim kit:
 // Guarded (the default, correct for all operands < 2N) or Faithful (the
 // paper's exact Fig. 1d cell, subject to the documented
@@ -59,33 +55,6 @@ func WithArrayVariant(v systolic.Variant) Option { return func(c *config) { c.va
 // instead of the process-cached microbenchmark. Tests use this to make
 // auto-selection deterministic.
 func WithKitTable(t *kits.Table) Option { return func(c *config) { c.table = t } }
-
-// WithSimulation routes every Montgomery product through the
-// cycle-accurate MMM circuit instead of the reference arithmetic.
-//
-// Deprecated: use WithKit(kits.Sim) (montsys.KitSim). Behaviour is
-// identical; this shim remains for existing callers.
-func WithSimulation() Option { return WithKit(kits.Sim) }
-
-// WithVariant selects the array variant for simulation.
-//
-// Deprecated: use WithArrayVariant; same semantics, renamed so that
-// "variant" no longer competes with the kit concept for the question
-// "which execution path am I on?".
-func WithVariant(v systolic.Variant) Option { return WithArrayVariant(v) }
-
-// WithMode selects the exponentiator's execution mode, expo.Model or
-// expo.Simulate.
-//
-// Deprecated: use WithKit — WithKit(kits.Model) for expo.Model,
-// WithKit(kits.Sim) for expo.Simulate. The Mode enum survives on
-// expo.Exponentiator for compatibility but is subsumed by the kit.
-func WithMode(m expo.Mode) Option {
-	if m == expo.Simulate {
-		return WithKit(kits.Sim)
-	}
-	return WithKit(kits.Model)
-}
 
 // resolve maps Auto to a concrete kit for the given op and modulus
 // size, using the pinned table when one was supplied and the

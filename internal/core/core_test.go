@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/errs"
-	"repro/internal/expo"
 	"repro/internal/kits"
 	"repro/internal/mont"
 	"repro/internal/systolic"
@@ -130,7 +129,7 @@ func TestNewExponentiator(t *testing.T) {
 		{"simulate-faithful", []Option{WithKit(kits.Sim), WithArrayVariant(systolic.Faithful)}},
 		{"cios", []Option{WithKit(kits.CIOS)}},
 		{"big", []Option{WithKit(kits.Big)}},
-		{"auto", []Option{WithKitAuto()}},
+		{"auto", []Option{WithKit(kits.Auto)}},
 	} {
 		ex, err := NewExponentiator(n, tc.opts...)
 		if err != nil {
@@ -145,8 +144,8 @@ func TestNewExponentiator(t *testing.T) {
 			t.Fatalf("%s: exponentiation wrong", tc.name)
 		}
 	}
-	if ex, _ := NewExponentiator(n, WithKit(kits.Sim)); ex.Mode != expo.Simulate {
-		t.Error("WithKit(kits.Sim) did not select Simulate mode")
+	if ex, _ := NewExponentiator(n, WithKit(kits.Sim)); ex.Kit != kits.Sim {
+		t.Error("WithKit(kits.Sim) not threaded through")
 	}
 	if ex, _ := NewExponentiator(n, WithKit(kits.CIOS)); ex.Kit != kits.CIOS {
 		t.Error("WithKit(kits.CIOS) not threaded through")

@@ -182,14 +182,14 @@ func TestKitAutoPinnedTable(t *testing.T) {
 	}
 	n := randOdd(rand.New(rand.NewSource(9)), 512)
 	for i := 0; i < 3; i++ {
-		m, err := NewMultiplier(n, WithKitAuto(), WithKitTable(tbl))
+		m, err := NewMultiplier(n, WithKit(kits.Auto), WithKitTable(tbl))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if m.Kit() != kits.CIOS {
 			t.Fatalf("auto multiplier resolved to %s, want cios", m.Kit())
 		}
-		ex, err := NewExponentiator(n, WithKitAuto(), WithKitTable(tbl))
+		ex, err := NewExponentiator(n, WithKit(kits.Auto), WithKitTable(tbl))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -214,7 +214,7 @@ func BenchmarkKitModExp(b *testing.B) {
 // engine's scaling is judged against.
 func BenchmarkSequentialModExp(b *testing.B) {
 	n, jobs := benchJobs(512, b.N)
-	ex, err := expo.New(n, expo.Model)
+	ex, err := expo.NewKit(n, kits.Model)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -84,9 +84,6 @@ func WithQueueDepth(d int) Option { return func(c *config) { c.queue = d } }
 // job from the benchmark table, by modulus size and op shape).
 func WithKit(k kits.Kit) Option { return func(c *config) { c.kit = k } }
 
-// WithKitAuto is WithKit(kits.Auto).
-func WithKitAuto() Option { return WithKit(kits.Auto) }
-
 // WithArrayVariant selects the simulated array variant Sim-kit cores
 // use. It has no effect on other kits.
 func WithArrayVariant(v systolic.Variant) Option { return func(c *config) { c.variant = v } }
@@ -95,23 +92,6 @@ func WithArrayVariant(v systolic.Variant) Option { return func(c *config) { c.va
 // instead of the process-cached startup microbenchmark. Tests use this
 // to make per-job selection deterministic.
 func WithKitTable(t *kits.Table) Option { return func(c *config) { c.table = t } }
-
-// WithMode selects how cores execute multiplications.
-//
-// Deprecated: use WithKit — WithKit(kits.Model) for expo.Model,
-// WithKit(kits.Sim) for expo.Simulate. Behaviour is identical.
-func WithMode(m expo.Mode) Option {
-	if m == expo.Simulate {
-		return WithKit(kits.Sim)
-	}
-	return WithKit(kits.Model)
-}
-
-// WithVariant selects the array variant simulated cores use.
-//
-// Deprecated: use WithArrayVariant (same semantics, renamed alongside
-// the kit API).
-func WithVariant(v systolic.Variant) Option { return WithArrayVariant(v) }
 
 // WithCtxCacheSize bounds the per-modulus context LRU (default 128).
 func WithCtxCacheSize(n int) Option { return func(c *config) { c.cacheSize = n } }
@@ -225,7 +205,7 @@ type Engine struct {
 	sobs    SpanObserver
 
 	// sel resolves kits.Auto to a concrete kit per job; nil unless the
-	// engine was built with WithKitAuto.
+	// engine was built with WithKit(kits.Auto).
 	sel *kits.Selector
 
 	ctr counters
@@ -311,15 +291,6 @@ func (e *Engine) Workers() int { return e.cfg.workers }
 // Kit returns the configured compute kit (possibly kits.Auto, in which
 // case the concrete kit varies per job).
 func (e *Engine) Kit() kits.Kit { return e.cfg.kit }
-
-// Mode returns the execution mode the cores run in, for callers of the
-// pre-kit API: expo.Simulate iff the engine runs the Sim kit.
-func (e *Engine) Mode() expo.Mode {
-	if e.cfg.kit == kits.Sim {
-		return expo.Simulate
-	}
-	return expo.Model
-}
 
 // Close stops accepting work, waits for queued and in-flight jobs to
 // finish, and shuts the workers down. Closing twice returns

@@ -174,7 +174,7 @@ func TestMontBatchMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := expo.New(n, expo.Model)
+	ref, err := expo.NewKit(n, kits.Model)
 	if err != nil {
 		t.Fatal(err)
 	}

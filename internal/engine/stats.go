@@ -26,7 +26,7 @@ type counters struct {
 
 	muls        atomic.Int64 // Montgomery products executed
 	modelCycles atomic.Int64 // paper-formula cycles (Model-mode reports)
-	simCycles   atomic.Int64 // measured MMMC cycles (Simulate mode)
+	simCycles   atomic.Int64 // measured MMMC cycles (Sim kit)
 
 	// kitJobs counts completed jobs per concrete compute kit — under
 	// kits.Auto this is where the selector's choices become visible.

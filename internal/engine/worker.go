@@ -448,7 +448,7 @@ func (w *worker) recomputeInline(j *job, failed jobResult) jobResult {
 		}
 		return jobResult{v: v, kt: kits.Model, wk: work{muls: 1}}
 	case kindModExp:
-		ex, err := expo.NewFromCtx(ctx, expo.Model)
+		ex, err := expo.NewKitFromCtx(ctx, kits.Model)
 		if err != nil {
 			return jobResult{err: err}
 		}

@@ -9,13 +9,14 @@
 //
 // giving Eq. (10):  3l² + 10l + 12 ≤ T_modexp ≤ 6l² + 14l + 12.
 //
-// Two execution modes are provided. Simulate pushes every multiplication
-// through the cycle-accurate MMMC (internal/mmmc) — the ground truth, at
-// simulation cost O(l²) per multiplication. Model computes the same
-// values with the reference arithmetic (internal/mont) while accounting
-// cycles with the paper's formulas; conformance tests pin the two modes
-// to identical results and identical square/multiply counts, so Model is
-// safe for the large bit lengths of Tables 1 and 2.
+// Every product runs on the exponentiator's compute kit (internal/kits).
+// kits.Sim pushes it through the cycle-accurate MMMC (internal/mmmc) —
+// the ground truth, at simulation cost O(l²) per multiplication.
+// kits.Model computes the same values with the reference arithmetic
+// (internal/mont) while accounting cycles with the paper's formulas;
+// conformance tests pin the two to identical results and identical
+// square/multiply counts, so Model is safe for the large bit lengths of
+// Tables 1 and 2. kits.CIOS and kits.Big are the host fast paths.
 package expo
 
 import (
@@ -32,30 +33,6 @@ import (
 	"repro/internal/systolic"
 )
 
-// Mode selects how multiplications are executed.
-type Mode int
-
-const (
-	// Model computes with reference arithmetic and accounts cycles by
-	// the paper's formulas.
-	Model Mode = iota
-	// Simulate pushes every multiplication through the cycle-accurate
-	// MMM circuit.
-	Simulate
-)
-
-// String names the mode.
-func (m Mode) String() string {
-	switch m {
-	case Model:
-		return "model"
-	case Simulate:
-		return "simulate"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
 // Report describes one modular exponentiation's decomposition and cycle
 // cost.
 type Report struct {
@@ -70,7 +47,7 @@ type Report struct {
 	TotalCycles int // sum of the above
 
 	// SimulatedMulCycles counts the MUL1/MUL2 clock cycles actually
-	// spent inside the simulated MMMC (Simulate mode only; 0 for Model).
+	// spent inside the simulated MMMC (Sim kit only; 0 on every other kit).
 	// Each multiplication measures exactly 3l+4, so this equals
 	// (Squares+Multiplies+2)·(3l+4) — the +2 being the explicit pre- and
 	// post-multiplications.
@@ -93,52 +70,27 @@ func PaperAverageCycles(l int) float64 {
 
 // Exponentiator computes modular exponentiations over one modulus.
 type Exponentiator struct {
-	L    int
-	Mode Mode     // retained for compatibility: Simulate iff Kit == kits.Sim
-	Kit  kits.Kit // the concrete compute kit executing multiplications
+	L   int
+	Kit kits.Kit // the concrete compute kit executing multiplications
 
 	ctx     *mont.Ctx
-	circuit *mmmc.Circuit
+	circuit *mmmc.Circuit // Sim kit only
 	nVec    bits.Vec
 	word    *highradix.Word // CIOS kit only
 }
 
-// Option configures an Exponentiator beyond its mode.
+// Option configures an Exponentiator beyond its kit.
 type Option func(*config)
 
 type config struct {
 	variant systolic.Variant
 }
 
-// WithVariant selects the array variant used in Simulate mode. The
+// WithVariant selects the array variant the Sim kit simulates. The
 // default is Guarded, whose correctness holds for every chained operand
 // (see internal/systolic); the paper's cycle counts are unaffected by
 // the guard.
 func WithVariant(v systolic.Variant) Option { return func(c *config) { c.variant = v } }
-
-// New builds an exponentiator for the odd modulus n.
-func New(n *big.Int, mode Mode, opts ...Option) (*Exponentiator, error) {
-	ctx, err := mont.NewCtx(n)
-	if err != nil {
-		return nil, err
-	}
-	return NewFromCtx(ctx, mode, opts...)
-}
-
-// NewFromCtx builds an exponentiator over an existing Montgomery
-// context, skipping the per-modulus precomputation. The Ctx is
-// immutable and may be shared freely; the Exponentiator itself (whose
-// Simulate-mode circuit and CIOS-kit scratch are mutable state) must
-// stay confined to one goroutine. internal/engine uses this to share
-// LRU-cached contexts across worker cores while giving each core an
-// exclusive circuit.
-func NewFromCtx(ctx *mont.Ctx, mode Mode, opts ...Option) (*Exponentiator, error) {
-	k := kits.Model
-	if mode == Simulate {
-		k = kits.Sim
-	}
-	return NewKitFromCtx(ctx, k, opts...)
-}
 
 // NewKit builds an exponentiator on the given compute kit for the odd
 // modulus n.
@@ -151,9 +103,14 @@ func NewKit(n *big.Int, k kits.Kit, opts ...Option) (*Exponentiator, error) {
 }
 
 // NewKitFromCtx builds an exponentiator on the given compute kit over an
-// existing context. The kit must be concrete: callers wanting Auto
-// resolve it first (internal/core and internal/engine do this through
-// kits.ProcessTable / their pinned table).
+// existing context, skipping the per-modulus precomputation. The kit must
+// be concrete: callers wanting Auto resolve it first (internal/core and
+// internal/engine do this through kits.ProcessTable / their pinned
+// table). The Ctx is immutable and may be shared freely; the
+// Exponentiator itself (whose Sim-kit circuit and CIOS-kit scratch are
+// mutable state) must stay confined to one goroutine. internal/engine
+// uses this to share LRU-cached contexts across worker cores while
+// giving each core an exclusive circuit.
 func NewKitFromCtx(ctx *mont.Ctx, k kits.Kit, opts ...Option) (*Exponentiator, error) {
 	if k == kits.Auto || !k.Valid() {
 		return nil, fmt.Errorf("expo: kit %v is not a concrete compute kit: %w", k, errs.ErrOperandRange)
@@ -162,11 +119,7 @@ func NewKitFromCtx(ctx *mont.Ctx, k kits.Kit, opts ...Option) (*Exponentiator, e
 	for _, o := range opts {
 		o(&cfg)
 	}
-	mode := Model
-	if k == kits.Sim {
-		mode = Simulate
-	}
-	e := &Exponentiator{L: ctx.L, Mode: mode, Kit: k, ctx: ctx}
+	e := &Exponentiator{L: ctx.L, Kit: k, ctx: ctx}
 	switch k {
 	case kits.Sim:
 		c, err := mmmc.New(ctx.L, cfg.variant)
@@ -184,28 +137,81 @@ func NewKitFromCtx(ctx *mont.Ctx, k kits.Kit, opts ...Option) (*Exponentiator, e
 // Ctx exposes the Montgomery context (for benchmarks and applications).
 func (e *Exponentiator) Ctx() *mont.Ctx { return e.ctx }
 
-// mulSim runs Mont(x, y) through the simulated circuit, accumulating the
-// measured cycle count into the report.
-func (e *Exponentiator) mulSim(x, y *big.Int, rep *Report) (*big.Int, error) {
-	xv := bits.FromBig(x, e.L+1)
-	yv := bits.FromBig(y, e.L+1)
-	res, cycles, err := e.circuit.Run(xv, yv, e.nVec)
+// mul computes one Montgomery product x·y·R⁻¹ (R = 2^(l+2)) on the
+// exponentiator's kit, for operands in [0, 2N). Every kit returns the
+// same residue mod N in [0, 2N): Sim runs the circuit (adding its
+// measured cycles to rep), CIOS the word kernel, Big the closed form,
+// Model Algorithm 2.
+func (e *Exponentiator) mul(x, y *big.Int, rep *Report) (*big.Int, error) {
+	switch e.Kit {
+	case kits.Sim:
+		res, cycles, err := e.circuit.Run(bits.FromBig(x, e.L+1), bits.FromBig(y, e.L+1), e.nVec)
+		if err != nil {
+			return nil, err
+		}
+		rep.SimulatedMulCycles += cycles
+		return res.Big(), nil
+	case kits.CIOS:
+		return e.word.Mont(x, y)
+	case kits.Big:
+		return e.ctx.MulClosedForm(x, y), nil
+	}
+	return e.ctx.Mul(x, y), nil
+}
+
+// checkArgs validates a base in [0, N-1] and a positive exponent.
+func (e *Exponentiator) checkArgs(m, exp *big.Int) error {
+	if exp.Sign() <= 0 {
+		return fmt.Errorf("expo: exponent must be positive: %w", errs.ErrOperandRange)
+	}
+	if m.Sign() < 0 || m.Cmp(e.ctx.N) >= 0 {
+		return fmt.Errorf("expo: base must be in [0, N-1]: %w", errs.ErrOperandRange)
+	}
+	return nil
+}
+
+// fromMont leaves the Montgomery domain: Mont(a, 1) lies in [0, 2N), and
+// one subtraction off the hot loop makes it canonical.
+func (e *Exponentiator) fromMont(a *big.Int, rep *Report) (*big.Int, error) {
+	out, err := e.mul(a, big.NewInt(1), rep)
 	if err != nil {
 		return nil, err
 	}
-	rep.SimulatedMulCycles += cycles
-	return res.Big(), nil
+	if out.Cmp(e.ctx.N) >= 0 {
+		out.Sub(out, e.ctx.N)
+	}
+	return out, nil
 }
 
-// ModExp computes m^exp mod N via Algorithm 3 over the MMMC. m must lie
-// in [0, N-1]; exp must be positive.
+// price fills the §4.5 cycle model from the square/multiply counts:
+// pre-processing 5l+10 plus tableMuls extra precomputed products,
+// 3l+4 per square or multiply, l+2 post-processing.
+func (r *Report) price(tableMuls int) {
+	l := r.L
+	r.PreCycles = 5*l + 10 + tableMuls*(3*l+4)
+	r.MulCycles = (r.Squares + r.Multiplies) * (3*l + 4)
+	r.PostCycles = l + 2
+	r.TotalCycles = r.PreCycles + r.MulCycles + r.PostCycles
+}
+
+// countBinary prices a binary square-and-multiply run without counting
+// it product by product: one square per exponent bit below the MSB, one
+// multiply per set bit below the MSB.
+func (r *Report) countBinary(exp *big.Int) {
+	r.Squares = exp.BitLen() - 1
+	r.Multiplies = -1 // the MSB seeds the accumulator
+	for _, w := range exp.Bits() {
+		r.Multiplies += mathbits.OnesCount(uint(w))
+	}
+	r.price(0)
+}
+
+// ModExp computes m^exp mod N via Algorithm 3. m must lie in [0, N-1];
+// exp must be positive.
 func (e *Exponentiator) ModExp(m, exp *big.Int) (*big.Int, Report, error) {
 	rep := Report{L: e.L}
-	if exp.Sign() <= 0 {
-		return nil, rep, fmt.Errorf("expo: exponent must be positive: %w", errs.ErrOperandRange)
-	}
-	if m.Sign() < 0 || m.Cmp(e.ctx.N) >= 0 {
-		return nil, rep, fmt.Errorf("expo: base must be in [0, N-1]: %w", errs.ErrOperandRange)
+	if err := e.checkArgs(m, exp); err != nil {
+		return nil, rep, err
 	}
 
 	// The fast kits run Algorithm 3 internally (CIOS: word-domain
@@ -219,35 +225,27 @@ func (e *Exponentiator) ModExp(m, exp *big.Int) (*big.Int, Report, error) {
 		if err != nil {
 			return nil, rep, err
 		}
-		e.fillLadderReport(&rep, exp)
+		rep.countBinary(exp)
 		return a, rep, nil
 	case kits.Big:
-		a := new(big.Int).Exp(m, exp, e.ctx.N)
-		e.fillLadderReport(&rep, exp)
-		return a, rep, nil
-	}
-
-	mul := func(x, y *big.Int) (*big.Int, error) {
-		if e.Mode == Simulate {
-			return e.mulSim(x, y, &rep)
-		}
-		return e.ctx.Mul(x, y), nil
+		rep.countBinary(exp)
+		return new(big.Int).Exp(m, exp, e.ctx.N), rep, nil
 	}
 
 	// Pre-processing: A = Mont(M, R² mod N) = M·R mod 2N.
-	a, err := mul(m, e.ctx.RR)
+	a, err := e.mul(m, e.ctx.RR, &rep)
 	if err != nil {
 		return nil, rep, err
 	}
 	mr := new(big.Int).Set(a)
 
 	for i := exp.BitLen() - 2; i >= 0; i-- {
-		if a, err = mul(a, a); err != nil {
+		if a, err = e.mul(a, a, &rep); err != nil {
 			return nil, rep, err
 		}
 		rep.Squares++
 		if exp.Bit(i) == 1 {
-			if a, err = mul(a, mr); err != nil {
+			if a, err = e.mul(a, mr, &rep); err != nil {
 				return nil, rep, err
 			}
 			rep.Multiplies++
@@ -255,35 +253,9 @@ func (e *Exponentiator) ModExp(m, exp *big.Int) (*big.Int, Report, error) {
 	}
 
 	// Post-processing: Mont(A, 1) strips the R factor.
-	if a, err = mul(a, big.NewInt(1)); err != nil {
+	if a, err = e.fromMont(a, &rep); err != nil {
 		return nil, rep, err
 	}
-	if a.Cmp(e.ctx.N) >= 0 {
-		a.Sub(a, e.ctx.N)
-	}
-
-	l := e.L
-	rep.PreCycles = 5*l + 10
-	rep.MulCycles = (rep.Squares + rep.Multiplies) * (3*l + 4)
-	rep.PostCycles = l + 2
-	rep.TotalCycles = rep.PreCycles + rep.MulCycles + rep.PostCycles
+	rep.price(0)
 	return a, rep, nil
-}
-
-// fillLadderReport fills the Report for a kit that ran the ladder
-// internally: the binary square-and-multiply decomposition is a pure
-// function of the exponent (one square per bit below the MSB, one
-// multiply per set bit below the MSB), and the cycle model is §4.5's.
-func (e *Exponentiator) fillLadderReport(rep *Report, exp *big.Int) {
-	rep.Squares = exp.BitLen() - 1
-	pop := 0
-	for _, w := range exp.Bits() {
-		pop += mathbits.OnesCount(uint(w))
-	}
-	rep.Multiplies = pop - 1
-	l := e.L
-	rep.PreCycles = 5*l + 10
-	rep.MulCycles = (rep.Squares + rep.Multiplies) * (3*l + 4)
-	rep.PostCycles = l + 2
-	rep.TotalCycles = rep.PreCycles + rep.MulCycles + rep.PostCycles
 }

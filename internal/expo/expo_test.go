@@ -4,6 +4,8 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+
+	"repro/internal/kits"
 )
 
 func randOdd(rng *rand.Rand, l int) *big.Int {
@@ -14,14 +16,17 @@ func randOdd(rng *rand.Rand, l int) *big.Int {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(big.NewInt(4), Model); err == nil {
+	if _, err := NewKit(big.NewInt(4), kits.Model); err == nil {
 		t.Error("even modulus accepted")
 	}
-	if _, err := New(big.NewInt(1), Model); err == nil {
+	if _, err := NewKit(big.NewInt(1), kits.Model); err == nil {
 		t.Error("tiny modulus accepted")
 	}
-	e, err := New(big.NewInt(101), Simulate)
-	if err != nil || e.L != 7 {
+	if _, err := NewKit(big.NewInt(101), kits.Auto); err == nil {
+		t.Error("unresolved Auto kit accepted")
+	}
+	e, err := NewKit(big.NewInt(101), kits.Sim)
+	if err != nil || e.L != 7 || e.Kit != kits.Sim {
 		t.Fatalf("valid modulus rejected: %v", err)
 	}
 	if e.Ctx() == nil {
@@ -29,17 +34,8 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestModeString(t *testing.T) {
-	if Model.String() != "model" || Simulate.String() != "simulate" {
-		t.Error("mode names")
-	}
-	if Mode(9).String() == "" {
-		t.Error("unknown mode name")
-	}
-}
-
 func TestModExpValidation(t *testing.T) {
-	e, _ := New(big.NewInt(101), Model)
+	e, _ := NewKit(big.NewInt(101), kits.Model)
 	if _, _, err := e.ModExp(big.NewInt(5), big.NewInt(0)); err == nil {
 		t.Error("zero exponent accepted")
 	}
@@ -51,13 +47,13 @@ func TestModExpValidation(t *testing.T) {
 	}
 }
 
-// Model mode must agree with math/big across widths, and its cycle
+// The Model kit must agree with math/big across widths, and its cycle
 // report must follow the paper's formulas exactly.
 func TestModelMatchesBigAndCycleFormulas(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, l := range []int{8, 16, 64, 160, 512, 1024} {
 		n := randOdd(rng, l)
-		e, err := New(n, Model)
+		e, err := NewKit(n, kits.Model)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,24 +83,24 @@ func TestModelMatchesBigAndCycleFormulas(t *testing.T) {
 				t.Errorf("TotalCycles inconsistent")
 			}
 			if rep.SimulatedMulCycles != 0 {
-				t.Errorf("Model mode reported simulated cycles")
+				t.Errorf("Model kit reported simulated cycles")
 			}
 		}
 	}
 }
 
-// Simulate mode pushes every multiplication through the MMMC; it must
+// The Sim kit pushes every multiplication through the MMMC; it must
 // produce the same result as Model and as math/big, and the simulated
 // cycle count must be exactly (squares+multiplies+2)·(3l+4).
 func TestSimulateMatchesModelAndCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	for _, l := range []int{8, 16, 24} {
 		n := randOdd(rng, l)
-		sim, err := New(n, Simulate)
+		sim, err := NewKit(n, kits.Sim)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mod, _ := New(n, Model)
+		mod, _ := NewKit(n, kits.Model)
 		for trial := 0; trial < 4; trial++ {
 			m := new(big.Int).Rand(rng, n)
 			x := new(big.Int).Rand(rng, n)
@@ -120,13 +116,13 @@ func TestSimulateMatchesModelAndCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			if gotSim.Cmp(gotMod) != 0 {
-				t.Fatalf("l=%d: Simulate %s != Model %s", l, gotSim, gotMod)
+				t.Fatalf("l=%d: Sim %s != Model %s", l, gotSim, gotMod)
 			}
 			if want := new(big.Int).Exp(m, x, n); gotSim.Cmp(want) != 0 {
-				t.Fatalf("l=%d: Simulate != math/big", l)
+				t.Fatalf("l=%d: Sim != math/big", l)
 			}
 			if repSim.Squares != repMod.Squares || repSim.Multiplies != repMod.Multiplies {
-				t.Fatal("mode decompositions differ")
+				t.Fatal("kit decompositions differ")
 			}
 			wantCycles := (repSim.Squares + repSim.Multiplies + 2) * (3*l + 4)
 			if repSim.SimulatedMulCycles != wantCycles {
@@ -137,14 +133,14 @@ func TestSimulateMatchesModelAndCounts(t *testing.T) {
 }
 
 // Hazard-zone modulus: an all-ones modulus exercises operands that break
-// the faithful array; the Simulate path (guarded) must stay correct over
+// the faithful array; the Sim kit (guarded) must stay correct over
 // a full exponentiation.
 func TestSimulateHazardModulus(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	l := 16
 	n := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), uint(l)), big.NewInt(1))
 	// 2^16-1 = 65535 = 3·5·17·257 (odd, fine for Montgomery).
-	e, err := New(n, Simulate)
+	e, err := NewKit(n, kits.Sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +180,7 @@ func TestEq10Bounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	l := 32
 	n := randOdd(rng, l)
-	e, _ := New(n, Model)
+	e, _ := NewKit(n, kits.Model)
 	m := new(big.Int).Rand(rng, n)
 
 	// All-ones exponent with exactly l bits: 2^l - 1.
@@ -217,7 +213,7 @@ func TestRSARoundTrip(t *testing.T) {
 	n := new(big.Int).Mul(p, q) // 3233
 	e := big.NewInt(17)
 	d := big.NewInt(413) // 17⁻¹ mod lcm(60,52)=780? 17·413=7021=9·780+1 ✓
-	ex, err := New(n, Model)
+	ex, err := NewKit(n, kits.Model)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,18 +23,10 @@ import (
 // 2·(bits-1) multiplications.
 func (e *Exponentiator) ModExpLadder(m, exp *big.Int) (*big.Int, Report, error) {
 	rep := Report{L: e.L}
-	if exp.Sign() <= 0 {
-		return nil, rep, fmt.Errorf("expo: exponent must be positive: %w", errs.ErrOperandRange)
+	if err := e.checkArgs(m, exp); err != nil {
+		return nil, rep, err
 	}
-	if m.Sign() < 0 || m.Cmp(e.ctx.N) >= 0 {
-		return nil, rep, fmt.Errorf("expo: base must be in [0, N-1]: %w", errs.ErrOperandRange)
-	}
-	mul := func(x, y *big.Int) (*big.Int, error) {
-		if e.Mode == Simulate {
-			return e.mulSim(x, y, &rep)
-		}
-		return e.ctx.Mul(x, y), nil
-	}
+	mul := func(x, y *big.Int) (*big.Int, error) { return e.mul(x, y, &rep) }
 
 	// R0 = R mod 2N (the Montgomery representation of 1),
 	// R1 = mR mod 2N.
@@ -65,18 +57,11 @@ func (e *Exponentiator) ModExpLadder(m, exp *big.Int) (*big.Int, Report, error) 
 		rep.Multiplies++
 	}
 
-	out, err := mul(r0, big.NewInt(1))
+	out, err := e.fromMont(r0, &rep)
 	if err != nil {
 		return nil, rep, err
 	}
-	if out.Cmp(e.ctx.N) >= 0 {
-		out.Sub(out, e.ctx.N)
-	}
-	l := e.L
-	rep.PreCycles = 5*l + 10
-	rep.MulCycles = (rep.Squares + rep.Multiplies) * (3*l + 4)
-	rep.PostCycles = l + 2
-	rep.TotalCycles = rep.PreCycles + rep.MulCycles + rep.PostCycles
+	rep.price(0)
 	return out, rep, nil
 }
 
@@ -90,18 +75,10 @@ func (e *Exponentiator) ModExpWindow(m, exp *big.Int, w int) (*big.Int, Report, 
 	if w < 1 || w > 16 {
 		return nil, rep, fmt.Errorf("expo: window width must be in [1, 16]: %w", errs.ErrOperandRange)
 	}
-	if exp.Sign() <= 0 {
-		return nil, rep, fmt.Errorf("expo: exponent must be positive: %w", errs.ErrOperandRange)
+	if err := e.checkArgs(m, exp); err != nil {
+		return nil, rep, err
 	}
-	if m.Sign() < 0 || m.Cmp(e.ctx.N) >= 0 {
-		return nil, rep, fmt.Errorf("expo: base must be in [0, N-1]: %w", errs.ErrOperandRange)
-	}
-	mul := func(x, y *big.Int) (*big.Int, error) {
-		if e.Mode == Simulate {
-			return e.mulSim(x, y, &rep)
-		}
-		return e.ctx.Mul(x, y), nil
-	}
+	mul := func(x, y *big.Int) (*big.Int, error) { return e.mul(x, y, &rep) }
 
 	// Table: t[0] = R mod 2N (Montgomery 1), t[k] = m^k·R mod 2N.
 	size := 1 << w
@@ -158,17 +135,10 @@ func (e *Exponentiator) ModExpWindow(m, exp *big.Int, w int) (*big.Int, Report, 
 		}
 	}
 
-	out, err := mul(acc, big.NewInt(1))
+	out, err := e.fromMont(acc, &rep)
 	if err != nil {
 		return nil, rep, err
 	}
-	if out.Cmp(e.ctx.N) >= 0 {
-		out.Sub(out, e.ctx.N)
-	}
-	l := e.L
-	rep.PreCycles = 5*l + 10 + (tableMuls-1)*(3*l+4) // table build beyond the base pre-mul
-	rep.MulCycles = (rep.Squares + rep.Multiplies) * (3*l + 4)
-	rep.PostCycles = l + 2
-	rep.TotalCycles = rep.PreCycles + rep.MulCycles + rep.PostCycles
+	rep.price(tableMuls - 1) // table build beyond the base pre-mul
 	return out, rep, nil
 }

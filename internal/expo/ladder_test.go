@@ -4,6 +4,8 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+
+	"repro/internal/kits"
 )
 
 // The ladder must agree with math/big and perform exactly one square
@@ -12,7 +14,7 @@ func TestLadderMatchesBigAndUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(181))
 	for _, l := range []int{8, 32, 128, 512} {
 		n := randOdd(rng, l)
-		e, err := New(n, Model)
+		e, err := NewKit(n, kits.Model)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +44,7 @@ func TestLadderMatchesBigAndUniform(t *testing.T) {
 func TestLadderSequenceIndependentOfBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(182))
 	n := randOdd(rng, 64)
-	e, _ := New(n, Model)
+	e, _ := NewKit(n, kits.Model)
 	m := new(big.Int).Rand(rng, n)
 
 	allOnes := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 60), big.NewInt(1))
@@ -71,7 +73,7 @@ func TestLadderSequenceIndependentOfBits(t *testing.T) {
 func TestLadderSimulated(t *testing.T) {
 	rng := rand.New(rand.NewSource(183))
 	n := randOdd(rng, 16)
-	e, err := New(n, Simulate)
+	e, err := NewKit(n, kits.Sim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +92,7 @@ func TestLadderSimulated(t *testing.T) {
 }
 
 func TestLadderValidation(t *testing.T) {
-	e, _ := New(big.NewInt(101), Model)
+	e, _ := NewKit(big.NewInt(101), kits.Model)
 	if _, _, err := e.ModExpLadder(big.NewInt(5), big.NewInt(0)); err == nil {
 		t.Error("zero exponent accepted")
 	}
@@ -105,7 +107,7 @@ func TestWindowMatchesBig(t *testing.T) {
 	rng := rand.New(rand.NewSource(184))
 	for _, l := range []int{16, 64, 256} {
 		n := randOdd(rng, l)
-		e, _ := New(n, Model)
+		e, _ := NewKit(n, kits.Model)
 		for _, w := range []int{1, 2, 3, 4, 5} {
 			for trial := 0; trial < 4; trial++ {
 				m := new(big.Int).Rand(rng, n)
@@ -126,7 +128,7 @@ func TestWindowMatchesBig(t *testing.T) {
 }
 
 func TestWindowEdgeCases(t *testing.T) {
-	e, _ := New(big.NewInt(101), Model)
+	e, _ := NewKit(big.NewInt(101), kits.Model)
 	if _, _, err := e.ModExpWindow(big.NewInt(5), big.NewInt(3), 0); err == nil {
 		t.Error("w=0 accepted")
 	}
@@ -156,7 +158,7 @@ func TestWindowReducesMultiplies(t *testing.T) {
 	rng := rand.New(rand.NewSource(185))
 	l := 512
 	n := randOdd(rng, l)
-	e, _ := New(n, Model)
+	e, _ := NewKit(n, kits.Model)
 	m := new(big.Int).Rand(rng, n)
 	x := new(big.Int).Rand(rng, n)
 	x.SetBit(x, l-1, 1)
@@ -173,5 +175,55 @@ func TestWindowReducesMultiplies(t *testing.T) {
 	}
 	if rep4.TotalCycles >= rep1.TotalCycles {
 		t.Errorf("w=4 total cycles %d not below w=1's %d", rep4.TotalCycles, rep1.TotalCycles)
+	}
+}
+
+// Ladder and window must match math/big on every concrete kit — each
+// product dispatches on the kit — and on the Sim kit every product is
+// measured, so SimulatedMulCycles must be exactly products·(3l+4).
+func TestLadderAndWindowEveryKit(t *testing.T) {
+	rng := rand.New(rand.NewSource(186))
+	const l, w = 16, 3
+	n := randOdd(rng, l)
+	for _, k := range []kits.Kit{kits.Model, kits.Sim, kits.CIOS, kits.Big} {
+		e, err := NewKit(n, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 3; trial++ {
+			m := new(big.Int).Rand(rng, n)
+			x := new(big.Int).Rand(rng, n)
+			if x.Sign() == 0 {
+				x.SetInt64(11)
+			}
+			want := new(big.Int).Exp(m, x, n)
+			got, rep, err := e.ModExpLadder(m, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Cmp(want) != 0 {
+				t.Fatalf("%s: ladder wrong", k)
+			}
+			checkSimCycles(t, k, rep, rep.Squares+rep.Multiplies+2) // + pre and post
+			got, rep, err = e.ModExpWindow(m, x, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Cmp(want) != 0 {
+				t.Fatalf("%s: window wrong", k)
+			}
+			checkSimCycles(t, k, rep, (1<<w-1)+rep.Squares+rep.Multiplies+1) // + table and post
+		}
+	}
+}
+
+func checkSimCycles(t *testing.T, k kits.Kit, rep Report, products int) {
+	t.Helper()
+	want := 0
+	if k == kits.Sim {
+		want = products * (3*rep.L + 4)
+	}
+	if rep.SimulatedMulCycles != want {
+		t.Fatalf("%s: simulated cycles %d, want %d", k, rep.SimulatedMulCycles, want)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bits"
+	"repro/internal/kits"
 	"repro/internal/logic"
 	"repro/internal/systolic"
 )
@@ -42,7 +43,7 @@ func TestExpoNetlistMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	for _, l := range []int{4, 8, 12} {
 		n := randOdd(rng, l)
-		ref, err := New(n, Model)
+		ref, err := NewKit(n, kits.Model)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +98,7 @@ func TestExpoNetlistEdgeExponents(t *testing.T) {
 	rng := rand.New(rand.NewSource(212))
 	l := 8
 	n := randOdd(rng, l)
-	ref, _ := New(n, Model)
+	ref, _ := NewKit(n, kits.Model)
 	nl := logic.New()
 	p, err := BuildExpoNetlist(nl, l, systolic.Guarded)
 	if err != nil {
@@ -127,7 +128,7 @@ func TestExpoNetlistEdgeExponents(t *testing.T) {
 func TestExpoNetlistRSARoundTrip(t *testing.T) {
 	// 3233 = 61·53, e = 17, d = 413; l = 12.
 	n := big.NewInt(3233)
-	ref, err := New(n, Model)
+	ref, err := NewKit(n, kits.Model)
 	if err != nil {
 		t.Fatal(err)
 	}

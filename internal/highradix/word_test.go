@@ -83,6 +83,19 @@ func TestWordMulAliasing(t *testing.T) {
 	}
 }
 
+// Operands of the wrong limb count are a caller bug and must panic, not
+// read or write past the context's S limbs.
+func TestWordMulLimbMismatchPanics(t *testing.T) {
+	ctx, _ := mont.NewCtx(big.NewInt(101))
+	w := NewWord(ctx)
+	defer func() {
+		if recover() == nil {
+			t.Error("limb count mismatch did not panic")
+		}
+	}()
+	w.MulInto(make([]uint64, 1), make([]uint64, 1), make([]uint64, 2))
+}
+
 // The quotient witness must satisfy T·R = x·y + M·N exactly over ℤ —
 // the identity internal/integrity verifies in a residue system.
 func TestWordMulWitnessIdentity(t *testing.T) {
@@ -229,6 +242,31 @@ func BenchmarkWordMul2048(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w.MulInto(out, x, y)
 	}
+}
+
+// BenchmarkWordMethods compares the Koç-taxonomy word-level Montgomery
+// loops (CIOS — the production Word.mul — against the SOS and FIOS
+// ablations in methods_test.go) at RSA-1024 scale.
+func BenchmarkWordMethods(b *testing.B) {
+	w, x, y, out := benchWord(1024)
+	s := w.p.S
+	b.Run("CIOS", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			w.MulInto(out, x, y)
+		}
+	})
+	b.Run("SOS", func(b *testing.B) {
+		t := make([]uint64, 2*s)
+		for i := 0; i < b.N; i++ {
+			sosMul(w.p, out, x, y, nil, t)
+		}
+	})
+	b.Run("FIOS", func(b *testing.B) {
+		t := make([]uint64, s+2)
+		for i := 0; i < b.N; i++ {
+			fiosMul(w.p, out, x, y, nil, t)
+		}
+	})
 }
 
 func benchModExp(b *testing.B, bits int) {

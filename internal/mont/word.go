@@ -68,6 +68,17 @@ func newWordParams(c *Ctx) *WordParams {
 	return p
 }
 
+// negInvMod64 returns -n⁻¹ mod 2^64 for odd n, by Hensel lifting.
+// n·n ≡ 1 (mod 8) for odd n, so n is its own inverse to 3 bits; five
+// Newton steps inv ← inv·(2 − n·inv) double that to 96 ≥ 64 bits.
+func negInvMod64(n uint64) uint64 {
+	inv := n
+	for i := 0; i < 5; i++ {
+		inv *= 2 - n*inv
+	}
+	return -inv
+}
+
 // WordsFromBig renders x into s little-endian 64-bit limbs. It panics
 // if x is negative or does not fit — a bound violation by the caller.
 func WordsFromBig(x *big.Int, s int) []uint64 {

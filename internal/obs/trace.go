@@ -13,7 +13,7 @@ import (
 // Span is one recorded unit of work. Engine job spans are the original
 // shape: enqueued at Start, waited QueueWait in the submission queue,
 // then executed for Exec on worker core Worker, with SimCycles carrying
-// measured MMMC clock cycles in Simulate mode and Integrity the time
+// measured MMMC clock cycles on the Sim kit and Integrity the time
 // spent re-verifying the result. Since the tracing plane went
 // cluster-wide the same struct also records client, route and server
 // spans: those set Track to a named lane instead of a worker core, and
@@ -28,7 +28,7 @@ type Span struct {
 	QueueWait time.Duration // enqueue → dequeue (engine jobs)
 	Exec      time.Duration // dequeue → finish, or whole span duration
 	Integrity time.Duration // tail of Exec spent in the integrity check
-	SimCycles int64         // measured MMMC cycles (Simulate mode)
+	SimCycles int64         // measured MMMC cycles (Sim kit)
 	Kit       string        // concrete compute kit ("model", "cios", ...)
 
 	// Work accounting carried so Collector.JobSpan can do the full

@@ -32,7 +32,7 @@
 //	c, report, err := ex.ModExp(msg, e)                   // RSA-style exponentiation
 //
 //	eng, err := montsys.NewEngine(montsys.WithEngineWorkers(8),
-//	    montsys.WithEngineKitAuto())                      // auto-tuned kit per job
+//	    montsys.WithEngineKit(montsys.KitAuto))           // auto-tuned kit per job
 //	results, err := eng.ModExpBatch(ctx, jobs)            // fan across 8 cores
 //
 //	srv, err := montsys.NewServer(eng)                    // TCP front door (montsysd)
@@ -40,12 +40,6 @@
 //	v, err := cl.ModExp(ctx, n, base, exp)                // same answers over the wire
 //
 //	hw, err := montsys.Hardware(1024)                     // slices, clock, T_MMM
-//
-// Migrating from the pre-kit options: WithSimulation() →
-// WithKit(KitSim); WithMode(Model/Simulate) → WithKit(KitModel/KitSim);
-// WithVariant(v) → WithArrayVariant(v); WithEngineMode/WithEngineVariant
-// → WithEngineKit/WithEngineArrayVariant. The old options remain as
-// deprecated shims with identical behaviour.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-vs-measured record of every table and figure.
@@ -177,42 +171,9 @@ func NewMultiplier(n *big.Int, opts ...Option) (*Multiplier, error) {
 // KitAuto picks per modulus size from the process benchmark table.
 func WithKit(k Kit) Option { return core.WithKit(k) }
 
-// WithKitAuto is WithKit(KitAuto).
-func WithKitAuto() Option { return core.WithKitAuto() }
-
 // WithArrayVariant selects the systolic array variant the KitSim
 // circuit simulates (Guarded by default). No effect on other kits.
 func WithArrayVariant(v Variant) Option { return core.WithArrayVariant(v) }
-
-// WithSimulation routes every product through the cycle-accurate MMMC.
-//
-// Deprecated: use WithKit(KitSim). Behaviour is identical; this shim
-// remains so existing callers keep compiling.
-func WithSimulation() Option { return core.WithSimulation() }
-
-// WithVariant selects the array variant used by the simulated circuit.
-//
-// Deprecated: use WithArrayVariant (same semantics, renamed alongside
-// the kit API so "variant" stops doubling as an execution-path term).
-func WithVariant(v Variant) Option { return core.WithVariant(v) }
-
-// Mode selects how an Exponentiator (or the engine's cores) executes
-// multiplications: Model (reference arithmetic with the paper's cycle
-// formulas) or Simulate (every product through the cycle-accurate MMMC).
-// The kit API subsumes it: Model ≡ KitModel, Simulate ≡ KitSim.
-type Mode = expo.Mode
-
-// Execution modes.
-const (
-	Model    = expo.Model
-	Simulate = expo.Simulate
-)
-
-// WithMode selects the exponentiator's execution mode.
-//
-// Deprecated: use WithKit — WithKit(KitModel) for Model,
-// WithKit(KitSim) for Simulate. Behaviour is identical.
-func WithMode(m Mode) Option { return core.WithMode(m) }
 
 // NewExponentiator returns the paper's modular exponentiator for the
 // odd modulus n, configured with the same functional options as
@@ -266,24 +227,9 @@ func WithEngineQueueDepth(d int) EngineOption { return engine.WithQueueDepth(d) 
 // appear in EngineStats.KitJobs.
 func WithEngineKit(k Kit) EngineOption { return engine.WithKit(k) }
 
-// WithEngineKitAuto is WithEngineKit(KitAuto).
-func WithEngineKitAuto() EngineOption { return engine.WithKitAuto() }
-
 // WithEngineArrayVariant selects the array variant KitSim cores
 // simulate.
 func WithEngineArrayVariant(v Variant) EngineOption { return engine.WithArrayVariant(v) }
-
-// WithEngineMode selects the cores' execution mode.
-//
-// Deprecated: use WithEngineKit — WithEngineKit(KitModel) for Model,
-// WithEngineKit(KitSim) for Simulate. Behaviour is identical.
-func WithEngineMode(m Mode) EngineOption { return engine.WithMode(m) }
-
-// WithEngineVariant selects the array variant simulated cores use.
-//
-// Deprecated: use WithEngineArrayVariant (same semantics, renamed
-// alongside the kit API).
-func WithEngineVariant(v Variant) EngineOption { return engine.WithVariant(v) }
 
 // WithEngineCtxCacheSize bounds the per-modulus context LRU (default 128).
 func WithEngineCtxCacheSize(n int) EngineOption { return engine.WithCtxCacheSize(n) }
@@ -351,18 +297,8 @@ func WithFaultRate(r float64) FaultOption { return faults.WithRate(r) }
 // random per operation).
 func WithFaultBitFlip(bit int) FaultOption { return faults.WithBitFlip(bit) }
 
-// WithFaultStuckAt forces the given result bit to val&1 (< 0 = random
-// position), modelling a permanent cell defect.
-func WithFaultStuckAt(bit int, val uint) FaultOption { return faults.WithStuckAt(bit, val) }
-
 // WithFaultCores restricts faults to the listed worker ids.
 func WithFaultCores(ids ...int) FaultOption { return faults.WithCores(ids...) }
-
-// WithFaultAfter arms faults only after n clean operations per core.
-func WithFaultAfter(n int64) FaultOption { return faults.WithAfter(n) }
-
-// WithFaultOneShot limits each core to a single manifested fault.
-func WithFaultOneShot() FaultOption { return faults.WithOneShot() }
 
 // WithEngineIntegrityCheck verifies every result before it leaves the
 // engine: each Montgomery product against the residue identity, and
@@ -387,18 +323,6 @@ func WithEngineIntegrityRecompute(on bool) EngineOption {
 func WithEngineFaultInjector(in *FaultInjector) EngineOption {
 	return engine.WithFaultInjector(in)
 }
-
-// WithEngineQuarantineBackoff sets the quarantined-core re-probe
-// schedule: first known-answer probe after base, doubling to max,
-// ±50% jitter (defaults 100ms, 10s).
-func WithEngineQuarantineBackoff(base, max time.Duration) EngineOption {
-	return engine.WithQuarantineBackoff(base, max)
-}
-
-// WithEngineWatchdog fails jobs stuck past k × their hardware cycle
-// bound (3l+4 per Montgomery product, 6l²+14l+12 per exponentiation,
-// at 1µs per cycle) and quarantines the core (k ≤ 0 disables).
-func WithEngineWatchdog(k float64) EngineOption { return engine.WithWatchdog(k) }
 
 // Collector adapts observer callbacks into metrics and trace spans.
 type Collector = obs.Collector
@@ -426,10 +350,6 @@ func NewCollector(opts ...CollectorOption) *Collector { return obs.NewCollector(
 // WithTracing enables the collector's span ring buffer, keeping the
 // most recent capacity spans (≤ 0 selects the default, 4096).
 func WithTracing(capacity int) CollectorOption { return obs.WithTracing(capacity) }
-
-// WithMetricsRegistry collects into an existing registry so several
-// engines share one /metrics page.
-func WithMetricsRegistry(r *MetricsRegistry) CollectorOption { return obs.WithRegistry(r) }
 
 // NewObsHandler serves a collector over HTTP: Prometheus text-format
 // /metrics, /debug/vars (expvar), /debug/pprof/*, and a /trace export
@@ -470,12 +390,6 @@ func WithServerMaxInflight(n int) ServerOption { return server.WithMaxInflight(n
 // WithServerIdleTimeout closes connections idle for d (default 2m).
 func WithServerIdleTimeout(d time.Duration) ServerOption { return server.WithIdleTimeout(d) }
 
-// WithServerWriteTimeout bounds each response write (default 1m).
-func WithServerWriteTimeout(d time.Duration) ServerOption { return server.WithWriteTimeout(d) }
-
-// WithServerMaxFrame bounds request frames in bytes.
-func WithServerMaxFrame(n int) ServerOption { return server.WithMaxFrame(n) }
-
 // WithServerFrameTimeout bounds how long one request frame may take to
 // arrive once its first byte shows up (default 10s; 0 disables). Idle
 // connections between frames are governed by the idle timeout alone —
@@ -506,16 +420,9 @@ func Dial(addr string, opts ...ClientOption) *Client { return server.Dial(addr, 
 // WithClientPoolSize bounds pooled connections (default 2).
 func WithClientPoolSize(n int) ClientOption { return server.WithPoolSize(n) }
 
-// WithClientDialTimeout bounds each dial (default 5s).
-func WithClientDialTimeout(d time.Duration) ClientOption { return server.WithDialTimeout(d) }
-
 // WithClientMaxRetries bounds retries after the first attempt
 // (default 3; 0 disables).
 func WithClientMaxRetries(n int) ClientOption { return server.WithMaxRetries(n) }
-
-// WithClientBackoff sets the retry backoff envelope: base doubles per
-// attempt up to max, jittered ±50% (defaults 10ms, 1s).
-func WithClientBackoff(base, max time.Duration) ClientOption { return server.WithBackoff(base, max) }
 
 // ServerHandler is what a wire server executes requests against. The
 // engine is the canonical implementation (NewServer adapts it); a
@@ -567,25 +474,6 @@ func WithClusterRegistry(r *MetricsRegistry) ClusterOption { return cluster.With
 // WithClusterProbeInterval sets the health-probe cadence (default 1s).
 func WithClusterProbeInterval(d time.Duration) ClusterOption { return cluster.WithProbeInterval(d) }
 
-// WithClusterProbeTimeout bounds each Ping probe (default 1s).
-func WithClusterProbeTimeout(d time.Duration) ClusterOption { return cluster.WithProbeTimeout(d) }
-
-// WithClusterFailThreshold sets consecutive probe failures before a
-// backend is ejected (default 3); a draining answer ejects immediately.
-func WithClusterFailThreshold(n int) ClusterOption { return cluster.WithFailThreshold(n) }
-
-// WithClusterReinstateBackoff sets the jittered probe backoff for
-// ejected backends (defaults 500ms doubling to 30s).
-func WithClusterReinstateBackoff(base, max time.Duration) ClusterOption {
-	return cluster.WithReinstateBackoff(base, max)
-}
-
-// WithClusterBreaker tunes the per-backend circuit breaker (defaults:
-// 5 consecutive transport failures open it, one trial after 2s).
-func WithClusterBreaker(threshold int, cooldown time.Duration) ClusterOption {
-	return cluster.WithBreaker(threshold, cooldown)
-}
-
 // WithClusterAffinity toggles modulus-affinity (rendezvous-hash)
 // routing (default on). Off, every request is least-inflight routed.
 func WithClusterAffinity(on bool) ClusterOption { return cluster.WithAffinity(on) }
@@ -593,24 +481,11 @@ func WithClusterAffinity(on bool) ClusterOption { return cluster.WithAffinity(on
 // WithClusterHedging toggles tail-latency hedging (default on).
 func WithClusterHedging(on bool) ClusterOption { return cluster.WithHedging(on) }
 
-// WithClusterHedgeDelayBounds clamps the p99-derived hedge delay
-// (defaults 1ms, 250ms).
-func WithClusterHedgeDelayBounds(min, max time.Duration) ClusterOption {
-	return cluster.WithHedgeDelayBounds(min, max)
-}
-
 // WithClusterRetryBudget sets the global retry budget: hedges and
 // overload retries spend a token; tokens accrue at ratio per request up
 // to burst (defaults 0.1, 16).
 func WithClusterRetryBudget(ratio float64, burst int) ClusterOption {
 	return cluster.WithRetryBudget(ratio, burst)
-}
-
-// WithClusterClientOptions passes options to every backend's wire
-// client (which the cluster otherwise configures with zero internal
-// retries — the router owns retry policy).
-func WithClusterClientOptions(opts ...ClientOption) ClusterOption {
-	return cluster.WithClientOptions(opts...)
 }
 
 // WithClusterIntegrityEjectThreshold ejects a backend after n
@@ -654,11 +529,6 @@ func LoadClusterMemberFile(path string) ([]ClusterMember, error) {
 	return cluster.LoadMemberFile(path)
 }
 
-// NewMetricsHandler serves a bare metrics registry over HTTP in
-// Prometheus text format — for processes like montsyslb that have a
-// registry but no engine collector.
-func NewMetricsHandler(r *MetricsRegistry) http.Handler { return obs.MetricsHandler(r) }
-
 // Distributed tracing, wide events and SLOs. A sampled request carries
 // a 16-byte trace id across every hop — client, balancer, backend
 // server, engine worker, compute kit — via traced wire-op variants, so
@@ -688,10 +558,6 @@ func NewMetricsHandler(r *MetricsRegistry) http.Handler { return obs.MetricsHand
 // the wire across processes.
 type TraceContext = obs.TraceContext
 
-// TraceID identifies one request end to end (16 opaque bytes; zero
-// means untraced).
-type TraceID = obs.TraceID
-
 // Tracer is the bounded ring buffer spans record into; its contents
 // export as Chrome trace-event JSON at /trace.
 type Tracer = obs.Tracer
@@ -713,15 +579,6 @@ func NewTraceContext(rate float64) TraceContext { return obs.NewTraceContext(rat
 func ContextWithTrace(ctx context.Context, tc TraceContext) context.Context {
 	return obs.ContextWithTrace(ctx, tc)
 }
-
-// TraceFromContext extracts the ambient trace context, ok=false if none.
-func TraceFromContext(ctx context.Context) (TraceContext, bool) {
-	return obs.TraceFromContext(ctx)
-}
-
-// ParseTraceID decodes the 32-hex-digit form TraceID.String produces —
-// the id loadgen prints for failed sampled requests.
-func ParseTraceID(s string) (TraceID, bool) { return obs.ParseTraceID(s) }
 
 // WideWriter emits one wide structured JSON log line per sampled
 // request per layer. A nil WideWriter is valid and free: every Emit is
@@ -782,15 +639,6 @@ func NewSLOTracker(r *MetricsRegistry, interval time.Duration) *SLOTracker {
 	return obs.NewSLOTracker(r, interval)
 }
 
-// NewObsMux serves an observability surface assembled from parts — for
-// processes like montsyslb with a registry, a tracer and an SLO tracker
-// but no engine collector: /metrics, /trace (nil tracer: 404), /statusz
-// (nil tracker: 404), expvar and pprof. Processes with a QoS plane use
-// NewQoSObsMux to serve /quotaz too.
-func NewObsMux(r *MetricsRegistry, t *Tracer, slo *SLOTracker) http.Handler {
-	return obs.NewMux(r, t, slo)
-}
-
 // Multi-tenant QoS. A QoSPlane in front of a server's admission gives
 // every tenant its own token-bucket rate limit and weighted concurrency
 // share, and the engine's submission queue becomes three priority lanes
@@ -822,24 +670,6 @@ const (
 	QoSBatch       = qos.Batch       // throughput work with deadlines
 	QoSBestEffort  = qos.BestEffort  // shed-first, never hedged
 )
-
-// ParseQoSClass maps a flag/spec value (interactive|batch|best-effort)
-// to its class.
-func ParseQoSClass(s string) (QoSClass, error) { return qos.ParseClass(s) }
-
-// QoSIdentity is the (tenant, class) pair a request is accounted and
-// scheduled under. It rides a context.Context through every tier.
-type QoSIdentity = qos.Identity
-
-// ContextWithQoS attaches a QoS identity to ctx: clients tag outbound
-// requests with it (overriding their configured defaults), servers
-// stamp it so engines and balancers see the wire identity.
-func ContextWithQoS(ctx context.Context, id QoSIdentity) context.Context {
-	return qos.WithIdentity(ctx, id)
-}
-
-// QoSFromContext extracts the ambient QoS identity (zero if untagged).
-func QoSFromContext(ctx context.Context) QoSIdentity { return qos.FromContext(ctx) }
 
 // RateLimited is the concrete error behind ErrRateLimited: which tenant
 // was limited and when its bucket next refills. It survives the wire —
@@ -880,14 +710,8 @@ func WithEngineQoSObserver(o engine.QoSObserver) EngineOption {
 	return engine.WithQoSObserver(o)
 }
 
-// WithEngineLaneAging sets the lane-aging quantum: every full quantum a
-// lane's head job has waited promotes the lane one class, bounding
-// cross-class starvation (default 100ms).
-func WithEngineLaneAging(d time.Duration) EngineOption { return engine.WithLaneAging(d) }
-
 // WithClientTenant stamps every request from a client with a tenant id;
-// WithClientClass sets the default scheduling class. A QoSIdentity on
-// the call context overrides both per call.
+// WithClientClass sets the default scheduling class.
 func WithClientTenant(tenant string) ClientOption { return server.WithClientTenant(tenant) }
 
 // WithClientClass sets a client's default QoS class (interactive when
@@ -898,8 +722,11 @@ func WithClientClass(class QoSClass) ClientOption { return server.WithClientClas
 // pick/shed counters for; others fold into the "other" series.
 func WithClusterTenants(names []string) ClusterOption { return cluster.WithTenants(names) }
 
-// NewQoSObsMux is NewObsMux plus the /quotaz per-tenant quota page
-// rendered from the QoS plane (nil plane: 404).
+// NewQoSObsMux serves an observability surface assembled from parts —
+// for processes like montsyslb with a registry, a tracer, an SLO tracker
+// and a QoS plane but no engine collector: /metrics, /trace, /statusz,
+// the /quotaz per-tenant quota page, expvar and pprof (a nil part
+// answers 404).
 func NewQoSObsMux(r *MetricsRegistry, t *Tracer, slo *SLOTracker, p *QoSPlane) http.Handler {
 	var q obs.Quotaz
 	if p != nil {
@@ -932,7 +759,7 @@ func NewQoSObsMux(r *MetricsRegistry, t *Tracer, slo *SLOTracker, p *QoSPlane) h
 // of effective entropy, seed and key both on the wire). Keys worth
 // protecting are generated locally with SignService.KeygenRSACrypto,
 // whose randomness comes from crypto/rand — as does all blinding
-// randomness unless WithSignBlindSeed overrides it for a test.
+// randomness.
 //
 // See README "Signing service" and DESIGN §2h for how CRT maps onto the
 // paper's replicated arrays and blinding onto its countermeasure story.
@@ -954,11 +781,6 @@ func NewSignService(eng *Engine, opts ...SignServiceOption) *SignService {
 // service's private-key paths (default on; off is for the SCA gate's
 // positive control only).
 func WithSignBlinding(on bool) SignServiceOption { return cryptosvc.WithBlinding(on) }
-
-// WithSignBlindSeed makes the blinding masks deterministic — tests and
-// trace-capture campaigns only; production keeps the default
-// crypto-quality source.
-func WithSignBlindSeed(seed int64) SignServiceOption { return cryptosvc.WithBlindSeed(seed) }
 
 // WithServerSignService overrides the signing service an engine-backed
 // server executes signing ops with — e.g. blinding off for a lab
@@ -999,16 +821,6 @@ const (
 	CurveP256 = cryptosvc.CurveP256
 	CurveP384 = cryptosvc.CurveP384
 )
-
-// RSAKeyHandle fingerprints an RSA key by modulus for key-affinity
-// routing (nil modulus → nil handle → least-inflight routing).
-func RSAKeyHandle(n *big.Int) []byte { return cryptosvc.RSAKeyHandle(n) }
-
-// ECDSAKeyHandle fingerprints an ECDSA key (curve + identifying parts)
-// for key-affinity routing.
-func ECDSAKeyHandle(curveID uint8, parts ...*big.Int) []byte {
-	return cryptosvc.ECDSAKeyHandle(curveID, parts...)
-}
 
 // Hardware builds and maps the full gate-level MMM circuit for an l-bit
 // modulus, reporting area and timing under the Virtex-E model — the
