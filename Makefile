@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet bench-vet test race staticcheck cover bench-engine bench-obs bench-faults bench-kits bench-sign bench-qos sca-gate qos fuzz soak
+.PHONY: ci build vet bench-vet test test-386 race staticcheck cover bench-engine bench-obs bench-faults bench-kits bench-sign bench-qos sca-gate qos fuzz soak
 
-ci: vet bench-vet staticcheck build test race
+ci: vet bench-vet staticcheck build test test-386 race
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,11 @@ bench-vet:
 
 test:
 	$(GO) test ./...
+
+# The word kernel on a 32-bit GOARCH, where big.Word is 32 bits and the
+# kernel runs its portable row operation instead of math/big's assembly.
+test-386:
+	GOARCH=386 $(GO) test ./internal/highradix/... ./internal/mont/...
 
 race:
 	$(GO) test -race ./internal/engine/... ./internal/core/... ./internal/obs/... ./internal/server/... ./internal/cluster/... ./internal/faults/... ./internal/integrity/... ./internal/highradix/... ./internal/kits/... ./internal/cryptosvc/... ./internal/sca/... ./internal/qos/...

@@ -347,7 +347,8 @@ func BenchmarkConstantTime(b *testing.B) {
 
 // BenchmarkHostMultipliers compares the repository's software
 // implementations at RSA-1024 scale: bit-serial Algorithm 2, word-level
-// CIOS, and math/big as the yardstick. Not a paper table — it grounds
+// CIOS, and math/big as the yardstick — one product each, then one
+// exponentiation of the CRT-half shape. Not a paper table — it grounds
 // the radix discussion in host-measurable numbers.
 func BenchmarkHostMultipliers(b *testing.B) {
 	const l = 1024
@@ -386,6 +387,30 @@ func BenchmarkHostMultipliers(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			t.Mul(x, y)
 			t.Mod(t, n)
+		}
+	})
+
+	// A blinded RSA-2048 CRT half: a 1024-bit modulus and a 1088-bit
+	// exponent (d_p plus a 64-bit blind times p−1).
+	e := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 1088))
+	e.SetBit(e, 1087, 1)
+	b.Run("cios-modexp", func(b *testing.B) {
+		ctx, err := mont.NewCtx(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w := highradix.NewWord(ctx)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := w.ModExp(x, e); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("mathbig-exp", func(b *testing.B) {
+		t := new(big.Int)
+		for i := 0; i < b.N; i++ {
+			t.Exp(x, e, n)
 		}
 	})
 }

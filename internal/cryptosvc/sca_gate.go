@@ -2,16 +2,26 @@
 // sign path would execute and run internal/sca's fixed-vs-random Welch
 // t-test over them.
 //
-// The leakage model. A binary square-and-multiply exponentiation (the
-// engine's ModExp, expo.Report's accounting) performs, per exponent
-// bit from the MSB down, one squaring always and one extra multiply
-// exactly when the bit is 1 — so its power/timing profile is a direct
-// function of the exponent's bit pattern. ScheduleTrace reifies that
-// profile: point i is the multiply indicator of the i-th schedule step
-// (MSB first). A fixed-vs-random TVLA campaign over these traces is
-// then the software image of the oscilloscope campaign in
-// arXiv 2009.03468: if the fixed-key group's schedule is statistically
-// distinguishable from the random group's, the key leaks.
+// The leakage model. A binary square-and-multiply exponentiation
+// (expo.Report's accounting, and what the Model and Sim kits run)
+// performs, per exponent bit from the MSB down, one squaring always and
+// one extra multiply exactly when the bit is 1 — so its power/timing
+// profile is a direct function of the exponent's bit pattern.
+// ScheduleTrace reifies that profile: point i is the multiply indicator
+// of the i-th schedule step (MSB first). A fixed-vs-random TVLA
+// campaign over these traces is then the software image of the
+// oscilloscope campaign in arXiv 2009.03468: if the fixed-key group's
+// schedule is statistically distinguishable from the random group's,
+// the key leaks.
+//
+// The CIOS kit no longer runs that schedule for CRT halves: their
+// exponents exceed 64 bits, so highradix.Word.ModExp runs a 5-bit fixed
+// window whose product sequence depends only on the exponent's length
+// (five squarings and one multiply per window, table rows picked by a
+// masked scan), which blinding already fixes. The binary model stays
+// the gate's subject anyway: it is the worst case, the schedule the
+// Model and Sim kits still execute, and what gives the gate its teeth
+// against an unblinded service.
 //
 // The window. Additive exponent blinding d' = d + r·(p−1) leaves
 // d' ≡ d (mod 2^v) for v = v₂(p−1), because r·(p−1) is divisible by

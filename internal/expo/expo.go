@@ -214,11 +214,15 @@ func (e *Exponentiator) ModExp(m, exp *big.Int) (*big.Int, Report, error) {
 		return nil, rep, err
 	}
 
-	// The fast kits run Algorithm 3 internally (CIOS: word-domain
-	// ladder; Big: math/big's own windowed exponentiation). The Report
-	// keeps the paper's accounting — squares and multiplies are a
-	// function of the exponent alone for the binary ladder, so the
-	// decomposition and cycle model stay identical across kits.
+	// The fast kits run their own schedule internally. CIOS runs the
+	// word domain: binary square-and-multiply for exponents of 64 bits or
+	// fewer, a 5-bit fixed window with a constant product schedule above
+	// that; Big runs math/big's own windowed exponentiation. The Report
+	// deliberately stays the paper's Algorithm-3 cycle accounting on
+	// every kit — squares and multiplies of the binary ladder, a function
+	// of the exponent alone — so the decomposition and cycle model are
+	// identical across kits and do not count the products a fast kit
+	// actually ran.
 	switch e.Kit {
 	case kits.CIOS:
 		a, err := e.word.ModExp(m, exp)

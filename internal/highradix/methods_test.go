@@ -117,14 +117,19 @@ func wordMethods() []wordMethod {
 	}
 }
 
+// edgeLengths are the modulus bit lengths around limb boundaries. Lengths
+// with l+2 ≡ 0 (mod 64) are the tight edge of Walter's bound at word
+// level: R = 2^(l+2) exactly, and 4N = R − 4 for N = 2^l − 1.
+var edgeLengths = []int{62, 63, 64, 65, 126, 127, 128, 129, 190, 191, 192, 193, 194,
+	254, 255, 256, 257, 258, 1022, 1023, 2046, 2047}
+
 // SOS, FIOS and MulInto must return bit-identical products and quotient
 // digits at every limb boundary, on edge and random operands in [0, 2N),
-// for a random l-bit modulus and the all-ones one. Lengths with
-// l+2 ≡ 0 (mod 64) are the tight edge of Walter's bound at word level:
-// R = 2^(l+2) exactly, and 4N = R − 4 for N = 2^l − 1.
+// for a random l-bit modulus and the all-ones one, and ModExp — windowed
+// or binary — must match math/big.
 func TestWordMethodsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
-	for _, l := range []int{62, 63, 64, 65, 126, 127, 128, 129, 254, 255, 1022, 1023, 2046, 2047} {
+	for _, l := range edgeLengths {
 		allOnes := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), uint(l)), big.NewInt(1))
 		for _, n := range []*big.Int{randOdd(rng, l), allOnes} {
 			ctx, err := mont.NewCtx(n)
@@ -158,6 +163,39 @@ func TestWordMethodsAgree(t *testing.T) {
 						}
 					}
 				}
+			}
+			checkModExp(t, w, rng)
+		}
+	}
+}
+
+// checkModExp asserts ModExp equals math/big's Exp on edge bases and on
+// exponents either side of the binary/window switch (64 and 65 bits),
+// the window's all-zero and all-ones digit extremes, and a random
+// exponent longer than the modulus.
+func checkModExp(t *testing.T, w *Word, rng *rand.Rand) {
+	t.Helper()
+	n := w.Params().NBig
+	one := big.NewInt(1)
+	pow2 := func(k int) *big.Int { return new(big.Int).Lsh(one, uint(k)) }
+	k := w.Params().L + 70
+	exps := []*big.Int{
+		one,
+		new(big.Int).Sub(pow2(64), one),
+		pow2(64),
+		pow2(k - 1),
+		new(big.Int).Sub(pow2(k), one),
+		new(big.Int).SetBit(new(big.Int).Rand(rng, pow2(k)), k-1, 1),
+	}
+	bases := []*big.Int{big.NewInt(0), one, new(big.Int).Sub(n, one), new(big.Int).Rand(rng, n)}
+	for _, e := range exps {
+		for _, m := range bases {
+			got, err := w.ModExp(m, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := new(big.Int).Exp(m, e, n); got.Cmp(want) != 0 {
+				t.Fatalf("l=%d: ModExp(%s, %d-bit e) = %s, want %s", w.Params().L, m, e.BitLen(), got, want)
 			}
 		}
 	}

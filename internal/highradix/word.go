@@ -29,11 +29,15 @@ import (
 //
 //   - Carry-save accumulation inside the word loop. The systolic PE
 //     keeps its running sum as (carry, sum) pairs that never propagate
-//     across the array within a cycle; the software analogue is the
-//     (hi, lo) = Mul64 / Add64 chains below, where each inner step
-//     retires one limb and hands at most one carry limb to the next —
-//     the carries never ripple across the full accumulator inside the
-//     loop.
+//     across the array within a cycle; the software analogue is the row
+//     operation addMulVVW (z += x·y, math/big's assembly on 64-bit
+//     GOARCHes), where each step retires one limb and hands at most one
+//     carry limb to the next — the carries never ripple across the full
+//     accumulator inside a pass.
+//
+// ModExp runs a 5-bit fixed window with a constant product schedule for
+// exponents over 64 bits, and binary square-and-multiply (the paper's
+// Algorithm 3) for shorter ones.
 //
 // A Word owns mutable scratch buffers, so — exactly like the simulated
 // circuit it stands beside — it is NOT safe for concurrent use: one Word
@@ -43,7 +47,7 @@ type Word struct {
 	p *mont.WordParams
 
 	// Scratch, sized at construction so the hot loops never allocate.
-	t    []uint64 // S+2-limb CIOS accumulator
+	t    []uint64 // 2S-limb product accumulator
 	u    []uint64 // intermediate product (Mont two-step, ladder)
 	am   []uint64 // base in the Montgomery domain
 	acc  []uint64 // running ladder value
@@ -51,7 +55,28 @@ type Word struct {
 	one  []uint64 // the constant 1
 	xbuf []uint64 // operand conversion buffers
 	ybuf []uint64
+
+	// table holds the window powers am^0..am^31, one S-limb row each. It
+	// is allocated on the first exponent longer than 64 bits, so Words
+	// that only ever see short exponents (F4) never pay for it.
+	table []uint64
+
+	// onProduct, when set, observes the second operand of every product
+	// the exponentiation loop runs (acc itself for a squaring); tests use
+	// it to check the schedule.
+	onProduct func(b []uint64)
 }
+
+const (
+	winBits = 5            // fixed-window width for long exponents
+	winRows = 1 << winBits // table rows: am^0 .. am^31
+	// binaryMaxBits is the longest exponent ModExp runs by binary
+	// square-and-multiply. It separates public exponents such as F4 =
+	// 2^16+1 (16 squares and one multiply, where a 30-product table would
+	// dominate) from secret CRT-sized ones of 1000+ bits; nothing served
+	// falls between. It is not a measured break-even.
+	binaryMaxBits = 64
+)
 
 // NewWord builds the radix-2^64 kit over an existing Montgomery
 // context, sharing its cached word-level precompute (first call per Ctx
@@ -61,7 +86,7 @@ func NewWord(ctx *mont.Ctx) *Word {
 	p := ctx.Word()
 	w := &Word{
 		p:    p,
-		t:    make([]uint64, p.S+2),
+		t:    make([]uint64, 2*p.S),
 		u:    make([]uint64, p.S),
 		am:   make([]uint64, p.S),
 		acc:  make([]uint64, p.S),
@@ -101,62 +126,37 @@ func (w *Word) MulWitnessInto(out, wit, a, b []uint64) {
 	w.mul(out, a, b, wit)
 }
 
-// mul is the CIOS hot loop. For each of the S passes it accumulates
-// a_i·b into t limb-by-limb (carry-save style: one retire + one carry
-// per step), derives the quotient digit m = t_0·N' mod 2^64, adds m·N
-// and shifts one limb — fusing the shift into the second inner loop by
-// writing to j-1.
-func (w *Word) mul(out, a, b []uint64, wit []uint64) {
+// mul is the CIOS hot loop. Pass i adds a_i·b into the row window
+// t[i:i+S], derives the quotient digit m = t_i·N' mod 2^64 that clears
+// limb i, and adds m·N into the same window: two addMulVVW row
+// operations. Advancing the window one limb per pass is the division by
+// 2^64 — the array's one-cell-right shift, done by indexing instead of
+// moving data — so after S passes the product sits in t[S:2S].
+func (w *Word) mul(out, a, b, wit []uint64) {
 	s := w.p.S
 	if len(out) != s || len(a) != s || len(b) != s {
 		panic("highradix: MulInto operand limb count mismatch")
 	}
 	n := w.p.N
-	n0inv := w.p.N0Inv
 	t := w.t
-	for i := range t {
-		t[i] = 0
-	}
-	for i := 0; i < s; i++ {
-		// t += a_i · b
-		ai := a[i]
-		var carry uint64
-		for j := 0; j < s; j++ {
-			hi, lo := mathbits.Mul64(ai, b[j])
-			sum, c1 := mathbits.Add64(t[j], lo, 0)
-			sum, c2 := mathbits.Add64(sum, carry, 0)
-			t[j] = sum
-			carry = hi + c1 + c2 // cannot overflow: hi ≤ 2^64-2
-		}
-		sum, c1 := mathbits.Add64(t[s], carry, 0)
-		t[s] = sum
-		t[s+1] += c1
-
-		// m = t_0·N' mod 2^64; t = (t + m·N) / 2^64
-		m := t[0] * n0inv
+	clear(t)
+	for i, ai := range a {
+		row := t[i : i+s]
+		c1 := addMulVVW(row, b, ai)
+		m := row[0] * w.p.N0Inv
 		if wit != nil {
 			wit[i] = m
 		}
-		hi, lo := mathbits.Mul64(m, n[0])
-		_, c1 = mathbits.Add64(t[0], lo, 0) // clears t[0] by construction
-		carry = hi + c1
-		for j := 1; j < s; j++ {
-			hi, lo := mathbits.Mul64(m, n[j])
-			sum, c2 := mathbits.Add64(t[j], lo, 0)
-			sum, c3 := mathbits.Add64(sum, carry, 0)
-			t[j-1] = sum
-			carry = hi + c2 + c3
-		}
-		sum, c1 = mathbits.Add64(t[s], carry, 0)
-		t[s-1] = sum
-		t[s] = t[s+1] + c1
-		t[s+1] = 0
+		c2 := addMulVVW(row, n, m)
+		// t[i+S] is still zero, and c1+c2 cannot wrap: after the pass,
+		// t[i+1:i+S+1] holds (Σ_{j≤i} a_j·2^(64j)·b + M_i·N)/2^(64(i+1))
+		// < 2N + N < R, which fits S limbs with no carry out.
+		t[i+s] = c1 + c2
 	}
 	// R > 4N and a, b < 2N give t = (a·b + M·N)/R < 4N²/R + N < 2N,
-	// which fits S limbs — the top limbs are structurally zero and no
-	// subtraction happens. (The bit-serial design's central property,
-	// held at radix 2^64.)
-	copy(out, t[:s])
+	// which fits S limbs — no subtraction happens. (The bit-serial
+	// design's central property, held at radix 2^64.)
+	copy(out, t[s:])
 }
 
 // Mont computes x·y·2^-(l+2) mod 2N — the same mathematical function as
@@ -176,10 +176,18 @@ func (w *Word) Mont(x, y *big.Int) (*big.Int, error) {
 	return mont.BigFromWords(w.tmp), nil
 }
 
-// ModExp computes m^e mod N by left-to-right square-and-multiply
-// (the paper's Algorithm 3) entirely in the word domain: one MulInto
-// per square/multiply, conversions only at the edges. m must lie in
-// [0, N-1]; e must be positive. The result is canonical in [0, N).
+// ModExp computes m^e mod N entirely in the word domain, conversions
+// only at the edges. m must lie in [0, N-1]; e must be positive. The
+// result is canonical in [0, N).
+//
+// Exponents over 64 bits run a 5-bit fixed window whose product
+// schedule depends only on e's bit length: a table of am^0..am^31, then
+// per window five squarings and one multiply — by am^0 when the digit is
+// 0 — with the table row picked by a masked scan of all 32 rows rather
+// than by indexing (the fixed-schedule countermeasure of arXiv
+// 2009.03468). Exponents of 64 bits or fewer (F4 and friends) run
+// left-to-right binary square-and-multiply, the paper's Algorithm 3,
+// where a table would cost more than it saves.
 func (w *Word) ModExp(m, e *big.Int) (*big.Int, error) {
 	if e.Sign() <= 0 {
 		return nil, fmt.Errorf("highradix: exponent must be positive: %w", errs.ErrOperandRange)
@@ -190,19 +198,15 @@ func (w *Word) ModExp(m, e *big.Int) (*big.Int, error) {
 	s := w.p.S
 	mont.WordsSetBig(w.xbuf, m)
 	// Enter the domain: am = m·R mod 2N.
-	w.MulInto(w.am, w.xbuf, w.p.RR)
-	copy(w.acc, w.am)
-	for i := e.BitLen() - 2; i >= 0; i-- {
-		w.MulInto(w.tmp, w.acc, w.acc)
-		w.acc, w.tmp = w.tmp, w.acc
-		if e.Bit(i) == 1 {
-			w.MulInto(w.tmp, w.acc, w.am)
-			w.acc, w.tmp = w.tmp, w.acc
-		}
+	w.mul(w.am, w.xbuf, w.p.RR, nil)
+	if e.BitLen() > binaryMaxBits {
+		w.expWindow(e)
+	} else {
+		w.expBinary(e)
 	}
 	// Leave the domain: Mont(acc, 1) ≤ N, then one branch-free
 	// canonicalizing subtraction — off the hot loop, as in §3.
-	w.MulInto(w.u, w.acc, w.one)
+	w.mul(w.u, w.acc, w.one, nil)
 	var borrow uint64
 	for i := 0; i < s; i++ {
 		d, br := mathbits.Sub64(w.u[i], w.p.N[i], borrow)
@@ -214,6 +218,77 @@ func (w *Word) ModExp(m, e *big.Int) (*big.Int, error) {
 		w.u[i] = (w.u[i] & keep) | (w.tmp[i] &^ keep)
 	}
 	return mont.BigFromWords(w.u), nil
+}
+
+// expBinary sets acc = am^e by left-to-right square-and-multiply.
+func (w *Word) expBinary(e *big.Int) {
+	copy(w.acc, w.am)
+	for i := e.BitLen() - 2; i >= 0; i-- {
+		w.step(w.acc)
+		if e.Bit(i) == 1 {
+			w.step(w.am)
+		}
+	}
+}
+
+// expWindow sets acc = am^e with the 5-bit fixed window. Windows are
+// aligned to bit 0; the top one seeds acc with no product.
+func (w *Word) expWindow(e *big.Int) {
+	s := w.p.S
+	if w.table == nil {
+		w.table = make([]uint64, winRows*s)
+	}
+	row := func(r int) []uint64 { return w.table[r*s : (r+1)*s] }
+	w.mul(row(0), w.one, w.p.RR, nil) // am^0 = R mod 2N
+	copy(row(1), w.am)
+	for r := 2; r < winRows; r++ {
+		w.mul(row(r), row(r-1), w.am, nil)
+	}
+	nw := (e.BitLen() + winBits - 1) / winBits
+	w.selectRow(w.acc, window(e, nw-1))
+	for i := nw - 2; i >= 0; i-- {
+		for j := 0; j < winBits; j++ {
+			w.step(w.acc)
+		}
+		w.selectRow(w.u, window(e, i))
+		w.step(w.u)
+	}
+}
+
+// step sets acc = acc·b·R⁻¹; passing acc itself squares. It is the one
+// product both exponentiation schedules run, so onProduct sees them all.
+func (w *Word) step(b []uint64) {
+	if w.onProduct != nil {
+		w.onProduct(b)
+	}
+	w.mul(w.tmp, w.acc, b, nil)
+	w.acc, w.tmp = w.tmp, w.acc
+}
+
+// window returns bits [5i, 5i+5) of e.
+func window(e *big.Int, i int) uint64 {
+	var d uint64
+	for b := winBits - 1; b >= 0; b-- {
+		d = d<<1 | uint64(e.Bit(winBits*i+b))
+	}
+	return d
+}
+
+// selectRow copies table row d into out by reading every row and
+// keeping one under a mask, so the memory access pattern does not
+// depend on d.
+func (w *Word) selectRow(out []uint64, d uint64) {
+	s := w.p.S
+	clear(out)
+	for r := 0; r < winRows; r++ {
+		// mask is all-ones exactly when r == d: r^d is 0 only then, and
+		// (x-1)>>63 is 1 only for x = 0 (both are < 2^63).
+		mask := -(((uint64(r) ^ d) - 1) >> 63)
+		row := w.table[r*s : (r+1)*s]
+		for j := range out {
+			out[j] |= row[j] & mask
+		}
+	}
 }
 
 // MulWitness is the big.Int face of MulWitnessInto, returning the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/errs"
@@ -206,6 +207,96 @@ func TestMulIntoAllocs(t *testing.T) {
 	wit := make([]uint64, p.S)
 	if avg := testing.AllocsPerRun(100, func() { w.MulWitnessInto(out, wit, a, b) }); avg != 0 {
 		t.Errorf("MulWitnessInto allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// After its first call (which builds the window table on a long
+// exponent), ModExp allocates only the conversion of its result, on both
+// sides of the binary/window switch.
+func TestModExpAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(607))
+	n := randOdd(rng, 1024)
+	ctx, _ := mont.NewCtx(n)
+	w := NewWord(ctx)
+	m := new(big.Int).Rand(rng, n)
+	conv := testing.AllocsPerRun(20, func() { mont.BigFromWords(w.u) })
+	for _, e := range []*big.Int{big.NewInt(65537), new(big.Int).Rand(rng, n)} {
+		if _, err := w.ModExp(m, e); err != nil {
+			t.Fatal(err)
+		}
+		if avg := testing.AllocsPerRun(20, func() { w.ModExp(m, e) }); avg > conv {
+			t.Errorf("ModExp with a %d-bit exponent allocates %.1f objects/op, want ≤ %.1f (the result conversion)",
+				e.BitLen(), avg, conv)
+		}
+	}
+}
+
+// Every exponent of one length over 64 bits runs the same product
+// sequence: the 30-product table, then five squarings and one multiply
+// per window below the top one, whatever the digits. 2^(k−1) (every
+// window digit but the top one is 0) and 2^k − 1 (every digit is 31) are
+// the extremes; a random k-bit exponent sits between them. At 64 bits
+// and below, ModExp runs the binary ladder, whose schedule follows the
+// bits: squares for every bit below the MSB, a multiply per set one.
+func TestWordModExpConstantSchedule(t *testing.T) {
+	rng := rand.New(rand.NewSource(608))
+	n := randOdd(rng, 512)
+	ctx, _ := mont.NewCtx(n)
+	w := NewWord(ctx)
+	var sched []bool
+	// A product whose second operand is acc itself is a squaring.
+	w.onProduct = func(b []uint64) { sched = append(sched, &b[0] == &w.acc[0]) }
+	run := func(e *big.Int) []bool {
+		t.Helper()
+		sched = sched[:0]
+		m := new(big.Int).Rand(rng, n)
+		got, err := w.ModExp(m, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := new(big.Int).Exp(m, e, n); got.Cmp(want) != 0 {
+			t.Fatalf("%d-bit e: ModExp wrong", e.BitLen())
+		}
+		return slices.Clone(sched)
+	}
+	one := big.NewInt(1)
+	for _, k := range []int{65, 66, 69, 70, 71, 128, 1088} {
+		lo := new(big.Int).Lsh(one, uint(k-1))
+		hi := new(big.Int).Sub(new(big.Int).Lsh(one, uint(k)), one)
+		mid := new(big.Int).SetBit(new(big.Int).Rand(rng, lo), k-1, 1)
+		want := run(lo)
+		if nw := (k + winBits - 1) / winBits; len(want) != 6*(nw-1) {
+			t.Fatalf("k=%d: %d products, want 6 per window below the top (%d)", k, len(want), 6*(nw-1))
+		}
+		for i, sqr := range want {
+			if sqr != (i%6 != 5) {
+				t.Fatalf("k=%d: product %d is not in the 5-square-1-multiply pattern", k, i)
+			}
+		}
+		for _, e := range []*big.Int{hi, mid} {
+			if got := run(e); !slices.Equal(got, want) {
+				t.Fatalf("k=%d: schedule of %x differs from 2^(k-1)'s", k, e)
+			}
+		}
+	}
+	for _, e := range []*big.Int{big.NewInt(3), big.NewInt(65537), new(big.Int).SetUint64(1<<63 | 5)} {
+		got := run(e)
+		squares, muls := 0, 0
+		for _, sqr := range got {
+			if sqr {
+				squares++
+			} else {
+				muls++
+			}
+		}
+		weight := 0
+		for i := 0; i < e.BitLen(); i++ {
+			weight += int(e.Bit(i))
+		}
+		if squares != e.BitLen()-1 || muls != weight-1 {
+			t.Fatalf("e=%s: %d squares and %d multiplies, Algorithm 3 runs %d and %d",
+				e, squares, muls, e.BitLen()-1, weight-1)
+		}
 	}
 }
 

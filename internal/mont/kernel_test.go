@@ -215,36 +215,70 @@ func checkWordMethods(t *testing.T, ctx *mont.Ctx, w *highradix.Word, x, y *big.
 	}
 }
 
+// checkWordModExp asserts ModExp equals math/big's Exp for a short
+// exponent (binary ladder) and one longer than 64 bits (fixed window).
+func checkWordModExp(t *testing.T, w *highradix.Word, rng *rand.Rand, m *big.Int) {
+	t.Helper()
+	n := w.Params().NBig
+	long := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(n.BitLen()+65)))
+	for _, e := range []*big.Int{big.NewInt(65537), long.SetBit(long, n.BitLen()+64, 1)} {
+		got, err := w.ModExp(m, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := new(big.Int).Exp(m, e, n); got.Cmp(want) != 0 {
+			t.Fatalf("l=%d: ModExp(%s, %d-bit e) = %s, want %s", w.Params().L, m, e.BitLen(), got, want)
+		}
+	}
+}
+
+// wordLengths are the modulus widths the word-kernel tests sweep:
+// single-limb, limb-boundary (190–194 and 256–258 straddle l+2 ≡ 0
+// mod 64) and multi-limb.
+var wordLengths = []int{16, 63, 64, 65, 128, 190, 191, 192, 193, 194, 256, 257, 258, 511, 512, 1024}
+
 // The word kernel's entry points agree with each other and with the
 // bit-serial Algorithm 2 on random operands in [0, 2N) across widths,
-// including single-limb and limb-boundary widths.
+// and ModExp agrees with math/big.
 func TestWordMethodsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
-	for _, l := range []int{16, 63, 64, 65, 128, 511, 512, 1024} {
+	for _, l := range wordLengths {
 		n := oddModulus(rng, l)
 		ctx, _ := mont.NewCtx(n)
 		w := highradix.NewWord(ctx)
 		for trial := 0; trial < 15; trial++ {
 			checkWordMethods(t, ctx, w, new(big.Int).Rand(rng, w.Params().N2), new(big.Int).Rand(rng, w.Params().N2))
 		}
+		checkWordModExp(t, w, rng, new(big.Int).Rand(rng, n))
 	}
 }
 
-// Edge operands: zero, one, two, (N-1)/2, N-1, N and 2N-1 — the last
-// two are legal inputs only because the kernel has no final subtraction.
+// Edge operands: zero, one, two, (N-1)/2, N-1, N, 2N-1 and a random one
+// — N and 2N-1 are legal inputs only because the kernel has no final
+// subtraction — for a fixed 128-bit modulus and one of every swept width.
 func TestWordMethodsEdgeOperands(t *testing.T) {
-	n, _ := new(big.Int).SetString("ffffffffffffffffffffffffffffff61", 16)
-	ctx, err := mont.NewCtx(n)
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(202))
+	fixed, _ := new(big.Int).SetString("ffffffffffffffffffffffffffffff61", 16)
+	moduli := []*big.Int{fixed}
+	for _, l := range wordLengths {
+		moduli = append(moduli, oddModulus(rng, l))
 	}
-	w := highradix.NewWord(ctx)
-	nm1 := new(big.Int).Sub(n, big.NewInt(1))
-	edges := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(2), new(big.Int).Rsh(nm1, 1),
-		nm1, n, new(big.Int).Sub(w.Params().N2, big.NewInt(1))}
-	for _, x := range edges {
-		for _, y := range edges {
-			checkWordMethods(t, ctx, w, x, y)
+	for _, n := range moduli {
+		ctx, err := mont.NewCtx(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := highradix.NewWord(ctx)
+		nm1 := new(big.Int).Sub(n, big.NewInt(1))
+		edges := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(2), new(big.Int).Rsh(nm1, 1),
+			nm1, n, new(big.Int).Sub(w.Params().N2, big.NewInt(1)), new(big.Int).Rand(rng, w.Params().N2)}
+		for _, x := range edges {
+			for _, y := range edges {
+				checkWordMethods(t, ctx, w, x, y)
+			}
+		}
+		for _, m := range []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(2), nm1} {
+			checkWordModExp(t, w, rng, m)
 		}
 	}
 }
