@@ -83,7 +83,8 @@ qos:
 	$(GO) test -race -count=1 -run 'Lane|QoS|RateLimited|RetryDecision|Deadline' ./internal/engine/... ./internal/server/...
 
 # Native fuzzing of everything that parses hostile bytes — the wire
-# frame decoders (both directions), the response-id fast path, and the
+# frame decoders (both directions), the request codec's
+# encode∘decode fixpoint, the response-id fast path, and the
 # QoS spec parser — plus the word-level Montgomery kernel's witness
 # identity. The committed corpus under testdata/fuzz/ replays as plain
 # tests on every `go test`; this target mines for NEW inputs.
@@ -92,6 +93,7 @@ FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run xxx -fuzz '^FuzzDecodeResponse$$' -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run xxx -fuzz '^FuzzRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run xxx -fuzz '^FuzzResponseID$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run xxx -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/qos/
 	$(GO) test -run xxx -fuzz '^FuzzWordWitness$$' -fuzztime $(FUZZTIME) ./internal/highradix/

@@ -101,9 +101,8 @@ func WithClientClass(class qos.Class) ClientOption {
 // backoff and jitter, bounded by WithMaxRetries and the call context.
 //
 // Retries after an ambiguous failure (the request was written but the
-// connection died before the response) are only attempted for
-// idempotent operations. Every current op is a pure computation with
-// no server-side effect, so all are idempotent; the gate exists so a
+// connection died before the response) are only attempted for ops whose
+// opTable row is idempotent. Every current op is; the gate exists so a
 // future mutating op cannot be silently double-executed.
 //
 // A Client is safe for concurrent use by multiple goroutines.
@@ -118,31 +117,6 @@ type Client struct {
 	rr     int
 	closed bool
 	rng    *rand.Rand
-}
-
-// idempotent marks the ops safe to retry after an ambiguous failure.
-var idempotent = map[Op]bool{
-	OpMont:        true, // pure: X·Y·R⁻¹ mod 2N
-	OpModExp:      true, // pure: Base^Exp mod N
-	OpBatchModExp: true,
-	OpPing:        true, // read-only health check
-
-	// Signing ops: keygen is a deterministic function of (bits, seed),
-	// both signs are deterministic under their seeds (ECDSA) or
-	// stateless pure functions up to the blinds — which never change
-	// the produced signature — and the verifies are pure reads, so a
-	// double execution is always byte-identical.
-	OpKeygenRSA:        true,
-	OpSignRSA:          true,
-	OpVerifyRSA:        true,
-	OpSignECDSA:        true,
-	OpVerifyECDSABatch: true,
-
-	// Membership ops are idempotent by contract (see MembershipHandler):
-	// re-joining a present member and saying goodbye to an absent one
-	// are no-ops, so a registrar can retry blindly across ambiguity.
-	OpJoin:    true,
-	OpGoodbye: true,
 }
 
 // Dial prepares a client for addr. Connections are established lazily
@@ -192,7 +166,7 @@ func (c *Client) Close() error {
 
 // ModExp computes Base^Exp mod N on the remote engine.
 func (c *Client) ModExp(ctx context.Context, n, base, exp *big.Int) (*big.Int, error) {
-	resp, err := c.call(ctx, OpModExp, []triple{{n: n, a: base, b: exp}}, nil, nil)
+	resp, err := c.call(ctx, &request{op: OpModExp, jobs: []triple{{n: n, a: base, b: exp}}})
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +175,7 @@ func (c *Client) ModExp(ctx context.Context, n, base, exp *big.Int) (*big.Int, e
 
 // Mont computes the raw Montgomery product X·Y·R⁻¹ mod 2N remotely.
 func (c *Client) Mont(ctx context.Context, n, x, y *big.Int) (*big.Int, error) {
-	resp, err := c.call(ctx, OpMont, []triple{{n: n, a: x, b: y}}, nil, nil)
+	resp, err := c.call(ctx, &request{op: OpMont, jobs: []triple{{n: n, a: x, b: y}}})
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +188,7 @@ func (c *Client) Mont(ctx context.Context, n, x, y *big.Int) (*big.Int, error) {
 // ErrBackendDown (wrapping the dial error). Pings bypass the server's
 // admission control, so they keep answering under overload.
 func (c *Client) Ping(ctx context.Context) (inflight int64, err error) {
-	resp, err := c.call(ctx, OpPing, nil, nil, nil)
+	resp, err := c.call(ctx, &request{op: OpPing})
 	if err != nil {
 		return 0, err
 	}
@@ -227,7 +201,7 @@ func (c *Client) Ping(ctx context.Context) (inflight int64, err error) {
 // member with the same zone is a no-op, so registration loops retry
 // blindly. Servers without a membership surface answer ErrProtocol.
 func (c *Client) Join(ctx context.Context, addr, zone string) (members int, err error) {
-	resp, err := c.call(ctx, OpJoin, nil, nil, &memberBody{addr: addr, zone: zone})
+	resp, err := c.call(ctx, &request{op: OpJoin, member: &memberBody{addr: addr, zone: zone}})
 	if err != nil {
 		return 0, err
 	}
@@ -239,7 +213,7 @@ func (c *Client) Join(ctx context.Context, addr, zone string) (members int, err 
 // a no-op. A draining backend calls this on every balancer *before*
 // its own Shutdown, so new work reroutes while in-flight work finishes.
 func (c *Client) Goodbye(ctx context.Context, addr string) (members int, err error) {
-	resp, err := c.call(ctx, OpGoodbye, nil, nil, &memberBody{addr: addr})
+	resp, err := c.call(ctx, &request{op: OpGoodbye, member: &memberBody{addr: addr}})
 	if err != nil {
 		return 0, err
 	}
@@ -256,7 +230,7 @@ func (c *Client) ModExpBatch(ctx context.Context, jobs []engine.ModExpJob) ([]en
 	for i, j := range jobs {
 		trips[i] = triple{n: j.N, a: j.Base, b: j.Exp}
 	}
-	resp, err := c.call(ctx, OpBatchModExp, trips, nil, nil)
+	resp, err := c.call(ctx, &request{op: OpBatchModExp, jobs: trips})
 	if err != nil {
 		return nil, err
 	}
@@ -317,24 +291,25 @@ func retryDecision(code Code) retryAction {
 // call wraps the retry loop with the tracing head: resolve the call's
 // trace context (inherited from ctx, or minted when WithClientTracing
 // is on), run the retries under it, and record one client span
-// covering the whole call — every retry included — when sampled.
-func (c *Client) call(ctx context.Context, op Op, jobs []triple, crypto *cryptoBody,
-	member *memberBody) (*response, error) {
-	tc, traced := c.traceContext(ctx, op)
+// covering the whole call — every retry included — when sampled. req
+// carries the op and its body; each attempt stamps its own id,
+// deadline, trace context and QoS identity on a copy.
+func (c *Client) call(ctx context.Context, req *request) (*response, error) {
+	tc, traced := c.traceContext(ctx, req.op)
 	if !traced {
-		return c.callRetry(ctx, op, jobs, crypto, member, obs.TraceContext{}, nil)
+		return c.callRetry(ctx, req, obs.TraceContext{}, nil)
 	}
 	span := obs.NewSpanID()
 	start := time.Now()
 	var attempts int
-	resp, err := c.callRetry(ctx, op, jobs, crypto, member, tc.Child(span), &attempts)
+	resp, err := c.callRetry(ctx, req, tc.Child(span), &attempts)
 	if c.cfg.tracer != nil {
 		outcome := "ok"
 		if err != nil {
 			outcome = codeFor(err).String()
 		}
 		c.cfg.tracer.Record(obs.Span{
-			Name: "call/" + op.String(), Track: "client", Outcome: outcome,
+			Name: "call/" + req.op.String(), Track: "client", Outcome: outcome,
 			Start: start, Exec: time.Since(start),
 			TraceID: tc.TraceID, SpanID: span, Parent: tc.SpanID,
 			Attrs: []obs.Attr{
@@ -348,11 +323,11 @@ func (c *Client) call(ctx context.Context, op Op, jobs []triple, crypto *cryptoB
 
 // traceContext resolves the trace context for one call: a sampled
 // context on ctx wins (propagation is unconditional); otherwise a
-// root context is minted when this client is a trace head. Pings and
-// membership ops are never traced — they are health probes and control
-// plane, not service traffic.
+// root context is minted when this client is a trace head. Ops whose
+// row has no traced variant (pings and membership ops — health probes
+// and control plane, not service traffic) are never traced.
 func (c *Client) traceContext(ctx context.Context, op Op) (obs.TraceContext, bool) {
-	if op == OpPing || isMemberOp(op) {
+	if opTable[op].traced == 0 {
 		return obs.TraceContext{}, false
 	}
 	if tc, ok := obs.TraceFromContext(ctx); ok {
@@ -372,15 +347,15 @@ func (c *Client) traceContext(ctx context.Context, op Op) (obs.TraceContext, boo
 // transport error so failover layers can classify it with errors.Is.
 // attempts, when non-nil, counts tryOnce invocations for the caller's
 // span.
-func (c *Client) callRetry(ctx context.Context, op Op, jobs []triple,
-	crypto *cryptoBody, member *memberBody, tc obs.TraceContext, attempts *int) (*response, error) {
+func (c *Client) callRetry(ctx context.Context, req *request, tc obs.TraceContext,
+	attempts *int) (*response, error) {
 	var lastErr error
 	var lastNetwork bool
 	for attempt := 0; ; attempt++ {
 		if attempts != nil {
 			*attempts = attempt + 1
 		}
-		resp, wrote, err := c.tryOnce(ctx, op, jobs, crypto, member, tc)
+		resp, wrote, err := c.tryOnce(ctx, req, tc)
 		switch {
 		case err == nil && resp.code == CodeOK:
 			return resp, nil
@@ -414,7 +389,7 @@ func (c *Client) callRetry(ctx context.Context, op Op, jobs []triple,
 			// is trivially safe to retry; after, only idempotent ops may.
 			lastErr = err
 			lastNetwork = true
-			if wrote && !idempotent[op] {
+			if wrote && !opTable[req.op].idempotent {
 				return nil, fmt.Errorf("server: ambiguous failure on non-idempotent op: %w", err)
 			}
 		}
@@ -472,32 +447,32 @@ func (c *Client) sleep(ctx context.Context, attempt int) error {
 // tryOnce performs a single attempt: pick or dial a connection, write
 // the request, wait for its response. wrote reports whether any bytes
 // may have reached the server (the ambiguity gate for retries).
-func (c *Client) tryOnce(ctx context.Context, op Op, jobs []triple,
-	crypto *cryptoBody, member *memberBody, tc obs.TraceContext) (resp *response, wrote bool, err error) {
+func (c *Client) tryOnce(ctx context.Context, tmpl *request,
+	tc obs.TraceContext) (resp *response, wrote bool, err error) {
 	cc, err := c.conn(ctx)
 	if err != nil {
 		return nil, false, err
 	}
 	id := c.nextID.Add(1)
-	ca := &call{op: op, done: make(chan struct{})}
+	ca := &call{op: tmpl.op, done: make(chan struct{})}
 	if err := cc.register(id, ca); err != nil {
 		c.drop(cc)
 		return nil, false, err
 	}
-	req := &request{op: op, id: id, jobs: jobs, crypto: crypto, member: member, tc: tc}
-	if op != OpPing && !isMemberOp(op) {
-		// Tag the request with its QoS identity: a non-zero identity on
-		// the call context wins, else the client's configured defaults.
-		qid := qos.FromContext(ctx)
-		if qid == (qos.Identity{}) {
-			qid = qos.Identity{Tenant: c.cfg.tenant, Class: c.cfg.class}
-		}
-		req.tenant, req.class = qid.Tenant, qid.Class
+	req := *tmpl
+	req.id, req.tc = id, tc
+	// Tag the request with its QoS identity: a non-zero identity on the
+	// call context wins, else the client's configured defaults. The
+	// encoder drops it for ops whose row takes no tag.
+	qid := qos.FromContext(ctx)
+	if qid == (qos.Identity{}) {
+		qid = qos.Identity{Tenant: c.cfg.tenant, Class: c.cfg.class}
 	}
+	req.tenant, req.class = qid.Tenant, qid.Class
 	if dl, ok := ctx.Deadline(); ok {
 		req.deadline = dl
 	}
-	if err := cc.write(ctx, encodeRequest(req)); err != nil {
+	if err := cc.write(ctx, encodeRequest(&req)); err != nil {
 		cc.unregister(id)
 		c.drop(cc)
 		// A failed write may still have delivered the full frame from

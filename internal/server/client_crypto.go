@@ -24,20 +24,11 @@ var _ SignHandler = (*Client)(nil)
 // and both seed and private key cross the wire — generate real keys
 // locally (cryptosvc.Service.KeygenRSACrypto).
 func (c *Client) KeygenRSA(ctx context.Context, bits int, seed int64) (*rsa.PrivateKey, error) {
-	resp, err := c.call(ctx, OpKeygenRSA, nil, &cryptoBody{bits: bits, seed: seed}, nil)
+	resp, err := c.call(ctx, &request{op: OpKeygenRSA, crypto: &cryptoBody{bits: bits, seed: seed}})
 	if err != nil {
 		return nil, err
 	}
-	v := resp.values
-	if len(v) != 8 {
-		return nil, fmt.Errorf("server: keygen answered %d values: %w", len(v), errs.ErrProtocol)
-	}
-	return &rsa.PrivateKey{
-		PublicKey: rsa.PublicKey{N: orNil(v[0]), E: orNil(v[1])},
-		D:         orNil(v[2]),
-		P:         orNil(v[3]), Q: orNil(v[4]),
-		DP: orNil(v[5]), DQ: orNil(v[6]), QInv: orNil(v[7]),
-	}, nil
+	return keyFromBigs(resp.values), nil
 }
 
 // SignRSA signs a digest on the remote server with its blinded
@@ -47,7 +38,7 @@ func (c *Client) SignRSA(ctx context.Context, key *rsa.PrivateKey, digest *big.I
 	if key == nil {
 		return nil, fmt.Errorf("server: nil key: %w", errs.ErrBadKey)
 	}
-	resp, err := c.call(ctx, OpSignRSA, nil, &cryptoBody{key: key, digest: digest}, nil)
+	resp, err := c.call(ctx, &request{op: OpSignRSA, crypto: &cryptoBody{key: key, digest: digest}})
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +49,7 @@ func (c *Client) SignRSA(ctx context.Context, key *rsa.PrivateKey, digest *big.I
 // well-formed but wrong signature answers (false, nil); malformed key
 // material answers an ErrBadKey-wrapped error.
 func (c *Client) VerifyRSA(ctx context.Context, n, e, digest, sig *big.Int) (bool, error) {
-	resp, err := c.call(ctx, OpVerifyRSA, nil, &cryptoBody{n: n, e: e, digest: digest, sig: sig}, nil)
+	resp, err := c.call(ctx, &request{op: OpVerifyRSA, crypto: &cryptoBody{n: n, e: e, digest: digest, sig: sig}})
 	if err != nil {
 		return false, err
 	}
@@ -68,7 +59,7 @@ func (c *Client) VerifyRSA(ctx context.Context, n, e, digest, sig *big.Int) (boo
 // SignECDSA signs a digest on the remote server; the nonce is derived
 // deterministically from seed, so retries reproduce the signature.
 func (c *Client) SignECDSA(ctx context.Context, curveID uint8, d, digest *big.Int, seed int64) (*big.Int, *big.Int, error) {
-	resp, err := c.call(ctx, OpSignECDSA, nil, &cryptoBody{curve: curveID, d: d, digest: digest, seed: seed}, nil)
+	resp, err := c.call(ctx, &request{op: OpSignECDSA, crypto: &cryptoBody{curve: curveID, d: d, digest: digest, seed: seed}})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -81,7 +72,7 @@ func (c *Client) SignECDSA(ctx context.Context, curveID uint8, d, digest *big.In
 // ErrOperandRange) come back as the same sentinels the in-process
 // service returns.
 func (c *Client) VerifyECDSABatch(ctx context.Context, curveID uint8, items []cryptosvc.ECDSAVerifyItem) ([]cryptosvc.VerifyResult, error) {
-	resp, err := c.call(ctx, OpVerifyECDSABatch, nil, &cryptoBody{curve: curveID, items: items}, nil)
+	resp, err := c.call(ctx, &request{op: OpVerifyECDSABatch, crypto: &cryptoBody{curve: curveID, items: items}})
 	if err != nil {
 		return nil, err
 	}

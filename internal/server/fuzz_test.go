@@ -1,61 +1,38 @@
 package server
 
 // Native fuzz targets over the frame codecs. The contract under test:
-// no byte sequence panics a decoder, and every rejection wraps
+// no byte sequence panics a decoder, every rejection wraps
 // errs.ErrProtocol — the read loop relies on that to answer a typed
 // CodeProtocol instead of crashing the connection goroutine, and the
-// balancer relies on it to classify the failure as non-retryable.
-// CI runs each target for a short -fuzztime as a smoke (see the fuzz
-// Makefile target); the committed corpus under testdata/fuzz keeps
-// past discoveries as regression inputs.
+// balancer relies on it to classify the failure as non-retryable — and
+// whatever decodes re-encodes to a fixpoint. Seeds come from the op
+// table (tableRequests, sampleResponses), so every op × variant starts
+// the mutator deep in the grammar. CI runs each target for a short
+// -fuzztime as a smoke (see the fuzz Makefile target); the committed
+// corpus under testdata/fuzz keeps past discoveries as regression
+// inputs.
 
 import (
+	"bytes"
 	"errors"
-	"math/big"
 	"testing"
-	"time"
 
 	"repro/internal/errs"
-	"repro/internal/obs"
-	"repro/internal/qos"
-	"repro/internal/rsa"
 )
 
-// fuzzSeedRequests covers one valid frame per op family — plain,
-// batch, traced, QoS-tagged, signing, membership — so the mutator
-// starts from deep in the grammar instead of rediscovering headers.
-func fuzzSeedRequests() []*request {
-	n := big.NewInt(0xfff1)
-	j := []triple{{n: n, a: big.NewInt(2), b: big.NewInt(3)}}
-	tc := obs.TraceContext{Sampled: true}
-	tc.TraceID[0], tc.SpanID[0] = 0xab, 0xcd
-	return []*request{
-		{op: OpPing, id: 1},
-		{op: OpModExp, id: 2, jobs: j},
-		{op: OpMont, id: 3, jobs: j},
-		{op: OpBatchModExp, id: 4, jobs: []triple{j[0], j[0]}},
-		{op: OpModExp, id: 5, jobs: j, deadline: time.Unix(2, 0)},
-		{op: OpModExp, id: 6, jobs: j, tenant: "acme", class: qos.Batch},
-		{op: OpModExp, id: 7, jobs: j, tc: tc},
-		{op: OpModExp, id: 8, jobs: j, tenant: "acme", class: qos.BestEffort, tc: tc},
-		{op: OpKeygenRSA, id: 9, crypto: &cryptoBody{bits: 512, seed: 42}},
-		{op: OpVerifyRSA, id: 10, crypto: &cryptoBody{
-			n: n, e: big.NewInt(65537), digest: big.NewInt(99), sig: big.NewInt(7)}},
-		{op: OpSignRSA, id: 11, crypto: &cryptoBody{
-			key:    &rsa.PrivateKey{PublicKey: rsa.PublicKey{N: n, E: big.NewInt(3)}, D: big.NewInt(5)},
-			digest: big.NewInt(99)}},
-		{op: OpJoin, id: 12, member: &memberBody{addr: "b1:9001", zone: "eu-1"}},
-		{op: OpGoodbye, id: 13, member: &memberBody{addr: "b1:9001"}},
-	}
-}
-
-func FuzzDecodeRequest(f *testing.F) {
-	for _, r := range fuzzSeedRequests() {
-		f.Add(encodeRequest(r))
+// addRequestSeeds seeds f with every table frame plus a few header
+// fragments.
+func addRequestSeeds(f *testing.F) {
+	for _, tr := range tableRequests(f) {
+		f.Add(encodeRequest(tr.req))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{ProtoVersion})
 	f.Add([]byte{ProtoVersion, 0xff})
+}
+
+func FuzzDecodeRequest(f *testing.F) {
+	addRequestSeeds(f)
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		req, err := decodeRequest(payload)
 		if err != nil {
@@ -64,46 +41,48 @@ func FuzzDecodeRequest(f *testing.F) {
 			}
 			return
 		}
-		// Normalization invariant: the read loop's dispatch switch and the
-		// metrics label set only ever see base ops.
-		if _, tagged := req.op.unqos(); tagged {
-			t.Fatalf("decoded op %d not normalized past the QoS tag", req.op)
+		// Normalization invariant: dispatch and the metrics label set
+		// only ever see base ops.
+		if wireOps[req.op] != (wireOp{base: req.op}) {
+			t.Fatalf("decoded op %d is not a base op", req.op)
 		}
-		if _, traced := req.op.untraced(); traced {
-			t.Fatalf("decoded op %d not normalized past the trace variant", req.op)
+	})
+}
+
+// FuzzRoundTrip: for every payload that decodes, encode(decode(p))
+// decodes again to a request that encodes to the same bytes. p itself
+// need not be canonical (a big with leading zero bytes, an unsampled
+// trace block, an empty QoS identity), but one round trip must reach
+// the canonical frame.
+func FuzzRoundTrip(f *testing.F) {
+	addRequestSeeds(f)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		req, err := decodeRequest(payload)
+		if err != nil {
+			return
+		}
+		canon := encodeRequest(req)
+		again, err := decodeRequest(canon)
+		if err != nil {
+			t.Fatalf("re-encoded %s frame does not decode: %v\n frame %x", req.op, err, canon)
+		}
+		if b := encodeRequest(again); !bytes.Equal(b, canon) {
+			t.Fatalf("%s frame is no fixpoint:\n first  %x\n second %x", req.op, canon, b)
 		}
 	})
 }
 
 func FuzzDecodeResponse(f *testing.F) {
 	// A response's shape depends on the op of the request it answers, so
-	// the op byte is a fuzzed input too (folded onto the known ops — the
-	// client only ever decodes under an op it sent).
-	okBody := &response{id: 1, code: CodeOK, values: []*big.Int{big.NewInt(42)}}
-	f.Add(byte(OpModExp), encodeResponse(OpModExp, okBody))
-	f.Add(byte(OpPing), encodeResponse(OpPing, okBody))
-	f.Add(byte(OpJoin), encodeResponse(OpJoin, okBody))
-	f.Add(byte(OpModExp), encodeResponse(OpModExp,
-		&response{id: 2, code: CodeOverloaded, msg: "in-flight limit reached"}))
-	f.Add(byte(OpBatchModExp), encodeResponse(OpBatchModExp, &response{
-		id: 3, code: CodeOK,
-		codes:  []Code{CodeOK, CodeDeadline},
-		msgs:   []string{"", "deadline exceeded"},
-		values: []*big.Int{big.NewInt(7), nil},
-	}))
-	f.Add(byte(OpSignECDSA), encodeResponse(OpSignECDSA, &response{
-		id: 4, code: CodeOK, values: []*big.Int{big.NewInt(1), big.NewInt(2)}}))
-	f.Add(byte(OpVerifyECDSABatch), encodeResponse(OpVerifyECDSABatch, &response{
-		id: 5, code: CodeOK,
-		codes: []Code{CodeOK}, msgs: []string{""}, values: []*big.Int{big.NewInt(1)}}))
-	f.Add(byte(0), []byte{})
-	knownOps := []Op{
-		OpMont, OpModExp, OpBatchModExp, OpPing,
-		OpKeygenRSA, OpSignRSA, OpVerifyRSA, OpSignECDSA, OpVerifyECDSABatch,
-		OpJoin, OpGoodbye,
+	// the op byte is a fuzzed input too (folded onto the table's ops —
+	// the client only ever decodes under an op it sent).
+	for _, s := range sampleResponses() {
+		f.Add(byte(s.op), encodeResponse(s.op, s.resp))
 	}
+	f.Add(byte(0), []byte{})
+	ops := tableOps()
 	f.Fuzz(func(t *testing.T, opb byte, payload []byte) {
-		op := knownOps[int(opb)%len(knownOps)]
+		op := ops[int(opb)%len(ops)]
 		resp, err := decodeResponse(op, payload)
 		if err != nil && !errors.Is(err, errs.ErrProtocol) {
 			t.Fatalf("decode error does not wrap ErrProtocol: %v", err)
@@ -117,7 +96,7 @@ func FuzzDecodeResponse(f *testing.F) {
 // FuzzResponseID covers the client read loop's header peek, which runs
 // on every inbound frame before full decoding.
 func FuzzResponseID(f *testing.F) {
-	f.Add(encodeResponse(OpModExp, &response{id: 99, code: CodeOK, values: []*big.Int{big.NewInt(1)}}))
+	f.Add(encodeResponse(OpModExp, sampleResponses()[1].resp))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if _, err := responseID(payload); err != nil && !errors.Is(err, errs.ErrProtocol) {

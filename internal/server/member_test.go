@@ -88,16 +88,33 @@ func TestMemberDecodeRejectsBadFields(t *testing.T) {
 	}
 }
 
-// TestMemberOpsAreControlPlane pins the control-plane exemptions:
-// membership ops take no QoS tag, are never traced, and are marked
-// idempotent so registrars can retry blindly.
+// TestMemberOpsAreControlPlane pins the control-plane exemptions in
+// the op table: membership ops take no QoS tag, have no traced variant,
+// are answered inline (no admission slot), need a MembershipHandler, and
+// are idempotent so registrars can retry blindly. Ping shares the tag,
+// trace and inline exemptions.
 func TestMemberOpsAreControlPlane(t *testing.T) {
-	for _, op := range []Op{OpJoin, OpGoodbye} {
-		if _, ok := op.qosTagged(); ok {
+	for _, op := range []Op{OpJoin, OpGoodbye, OpPing} {
+		d := opTable[op]
+		if d.tagged {
 			t.Errorf("%s takes a QoS tag; control-plane ops must not", op)
 		}
-		if !idempotent[op] {
+		if d.traced != 0 {
+			t.Errorf("%s has traced variant %d; control-plane ops must not", op, d.traced)
+		}
+		if !d.inline {
+			t.Errorf("%s goes through admission; control-plane ops answer inline", op)
+		}
+		if !d.idempotent {
 			t.Errorf("%s not marked idempotent; registrar retries need it", op)
+		}
+		if w := wireOps[op+OpQoSOffset]; w.base != 0 {
+			t.Errorf("tagged %s byte %d decodes as %+v", op, op+OpQoSOffset, w)
+		}
+	}
+	for _, op := range []Op{OpJoin, OpGoodbye} {
+		if opTable[op].needs != needMember {
+			t.Errorf("%s does not require a MembershipHandler", op)
 		}
 	}
 	c := Dial("unused:0")

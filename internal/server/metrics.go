@@ -29,17 +29,10 @@ type metrics struct {
 	oversizeFrames  *obs.Counter
 }
 
-// serverOps enumerates the ops metrics are labeled with.
-var serverOps = []Op{
-	OpMont, OpModExp, OpBatchModExp, OpPing,
-	OpKeygenRSA, OpSignRSA, OpVerifyRSA, OpSignECDSA, OpVerifyECDSABatch,
-	OpJoin, OpGoodbye,
-}
-
 func newMetrics(reg *obs.Registry) *metrics {
 	m := &metrics{
-		requests: make(map[Op]map[Code]*obs.Counter, len(serverOps)),
-		latency:  make(map[Op]*obs.Histogram, len(serverOps)),
+		requests: make(map[Op]map[Code]*obs.Counter, len(opTable)),
+		latency:  make(map[Op]*obs.Histogram, len(opTable)),
 	}
 	m.connections = reg.Gauge("montsys_server_connections",
 		"Currently open client connections.")
@@ -51,15 +44,19 @@ func newMetrics(reg *obs.Registry) *metrics {
 		"Connections closed because a started frame missed its progress deadline.")
 	m.oversizeFrames = reg.Counter("montsys_server_oversize_frames_total",
 		"Request frames rejected by the size cap with CodeProtocol.")
-	for _, op := range serverOps {
+	for i, d := range opTable {
+		if d.name == "" {
+			continue
+		}
+		op := Op(i)
 		m.latency[op] = reg.HistogramLabeled("montsys_server_request_seconds",
 			"Admission-to-response latency of finished requests.",
-			obs.Label("op", op.String()))
+			obs.Label("op", d.name))
 		m.requests[op] = make(map[Code]*obs.Counter, len(wireCodes))
 		for _, c := range wireCodes {
 			m.requests[op][c] = reg.CounterLabeled("montsys_server_requests_total",
 				"Requests finished, by op and response code.",
-				obs.Label("op", op.String()), obs.Label("code", c.String()))
+				obs.Label("op", d.name), obs.Label("code", c.String()))
 		}
 	}
 	return m
@@ -79,26 +76,26 @@ func sloBad(c Code) bool {
 	return false
 }
 
-// RegisterSLOs registers this server's objectives on t: per compute op
-// (mont, modexp, batch_modexp — pings are probes, not service) one
-// availability objective (fraction of requests answering without a
-// server-owned failure code, see sloBad) and one latency objective
-// (fraction of requests answering within latencyObjective; the bound
-// effectively rounds up to the histogram's enclosing power-of-two
-// bucket). Both use the same target (e.g. 0.999). The sources read the
-// request counters and latency histograms already collected — call
-// once after NewServer, then t.Start().
+// RegisterSLOs registers this server's objectives on t. Per service op
+// — every op that goes through admission and that this server's handler
+// supports; pings and membership ops are probes and control plane, not
+// service — it adds one availability objective (fraction of requests
+// answering without a server-owned failure code, see sloBad) and one
+// latency objective (fraction of requests answering within
+// latencyObjective; the bound effectively rounds up to the histogram's
+// enclosing power-of-two bucket). Both use the same target (e.g.
+// 0.999). The sources read the request counters and latency histograms
+// already collected — call once after NewServer, then t.Start().
 func (s *Server) RegisterSLOs(t *obs.SLOTracker, latencyObjective time.Duration, target float64) {
 	m := s.met
-	ops := []Op{OpMont, OpModExp, OpBatchModExp}
-	if s.sign != nil {
-		// Signing ops only serve (and only burn budget) where a
-		// SignHandler backs them.
-		ops = append(ops, OpKeygenRSA, OpSignRSA, OpVerifyRSA, OpSignECDSA, OpVerifyECDSABatch)
-	}
-	for _, op := range ops {
+	for i := range opTable {
+		d := &opTable[i]
+		if d.name == "" || d.inline || !s.supports(d) {
+			continue
+		}
+		op := Op(i)
 		byCode := m.requests[op]
-		t.AddObjective(op.String()+"_availability",
+		t.AddObjective(d.name+"_availability",
 			"requests answered without a server-owned failure code",
 			target, func() (total, bad int64) {
 				for code, ctr := range byCode {
@@ -112,7 +109,7 @@ func (s *Server) RegisterSLOs(t *obs.SLOTracker, latencyObjective time.Duration,
 			})
 		hist := m.latency[op]
 		bound := latencyObjective.Nanoseconds()
-		t.AddObjective(op.String()+"_latency",
+		t.AddObjective(d.name+"_latency",
 			"requests answered within "+latencyObjective.String(),
 			target, func() (total, bad int64) {
 				snap := hist.Snapshot()

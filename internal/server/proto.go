@@ -9,9 +9,12 @@
 // and a request payload is
 //
 //	byte   version (1)
-//	byte   op            1=Mont  2=ModExp  3=BatchModExp  4=Ping  (5/6/7 traced)
-//	                     8–12 signing ops (13–17 traced), see proto_crypto.go
-//	                     op+64 = tenant-tagged variant, see proto_qos.go
+//	byte   op            a byte declared by the op table (ops.go):
+//	                     base ops 1–4 mont modexp batch_modexp ping,
+//	                     8–12 signing (proto_crypto.go), 18–19 join
+//	                     goodbye (proto_member.go); traced variants 5–7
+//	                     and 13–17; tenant-tagged variants at +64
+//	                     (proto_qos.go). Any other byte is CodeProtocol.
 //	uint64 request id    client-chosen, echoed in the response
 //	int64  deadline      UnixNano, 0 = none
 //	qos    block         tagged ops only: class byte ‖ tenant string
@@ -23,12 +26,18 @@
 //	byte   version (1)
 //	uint64 request id
 //	byte   code          0=OK, else a stable error code (see Code)
-//	body                 result value(s) on OK, uint32 len ‖ message else
+//	body                 on OK the op's fixed number of big.Ints, or for
+//	                     batch ops uint32 count ‖ count × (code ‖ big on
+//	                     OK, message else); uint32 len ‖ message on error
 //
 // Responses carry the request id so a connection can be pipelined: the
 // server answers in completion order, not arrival order, and the client
 // matches responses to calls by id. Batch responses carry one code per
 // item, so a single invalid modulus doesn't poison its batch.
+//
+// Every op's wire bytes, body codec, response shape, handler call,
+// admission path and retry policy come from one row of opTable; adding
+// an op is one row plus one body codec.
 package server
 
 import (
@@ -53,116 +62,6 @@ const ProtoVersion = 1
 // keep a misbehaving peer from ballooning memory. 1 MiB comfortably
 // fits batches of thousands of 4096-bit operand triples.
 const DefaultMaxFrame = 1 << 20
-
-// Op identifies a request operation on the wire.
-type Op uint8
-
-// Wire operations. OpMont is one raw Montgomery product X·Y·R⁻¹ mod 2N;
-// OpModExp one modular exponentiation; OpBatchModExp an order-preserving
-// batch of exponentiations answered with per-item codes. OpPing is the
-// health-check op: no body, answered inline on the read loop without
-// taking an admission slot, OK while serving (the value is the server's
-// current in-flight count, a cheap load signal for balancers) and
-// CodeDraining once a graceful shutdown has begun. Op values are a
-// network ABI — append only.
-const (
-	OpMont        Op = 1
-	OpModExp      Op = 2
-	OpBatchModExp Op = 3
-	OpPing        Op = 4
-
-	// Traced variants: identical to their base op except that a trace
-	// block — 16-byte trace id ‖ 8-byte parent span id ‖ 1 flags byte
-	// (bit 0: sampled) — sits between the deadline and the body. New op
-	// values rather than a flags bit in the shared header keep the
-	// extension append-only: an old peer rejects the unknown op with
-	// CodeProtocol instead of misparsing operands, and clients only
-	// send traced frames for requests that are actually sampled, so a
-	// mixed-version fleet degrades to untraced calls, never to errors
-	// on the untraced path.
-	OpMontTraced        Op = 5
-	OpModExpTraced      Op = 6
-	OpBatchModExpTraced Op = 7
-)
-
-// String names an op the way the server's metrics label it.
-func (o Op) String() string {
-	if base, isTagged := o.unqos(); isTagged {
-		// Like traced variants, tenant-tagged ops are normalized at
-		// decode — fold onto the base so tagging never splits a series.
-		return base.String()
-	}
-	switch o {
-	case OpMont:
-		return "mont"
-	case OpModExp:
-		return "modexp"
-	case OpBatchModExp:
-		return "batch_modexp"
-	case OpPing:
-		return "ping"
-	case OpKeygenRSA:
-		return "keygen_rsa"
-	case OpSignRSA:
-		return "sign_rsa"
-	case OpVerifyRSA:
-		return "verify_rsa"
-	case OpSignECDSA:
-		return "sign_ecdsa"
-	case OpVerifyECDSABatch:
-		return "verify_ecdsa_batch"
-	case OpJoin:
-		return "join"
-	case OpGoodbye:
-		return "goodbye"
-	case OpMontTraced, OpModExpTraced, OpBatchModExpTraced,
-		OpKeygenRSATraced, OpSignRSATraced, OpVerifyRSATraced,
-		OpSignECDSATraced, OpVerifyECDSABatchTraced:
-		// Decoding normalizes traced ops to their base immediately, so
-		// these names never reach metrics labels — tracing must not
-		// split the per-op series.
-		o, _ = o.untraced()
-		return o.String()
-	default:
-		return "unknown"
-	}
-}
-
-// untraced maps a traced op to its base op; isTraced is false (and o is
-// returned unchanged) for every other op.
-func (o Op) untraced() (base Op, isTraced bool) {
-	switch o {
-	case OpMontTraced:
-		return OpMont, true
-	case OpModExpTraced:
-		return OpModExp, true
-	case OpBatchModExpTraced:
-		return OpBatchModExp, true
-	case OpKeygenRSATraced, OpSignRSATraced, OpVerifyRSATraced,
-		OpSignECDSATraced, OpVerifyECDSABatchTraced:
-		// Traced signing ops sit at a fixed offset from their base.
-		return o - (OpKeygenRSATraced - OpKeygenRSA), true
-	default:
-		return o, false
-	}
-}
-
-// traced maps a base op to its traced variant, ok=false if none exists
-// (OpPing carries no operands worth tracing).
-func (o Op) traced() (Op, bool) {
-	switch o {
-	case OpMont:
-		return OpMontTraced, true
-	case OpModExp:
-		return OpModExpTraced, true
-	case OpBatchModExp:
-		return OpBatchModExpTraced, true
-	case OpKeygenRSA, OpSignRSA, OpVerifyRSA, OpSignECDSA, OpVerifyECDSABatch:
-		return o + (OpKeygenRSATraced - OpKeygenRSA), true
-	default:
-		return o, false
-	}
-}
 
 // traceFlagSampled marks the trace block's sampling bit. The block
 // still carries ids when unset (a client may propagate an unsampled
@@ -329,11 +228,11 @@ type triple struct {
 }
 
 // request is one decoded request frame. op is always a base op: the
-// codec folds traced variants into their base at decode and picks the
-// wire byte at encode, so everything between encode and decode handles
-// exactly four ops. tc is the caller's trace context — tc.SpanID is
-// the PARENT for whatever span the receiving server opens — zero-value
-// when the frame was untraced.
+// codec folds every traced and tagged variant into its base at decode
+// and picks the wire byte from opTable at encode, so nothing between
+// encode and decode sees variant bytes. tc is the caller's trace
+// context — tc.SpanID is the PARENT for whatever span the receiving
+// server opens — zero-value when the frame was untraced.
 type request struct {
 	op       Op
 	id       uint64
@@ -346,9 +245,18 @@ type request struct {
 	member   *memberBody // membership ops only
 }
 
-// response is one decoded response frame. For batch ops, codes/values
-// run parallel to the request's jobs; for single ops they have length 1.
-// msg is only set when code != CodeOK.
+// items is the request's batch size: its signatures to verify, or its
+// operand triples.
+func (r *request) items() int {
+	if r.crypto != nil {
+		return len(r.crypto.items)
+	}
+	return len(r.jobs)
+}
+
+// response is one decoded response frame. values holds an OK body's
+// bigs; for per-item ops codes/msgs/values run parallel to the request's
+// items. msg is only set when code != CodeOK.
 type response struct {
 	id     uint64
 	code   Code
@@ -378,6 +286,14 @@ func appendBig(b []byte, v *big.Int) []byte {
 	raw := v.Bytes()
 	b = appendUint32(b, uint32(len(raw)))
 	return append(b, raw...)
+}
+
+// appendBigs encodes vs in order.
+func appendBigs(b []byte, vs ...*big.Int) []byte {
+	for _, v := range vs {
+		b = appendBig(b, v)
+	}
+	return b
 }
 
 func appendString(b []byte, s string) []byte {
@@ -449,6 +365,38 @@ func (d *decoder) string() (string, error) {
 	return string(raw), nil
 }
 
+// bigs decodes len(dst) bigs into *dst[0], *dst[1], … in order.
+func (d *decoder) bigs(dst ...**big.Int) error {
+	for _, p := range dst {
+		v, err := d.big()
+		if err != nil {
+			return err
+		}
+		*p = v
+	}
+	return nil
+}
+
+// count decodes a batch's uint32 item count. Each item takes at least
+// minItem bytes, so a count the remaining bytes cannot possibly hold is
+// a hostile header: it is rejected before anything is allocated for it,
+// which keeps decode allocations proportional to bytes received.
+func (d *decoder) count(minItem int) (int, error) {
+	c, err := d.uint32()
+	if err != nil {
+		return 0, err
+	}
+	if c > maxBatch {
+		return 0, fmt.Errorf("server: batch of %d items exceeds limit %d: %w",
+			c, maxBatch, errs.ErrProtocol)
+	}
+	if int64(c)*int64(minItem) > int64(len(d.b)) {
+		return 0, fmt.Errorf("server: batch of %d items in %d remaining bytes: %w",
+			c, len(d.b), errs.ErrProtocol)
+	}
+	return int(c), nil
+}
+
 func (d *decoder) done() error {
 	if len(d.b) != 0 {
 		return fmt.Errorf("server: %d trailing bytes in frame: %w", len(d.b), errs.ErrProtocol)
@@ -490,18 +438,82 @@ func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
 
 // --- request codec ------------------------------------------------------
 
-// encodeRequest renders a request payload (no frame header).
+// bodyCodec is one op's request body codec: enc appends the body after
+// the header blocks, dec parses b — the rest of the frame after them —
+// into req and rejects trailing bytes. dec takes the bytes rather than
+// the header's decoder so the decoder does not escape through the
+// function value.
+type bodyCodec struct {
+	enc func(b []byte, req *request) []byte
+	dec func(b []byte, req *request) error
+}
+
+// noBody is the codec of an op without a body (ping).
+var noBody = bodyCodec{
+	enc: func(b []byte, _ *request) []byte { return b },
+	dec: func(b []byte, _ *request) error {
+		d := decoder{b}
+		return d.done()
+	},
+}
+
+// tripleBody is mont and modexp: n ‖ a ‖ b.
+var tripleBody = bodyCodec{
+	enc: func(b []byte, req *request) []byte {
+		j := req.jobs[0]
+		return appendBigs(b, j.n, j.a, j.b)
+	},
+	dec: func(b []byte, req *request) error {
+		d := decoder{b}
+		req.jobs = make([]triple, 1)
+		j := &req.jobs[0]
+		if err := d.bigs(&j.n, &j.a, &j.b); err != nil {
+			return err
+		}
+		return d.done()
+	},
+}
+
+// tripleBatchBody is batch_modexp: uint32 count ‖ count × (n ‖ a ‖ b).
+var tripleBatchBody = bodyCodec{
+	enc: func(b []byte, req *request) []byte {
+		b = appendUint32(b, uint32(len(req.jobs)))
+		for _, j := range req.jobs {
+			b = appendBigs(b, j.n, j.a, j.b)
+		}
+		return b
+	},
+	dec: func(b []byte, req *request) error {
+		d := decoder{b}
+		n, err := d.count(3 * 4) // three length prefixes per item
+		if err != nil {
+			return err
+		}
+		req.jobs = make([]triple, n)
+		for i := range req.jobs {
+			j := &req.jobs[i]
+			if err := d.bigs(&j.n, &j.a, &j.b); err != nil {
+				return err
+			}
+		}
+		return d.done()
+	},
+}
+
+// encodeRequest renders a request payload (no frame header), picking
+// the traced and tagged variant byte when the op's row declares one.
 func encodeRequest(req *request) []byte {
-	b := make([]byte, 0, 64)
+	desc := &opTable[req.op]
 	wireOp := req.op
-	traced := false
-	if req.tc.Sampled {
-		wireOp, traced = req.op.traced()
+	traced := req.tc.Sampled && desc.traced != 0
+	if traced {
+		wireOp = desc.traced
 	}
-	tagged := false
-	if req.tenant != "" || req.class != 0 {
-		wireOp, tagged = wireOp.qosTagged()
+	tagged := desc.tagged && (req.tenant != "" || req.class != 0)
+	if tagged {
+		wireOp += OpQoSOffset
 	}
+	b := make([]byte, 0, 64)
 	b = append(b, ProtoVersion, byte(wireOp))
 	b = appendUint64(b, req.id)
 	var dl int64
@@ -517,28 +529,17 @@ func encodeRequest(req *request) []byte {
 		b = append(b, req.tc.SpanID[:]...)
 		b = append(b, traceFlagSampled)
 	}
-	if isCryptoOp(req.op) {
-		return encodeCryptoRequestBody(b, req)
-	}
-	if isMemberOp(req.op) {
-		return encodeMemberRequestBody(b, req)
-	}
-	if req.op == OpBatchModExp {
-		b = appendUint32(b, uint32(len(req.jobs)))
-	}
-	for _, j := range req.jobs {
-		b = appendBig(b, j.n)
-		b = appendBig(b, j.a)
-		b = appendBig(b, j.b)
-	}
-	return b
+	return desc.body.enc(b, req)
 }
 
-// maxBatch bounds a batch request's item count; combined with the frame
-// size limit it keeps decode allocations proportional to bytes received.
+// maxBatch bounds a batch's item count; combined with the frame size
+// limit and decoder.count it keeps decode allocations proportional to
+// bytes received.
 const maxBatch = 1 << 16
 
-// decodeRequest parses a request payload.
+// decodeRequest parses a request payload. The op byte must be one
+// wireOps declares; the blocks it declares follow the header, and the
+// base op's body codec parses the rest.
 func decodeRequest(payload []byte) (*request, error) {
 	d := decoder{payload}
 	ver, err := d.byte()
@@ -553,8 +554,11 @@ func decodeRequest(payload []byte) (*request, error) {
 	if err != nil {
 		return nil, err
 	}
-	op := Op(opb)
-	req := &request{op: op}
+	w := wireOps[opb]
+	if w.base == 0 {
+		return nil, fmt.Errorf("server: unknown op %d: %w", opb, errs.ErrProtocol)
+	}
+	req := &request{op: w.base}
 	if req.id, err = d.uint64(); err != nil {
 		return nil, err
 	}
@@ -565,13 +569,12 @@ func decodeRequest(payload []byte) (*request, error) {
 	if dl != 0 {
 		req.deadline = time.Unix(0, int64(dl))
 	}
-	if base, isTagged := op.unqos(); isTagged {
+	if w.tagged {
 		if err := decodeQoSBlock(&d, req); err != nil {
 			return nil, err
 		}
-		op, req.op = base, base
 	}
-	if base, isTraced := op.untraced(); isTraced {
+	if w.traced {
 		blk, err := d.take(16 + 8 + 1)
 		if err != nil {
 			return nil, err
@@ -579,64 +582,8 @@ func decodeRequest(payload []byte) (*request, error) {
 		copy(req.tc.TraceID[:], blk[:16])
 		copy(req.tc.SpanID[:], blk[16:24])
 		req.tc.Sampled = blk[24]&traceFlagSampled != 0
-		op, req.op = base, base
 	}
-	if isCryptoOp(op) {
-		if err := decodeCryptoRequestBody(&d, req); err != nil {
-			return nil, err
-		}
-		if err := d.done(); err != nil {
-			return nil, err
-		}
-		return req, nil
-	}
-	if isMemberOp(op) {
-		if err := decodeMemberRequestBody(&d, req); err != nil {
-			return nil, err
-		}
-		if err := d.done(); err != nil {
-			return nil, err
-		}
-		return req, nil
-	}
-	count := 1
-	switch op {
-	case OpMont, OpModExp:
-	case OpPing:
-		count = 0
-	case OpBatchModExp:
-		c, err := d.uint32()
-		if err != nil {
-			return nil, err
-		}
-		if c > maxBatch {
-			return nil, fmt.Errorf("server: batch of %d items exceeds limit %d: %w",
-				c, maxBatch, errs.ErrProtocol)
-		}
-		// Each item carries at least three uint32 length prefixes, so a
-		// count the remaining bytes cannot possibly hold is a hostile
-		// header — reject before allocating the job slice for it.
-		if int64(c)*12 > int64(len(d.b)) {
-			return nil, fmt.Errorf("server: batch of %d items in %d remaining bytes: %w",
-				c, len(d.b), errs.ErrProtocol)
-		}
-		count = int(c)
-	default:
-		return nil, fmt.Errorf("server: unknown op %d: %w", opb, errs.ErrProtocol)
-	}
-	req.jobs = make([]triple, count)
-	for i := range req.jobs {
-		if req.jobs[i].n, err = d.big(); err != nil {
-			return nil, err
-		}
-		if req.jobs[i].a, err = d.big(); err != nil {
-			return nil, err
-		}
-		if req.jobs[i].b, err = d.big(); err != nil {
-			return nil, err
-		}
-	}
-	if err := d.done(); err != nil {
+	if err := opTable[w.base].body.dec(d.b, req); err != nil {
 		return nil, err
 	}
 	return req, nil
@@ -645,8 +592,8 @@ func decodeRequest(payload []byte) (*request, error) {
 // --- response codec -----------------------------------------------------
 
 // encodeResponse renders a response payload (no frame header). The op
-// is needed to pick the body shape; it is not itself encoded — the
-// client knows it from the id.
+// picks the OK body's shape from its row; it is not itself encoded —
+// the client knows it from the id.
 func encodeResponse(op Op, resp *response) []byte {
 	b := make([]byte, 0, 64)
 	b = append(b, ProtoVersion)
@@ -655,22 +602,20 @@ func encodeResponse(op Op, resp *response) []byte {
 	if resp.code != CodeOK {
 		return appendString(b, resp.msg)
 	}
-	if isCryptoOp(op) {
-		return encodeCryptoResponseBody(b, op, resp)
+	n := opTable[op].values
+	if n != perItem {
+		return appendBigs(b, resp.values[:n]...)
 	}
-	if op == OpBatchModExp {
-		b = appendUint32(b, uint32(len(resp.codes)))
-		for i, c := range resp.codes {
-			b = append(b, byte(c))
-			if c == CodeOK {
-				b = appendBig(b, resp.values[i])
-			} else {
-				b = appendString(b, resp.msgs[i])
-			}
+	b = appendUint32(b, uint32(len(resp.codes)))
+	for i, c := range resp.codes {
+		b = append(b, byte(c))
+		if c == CodeOK {
+			b = appendBig(b, resp.values[i])
+		} else {
+			b = appendString(b, resp.msgs[i])
 		}
-		return b
 	}
-	return appendBig(b, resp.values[0])
+	return b
 }
 
 // decodeResponse parses a response payload; op must be the op of the
@@ -700,52 +645,36 @@ func decodeResponse(op Op, payload []byte) (*response, error) {
 		}
 		return resp, d.done()
 	}
-	if isCryptoOp(op) {
-		if err := decodeCryptoResponseBody(&d, op, resp); err != nil {
-			return nil, err
+	n := opTable[op].values
+	if n != perItem {
+		resp.values = make([]*big.Int, n)
+		for i := range resp.values {
+			if resp.values[i], err = d.big(); err != nil {
+				return nil, err
+			}
 		}
 		return resp, d.done()
 	}
-	if op == OpBatchModExp {
-		c, err := d.uint32()
+	// Each item is at least a code byte plus a length prefix.
+	if n, err = d.count(1 + 4); err != nil {
+		return nil, err
+	}
+	resp.codes = make([]Code, n)
+	resp.msgs = make([]string, n)
+	resp.values = make([]*big.Int, n)
+	for i := range resp.codes {
+		icb, err := d.byte()
 		if err != nil {
 			return nil, err
 		}
-		if c > maxBatch {
-			return nil, fmt.Errorf("server: batch response of %d items exceeds limit %d: %w",
-				c, maxBatch, errs.ErrProtocol)
-		}
-		// Each item is at least a code byte plus a length prefix; reject
-		// counts the remaining bytes cannot hold before allocating.
-		if int64(c)*5 > int64(len(d.b)) {
-			return nil, fmt.Errorf("server: batch response of %d items in %d remaining bytes: %w",
-				c, len(d.b), errs.ErrProtocol)
-		}
-		resp.codes = make([]Code, c)
-		resp.msgs = make([]string, c)
-		resp.values = make([]*big.Int, c)
-		for i := 0; i < int(c); i++ {
-			icb, err := d.byte()
-			if err != nil {
+		resp.codes[i] = Code(icb)
+		if resp.codes[i] == CodeOK {
+			if resp.values[i], err = d.big(); err != nil {
 				return nil, err
 			}
-			resp.codes[i] = Code(icb)
-			if resp.codes[i] == CodeOK {
-				if resp.values[i], err = d.big(); err != nil {
-					return nil, err
-				}
-			} else if resp.msgs[i], err = d.string(); err != nil {
-				return nil, err
-			}
+		} else if resp.msgs[i], err = d.string(); err != nil {
+			return nil, err
 		}
-		return resp, d.done()
 	}
-	v, err := d.big()
-	if err != nil {
-		return nil, err
-	}
-	resp.codes = []Code{CodeOK}
-	resp.msgs = []string{""}
-	resp.values = []*big.Int{v}
 	return resp, d.done()
 }

@@ -1,7 +1,8 @@
 package server
 
-// Wire extension: the signing-service operations. Op values and the
-// CodeBadKey error code are appended to the existing ABI — every frame
+// Wire extension: the signing-service operations, ops 8–12 with traced
+// variants 13–17 (rows of opTable). Op values and the CodeBadKey error
+// code are appended to the existing ABI — every frame
 // an old peer can produce or parse is byte-identical, and an old server
 // answers the new ops with CodeProtocol instead of misparsing them, so
 // mixed-version fleets keep working (degraded to "no signing", never to
@@ -28,34 +29,10 @@ package server
 // batch_modexp, so one malformed public key doesn't poison its batch.
 
 import (
-	"fmt"
 	"math/big"
 
 	"repro/internal/cryptosvc"
-	"repro/internal/errs"
 	"repro/internal/rsa"
-)
-
-// Signing-service wire operations — a network ABI, append only.
-//
-// OpKeygenRSA is reproduction/test-only: the key derives entirely from
-// the request's 64-bit seed (deterministic, hence idempotent and
-// retryable — and at most 64 bits of entropy, with seed and private
-// key both on the wire). Production keys are generated locally with
-// cryptosvc.Service.KeygenRSACrypto and never minted remotely.
-const (
-	OpKeygenRSA        Op = 8
-	OpSignRSA          Op = 9
-	OpVerifyRSA        Op = 10
-	OpSignECDSA        Op = 11
-	OpVerifyECDSABatch Op = 12
-
-	// Traced variants, same contract as OpMontTraced & co.
-	OpKeygenRSATraced        Op = 13
-	OpSignRSATraced          Op = 14
-	OpVerifyRSATraced        Op = 15
-	OpSignECDSATraced        Op = 16
-	OpVerifyECDSABatchTraced Op = 17
 )
 
 // CodeBadKey reports key material that failed consistency checks
@@ -78,11 +55,6 @@ type cryptoBody struct {
 	items []cryptosvc.ECDSAVerifyItem // verify_ecdsa_batch
 }
 
-// isCryptoOp reports whether op is a signing-service op (base form).
-func isCryptoOp(op Op) bool {
-	return op >= OpKeygenRSA && op <= OpVerifyECDSABatch
-}
-
 // orNil maps the wire's "zero-length big" convention back to nil for
 // optional key fields (no legitimate key component is zero).
 func orNil(v *big.Int) *big.Int {
@@ -92,52 +64,29 @@ func orNil(v *big.Int) *big.Int {
 	return v
 }
 
-// encodeCryptoRequestBody appends the op-specific body for a signing
-// request.
-func encodeCryptoRequestBody(b []byte, req *request) []byte {
-	cb := req.crypto
-	switch req.op {
-	case OpKeygenRSA:
-		b = appendUint32(b, uint32(cb.bits))
-		b = appendUint64(b, uint64(cb.seed))
-	case OpSignRSA:
-		k := cb.key
-		if k == nil {
-			k = &rsa.PrivateKey{}
-		}
-		for _, v := range []*big.Int{k.N, k.E, k.D, k.P, k.Q, k.DP, k.DQ, k.QInv, cb.digest} {
-			b = appendBig(b, v)
-		}
-	case OpVerifyRSA:
-		for _, v := range []*big.Int{cb.n, cb.e, cb.digest, cb.sig} {
-			b = appendBig(b, v)
-		}
-	case OpSignECDSA:
-		b = append(b, cb.curve)
-		b = appendBig(b, cb.d)
-		b = appendBig(b, cb.digest)
-		b = appendUint64(b, uint64(cb.seed))
-	case OpVerifyECDSABatch:
-		b = append(b, cb.curve)
-		b = appendUint32(b, uint32(len(cb.items)))
-		for _, it := range cb.items {
-			b = appendBig(b, it.Qx)
-			b = appendBig(b, it.Qy)
-			b = appendBig(b, it.R)
-			b = appendBig(b, it.S)
-			b = appendBig(b, it.Digest)
-		}
+// keyFromBigs rebuilds a private key from its wire order n e d p q dp
+// dq qinv, mapping absent fields back to nil.
+func keyFromBigs(v []*big.Int) *rsa.PrivateKey {
+	return &rsa.PrivateKey{
+		PublicKey: rsa.PublicKey{N: orNil(v[0]), E: orNil(v[1])},
+		D:         orNil(v[2]),
+		P:         orNil(v[3]), Q: orNil(v[4]),
+		DP: orNil(v[5]), DQ: orNil(v[6]), QInv: orNil(v[7]),
 	}
-	return b
 }
 
-// decodeCryptoRequestBody parses the op-specific body of a signing
-// request into req.crypto.
-func decodeCryptoRequestBody(d *decoder, req *request) error {
-	cb := &cryptoBody{}
-	req.crypto = cb
-	switch req.op {
-	case OpKeygenRSA:
+// keyBigs lists a private key's fields in wire order (see keyFromBigs).
+func keyBigs(k *rsa.PrivateKey) []*big.Int {
+	return []*big.Int{k.N, k.E, k.D, k.P, k.Q, k.DP, k.DQ, k.QInv}
+}
+
+var keygenRSABody = bodyCodec{
+	enc: func(b []byte, req *request) []byte {
+		b = appendUint32(b, uint32(req.crypto.bits))
+		return appendUint64(b, uint64(req.crypto.seed))
+	},
+	dec: func(b []byte, req *request) error {
+		d := decoder{b}
 		bits, err := d.uint32()
 		if err != nil {
 			return err
@@ -146,43 +95,64 @@ func decodeCryptoRequestBody(d *decoder, req *request) error {
 		if err != nil {
 			return err
 		}
-		cb.bits, cb.seed = int(bits), int64(seed)
-	case OpSignRSA:
-		vs := make([]*big.Int, 9)
-		for i := range vs {
-			v, err := d.big()
-			if err != nil {
-				return err
-			}
-			vs[i] = v
+		req.crypto = &cryptoBody{bits: int(bits), seed: int64(seed)}
+		return d.done()
+	},
+}
+
+var signRSABody = bodyCodec{
+	enc: func(b []byte, req *request) []byte {
+		k := req.crypto.key
+		if k == nil {
+			k = &rsa.PrivateKey{}
 		}
-		cb.key = &rsa.PrivateKey{
-			PublicKey: rsa.PublicKey{N: orNil(vs[0]), E: orNil(vs[1])},
-			D:         orNil(vs[2]),
-			P:         orNil(vs[3]), Q: orNil(vs[4]),
-			DP: orNil(vs[5]), DQ: orNil(vs[6]), QInv: orNil(vs[7]),
-		}
-		cb.digest = vs[8]
-	case OpVerifyRSA:
-		vs := make([]*big.Int, 4)
-		for i := range vs {
-			v, err := d.big()
-			if err != nil {
-				return err
-			}
-			vs[i] = v
-		}
-		cb.n, cb.e, cb.digest, cb.sig = vs[0], vs[1], vs[2], vs[3]
-	case OpSignECDSA:
-		curve, err := d.byte()
-		if err != nil {
+		b = appendBigs(b, keyBigs(k)...)
+		return appendBig(b, req.crypto.digest)
+	},
+	dec: func(b []byte, req *request) error {
+		d := decoder{b}
+		v := make([]*big.Int, 8)
+		cb := &cryptoBody{}
+		if err := d.bigs(&v[0], &v[1], &v[2], &v[3], &v[4], &v[5], &v[6], &v[7], &cb.digest); err != nil {
 			return err
 		}
-		cb.curve = curve
-		if cb.d, err = d.big(); err != nil {
+		cb.key = keyFromBigs(v)
+		req.crypto = cb
+		return d.done()
+	},
+}
+
+var verifyRSABody = bodyCodec{
+	enc: func(b []byte, req *request) []byte {
+		cb := req.crypto
+		return appendBigs(b, cb.n, cb.e, cb.digest, cb.sig)
+	},
+	dec: func(b []byte, req *request) error {
+		d := decoder{b}
+		cb := &cryptoBody{}
+		if err := d.bigs(&cb.n, &cb.e, &cb.digest, &cb.sig); err != nil {
 			return err
 		}
-		if cb.digest, err = d.big(); err != nil {
+		req.crypto = cb
+		return d.done()
+	},
+}
+
+var signECDSABody = bodyCodec{
+	enc: func(b []byte, req *request) []byte {
+		cb := req.crypto
+		b = append(b, cb.curve)
+		b = appendBigs(b, cb.d, cb.digest)
+		return appendUint64(b, uint64(cb.seed))
+	},
+	dec: func(b []byte, req *request) error {
+		d := decoder{b}
+		cb := &cryptoBody{}
+		var err error
+		if cb.curve, err = d.byte(); err != nil {
+			return err
+		}
+		if err := d.bigs(&cb.d, &cb.digest); err != nil {
 			return err
 		}
 		seed, err := d.uint64()
@@ -190,113 +160,40 @@ func decodeCryptoRequestBody(d *decoder, req *request) error {
 			return err
 		}
 		cb.seed = int64(seed)
-	case OpVerifyECDSABatch:
-		curve, err := d.byte()
-		if err != nil {
-			return err
-		}
-		cb.curve = curve
-		c, err := d.uint32()
-		if err != nil {
-			return err
-		}
-		if c > maxBatch {
-			return fmt.Errorf("server: verify batch of %d items exceeds limit %d: %w",
-				c, maxBatch, errs.ErrProtocol)
-		}
-		cb.items = make([]cryptosvc.ECDSAVerifyItem, c)
-		for i := range cb.items {
-			it := &cb.items[i]
-			for _, dst := range []**big.Int{&it.Qx, &it.Qy, &it.R, &it.S, &it.Digest} {
-				v, err := d.big()
-				if err != nil {
-					return err
-				}
-				*dst = v
-			}
-		}
-	default:
-		return fmt.Errorf("server: op %d is not a signing op: %w", req.op, errs.ErrProtocol)
-	}
-	return nil
+		req.crypto = cb
+		return d.done()
+	},
 }
 
-// cryptoRespArity is the fixed number of big.Int values in an OK
-// response body, or -1 for the batch-shaped verify_ecdsa_batch.
-func cryptoRespArity(op Op) int {
-	switch op {
-	case OpKeygenRSA:
-		return 8 // n e d p q dp dq qinv
-	case OpSignRSA, OpVerifyRSA:
-		return 1
-	case OpSignECDSA:
-		return 2 // r s
-	default:
-		return -1
-	}
-}
-
-// encodeCryptoResponseBody appends an OK signing response's body.
-// resp.values carries the bigs for fixed-arity ops; the batch op uses
-// codes/msgs/values per item like batch_modexp.
-func encodeCryptoResponseBody(b []byte, op Op, resp *response) []byte {
-	if n := cryptoRespArity(op); n >= 0 {
-		for i := 0; i < n; i++ {
-			b = appendBig(b, resp.values[i])
+var verifyECDSABatchBody = bodyCodec{
+	enc: func(b []byte, req *request) []byte {
+		cb := req.crypto
+		b = append(b, cb.curve)
+		b = appendUint32(b, uint32(len(cb.items)))
+		for _, it := range cb.items {
+			b = appendBigs(b, it.Qx, it.Qy, it.R, it.S, it.Digest)
 		}
 		return b
-	}
-	b = appendUint32(b, uint32(len(resp.codes)))
-	for i, c := range resp.codes {
-		b = append(b, byte(c))
-		if c == CodeOK {
-			b = appendBig(b, resp.values[i])
-		} else {
-			b = appendString(b, resp.msgs[i])
+	},
+	dec: func(b []byte, req *request) error {
+		d := decoder{b}
+		cb := &cryptoBody{}
+		var err error
+		if cb.curve, err = d.byte(); err != nil {
+			return err
 		}
-	}
-	return b
-}
-
-// decodeCryptoResponseBody parses an OK signing response's body.
-func decodeCryptoResponseBody(d *decoder, op Op, resp *response) error {
-	if n := cryptoRespArity(op); n >= 0 {
-		resp.values = make([]*big.Int, n)
-		resp.codes = make([]Code, n)
-		resp.msgs = make([]string, n)
-		for i := 0; i < n; i++ {
-			v, err := d.big()
-			if err != nil {
-				return err
-			}
-			resp.values[i] = v
-		}
-		return nil
-	}
-	c, err := d.uint32()
-	if err != nil {
-		return err
-	}
-	if c > maxBatch {
-		return fmt.Errorf("server: verify batch response of %d items exceeds limit %d: %w",
-			c, maxBatch, errs.ErrProtocol)
-	}
-	resp.codes = make([]Code, c)
-	resp.msgs = make([]string, c)
-	resp.values = make([]*big.Int, c)
-	for i := 0; i < int(c); i++ {
-		cb, err := d.byte()
+		n, err := d.count(5 * 4) // five length prefixes per item
 		if err != nil {
 			return err
 		}
-		resp.codes[i] = Code(cb)
-		if resp.codes[i] == CodeOK {
-			if resp.values[i], err = d.big(); err != nil {
+		cb.items = make([]cryptosvc.ECDSAVerifyItem, n)
+		for i := range cb.items {
+			it := &cb.items[i]
+			if err := d.bigs(&it.Qx, &it.Qy, &it.R, &it.S, &it.Digest); err != nil {
 				return err
 			}
-		} else if resp.msgs[i], err = d.string(); err != nil {
-			return err
 		}
-	}
-	return nil
+		req.crypto = cb
+		return d.done()
+	},
 }

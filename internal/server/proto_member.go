@@ -1,11 +1,11 @@
 package server
 
-// Wire extension: cluster-membership ops. Like the traced variants, the
-// signing ops and the QoS tags, the extension is append-only — every
-// frame an old peer can produce or parse stays byte-identical, and an
-// old server answers the new ops with CodeProtocol instead of
-// misparsing them, so a mixed-version fleet degrades to static
-// membership, never to corruption.
+// Wire extension: cluster-membership ops 18–19. Like the traced
+// variants, the signing ops and the QoS tags, the extension is
+// append-only — every frame an old peer can produce or parse stays
+// byte-identical, and an old server answers the new ops with
+// CodeProtocol instead of misparsing them, so a mixed-version fleet
+// degrades to static membership, never to corruption.
 //
 // OpJoin registers a backend with a membership-aware server (the
 // montsyslb balancer): the body names the address the backend serves
@@ -19,24 +19,19 @@ package server
 // address already gone are no-ops, so registration loops can retry
 // blindly.
 //
-// The ops are control plane, not service traffic: they carry no QoS
-// tag (they must keep working while tenants are throttled) and no
-// trace block. A server whose handler does not implement
-// MembershipHandler — montsysd itself, or an old balancer — answers
-// CodeProtocol.
+// The ops are control plane, not service traffic: their opTable rows
+// declare no QoS tag (they must keep working while tenants are
+// throttled) and no trace block, and mark them inline — answered on the
+// read loop without an admission slot. A server whose handler does not
+// implement MembershipHandler — montsysd itself, or an old balancer —
+// answers CodeProtocol.
 
 import (
 	"context"
 	"fmt"
+	"math/big"
 
 	"repro/internal/errs"
-)
-
-// Membership wire ops, appended after the traced variants (5–7) and
-// the signing ops (8–17). Op values are a network ABI — append only.
-const (
-	OpJoin    Op = 18
-	OpGoodbye Op = 19
 )
 
 // maxMemberField bounds the addr and zone strings in a membership
@@ -68,36 +63,31 @@ type MembershipHandler interface {
 	Goodbye(ctx context.Context, addr string) (members int, err error)
 }
 
-// isMemberOp reports whether o is a membership op.
-func isMemberOp(o Op) bool { return o == OpJoin || o == OpGoodbye }
-
-// encodeMemberRequestBody appends a membership body: addr string, plus
-// the zone string for OpJoin.
-func encodeMemberRequestBody(b []byte, req *request) []byte {
-	m := req.member
-	if m == nil {
-		m = &memberBody{}
+// memberAddr decodes a membership address, enforcing the field cap.
+func (d *decoder) memberAddr() (*memberBody, error) {
+	addr, err := d.string()
+	if err != nil {
+		return nil, err
 	}
-	b = appendString(b, m.addr)
-	if req.op == OpJoin {
-		b = appendString(b, m.zone)
+	if len(addr) == 0 || len(addr) > maxMemberField {
+		return nil, fmt.Errorf("server: member address of %d bytes outside [1, %d]: %w",
+			len(addr), maxMemberField, errs.ErrProtocol)
 	}
-	return b
+	return &memberBody{addr: addr}, nil
 }
 
-// decodeMemberRequestBody parses a membership body into req, enforcing
-// the field-length caps.
-func decodeMemberRequestBody(d *decoder, req *request) error {
-	m := &memberBody{}
-	var err error
-	if m.addr, err = d.string(); err != nil {
-		return err
-	}
-	if len(m.addr) == 0 || len(m.addr) > maxMemberField {
-		return fmt.Errorf("server: member address of %d bytes outside [1, %d]: %w",
-			len(m.addr), maxMemberField, errs.ErrProtocol)
-	}
-	if req.op == OpJoin {
+// joinBody is OpJoin's body: addr string ‖ zone string.
+var joinBody = bodyCodec{
+	enc: func(b []byte, req *request) []byte {
+		b = appendString(b, req.member.addr)
+		return appendString(b, req.member.zone)
+	},
+	dec: func(b []byte, req *request) error {
+		d := decoder{b}
+		m, err := d.memberAddr()
+		if err != nil {
+			return err
+		}
 		if m.zone, err = d.string(); err != nil {
 			return err
 		}
@@ -105,7 +95,33 @@ func decodeMemberRequestBody(d *decoder, req *request) error {
 			return fmt.Errorf("server: member zone of %d bytes exceeds limit %d: %w",
 				len(m.zone), maxMemberField, errs.ErrProtocol)
 		}
-	}
-	req.member = m
-	return nil
+		req.member = m
+		return d.done()
+	},
+}
+
+// goodbyeBody is OpGoodbye's body: addr string.
+var goodbyeBody = bodyCodec{
+	enc: func(b []byte, req *request) []byte {
+		return appendString(b, req.member.addr)
+	},
+	dec: func(b []byte, req *request) (err error) {
+		d := decoder{b}
+		if req.member, err = d.memberAddr(); err != nil {
+			return err
+		}
+		return d.done()
+	},
+}
+
+// join and goodbye are the membership rows' handler calls; both answer
+// the member count after the change.
+func (s *Server) join(ctx context.Context, req *request) *response {
+	n, err := s.member.Join(ctx, req.member.addr, req.member.zone)
+	return result(big.NewInt(int64(n)), err)
+}
+
+func (s *Server) goodbye(ctx context.Context, req *request) *response {
+	n, err := s.member.Goodbye(ctx, req.member.addr)
+	return result(big.NewInt(int64(n)), err)
 }

@@ -7,10 +7,9 @@ package server
 // CodeProtocol instead of misparsing it, so a mixed-version fleet
 // degrades to untagged (default-tenant) calls, never to corruption.
 //
-// A tagged op is its base wire op plus OpQoSOffset — the base may
-// itself be a traced variant, so tagging composes with tracing without
-// another doubling of the op space (e.g. modexp=2 → 66, traced
-// modexp=6 → 70). A tagged frame carries a QoS block between the
+// A tagged op is its plain or traced wire byte plus OpQoSOffset, for
+// every op whose opTable row declares tagged (e.g. modexp=2 → 66,
+// traced modexp=6 → 70). A tagged frame carries a QoS block between the
 // deadline and the (optional) trace block:
 //
 //	byte   class         0=interactive 1=batch 2=best-effort
@@ -18,7 +17,7 @@ package server
 //
 // Decoding strips the tag and normalizes req.op to the base op
 // immediately, exactly as with traced variants, so metrics labels and
-// the execute switch never see tagged values.
+// dispatch never see tagged values.
 
 import (
 	"fmt"
@@ -26,11 +25,6 @@ import (
 	"repro/internal/errs"
 	"repro/internal/qos"
 )
-
-// OpQoSOffset is the distance from a wire op to its tenant-tagged
-// variant. Offset 64 leaves ops 18–63 free for future plain ops while
-// keeping tag detection a single comparison.
-const OpQoSOffset Op = 64
 
 // CodeRateLimited reports per-tenant admission rejecting a request
 // because the tenant's token bucket was empty (errs.ErrRateLimited).
@@ -44,27 +38,6 @@ const CodeRateLimited Code = 13
 // the fold-in bucket on the server it keeps hostile frames from
 // ballooning decode allocations or metric cardinality.
 const maxTenantLen = 255
-
-// qosTagged maps a wire op (base or traced) to its tenant-tagged
-// variant, ok=false for ops that take no tag (OpPing is answered
-// inline before admission, so a tag would be dead weight, and the
-// membership ops are control plane — they must keep working while
-// every tenant is throttled).
-func (o Op) qosTagged() (Op, bool) {
-	if o == OpPing || isMemberOp(o) || o == 0 || o >= OpQoSOffset {
-		return o, false
-	}
-	return o + OpQoSOffset, true
-}
-
-// unqos maps a tenant-tagged op back to its untagged wire op; isTagged
-// is false (and o returned unchanged) for every other op.
-func (o Op) unqos() (base Op, isTagged bool) {
-	if o > OpQoSOffset && o < 2*OpQoSOffset {
-		return o - OpQoSOffset, true
-	}
-	return o, false
-}
 
 // encodeQoSBlock appends the QoS block of a tagged request.
 func encodeQoSBlock(b []byte, req *request) []byte {

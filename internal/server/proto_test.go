@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/big"
+	"strings"
 	"testing"
 	"time"
 
@@ -100,7 +102,8 @@ func TestResponseRoundTrip(t *testing.T) {
 }
 
 // Malformed frames fail with ErrProtocol: bad version, unknown op,
-// truncation, trailing garbage, oversized frames and batches.
+// undeclared op variants, truncation, trailing garbage, oversized
+// frames and batches.
 func TestProtocolErrors(t *testing.T) {
 	good := encodeRequest(&request{op: OpModExp, id: 1,
 		jobs: []triple{{n: big.NewInt(23), a: big.NewInt(2), b: big.NewInt(3)}}})
@@ -123,6 +126,23 @@ func TestProtocolErrors(t *testing.T) {
 
 	if _, err := decodeRequest(append(append([]byte(nil), good...), 0)); !errors.Is(err, errs.ErrProtocol) {
 		t.Errorf("trailing byte: %v", err)
+	}
+
+	// Tagged ping, join and goodbye: no encoder sends them and the op
+	// table declares no tag for them, so they are protocol errors even
+	// when a well-formed QoS block and body follow.
+	for name, frame := range map[string]string{
+		"tagged ping":    "0144 0000000000000001 0000000000000000 00 00000000",
+		"tagged join":    "0152 0000000000000001 0000000000000000 00 00000000 00000004 62313a39 00000002 6575",
+		"tagged goodbye": "0153 0000000000000001 0000000000000000 00 00000000 00000004 62313a39",
+	} {
+		raw, err := hex.DecodeString(strings.ReplaceAll(frame, " ", ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decodeRequest(raw); !errors.Is(err, errs.ErrProtocol) {
+			t.Errorf("%s: err = %v, want ErrProtocol", name, err)
+		}
 	}
 
 	var buf bytes.Buffer

@@ -87,7 +87,7 @@ func TestQoSFramesByteIdentical(t *testing.T) {
 
 // TestQoSTaggedRoundTrip: identity survives encode/decode on plain,
 // traced, and batch ops, and the decoded op is normalized to its base
-// so the execute switch and metric labels never see tagged values.
+// so dispatch and metric labels never see tagged values.
 func TestQoSTaggedRoundTrip(t *testing.T) {
 	cases := []*request{
 		{op: OpModExp, id: 1, tenant: "acme", class: qos.Interactive,

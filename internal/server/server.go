@@ -540,11 +540,14 @@ func (c *sconn) send(payload []byte) {
 	c.writeCh <- payload
 }
 
-// dispatch admits one decoded request: drain and overload rejections
-// answer inline on the read loop (fast fail — no goroutine, no queue);
+// dispatch admits one decoded request. Ops whose row is inline (ping,
+// join, goodbye) are answered right here on the read loop, without an
+// admission slot or a QoS charge: health checks and control plane must
+// keep answering exactly when the data plane is saturated or every
+// tenant is throttled, and their handler calls are in-memory and
+// bounded, so they cannot stall the connection. Drain and overload
+// rejections answer inline too (fast fail — no goroutine, no queue);
 // admitted requests get a goroutine and a slot in the in-flight bound.
-// Pings are answered inline too, without an admission slot: a health
-// check must keep answering exactly when the server is saturated.
 // With a QoS plane configured, the tenant's token bucket and
 // concurrency share are checked first — a tenant over its own quota is
 // rejected before it can contend for the shared in-flight bound.
@@ -552,32 +555,23 @@ func (c *sconn) dispatch(req *request) {
 	s := c.srv
 	start := time.Now()
 
-	if req.op == OpPing {
-		resp := &response{id: req.id}
+	if opTable[req.op].inline {
+		var resp *response
 		if s.isDraining() {
-			resp.code, resp.msg = CodeDraining, "server draining"
+			resp = drainingResponse()
 		} else {
-			resp.code = CodeOK
-			resp.values = []*big.Int{big.NewInt(s.met.inflight.Value())}
+			ctx, cancel := s.requestContext(req)
+			resp = s.execute(ctx, req)
+			cancel()
 		}
-		c.send(encodeResponse(OpPing, resp))
-		s.met.finish(OpPing, resp.code, time.Since(start))
-		return
-	}
-
-	if isMemberOp(req.op) {
-		c.serveMember(req, start)
+		c.reply(req, resp, obs.SpanID{}, start)
 		return
 	}
 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		c.send(encodeResponse(req.op, &response{
-			id: req.id, code: CodeDraining, msg: "server draining",
-		}))
-		s.met.finish(req.op, CodeDraining, time.Since(start))
-		s.observeRequest(req, obs.SpanID{}, CodeDraining, start, time.Since(start))
+		c.reply(req, drainingResponse(), obs.SpanID{}, start)
 		return
 	}
 	var release func(time.Duration)
@@ -586,12 +580,7 @@ func (c *sconn) dispatch(req *request) {
 		release, qerr = s.cfg.qos.Admit(req.tenant, start)
 		if qerr != nil {
 			s.mu.Unlock()
-			code := codeFor(qerr)
-			c.send(encodeResponse(req.op, &response{
-				id: req.id, code: code, msg: qerr.Error(),
-			}))
-			s.met.finish(req.op, code, time.Since(start))
-			s.observeRequest(req, obs.SpanID{}, code, start, time.Since(start))
+			c.reply(req, failure(qerr), obs.SpanID{}, start)
 			return
 		}
 	}
@@ -602,11 +591,7 @@ func (c *sconn) dispatch(req *request) {
 		if release != nil {
 			release(0)
 		}
-		c.send(encodeResponse(req.op, &response{
-			id: req.id, code: CodeOverloaded, msg: "in-flight limit reached",
-		}))
-		s.met.finish(req.op, CodeOverloaded, time.Since(start))
-		s.observeRequest(req, obs.SpanID{}, CodeOverloaded, start, time.Since(start))
+		c.reply(req, &response{code: CodeOverloaded, msg: "in-flight limit reached"}, obs.SpanID{}, start)
 		return
 	}
 	s.reqWG.Add(1)
@@ -617,50 +602,33 @@ func (c *sconn) dispatch(req *request) {
 	go c.serveReq(req, start, release)
 }
 
-// serveMember answers a membership op inline on the read loop. Like
-// Ping it takes no admission slot and is never QoS-charged: join and
-// goodbye are control plane, and must keep working exactly when the
-// data plane is saturated or every tenant is throttled. The member
-// table mutation behind the handler is in-memory and bounded, so
-// serving it on the read loop cannot stall the connection. A draining
-// server answers CodeDraining (the registrar retries against the next
-// balancer); a server whose handler has no membership surface —
-// montsysd itself — answers CodeProtocol.
-func (c *sconn) serveMember(req *request, start time.Time) {
-	s := c.srv
-	resp := &response{id: req.id}
-	switch {
-	case s.isDraining():
-		resp.code, resp.msg = CodeDraining, "server draining"
-	case s.member == nil:
-		resp.code = CodeProtocol
-		resp.msg = fmt.Sprintf("membership op %s unsupported by this server", req.op)
-	default:
-		ctx := s.baseCtx
-		if !req.deadline.IsZero() {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithDeadline(ctx, req.deadline)
-			defer cancel()
-		}
-		var n int
-		var err error
-		if req.op == OpJoin {
-			n, err = s.member.Join(ctx, req.member.addr, req.member.zone)
-		} else {
-			n, err = s.member.Goodbye(ctx, req.member.addr)
-		}
-		if err != nil {
-			resp.code, resp.msg = codeFor(err), err.Error()
-		} else {
-			resp.code = CodeOK
-			resp.values = []*big.Int{big.NewInt(int64(n))}
-		}
-	}
-	c.send(encodeResponse(req.op, resp))
-	s.met.finish(req.op, resp.code, time.Since(start))
+// drainingResponse answers every request that arrives once a graceful
+// shutdown has begun.
+func drainingResponse() *response {
+	return &response{code: CodeDraining, msg: "server draining"}
 }
 
-// serveReq executes one admitted request against the engine and queues
+// reply records a finished request — metrics, and the span and wide
+// event when sampled — and queues its response.
+func (c *sconn) reply(req *request, resp *response, spanID obs.SpanID, start time.Time) {
+	s := c.srv
+	elapsed := time.Since(start)
+	s.met.finish(req.op, resp.code, elapsed)
+	s.observeRequest(req, spanID, resp.code, start, elapsed)
+	resp.id = req.id
+	c.send(encodeResponse(req.op, resp))
+}
+
+// requestContext derives a request's handler context from the server's
+// base context and the wire deadline.
+func (s *Server) requestContext(req *request) (context.Context, context.CancelFunc) {
+	if req.deadline.IsZero() {
+		return s.baseCtx, func() {}
+	}
+	return context.WithDeadline(s.baseCtx, req.deadline)
+}
+
+// serveReq executes one admitted request against the handler and queues
 // its response. release, when non-nil, returns the request's QoS
 // concurrency-share slot and records its per-tenant latency.
 func (c *sconn) serveReq(req *request, start time.Time, release func(time.Duration)) {
@@ -672,12 +640,8 @@ func (c *sconn) serveReq(req *request, start time.Time, release func(time.Durati
 		s.reqWG.Done()
 	}()
 
-	ctx := s.baseCtx
-	if !req.deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, req.deadline)
-		defer cancel()
-	}
+	ctx, cancel := s.requestContext(req)
+	defer cancel()
 	if req.tenant != "" || req.class != 0 {
 		// Carry the wire identity down: the engine's lane scheduler and
 		// the balancer's outbound attempts read it off the context.
@@ -692,14 +656,10 @@ func (c *sconn) serveReq(req *request, start time.Time, release func(time.Durati
 		ctx = obs.ContextWithTrace(ctx, req.tc.Child(spanID))
 	}
 	resp := s.execute(ctx, req)
-	resp.id = req.id
-	elapsed := time.Since(start)
 	if release != nil {
-		release(elapsed)
+		release(time.Since(start))
 	}
-	s.met.finish(req.op, resp.code, elapsed)
-	s.observeRequest(req, spanID, resp.code, start, elapsed)
-	c.send(encodeResponse(req.op, resp))
+	c.reply(req, resp, spanID, start)
 }
 
 // observeRequest records the server span and wide event for a sampled
@@ -735,71 +695,93 @@ func (s *Server) observeRequest(req *request, spanID obs.SpanID, code Code,
 		if len(req.jobs) > 0 && req.jobs[0].n != nil {
 			ev.Bits = req.jobs[0].n.BitLen()
 		}
-		if req.op == OpBatchModExp {
-			ev.Batch = len(req.jobs)
-		}
-		if req.op == OpVerifyECDSABatch && req.crypto != nil {
-			ev.Batch = len(req.crypto.items)
+		if opTable[req.op].values == perItem {
+			ev.Batch = req.items()
 		}
 		s.cfg.wide.Emit(ev)
 	}
 }
 
-// execute runs the request's handler call. The wire deadline is already
-// on ctx (serveReq set it); the engine adapter additionally folds it
-// into per-job deadline fields so queued jobs expire on time.
+// execute runs the request's handler call from its op row, or answers
+// CodeProtocol when this server's handler lacks the surface the op
+// needs. The wire deadline is already on ctx; the engine adapter
+// additionally folds it into per-job deadline fields so queued jobs
+// expire on time.
 func (s *Server) execute(ctx context.Context, req *request) *response {
-	switch req.op {
-	case OpMont:
-		j := req.jobs[0]
-		v, err := s.h.Mont(ctx, j.n, j.a, j.b)
-		if err != nil {
-			return &response{code: codeFor(err), msg: err.Error()}
-		}
-		return &response{code: CodeOK, values: []*big.Int{v}}
-	case OpModExp:
-		j := req.jobs[0]
-		v, err := s.h.ModExp(ctx, j.n, j.a, j.b)
-		if err != nil {
-			return &response{code: codeFor(err), msg: err.Error()}
-		}
-		return &response{code: CodeOK, values: []*big.Int{v}}
-	case OpBatchModExp:
-		jobs := make([]engine.ModExpJob, len(req.jobs))
-		for i, j := range req.jobs {
-			jobs[i] = engine.ModExpJob{N: j.n, Base: j.a, Exp: j.b}
-		}
-		res, err := s.h.ModExpBatch(ctx, jobs)
-		if err != nil || len(res) != len(jobs) {
-			if err == nil {
-				err = fmt.Errorf("server: handler answered %d of %d items: %w",
-					len(res), len(jobs), errs.ErrProtocol)
-			}
-			return &response{code: codeFor(err), msg: err.Error()}
-		}
-		resp := &response{
-			code:   CodeOK,
-			codes:  make([]Code, len(res)),
-			msgs:   make([]string, len(res)),
-			values: make([]*big.Int, len(res)),
-		}
-		for i := range res {
-			resp.codes[i] = codeFor(res[i].Err)
-			if res[i].Err != nil {
-				resp.msgs[i] = res[i].Err.Error()
-			} else {
-				resp.values[i] = res[i].Value
-			}
-		}
-		return resp
-	default:
-		if isCryptoOp(req.op) {
-			if s.sign == nil {
-				return &response{code: CodeProtocol,
-					msg: fmt.Sprintf("signing op %s unsupported by this server", req.op)}
-			}
-			return s.executeCrypto(ctx, req)
-		}
-		return &response{code: CodeProtocol, msg: fmt.Sprintf("unknown op %d", req.op)}
+	desc := &opTable[req.op]
+	if !s.supports(desc) {
+		return &response{code: CodeProtocol,
+			msg: fmt.Sprintf("op %s unsupported by this server", req.op)}
 	}
+	return desc.serve(s, ctx, req)
+}
+
+// failure answers a failed handler call with the error's wire code.
+func failure(err error) *response {
+	return &response{code: codeFor(err), msg: err.Error()}
+}
+
+// result answers a handler call with OK values, or its error.
+func result(v *big.Int, err error) *response {
+	if err != nil {
+		return failure(err)
+	}
+	return &response{code: CodeOK, values: []*big.Int{v}}
+}
+
+// perItemResult answers a batch handler call: n item results for want
+// items, item(i) yielding item i's value or error. A handler error, or
+// an answer that does not cover every item, fails the whole batch.
+func perItemResult(n, want int, err error, item func(i int) (*big.Int, error)) *response {
+	if err == nil && n != want {
+		err = fmt.Errorf("server: handler answered %d of %d items: %w", n, want, errs.ErrProtocol)
+	}
+	if err != nil {
+		return failure(err)
+	}
+	resp := &response{
+		code:   CodeOK,
+		codes:  make([]Code, n),
+		msgs:   make([]string, n),
+		values: make([]*big.Int, n),
+	}
+	for i := range resp.codes {
+		v, err := item(i)
+		resp.codes[i] = codeFor(err)
+		if err != nil {
+			resp.msgs[i] = err.Error()
+		} else {
+			resp.values[i] = v
+		}
+	}
+	return resp
+}
+
+// Handler calls of the compute and health-check rows.
+
+func (s *Server) mont(ctx context.Context, req *request) *response {
+	j := req.jobs[0]
+	return result(s.h.Mont(ctx, j.n, j.a, j.b))
+}
+
+func (s *Server) modExp(ctx context.Context, req *request) *response {
+	j := req.jobs[0]
+	return result(s.h.ModExp(ctx, j.n, j.a, j.b))
+}
+
+func (s *Server) batchModExp(ctx context.Context, req *request) *response {
+	jobs := make([]engine.ModExpJob, len(req.jobs))
+	for i, j := range req.jobs {
+		jobs[i] = engine.ModExpJob{N: j.n, Base: j.a, Exp: j.b}
+	}
+	res, err := s.h.ModExpBatch(ctx, jobs)
+	return perItemResult(len(res), len(jobs), err, func(i int) (*big.Int, error) {
+		return res[i].Value, res[i].Err
+	})
+}
+
+// ping's value is the server's in-flight count, a cheap load signal for
+// balancers.
+func (s *Server) ping(context.Context, *request) *response {
+	return result(big.NewInt(s.met.inflight.Value()), nil)
 }

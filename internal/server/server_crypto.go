@@ -10,7 +10,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"math/big"
 
 	"repro/internal/cryptosvc"
@@ -77,61 +76,40 @@ func bigBool(ok bool) *big.Int {
 	return big.NewInt(0)
 }
 
-// executeCrypto runs one signing-op request against the server's
-// SignHandler. execute has already checked s.sign is non-nil.
-func (s *Server) executeCrypto(ctx context.Context, req *request) *response {
-	cb := req.crypto
-	switch req.op {
-	case OpKeygenRSA:
-		key, err := s.sign.KeygenRSA(ctx, cb.bits, cb.seed)
-		if err != nil {
-			return &response{code: codeFor(err), msg: err.Error()}
-		}
-		return &response{code: CodeOK, values: []*big.Int{
-			key.N, key.E, key.D, key.P, key.Q, key.DP, key.DQ, key.QInv,
-		}}
-	case OpSignRSA:
-		sig, err := s.sign.SignRSA(ctx, cb.key, cb.digest)
-		if err != nil {
-			return &response{code: codeFor(err), msg: err.Error()}
-		}
-		return &response{code: CodeOK, values: []*big.Int{sig}}
-	case OpVerifyRSA:
-		ok, err := s.sign.VerifyRSA(ctx, cb.n, cb.e, cb.digest, cb.sig)
-		if err != nil {
-			return &response{code: codeFor(err), msg: err.Error()}
-		}
-		return &response{code: CodeOK, values: []*big.Int{bigBool(ok)}}
-	case OpSignECDSA:
-		r, sv, err := s.sign.SignECDSA(ctx, cb.curve, cb.d, cb.digest, cb.seed)
-		if err != nil {
-			return &response{code: codeFor(err), msg: err.Error()}
-		}
-		return &response{code: CodeOK, values: []*big.Int{r, sv}}
-	case OpVerifyECDSABatch:
-		res, err := s.sign.VerifyECDSABatch(ctx, cb.curve, cb.items)
-		if err != nil || len(res) != len(cb.items) {
-			if err == nil {
-				err = fmt.Errorf("server: handler answered %d of %d verify items", len(res), len(cb.items))
-			}
-			return &response{code: codeFor(err), msg: err.Error()}
-		}
-		resp := &response{
-			code:   CodeOK,
-			codes:  make([]Code, len(res)),
-			msgs:   make([]string, len(res)),
-			values: make([]*big.Int, len(res)),
-		}
-		for i, r := range res {
-			resp.codes[i] = codeFor(r.Err)
-			if r.Err != nil {
-				resp.msgs[i] = r.Err.Error()
-			} else {
-				resp.values[i] = bigBool(r.OK)
-			}
-		}
-		return resp
-	default:
-		return &response{code: CodeProtocol, msg: fmt.Sprintf("unknown signing op %d", req.op)}
+// Handler calls of the signing rows; execute has already checked that
+// s.sign is non-nil.
+
+func (s *Server) keygenRSA(ctx context.Context, req *request) *response {
+	key, err := s.sign.KeygenRSA(ctx, req.crypto.bits, req.crypto.seed)
+	if err != nil {
+		return failure(err)
 	}
+	return &response{code: CodeOK, values: keyBigs(key)}
+}
+
+func (s *Server) signRSA(ctx context.Context, req *request) *response {
+	return result(s.sign.SignRSA(ctx, req.crypto.key, req.crypto.digest))
+}
+
+func (s *Server) verifyRSA(ctx context.Context, req *request) *response {
+	cb := req.crypto
+	ok, err := s.sign.VerifyRSA(ctx, cb.n, cb.e, cb.digest, cb.sig)
+	return result(bigBool(ok), err)
+}
+
+func (s *Server) signECDSA(ctx context.Context, req *request) *response {
+	cb := req.crypto
+	r, sv, err := s.sign.SignECDSA(ctx, cb.curve, cb.d, cb.digest, cb.seed)
+	if err != nil {
+		return failure(err)
+	}
+	return &response{code: CodeOK, values: []*big.Int{r, sv}}
+}
+
+func (s *Server) verifyECDSABatch(ctx context.Context, req *request) *response {
+	cb := req.crypto
+	res, err := s.sign.VerifyECDSABatch(ctx, cb.curve, cb.items)
+	return perItemResult(len(res), len(cb.items), err, func(i int) (*big.Int, error) {
+		return bigBool(res[i].OK), res[i].Err
+	})
 }

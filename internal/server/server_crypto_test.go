@@ -327,34 +327,60 @@ func TestLegacyFramesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCryptoOpNames pins the metric label names of the new ops (a
-// dashboard ABI of its own) and the traced-op normalization.
+// TestCryptoOpNames pins every row's metric label (a dashboard ABI of
+// its own) and traced wire byte, checks that every variant byte maps
+// back to its base op and name, and that every op is idempotent.
 func TestCryptoOpNames(t *testing.T) {
-	want := map[Op]string{
-		OpKeygenRSA:              "keygen_rsa",
-		OpSignRSA:                "sign_rsa",
-		OpVerifyRSA:              "verify_rsa",
-		OpSignECDSA:              "sign_ecdsa",
-		OpVerifyECDSABatch:       "verify_ecdsa_batch",
-		OpKeygenRSATraced:        "keygen_rsa",
-		OpSignRSATraced:          "sign_rsa",
-		OpVerifyRSATraced:        "verify_rsa",
-		OpSignECDSATraced:        "sign_ecdsa",
-		OpVerifyECDSABatchTraced: "verify_ecdsa_batch",
+	want := []struct {
+		op     Op
+		traced Op
+		name   string
+	}{
+		{OpMont, 5, "mont"},
+		{OpModExp, 6, "modexp"},
+		{OpBatchModExp, 7, "batch_modexp"},
+		{OpPing, 0, "ping"},
+		{OpKeygenRSA, 13, "keygen_rsa"},
+		{OpSignRSA, 14, "sign_rsa"},
+		{OpVerifyRSA, 15, "verify_rsa"},
+		{OpSignECDSA, 16, "sign_ecdsa"},
+		{OpVerifyECDSABatch, 17, "verify_ecdsa_batch"},
+		{OpJoin, 0, "join"},
+		{OpGoodbye, 0, "goodbye"},
 	}
-	for op, name := range want {
-		if op.String() != name {
-			t.Errorf("Op(%d).String() = %q, want %q", op, op.String(), name)
-		}
+	if n := len(tableOps()); n != len(want) {
+		t.Fatalf("op table has %d rows, this test pins %d", n, len(want))
 	}
-	for base := OpKeygenRSA; base <= OpVerifyECDSABatch; base++ {
-		tr, ok := base.traced()
-		if !ok {
-			t.Fatalf("op %v has no traced variant", base)
+	for _, w := range want {
+		d := opTable[w.op]
+		if d.name != w.name || w.op.String() != w.name {
+			t.Errorf("op %d named %q (String %q), want %q", w.op, d.name, w.op.String(), w.name)
 		}
-		back, isTraced := tr.untraced()
-		if !isTraced || back != base {
-			t.Fatalf("traced/untraced not inverse for %v (traced %v, back %v)", base, tr, back)
+		if d.traced != w.traced {
+			t.Errorf("%s traced byte %d, want %d", w.name, d.traced, w.traced)
+		}
+		if !d.idempotent {
+			t.Errorf("%s not idempotent", w.name)
+		}
+		variants := []wireOp{{base: w.op}}
+		bytes := []Op{w.op}
+		if w.traced != 0 {
+			variants = append(variants, wireOp{base: w.op, traced: true})
+			bytes = append(bytes, w.traced)
+		}
+		if d.tagged {
+			for i := range bytes {
+				variants = append(variants, wireOp{base: w.op, traced: variants[i].traced, tagged: true})
+				bytes = append(bytes, bytes[i]+OpQoSOffset)
+			}
+		}
+		for i, b := range bytes {
+			if wireOps[b] != variants[i] {
+				t.Errorf("byte %d declares %+v, want %+v", b, wireOps[b], variants[i])
+			}
+			if b.String() != w.name {
+				t.Errorf("byte %d named %q, want %q", b, b.String(), w.name)
+			}
 		}
 	}
 	if CodeBadKey.String() != "bad_key" {
