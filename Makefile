@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci build vet bench-vet test test-386 race staticcheck cover bench-engine bench-obs bench-faults bench-kits bench-sign bench-qos sca-gate qos fuzz soak
+.PHONY: ci build vet bench-vet dead-options test test-386 race staticcheck cover bench-engine bench-obs bench-faults bench-kits bench-sign bench-qos sca-gate qos fuzz soak
 
-ci: vet bench-vet staticcheck build test test-386 race
+ci: vet bench-vet staticcheck dead-options build test test-386 race
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,11 @@ vet:
 # bench/run.sh.
 bench-vet:
 	cd bench && $(GO) vet ./...
+
+# Dead-option lint: fails when an exported func With... in non-test Go
+# has no reference anywhere in the repo besides its own declaration.
+dead-options:
+	bash scripts/lint-dead-options.sh
 
 test:
 	$(GO) test ./...

@@ -75,7 +75,7 @@
 // With -connect the same workload is fired at remote montsysd (or
 // montsyslb) instances over the binary wire protocol instead of an
 // in-process engine: -clients concurrent submitters share pooled,
-// pipelined montsys.Clients, each call retried per the client's backoff
+// pipelined wire clients, each call retried per the client's backoff
 // policy, and the table reports the round-trip
 // (client→network→engine→core) latency distribution. -connect takes a
 // comma-separated address list and spreads jobs across the addresses
@@ -116,7 +116,13 @@ import (
 	"syscall"
 	"time"
 
-	montsys "repro"
+	"repro/internal/engine"
+	"repro/internal/errs"
+	"repro/internal/faults"
+	"repro/internal/kits"
+	"repro/internal/obs"
+	"repro/internal/server"
+	"repro/internal/systolic"
 )
 
 func main() {
@@ -167,7 +173,7 @@ func main() {
 		faultRate:          *faultRate, faultSeed: *faultSeed, faultCores: *faultCores,
 	}
 	if *listen != "" {
-		col := montsys.NewCollector(montsys.WithTracing(*traceCap))
+		col := obs.NewCollector(obs.WithTracing(*traceCap))
 		col.Tracer().SetProcess("loadgen")
 		cfg.collector = col
 		ln, err := net.Listen("tcp", *listen)
@@ -177,7 +183,7 @@ func main() {
 		}
 		fmt.Printf("observability: http://%s/  (/metrics, /debug/pprof/, /trace)\n", ln.Addr())
 		go func() {
-			if err := http.Serve(ln, montsys.NewObsHandler(col)); err != nil {
+			if err := http.Serve(ln, obs.NewHandler(col)); err != nil {
 				fmt.Fprintln(os.Stderr, "loadgen: obs server:", err)
 			}
 		}()
@@ -200,14 +206,14 @@ type sweepConfig struct {
 	duration    time.Duration // soak run length
 	adversaries int           // soak adversarial connections
 	jobs, keys  int
-	expKind    string
-	queue      int
-	timeout    time.Duration
-	seed       int64
-	collector  *montsys.Collector // nil unless -listen
-	connect    string             // nonempty = remote mode
-	clients    int
-	retries    int
+	expKind     string
+	queue       int
+	timeout     time.Duration
+	seed        int64
+	collector   *obs.Collector // nil unless -listen
+	connect     string         // nonempty = remote mode
+	clients     int
+	retries     int
 
 	// traceSample is the fraction of jobs given a root trace context
 	// (0 = none). Sampled jobs propagate their trace id through every
@@ -244,19 +250,19 @@ func parseTolerate(s string) map[string]bool {
 // can speak the same vocabulary as the server's /metrics page.
 func classify(err error) string {
 	switch {
-	case errors.Is(err, montsys.ErrIntegrity):
+	case errors.Is(err, errs.ErrIntegrity):
 		return "integrity"
-	case errors.Is(err, montsys.ErrRateLimited):
+	case errors.Is(err, errs.ErrRateLimited):
 		return "rate_limited"
-	case errors.Is(err, montsys.ErrOverloaded):
+	case errors.Is(err, errs.ErrOverloaded):
 		return "overloaded"
-	case errors.Is(err, montsys.ErrDraining):
+	case errors.Is(err, errs.ErrDraining):
 		return "draining"
-	case errors.Is(err, montsys.ErrBackendDown):
+	case errors.Is(err, errs.ErrBackendDown):
 		return "backend_down"
-	case errors.Is(err, montsys.ErrProtocol):
+	case errors.Is(err, errs.ErrProtocol):
 		return "protocol"
-	case errors.Is(err, montsys.ErrEngineClosed):
+	case errors.Is(err, errs.ErrEngineClosed):
 		return "closed"
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return "canceled"
@@ -311,55 +317,55 @@ func (t *errorTally) String() string {
 // traceJob mints a root trace context for one job when -trace-sample is
 // on; the returned context is what the call should run under. The zero
 // TraceContext (sampling off, or this job not picked) means untraced.
-func (cfg sweepConfig) traceJob(ctx context.Context) (context.Context, montsys.TraceContext) {
+func (cfg sweepConfig) traceJob(ctx context.Context) (context.Context, obs.TraceContext) {
 	if cfg.traceSample <= 0 {
-		return ctx, montsys.TraceContext{}
+		return ctx, obs.TraceContext{}
 	}
-	tc := montsys.NewTraceContext(cfg.traceSample)
-	return montsys.ContextWithTrace(ctx, tc), tc
+	tc := obs.NewTraceContext(cfg.traceSample)
+	return obs.ContextWithTrace(ctx, tc), tc
 }
 
 // faultOptions translates the local-mode chaos flags into engine
 // options (mirrors montsysd's flag wiring).
-func (cfg sweepConfig) faultOptions() ([]montsys.EngineOption, error) {
-	var opts []montsys.EngineOption
+func (cfg sweepConfig) faultOptions() ([]engine.Option, error) {
+	var opts []engine.Option
 	if cfg.faultRate > 0 {
-		fOpts := []montsys.FaultOption{
-			montsys.WithFaultRate(cfg.faultRate),
-			montsys.WithFaultSeed(cfg.faultSeed),
+		fOpts := []faults.Option{
+			faults.WithRate(cfg.faultRate),
+			faults.WithSeed(cfg.faultSeed),
 		}
 		if cfg.faultCores != "" {
 			ids, err := splitInts(cfg.faultCores)
 			if err != nil {
 				return nil, fmt.Errorf("-fault-cores: %w", err)
 			}
-			fOpts = append(fOpts, montsys.WithFaultCores(ids...))
+			fOpts = append(fOpts, faults.WithCores(ids...))
 		}
-		opts = append(opts, montsys.WithEngineFaultInjector(montsys.NewFaultInjector(fOpts...)))
+		opts = append(opts, engine.WithFaultInjector(faults.New(fOpts...)))
 	}
 	if cfg.integrity {
 		opts = append(opts,
-			montsys.WithEngineIntegrityCheck(cfg.integritySample),
-			montsys.WithEngineIntegrityRecompute(cfg.integrityRecompute))
+			engine.WithIntegrityCheck(cfg.integritySample),
+			engine.WithIntegrityRecompute(cfg.integrityRecompute))
 	}
 	return opts, nil
 }
 
 func run(ctx context.Context, workersList, bitsList, kitList, variantName string, cfg sweepConfig) error {
-	var sweepKits []montsys.Kit
+	var sweepKits []kits.Kit
 	for _, p := range strings.Split(kitList, ",") {
-		k, err := montsys.ParseKit(p)
+		k, err := kits.Parse(p)
 		if err != nil {
 			return err
 		}
 		sweepKits = append(sweepKits, k)
 	}
-	var variant montsys.Variant
+	var variant systolic.Variant
 	switch variantName {
 	case "guarded":
-		variant = montsys.Guarded
+		variant = systolic.Guarded
 	case "faithful":
-		variant = montsys.Faithful
+		variant = systolic.Faithful
 	default:
 		return fmt.Errorf("unknown variant %q", variantName)
 	}
@@ -392,7 +398,7 @@ func run(ctx context.Context, workersList, bitsList, kitList, variantName string
 			moduli = append(moduli, n)
 		}
 	}
-	batch := make([]montsys.ModExpJob, cfg.jobs)
+	batch := make([]engine.ModExpJob, cfg.jobs)
 	for i := range batch {
 		n := moduli[i%len(moduli)]
 		base := new(big.Int).Rand(rng, n)
@@ -406,7 +412,7 @@ func run(ctx context.Context, workersList, bitsList, kitList, variantName string
 		default:
 			return fmt.Errorf("unknown exponent shape %q", cfg.expKind)
 		}
-		batch[i] = montsys.ModExpJob{N: n, Base: base, Exp: exp}
+		batch[i] = engine.ModExpJob{N: n, Base: base, Exp: exp}
 	}
 
 	if cfg.connect != "" {
@@ -454,25 +460,25 @@ func run(ctx context.Context, workersList, bitsList, kitList, variantName string
 // concurrent goroutines over pooled pipelined clients — one per
 // -connect address, jobs spread round-robin — each result self-checked
 // against math/big.
-func runRemote(ctx context.Context, cfg sweepConfig, bits []int, batch []montsys.ModExpJob) error {
+func runRemote(ctx context.Context, cfg sweepConfig, bits []int, batch []engine.ModExpJob) error {
 	addrs := strings.Split(cfg.connect, ",")
-	clients := make([]*montsys.Client, 0, len(addrs))
+	clients := make([]*server.Client, 0, len(addrs))
 	for _, a := range addrs {
 		a = strings.TrimSpace(a)
 		if a == "" {
 			continue
 		}
-		clOpts := []montsys.ClientOption{
-			montsys.WithClientPoolSize(cfg.clients),
-			montsys.WithClientMaxRetries(cfg.retries),
+		clOpts := []server.ClientOption{
+			server.WithPoolSize(cfg.clients),
+			server.WithMaxRetries(cfg.retries),
 		}
 		if cfg.collector != nil && cfg.collector.Tracer() != nil {
 			// Client-layer spans of sampled jobs record into loadgen's
 			// own /trace ring (rate 0: roots are minted per job below,
 			// so the sampling decision stays in one place).
-			clOpts = append(clOpts, montsys.WithClientTracing(cfg.collector.Tracer(), 0))
+			clOpts = append(clOpts, server.WithClientTracing(cfg.collector.Tracer(), 0))
 		}
-		cl := montsys.Dial(a, clOpts...)
+		cl := server.Dial(a, clOpts...)
 		defer cl.Close()
 		clients = append(clients, cl)
 	}
@@ -578,27 +584,27 @@ func okLats(lats []time.Duration) []time.Duration {
 // job's latency measured around the engine call and its result
 // self-checked against math/big. The caller's context flows into every
 // engine call, so a signal interrupts the sweep promptly.
-func sweep(ctx context.Context, w int, kit montsys.Kit, variant montsys.Variant, cfg sweepConfig, batch []montsys.ModExpJob) (time.Duration, []time.Duration, montsys.EngineStats, error) {
-	opts := []montsys.EngineOption{
-		montsys.WithEngineWorkers(w),
-		montsys.WithEngineKit(kit),
-		montsys.WithEngineArrayVariant(variant),
+func sweep(ctx context.Context, w int, kit kits.Kit, variant systolic.Variant, cfg sweepConfig, batch []engine.ModExpJob) (time.Duration, []time.Duration, engine.Stats, error) {
+	opts := []engine.Option{
+		engine.WithWorkers(w),
+		engine.WithKit(kit),
+		engine.WithArrayVariant(variant),
 	}
 	if cfg.queue > 0 {
-		opts = append(opts, montsys.WithEngineQueueDepth(cfg.queue))
+		opts = append(opts, engine.WithQueueDepth(cfg.queue))
 	}
 	chaosOpts, err := cfg.faultOptions()
 	if err != nil {
-		return 0, nil, montsys.EngineStats{}, err
+		return 0, nil, engine.Stats{}, err
 	}
 	opts = append(opts, chaosOpts...)
 	if cfg.collector != nil {
-		opts = append(opts, montsys.WithEngineObserver(cfg.collector))
+		opts = append(opts, engine.WithObserver(cfg.collector))
 		cfg.collector.SetEngineInfo(w, kit.String(), fmt.Sprint(variant))
 	}
-	eng, err := montsys.NewEngine(opts...)
+	eng, err := engine.New(opts...)
 	if err != nil {
-		return 0, nil, montsys.EngineStats{}, err
+		return 0, nil, engine.Stats{}, err
 	}
 	defer eng.Close()
 

@@ -17,8 +17,9 @@ import (
 	"sync"
 	"time"
 
-	montsys "repro"
 	"repro/internal/cryptosvc"
+	"repro/internal/rsa"
+	"repro/internal/server"
 )
 
 // ecdsaEvery makes every n-th job add an ECDSA sign to the RSA stream;
@@ -33,14 +34,14 @@ func runSign(ctx context.Context, cfg sweepConfig, bits []int) error {
 	if cfg.connect == "" {
 		return fmt.Errorf("-scenario sign requires -connect: signing is a wire surface")
 	}
-	var clients []*montsys.Client
+	var clients []*server.Client
 	for _, a := range strings.Split(cfg.connect, ",") {
 		if a = strings.TrimSpace(a); a == "" {
 			continue
 		}
-		cl := montsys.Dial(a,
-			montsys.WithClientPoolSize(cfg.clients),
-			montsys.WithClientMaxRetries(cfg.retries))
+		cl := server.Dial(a,
+			server.WithPoolSize(cfg.clients),
+			server.WithMaxRetries(cfg.retries))
 		defer cl.Close()
 		clients = append(clients, cl)
 	}
@@ -56,7 +57,7 @@ func runSign(ctx context.Context, cfg sweepConfig, bits []int) error {
 	// Setup (untimed): -keys RSA keys per bit length, generated on the
 	// remote side. Keygen seeds derive from -seed, so reruns and every
 	// backend of a fleet produce identical keys.
-	var keys []*montsys.RSAPrivateKey
+	var keys []*rsa.PrivateKey
 	kseed := cfg.seed
 	for _, l := range bits {
 		for k := 0; k < cfg.keys; k++ {
@@ -118,7 +119,7 @@ func runSign(ctx context.Context, cfg sweepConfig, bits []int) error {
 	var (
 		wg      sync.WaitGroup
 		itemsMu sync.Mutex
-		items   []montsys.ECDSAVerifyItem
+		items   []cryptosvc.ECDSAVerifyItem
 	)
 	errCh := make(chan error, submitters)
 	tally := newErrorTally()
@@ -153,7 +154,7 @@ func runSign(ctx context.Context, cfg sweepConfig, bits []int) error {
 					return
 				}
 				if ecDigests[i] != nil {
-					r, sv, err := cl.SignECDSA(ctx, montsys.CurveP256, ecd, ecDigests[i], cfg.seed+int64(i))
+					r, sv, err := cl.SignECDSA(ctx, cryptosvc.CurveP256, ecd, ecDigests[i], cfg.seed+int64(i))
 					if err != nil {
 						if class := classify(err); cfg.tolerate[class] {
 							tally.add(class)
@@ -163,7 +164,7 @@ func runSign(ctx context.Context, cfg sweepConfig, bits []int) error {
 						return
 					}
 					itemsMu.Lock()
-					items = append(items, montsys.ECDSAVerifyItem{
+					items = append(items, cryptosvc.ECDSAVerifyItem{
 						Qx: qx, Qy: qy, R: r, S: sv, Digest: ecDigests[i]})
 					itemsMu.Unlock()
 				}
@@ -184,7 +185,7 @@ func runSign(ctx context.Context, cfg sweepConfig, bits []int) error {
 		if end > len(items) {
 			end = len(items)
 		}
-		res, err := clients[0].VerifyECDSABatch(ctx, montsys.CurveP256, items[off:end])
+		res, err := clients[0].VerifyECDSABatch(ctx, cryptosvc.CurveP256, items[off:end])
 		if err != nil {
 			return fmt.Errorf("batch verify [%d:%d]: %w", off, end, err)
 		}

@@ -35,7 +35,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	montsys "repro"
+	"repro/internal/qos"
+	"repro/internal/server"
 )
 
 // soakWindow buckets acme latencies for the p99-over-time assertion:
@@ -52,7 +53,7 @@ const soakCliffMax = 10.0
 // soakTenant is one synthetic tenant of the soak mix.
 type soakTenant struct {
 	name    string
-	class   montsys.QoSClass
+	class   qos.Class
 	workers int
 	retries int
 	strict  bool // zero client-visible errors required for the verdict
@@ -83,9 +84,9 @@ func runSoak(ctx context.Context, cfg sweepConfig, bits []int) error {
 		workers = 1
 	}
 	tenants := []soakTenant{
-		{name: "acme", class: montsys.QoSInteractive, workers: workers, retries: cfg.retries, strict: true},
-		{name: "bulk", class: montsys.QoSBatch, workers: (workers + 1) / 2, retries: 1},
-		{name: "free", class: montsys.QoSBestEffort, workers: (workers + 1) / 2, retries: 0},
+		{name: "acme", class: qos.Interactive, workers: workers, retries: cfg.retries, strict: true},
+		{name: "bulk", class: qos.Batch, workers: (workers + 1) / 2, retries: 1},
+		{name: "free", class: qos.BestEffort, workers: (workers + 1) / 2, retries: 0},
 	}
 	total := 0
 	for _, tn := range tenants {
@@ -134,13 +135,13 @@ func runSoak(ctx context.Context, cfg sweepConfig, bits []int) error {
 	for ti, tn := range tenants {
 		sc := &soakCounts{tally: newErrorTally()}
 		counts[ti] = sc
-		cls := make([]*montsys.Client, len(addrs))
+		cls := make([]*server.Client, len(addrs))
 		for i, a := range addrs {
-			cls[i] = montsys.Dial(a,
-				montsys.WithClientPoolSize(tn.workers),
-				montsys.WithClientMaxRetries(tn.retries),
-				montsys.WithClientTenant(tn.name),
-				montsys.WithClientClass(tn.class))
+			cls[i] = server.Dial(a,
+				server.WithPoolSize(tn.workers),
+				server.WithMaxRetries(tn.retries),
+				server.WithClientTenant(tn.name),
+				server.WithClientClass(tn.class))
 			defer cls[i].Close()
 		}
 		for w := 0; w < tn.workers; w++ {

@@ -25,7 +25,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	montsys "repro"
+	"repro/internal/qos"
+	"repro/internal/server"
 )
 
 // tenantsQoSSpec is the server-side quota table this scenario is tuned
@@ -40,7 +41,7 @@ const tenantsQoSSpec = "acme:rate=400,burst=100,weight=4,class=interactive;" +
 // tenantLoad describes one synthetic tenant's offered load.
 type tenantLoad struct {
 	name    string
-	class   montsys.QoSClass
+	class   qos.Class
 	rate    float64 // target send rate, requests/s
 	retries int     // per-call retry budget (hostile tenants don't back off)
 
@@ -75,9 +76,9 @@ func runTenants(ctx context.Context, cfg sweepConfig, bits []int) error {
 		return fmt.Errorf("-scenario tenants requires -connect: QoS admission is a wire surface")
 	}
 	loads := []tenantLoad{
-		{name: "acme", class: montsys.QoSInteractive, rate: 100, retries: cfg.retries, budget: 0.02},
-		{name: "hog", class: montsys.QoSBatch, rate: 500, retries: 0, budget: -1},
-		{name: "bulk", class: montsys.QoSBestEffort, rate: 150, retries: 0, budget: -1},
+		{name: "acme", class: qos.Interactive, rate: 100, retries: cfg.retries, budget: 0.02},
+		{name: "hog", class: qos.Batch, rate: 500, retries: 0, budget: -1},
+		{name: "bulk", class: qos.BestEffort, rate: 150, retries: 0, budget: -1},
 	}
 	window := time.Duration(float64(cfg.jobs) / 100 * float64(time.Second))
 	if window < time.Second {
@@ -121,16 +122,16 @@ func runTenants(ctx context.Context, cfg sweepConfig, bits []int) error {
 		// ambient-context path is exercised by the unit tests), and the
 		// hostile tenant gets zero retries — an abuser doesn't politely
 		// honor retry-after hints.
-		var cls []*montsys.Client
+		var cls []*server.Client
 		for _, a := range addrs {
 			if a = strings.TrimSpace(a); a == "" {
 				continue
 			}
-			cl := montsys.Dial(a,
-				montsys.WithClientPoolSize(cfg.clients),
-				montsys.WithClientMaxRetries(l.retries),
-				montsys.WithClientTenant(l.name),
-				montsys.WithClientClass(l.class))
+			cl := server.Dial(a,
+				server.WithPoolSize(cfg.clients),
+				server.WithMaxRetries(l.retries),
+				server.WithClientTenant(l.name),
+				server.WithClientClass(l.class))
 			defer cl.Close()
 			cls = append(cls, cl)
 		}

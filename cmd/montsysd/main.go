@@ -46,7 +46,7 @@
 // uses it as its positive control); production leaves it on.
 //
 // -integrity arms the engine's per-operation result verification (see
-// montsys.WithEngineIntegrityCheck). -fault-rate > 0 wires in the
+// engine.WithIntegrityCheck). -fault-rate > 0 wires in the
 // deterministic fault injector — a chaos backend that corrupts its own
 // results on purpose. With recompute on (the default) the damage is
 // healed internally and only metrics show it; with
@@ -65,7 +65,7 @@
 // array; cios — the radix-2^64 CIOS fast path; big — the math/big
 // oracle; auto — per-job microbenchmark-driven selection).
 //
-// With -metrics the observability endpoints of PR 2 are served too:
+// With -metrics the observability endpoints are served too:
 // /metrics carries the engine series and the server series
 // (montsys_server_connections, montsys_server_inflight,
 // montsys_server_requests_total{op,code}, montsys_server_request_seconds)
@@ -96,7 +96,14 @@ import (
 	"syscall"
 	"time"
 
-	montsys "repro"
+	"repro/internal/cryptosvc"
+	"repro/internal/engine"
+	"repro/internal/faults"
+	"repro/internal/kits"
+	"repro/internal/obs"
+	"repro/internal/qos"
+	"repro/internal/server"
+	"repro/internal/systolic"
 )
 
 func main() {
@@ -149,25 +156,6 @@ type obsConfig struct {
 	sloTarget   float64
 }
 
-// wideWriter opens the wide-event destination. The returned closer is
-// nil for the stream destinations (and when disabled).
-func (oc obsConfig) wideWriter() (*montsys.WideWriter, *os.File, error) {
-	switch oc.wideDest {
-	case "":
-		return nil, nil, nil
-	case "stderr":
-		return montsys.NewWideWriter(os.Stderr), nil, nil
-	case "stdout":
-		return montsys.NewWideWriter(os.Stdout), nil, nil
-	default:
-		f, err := os.OpenFile(oc.wideDest, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, nil, fmt.Errorf("wide-events log: %w", err)
-		}
-		return montsys.NewWideWriter(f), f, nil
-	}
-}
-
 // faultConfig carries the chaos/integrity flags into run.
 type faultConfig struct {
 	rate      float64
@@ -181,13 +169,13 @@ type faultConfig struct {
 // engineOptions translates the fault/integrity flags into engine
 // options: the fault injector simulating a flaky core, and the
 // integrity checks that keep its corruption from reaching clients.
-func (fc faultConfig) engineOptions() ([]montsys.EngineOption, error) {
-	var opts []montsys.EngineOption
+func (fc faultConfig) engineOptions() ([]engine.Option, error) {
+	var opts []engine.Option
 	if fc.rate > 0 {
-		fOpts := []montsys.FaultOption{
-			montsys.WithFaultRate(fc.rate),
-			montsys.WithFaultSeed(fc.seed),
-			montsys.WithFaultBitFlip(-1),
+		fOpts := []faults.Option{
+			faults.WithRate(fc.rate),
+			faults.WithSeed(fc.seed),
+			faults.WithBitFlip(-1),
 		}
 		if fc.cores != "" {
 			var ids []int
@@ -198,14 +186,14 @@ func (fc faultConfig) engineOptions() ([]montsys.EngineOption, error) {
 				}
 				ids = append(ids, id)
 			}
-			fOpts = append(fOpts, montsys.WithFaultCores(ids...))
+			fOpts = append(fOpts, faults.WithCores(ids...))
 		}
-		opts = append(opts, montsys.WithEngineFaultInjector(montsys.NewFaultInjector(fOpts...)))
+		opts = append(opts, engine.WithFaultInjector(faults.New(fOpts...)))
 	}
 	if fc.integrity {
 		opts = append(opts,
-			montsys.WithEngineIntegrityCheck(fc.sample),
-			montsys.WithEngineIntegrityRecompute(fc.recompute))
+			engine.WithIntegrityCheck(fc.sample),
+			engine.WithIntegrityRecompute(fc.recompute))
 	}
 	return opts, nil
 }
@@ -222,7 +210,7 @@ type regConfig struct {
 // doubles as liveness against balancer restarts), and a goodbye when
 // the daemon starts draining.
 type registrar struct {
-	clients []*montsys.Client
+	clients []*server.Client
 	addrs   []string
 	adv     string
 	cancel  context.CancelFunc
@@ -255,10 +243,10 @@ func startRegistrar(rc regConfig, lnAddr net.Addr) (*registrar, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &registrar{addrs: lbs, adv: adv, cancel: cancel}
 	for _, lb := range lbs {
-		cl := montsys.Dial(lb)
+		cl := server.Dial(lb)
 		r.clients = append(r.clients, cl)
 		r.wg.Add(1)
-		go func(lb string, cl *montsys.Client) {
+		go func(lb string, cl *server.Client) {
 			defer r.wg.Done()
 			announced := false
 			t := time.NewTicker(15 * time.Second)
@@ -306,21 +294,21 @@ func (r *registrar) goodbye() {
 func run(listen string, workers int, kitName, variantName string, queue, cache,
 	inflight int, idle, drain, frameTimeout time.Duration, signBlinding bool, qosSpec string,
 	oc obsConfig, fc faultConfig, rc regConfig) error {
-	kit, err := montsys.ParseKit(kitName)
+	kit, err := kits.Parse(kitName)
 	if err != nil {
 		return err
 	}
-	var variant montsys.Variant
+	var variant systolic.Variant
 	switch variantName {
 	case "guarded":
-		variant = montsys.Guarded
+		variant = systolic.Guarded
 	case "faithful":
-		variant = montsys.Faithful
+		variant = systolic.Faithful
 	default:
 		return fmt.Errorf("unknown variant %q", variantName)
 	}
 
-	wide, wideFile, err := oc.wideWriter()
+	wide, wideFile, err := obs.OpenWideEvents(oc.wideDest)
 	if err != nil {
 		return err
 	}
@@ -328,29 +316,28 @@ func run(listen string, workers int, kitName, variantName string, queue, cache,
 		defer wideFile.Close()
 	}
 
-	col := montsys.NewCollector(montsys.WithTracing(oc.traceCap),
-		montsys.WithCollectorWideEvents(wide))
+	col := obs.NewCollector(obs.WithTracing(oc.traceCap), obs.WithWideEvents(wide))
 	col.Tracer().SetProcess("montsysd")
-	engOpts := []montsys.EngineOption{
-		montsys.WithEngineKit(kit),
-		montsys.WithEngineArrayVariant(variant),
-		montsys.WithEngineCtxCacheSize(cache),
-		montsys.WithEngineObserver(col),
+	engOpts := []engine.Option{
+		engine.WithKit(kit),
+		engine.WithArrayVariant(variant),
+		engine.WithCtxCacheSize(cache),
+		engine.WithObserver(col),
 	}
 	if workers > 0 {
-		engOpts = append(engOpts, montsys.WithEngineWorkers(workers))
+		engOpts = append(engOpts, engine.WithWorkers(workers))
 	}
 	if queue > 0 {
-		engOpts = append(engOpts, montsys.WithEngineQueueDepth(queue))
+		engOpts = append(engOpts, engine.WithQueueDepth(queue))
 	}
 	fcOpts, err := fc.engineOptions()
 	if err != nil {
 		return err
 	}
 	engOpts = append(engOpts, fcOpts...)
-	var plane *montsys.QoSPlane
+	var plane *qos.Plane
 	if qosSpec != "" {
-		qcfg, err := montsys.ParseQoSSpec(qosSpec)
+		qcfg, err := qos.ParseSpec(qosSpec)
 		if err != nil {
 			return fmt.Errorf("-qos: %w", err)
 		}
@@ -366,32 +353,35 @@ func run(listen string, workers int, kitName, variantName string, queue, cache,
 		if budget <= 0 {
 			budget = 4 * w
 		}
-		plane = montsys.NewQoSPlane(qcfg, budget, col.Registry())
-		engOpts = append(engOpts, montsys.WithEngineQoSObserver(plane))
+		plane = qos.NewPlane(qcfg, budget, col.Registry())
+		engOpts = append(engOpts, engine.WithQoSObserver(plane))
 	}
-	eng, err := montsys.NewEngine(engOpts...)
+	eng, err := engine.New(engOpts...)
 	if err != nil {
 		return err
 	}
 	defer eng.Close()
 	col.SetEngineInfo(eng.Workers(), kit.String(), fmt.Sprint(variant))
 
-	srvOpts := []montsys.ServerOption{
-		montsys.WithServerIdleTimeout(idle),
-		montsys.WithServerFrameTimeout(frameTimeout),
-		montsys.WithServerRegistry(col.Registry()),
-		montsys.WithServerTracer(col.Tracer()),
-		montsys.WithServerWideEvents(wide),
-		montsys.WithServerSignService(montsys.NewSignService(eng,
-			montsys.WithSignBlinding(signBlinding))),
+	srvOpts := []server.Option{
+		server.WithIdleTimeout(idle),
+		server.WithFrameTimeout(frameTimeout),
+		server.WithRegistry(col.Registry()),
+		server.WithTracer(col.Tracer()),
+		server.WithWideEvents(wide),
+		server.WithSignService(cryptosvc.New(eng, cryptosvc.WithBlinding(signBlinding))),
 	}
 	if inflight > 0 {
-		srvOpts = append(srvOpts, montsys.WithServerMaxInflight(inflight))
+		srvOpts = append(srvOpts, server.WithMaxInflight(inflight))
 	}
+	// A nil *qos.Plane must reach the mux as a nil obs.Quotaz, not a
+	// typed nil, so /quotaz answers 404 when -qos is off.
+	var quotaz obs.Quotaz
 	if plane != nil {
-		srvOpts = append(srvOpts, montsys.WithServerQoS(plane))
+		srvOpts = append(srvOpts, server.WithQoS(plane))
+		quotaz = plane
 	}
-	srv, err := montsys.NewServer(eng, srvOpts...)
+	srv, err := server.NewServer(eng, srvOpts...)
 	if err != nil {
 		return err
 	}
@@ -401,13 +391,13 @@ func run(listen string, workers int, kitName, variantName string, queue, cache,
 		if err != nil {
 			return fmt.Errorf("metrics listener: %w", err)
 		}
-		slo := montsys.NewSLOTracker(col.Registry(), 0)
+		slo := obs.NewSLOTracker(col.Registry(), 0)
 		srv.RegisterSLOs(slo, oc.sloLatency, oc.sloTarget)
 		slo.Start()
 		defer slo.Close()
 		fmt.Printf("montsysd: observability on http://%s/ (/metrics, /statusz, /quotaz, /debug/pprof/, /trace)\n", mln.Addr())
 		go func() {
-			if err := http.Serve(mln, montsys.NewQoSObsMux(col.Registry(), col.Tracer(), slo, plane)); err != nil {
+			if err := http.Serve(mln, obs.NewQoSMux(col.Registry(), col.Tracer(), slo, quotaz)); err != nil {
 				fmt.Fprintln(os.Stderr, "montsysd: metrics server:", err)
 			}
 		}()

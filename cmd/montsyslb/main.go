@@ -1,7 +1,7 @@
 // Command montsyslb is the cluster tier's front door: a load-balancing
 // proxy that speaks the montsysd wire protocol on one side and routes
 // to a fleet of montsysd backends on the other. Clients keep using the
-// ordinary montsys.Client — the proxy is indistinguishable from a very
+// ordinary Client — the proxy is indistinguishable from a very
 // reliable, very large montsysd.
 //
 // Usage:
@@ -105,7 +105,10 @@ import (
 	"syscall"
 	"time"
 
-	montsys "repro"
+	"repro/internal/cluster"
+	"repro/internal/obs"
+	"repro/internal/qos"
+	"repro/internal/server"
 )
 
 func main() {
@@ -163,40 +166,21 @@ type obsConfig struct {
 	sloTarget   float64
 }
 
-// wideWriter opens the wide-event destination. The returned file is
-// non-nil only for path destinations (the caller closes it).
-func (oc obsConfig) wideWriter() (*montsys.WideWriter, *os.File, error) {
-	switch oc.wideDest {
-	case "":
-		return nil, nil, nil
-	case "stderr":
-		return montsys.NewWideWriter(os.Stderr), nil, nil
-	case "stdout":
-		return montsys.NewWideWriter(os.Stdout), nil, nil
-	default:
-		f, err := os.OpenFile(oc.wideDest, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, nil, fmt.Errorf("wide-events log: %w", err)
-		}
-		return montsys.NewWideWriter(f), f, nil
-	}
-}
-
 // seedMembers resolves the -backends flag: "@path" loads a member
 // file, anything else parses as an inline "addr[=zone]" list. Returns
 // the members and the watched file path ("" when inline).
-func seedMembers(backends string) ([]montsys.ClusterMember, string, error) {
+func seedMembers(backends string) ([]cluster.Member, string, error) {
 	if path, ok := strings.CutPrefix(backends, "@"); ok {
-		ms, err := montsys.LoadClusterMemberFile(path)
+		ms, err := cluster.LoadMemberFile(path)
 		return ms, path, err
 	}
-	ms, err := montsys.ParseClusterMembers(backends)
+	ms, err := cluster.ParseMemberList(backends)
 	return ms, "", err
 }
 
 // memberStrings renders members back to the "addr[=zone]" form
-// NewCluster seeds from.
-func memberStrings(ms []montsys.ClusterMember) []string {
+// cluster.New seeds from.
+func memberStrings(ms []cluster.Member) []string {
 	out := make([]string, len(ms))
 	for i, m := range ms {
 		out[i] = m.Addr
@@ -215,8 +199,8 @@ func memberStrings(ms []montsys.ClusterMember) []string {
 // never goodbyed just because the file doesn't mention it, so the two
 // control planes compose instead of fighting. Join/goodbye are
 // idempotent, so a pass that races a self-registration is harmless.
-func watchMemberFile(ctx context.Context, cl *montsys.Cluster, path string,
-	every time.Duration, seeds []montsys.ClusterMember) {
+func watchMemberFile(ctx context.Context, cl *cluster.Cluster, path string,
+	every time.Duration, seeds []cluster.Member) {
 	t := time.NewTicker(every)
 	defer t.Stop()
 	var lastErr string
@@ -230,7 +214,7 @@ func watchMemberFile(ctx context.Context, cl *montsys.Cluster, path string,
 			return
 		case <-t.C:
 		}
-		desired, err := montsys.LoadClusterMemberFile(path)
+		desired, err := cluster.LoadMemberFile(path)
 		if err != nil {
 			if msg := err.Error(); msg != lastErr {
 				lastErr = msg
@@ -280,57 +264,61 @@ func run(listen, backends string, inflight int, idle, drain, probe, frameTimeout
 	}
 	addrs := memberStrings(members)
 
-	wide, wideFile, err := oc.wideWriter()
+	wide, wideFile, err := obs.OpenWideEvents(oc.wideDest)
 	if err != nil {
 		return err
 	}
 	if wideFile != nil {
 		defer wideFile.Close()
 	}
-	tracer := montsys.NewTracer(oc.traceCap)
+	tracer := obs.NewTracer(oc.traceCap)
 	tracer.SetProcess("montsyslb")
 
-	registry := montsys.NewMetricsRegistry()
-	var plane *montsys.QoSPlane
-	clOpts := []montsys.ClusterOption{
-		montsys.WithClusterRegistry(registry),
-		montsys.WithClusterProbeInterval(probe),
-		montsys.WithClusterAffinity(affinity),
-		montsys.WithClusterHedging(hedge),
-		montsys.WithClusterRetryBudget(budget, burst),
-		montsys.WithClusterIntegrityEjectThreshold(integrityEject),
-		montsys.WithClusterTracer(tracer),
-		montsys.WithClusterWideEvents(wide),
-		montsys.WithClusterZone(mc.zone),
-		montsys.WithClusterHandover(mc.handover, mc.handoverWarm),
-		montsys.WithClusterMaxMembers(mc.maxMembers),
+	registry := obs.NewRegistry()
+	var plane *qos.Plane
+	clOpts := []cluster.Option{
+		cluster.WithRegistry(registry),
+		cluster.WithProbeInterval(probe),
+		cluster.WithAffinity(affinity),
+		cluster.WithHedging(hedge),
+		cluster.WithRetryBudget(budget, burst),
+		cluster.WithIntegrityEjectThreshold(integrityEject),
+		cluster.WithTracer(tracer),
+		cluster.WithWideEvents(wide),
+		cluster.WithZone(mc.zone),
+		cluster.WithHandover(mc.handover, mc.handoverWarm),
+		cluster.WithMaxMembers(mc.maxMembers),
 	}
 	if qosSpec != "" {
-		qcfg, err := montsys.ParseQoSSpec(qosSpec)
+		qcfg, err := qos.ParseSpec(qosSpec)
 		if err != nil {
 			return fmt.Errorf("-qos: %w", err)
 		}
-		plane = montsys.NewQoSPlane(qcfg, inflight, registry)
-		clOpts = append(clOpts, montsys.WithClusterTenants(qcfg.TenantNames()))
+		plane = qos.NewPlane(qcfg, inflight, registry)
+		clOpts = append(clOpts, cluster.WithTenants(qcfg.TenantNames()))
 	}
-	cl, err := montsys.NewCluster(addrs, clOpts...)
+	cl, err := cluster.New(addrs, clOpts...)
 	if err != nil {
 		return err
 	}
 	defer cl.Close()
 
-	srvOpts := []montsys.ServerOption{
-		montsys.WithServerMaxInflight(inflight),
-		montsys.WithServerIdleTimeout(idle),
-		montsys.WithServerFrameTimeout(frameTimeout),
-		montsys.WithServerRegistry(registry),
-		montsys.WithServerTracer(tracer),
-		montsys.WithServerWideEvents(wide),
+	srvOpts := []server.Option{
+		server.WithMaxInflight(inflight),
+		server.WithIdleTimeout(idle),
+		server.WithFrameTimeout(frameTimeout),
+		server.WithRegistry(registry),
+		server.WithTracer(tracer),
+		server.WithWideEvents(wide),
 	}
+	// A nil *qos.Plane must reach the mux as a nil obs.Quotaz, not a
+	// typed nil, so /quotaz answers 404 when -qos is off.
+	var quotaz obs.Quotaz
 	if plane != nil {
-		srvOpts = append(srvOpts, montsys.WithServerQoS(plane))
+		srvOpts = append(srvOpts, server.WithQoS(plane))
+		quotaz = plane
 	}
-	srv, err := montsys.NewHandlerServer(cl, srvOpts...)
+	srv, err := server.NewHandlerServer(cl, srvOpts...)
 	if err != nil {
 		return err
 	}
@@ -340,13 +328,13 @@ func run(listen, backends string, inflight int, idle, drain, probe, frameTimeout
 		if err != nil {
 			return fmt.Errorf("metrics listener: %w", err)
 		}
-		slo := montsys.NewSLOTracker(registry, 0)
+		slo := obs.NewSLOTracker(registry, 0)
 		srv.RegisterSLOs(slo, oc.sloLatency, oc.sloTarget)
 		slo.Start()
 		defer slo.Close()
 		fmt.Printf("montsyslb: observability on http://%s/ (/metrics, /statusz, /quotaz, /trace)\n", mln.Addr())
 		go func() {
-			if err := http.Serve(mln, montsys.NewQoSObsMux(registry, tracer, slo, plane)); err != nil {
+			if err := http.Serve(mln, obs.NewQoSMux(registry, tracer, slo, quotaz)); err != nil {
 				fmt.Fprintln(os.Stderr, "montsyslb: metrics server:", err)
 			}
 		}()

@@ -73,6 +73,17 @@ import (
 // Option configures New.
 type Option func(*config)
 
+// Fixed routing constants. A backend's circuit breaker opens after
+// breakerThreshold consecutive transport failures and admits one trial
+// request after breakerCooldown. An affinity home keeps its requests
+// while its in-flight count ≤ 2×(least in-flight)+spillSlack; past
+// that they spill to the least-loaded backend.
+const (
+	breakerThreshold = 5
+	breakerCooldown  = 2 * time.Second
+	spillSlack       = 8
+)
+
 type config struct {
 	registry *obs.Registry
 
@@ -82,11 +93,7 @@ type config struct {
 	reinstateBase time.Duration
 	reinstateMax  time.Duration
 
-	breakerThreshold int
-	breakerCooldown  time.Duration
-
-	affinity   bool
-	spillSlack int64
+	affinity bool
 
 	hedge    bool
 	hedgeMin time.Duration
@@ -134,22 +141,9 @@ func WithReinstateBackoff(base, max time.Duration) Option {
 	return func(c *config) { c.reinstateBase, c.reinstateMax = base, max }
 }
 
-// WithBreaker tunes the per-backend circuit breaker: threshold
-// consecutive transport failures open it, and after cooldown one trial
-// request may close it (defaults 5, 2s).
-func WithBreaker(threshold int, cooldown time.Duration) Option {
-	return func(c *config) { c.breakerThreshold, c.breakerCooldown = threshold, cooldown }
-}
-
 // WithAffinity toggles modulus-affinity (HRW) routing (default on).
 // Off, every request uses least-inflight selection.
 func WithAffinity(on bool) Option { return func(c *config) { c.affinity = on } }
-
-// WithSpillSlack sets the load headroom an affinity home is allowed
-// over the least-loaded backend before requests spill away from it: the
-// home is used while its in-flight count ≤ 2×(least in-flight)+slack
-// (default 8).
-func WithSpillSlack(n int) Option { return func(c *config) { c.spillSlack = int64(n) } }
 
 // WithHedging toggles tail-latency hedging (default on). Hedges spend
 // from the retry budget.
@@ -299,25 +293,22 @@ func New(addrs []string, opts ...Option) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: no backend addresses")
 	}
 	cfg := config{
-		probeInterval:    time.Second,
-		probeTimeout:     time.Second,
-		failThreshold:    3,
-		reinstateBase:    500 * time.Millisecond,
-		reinstateMax:     30 * time.Second,
-		breakerThreshold: 5,
-		breakerCooldown:  2 * time.Second,
-		affinity:         true,
-		spillSlack:       8,
-		hedge:            true,
-		hedgeMin:         time.Millisecond,
-		hedgeMax:         250 * time.Millisecond,
-		budgetRatio:      0.1,
-		budgetBurst:      16,
-		integrityEject:   3,
-		handoverWindow:   30 * time.Second,
-		handoverMaxWarm:  256,
-		maxMembers:       64,
-		clock:            time.Now,
+		probeInterval:   time.Second,
+		probeTimeout:    time.Second,
+		failThreshold:   3,
+		reinstateBase:   500 * time.Millisecond,
+		reinstateMax:    30 * time.Second,
+		affinity:        true,
+		hedge:           true,
+		hedgeMin:        time.Millisecond,
+		hedgeMax:        250 * time.Millisecond,
+		budgetRatio:     0.1,
+		budgetBurst:     16,
+		integrityEject:  3,
+		handoverWindow:  30 * time.Second,
+		handoverMaxWarm: 256,
+		maxMembers:      64,
+		clock:           time.Now,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -382,7 +373,7 @@ func (c *Cluster) newBackend(addr, zone string, up bool) *backend {
 		met:  bm,
 		gone: make(chan struct{}),
 	}
-	b.br = newBreaker(c.cfg.breakerThreshold, c.cfg.breakerCooldown,
+	b.br = newBreaker(breakerThreshold, breakerCooldown,
 		func(s int) { bm.breakerState.Set(int64(s)) })
 	b.setUp(up)
 	return b
@@ -456,7 +447,7 @@ func (c *Cluster) Status() []BackendStatus {
 // ModExp computes Base^Exp mod N on the cluster, routing by N's
 // affinity home and hedging the tail.
 func (c *Cluster) ModExp(ctx context.Context, n, base, exp *big.Int) (*big.Int, error) {
-	return doCall(c, ctx, "modexp", affinityKey(n), true,
+	return doCall(c, ctx, server.OpModExp, affinityKey(n),
 		func(ctx context.Context, b *backend) (*big.Int, error) {
 			return b.cl.ModExp(ctx, n, base, exp)
 		})
@@ -465,7 +456,7 @@ func (c *Cluster) ModExp(ctx context.Context, n, base, exp *big.Int) (*big.Int, 
 // Mont computes the raw Montgomery product X·Y·R⁻¹ mod 2N on the
 // cluster.
 func (c *Cluster) Mont(ctx context.Context, n, x, y *big.Int) (*big.Int, error) {
-	return doCall(c, ctx, "mont", affinityKey(n), true,
+	return doCall(c, ctx, server.OpMont, affinityKey(n),
 		func(ctx context.Context, b *backend) (*big.Int, error) {
 			return b.cl.Mont(ctx, n, x, y)
 		})
@@ -480,7 +471,7 @@ func (c *Cluster) ModExpBatch(ctx context.Context, jobs []engine.ModExpJob) ([]e
 	if len(jobs) > 0 {
 		key = affinityKey(jobs[0].N)
 	}
-	return doCall(c, ctx, "batch_modexp", key, false,
+	return doCall(c, ctx, server.OpBatchModExp, key,
 		func(ctx context.Context, b *backend) ([]engine.ModExpResult, error) {
 			return b.cl.ModExpBatch(ctx, jobs)
 		})
@@ -507,7 +498,7 @@ func failoverable(err error) bool {
 }
 
 // doCall is the routing loop shared by every cluster operation: pick a
-// backend, attempt (with hedging when hedgeable), and on a failoverable
+// backend, attempt (hedging unless op answers per item), and on a failoverable
 // error move to the next backend — draining/down moves are free,
 // overload moves spend retry budget. Generic because ModExpBatch
 // returns a slice while the single ops return a value.
@@ -517,7 +508,7 @@ func failoverable(err error) bool {
 // window the first pick may dual-route — serve from the modulus's old
 // (warm) home while maybeWarm duplicates the call onto the new home in
 // the background.
-func doCall[T any](c *Cluster, ctx context.Context, op string, key []byte, hedgeable bool,
+func doCall[T any](c *Cluster, ctx context.Context, op server.Op, key []byte,
 	call func(context.Context, *backend) (T, error)) (T, error) {
 	var zero T
 	if c.closed.Load() {
@@ -545,7 +536,7 @@ func doCall[T any](c *Cluster, ctx context.Context, op string, key []byte, hedge
 		if warmTarget != nil {
 			maybeWarm(c, p, warmTarget, key, call)
 		}
-		v, err := attempt(c, ctx, op, p, b, key, tried, reason, budgeted, hedgeable, call)
+		v, err := attempt(c, ctx, op, p, b, key, tried, reason, budgeted, call)
 		if err == nil {
 			return v, nil
 		}
@@ -567,17 +558,18 @@ func doCall[T any](c *Cluster, ctx context.Context, op string, key []byte, hedge
 }
 
 // attempt runs one routed request on primary, hedging onto a second
-// backend if the p99-derived delay expires first. The first success
-// wins and cancels the other; hedge launches spend retry budget.
+// backend if the p99-derived delay expires first — except for ops
+// answered per item, which are never hedged. The first success wins
+// and cancels the other; hedge launches spend retry budget.
 //
 // For sampled requests every launch — primary and hedge — gets its own
 // child span: the backend client inherits the launch's trace context,
 // so its call span (and the remote server's spans) nest under the
 // route attempt that carried them. A lock-free won marker decides
 // which copy of a hedged race answered first; the loser's span says so.
-func attempt[T any](c *Cluster, ctx context.Context, op string, p *membership,
+func attempt[T any](c *Cluster, ctx context.Context, op server.Op, p *membership,
 	primary *backend, key []byte,
-	tried map[*backend]bool, reason string, budgeted, hedgeable bool,
+	tried map[*backend]bool, reason string, budgeted bool,
 	call func(context.Context, *backend) (T, error)) (T, error) {
 	var zero T
 	cctx, cancel := context.WithCancel(ctx)
@@ -623,7 +615,7 @@ func attempt[T any](c *Cluster, ctx context.Context, op string, p *membership,
 	// Best-effort traffic is exempt from hedging: a hedge spends fleet
 	// capacity (and retry budget) to shave tail latency, and best-effort
 	// is by definition the class whose tail nobody is paying for.
-	if hedgeable && c.cfg.hedge && len(p.backends) > 1 &&
+	if !op.PerItem() && c.cfg.hedge && len(p.backends) > 1 &&
 		qos.FromContext(ctx).Class != qos.BestEffort {
 		t := time.NewTimer(c.hedgeDelay())
 		defer t.Stop()
@@ -670,7 +662,7 @@ func attempt[T any](c *Cluster, ctx context.Context, op string, p *membership,
 // that answered first with a success — on a hedged race exactly one
 // attempt carries winner=true, and a losing-but-successful copy is the
 // hedge loss the span names explicitly.
-func (c *Cluster) recordAttempt(tc obs.TraceContext, span obs.SpanID, op string,
+func (c *Cluster) recordAttempt(tc obs.TraceContext, span obs.SpanID, op server.Op,
 	b *backend, reason string, start time.Time, elapsed time.Duration, err error,
 	hedged, budgeted, won bool) {
 	if !tc.Sampled || (c.cfg.tracer == nil && c.cfg.wide == nil) {
@@ -679,7 +671,7 @@ func (c *Cluster) recordAttempt(tc obs.TraceContext, span obs.SpanID, op string,
 	outcome := routeOutcome(err)
 	if c.cfg.tracer != nil {
 		s := obs.Span{
-			Name:    "route/" + op,
+			Name:    "route/" + op.String(),
 			Track:   "route",
 			Outcome: outcome,
 			Start:   start,
@@ -706,7 +698,7 @@ func (c *Cluster) recordAttempt(tc obs.TraceContext, span obs.SpanID, op string,
 	}
 	c.cfg.wide.Emit(&obs.WideEvent{
 		Layer:   "route",
-		Op:      op,
+		Op:      op.String(),
 		TraceID: tc.TraceID,
 		SpanID:  span,
 		Parent:  tc.SpanID,
@@ -887,11 +879,11 @@ func (c *Cluster) choose(p *membership, key []byte, excluded map[*backend]bool,
 			// out of up() and the modulus routes to its new home at once.
 			old := c.oldHome(p, key, excluded)
 			if old != nil && old != home &&
-				old.inflight.Load() <= 2*min+c.cfg.spillSlack {
+				old.inflight.Load() <= 2*min+spillSlack {
 				return old, "handover", home
 			}
 		}
-		if home.inflight.Load() <= 2*min+c.cfg.spillSlack {
+		if home.inflight.Load() <= 2*min+spillSlack {
 			return home, "affinity", nil
 		}
 		return least, "spill", nil

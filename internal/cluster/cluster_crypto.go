@@ -42,7 +42,7 @@ func (c *Cluster) keyhandle(h []byte) []byte {
 // yet to route by, so it goes to the least-loaded backend; determinism
 // (same bits+seed → same key) makes hedging safe.
 func (c *Cluster) KeygenRSA(ctx context.Context, bits int, seed int64) (*rsa.PrivateKey, error) {
-	return doCall(c, ctx, "keygen_rsa", nil, true,
+	return doCall(c, ctx, server.OpKeygenRSA, nil,
 		func(ctx context.Context, b *backend) (*rsa.PrivateKey, error) {
 			return b.cl.KeygenRSA(ctx, bits, seed)
 		})
@@ -55,7 +55,7 @@ func (c *Cluster) SignRSA(ctx context.Context, key *rsa.PrivateKey, digest *big.
 	if key != nil {
 		h = cryptosvc.RSAKeyHandle(key.N)
 	}
-	return doCall(c, ctx, "sign_rsa", c.keyhandle(h), true,
+	return doCall(c, ctx, server.OpSignRSA, c.keyhandle(h),
 		func(ctx context.Context, b *backend) (*big.Int, error) {
 			return b.cl.SignRSA(ctx, key, digest)
 		})
@@ -64,7 +64,7 @@ func (c *Cluster) SignRSA(ctx context.Context, key *rsa.PrivateKey, digest *big.
 // VerifyRSA verifies on the same home backend as signatures under the
 // same modulus, sharing its warm context.
 func (c *Cluster) VerifyRSA(ctx context.Context, n, e, digest, sig *big.Int) (bool, error) {
-	return doCall(c, ctx, "verify_rsa", c.keyhandle(cryptosvc.RSAKeyHandle(n)), true,
+	return doCall(c, ctx, server.OpVerifyRSA, c.keyhandle(cryptosvc.RSAKeyHandle(n)),
 		func(ctx context.Context, b *backend) (bool, error) {
 			return b.cl.VerifyRSA(ctx, n, e, digest, sig)
 		})
@@ -74,7 +74,7 @@ func (c *Cluster) VerifyRSA(ctx context.Context, n, e, digest, sig *big.Int) (bo
 // scalar handle). The nonce derives from seed, so hedged copies agree.
 func (c *Cluster) SignECDSA(ctx context.Context, curveID uint8, d, digest *big.Int, seed int64) (*big.Int, *big.Int, error) {
 	type sig struct{ r, s *big.Int }
-	v, err := doCall(c, ctx, "sign_ecdsa", c.keyhandle(cryptosvc.ECDSAKeyHandle(curveID, d)), true,
+	v, err := doCall(c, ctx, server.OpSignECDSA, c.keyhandle(cryptosvc.ECDSAKeyHandle(curveID, d)),
 		func(ctx context.Context, b *backend) (sig, error) {
 			r, s, err := b.cl.SignECDSA(ctx, curveID, d, digest, seed)
 			return sig{r, s}, err
@@ -93,7 +93,7 @@ func (c *Cluster) VerifyECDSABatch(ctx context.Context, curveID uint8, items []c
 	if len(items) > 0 {
 		h = cryptosvc.ECDSAKeyHandle(curveID, items[0].Qx, items[0].Qy)
 	}
-	return doCall(c, ctx, "verify_ecdsa_batch", c.keyhandle(h), false,
+	return doCall(c, ctx, server.OpVerifyECDSABatch, c.keyhandle(h),
 		func(ctx context.Context, b *backend) ([]cryptosvc.VerifyResult, error) {
 			return b.cl.VerifyECDSABatch(ctx, curveID, items)
 		})

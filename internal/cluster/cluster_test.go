@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cryptosvc"
 	"repro/internal/engine"
 	"repro/internal/errs"
 	"repro/internal/server"
@@ -420,6 +421,44 @@ func TestClusterHedgesPastStuckBackend(t *testing.T) {
 	}
 	if c.met.hedgeWins.Value() < 1 {
 		t.Error("hedge launched but did not win against a stuck primary")
+	}
+
+	// Ops answered per item are never hedged: homed on the stuck
+	// backend, a batch waits out its context instead of racing a copy
+	// onto the healthy one.
+	var qx *big.Int
+	for i := int64(1); ; i++ {
+		cand := big.NewInt(i)
+		h := cryptosvc.ECDSAKeyHandle(cryptosvc.CurveP256, cand, cand)
+		if hrwScore(h, addrs[0]) > hrwScore(h, addrs[1]) {
+			qx = cand
+			break
+		}
+	}
+	item := cryptosvc.ECDSAVerifyItem{Qx: qx, Qy: qx, R: big.NewInt(1), S: big.NewInt(1), Digest: big.NewInt(1)}
+	for _, tc := range []struct {
+		name string
+		call func(context.Context) error
+	}{
+		{"batch_modexp", func(ctx context.Context) error {
+			_, err := c.ModExpBatch(ctx, []engine.ModExpJob{{N: n, Base: big.NewInt(2), Exp: big.NewInt(10)}})
+			return err
+		}},
+		{"verify_ecdsa_batch", func(ctx context.Context) error {
+			_, err := c.VerifyECDSABatch(ctx, cryptosvc.CurveP256, []cryptosvc.ECDSAVerifyItem{item})
+			return err
+		}},
+	} {
+		hedges := c.met.hedges.Value()
+		bctx, bcancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+		err := tc.call(bctx)
+		bcancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s homed on the stuck backend: err = %v, want DeadlineExceeded", tc.name, err)
+		}
+		if d := c.met.hedges.Value() - hedges; d != 0 {
+			t.Errorf("%s launched %d hedges; per-item ops must never hedge", tc.name, d)
+		}
 	}
 }
 

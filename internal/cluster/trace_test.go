@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cryptosvc"
 	"repro/internal/engine"
 	"repro/internal/obs"
 )
@@ -96,6 +97,63 @@ func TestRouteSpansRecorded(t *testing.T) {
 	}
 	if !sawRouteLine {
 		t.Fatalf("no route wide event:\n%s", wideBuf.String())
+	}
+
+	// Every routed op names its route span and its route wide event
+	// after its wire op.
+	if _, err := c.Mont(ctx, n, big.NewInt(3), big.NewInt(5)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ModExpBatch(ctx, []engine.ModExpJob{{N: n, Base: big.NewInt(2), Exp: big.NewInt(9)}}); err != nil {
+		t.Fatal(err)
+	}
+	key, err := c.KeygenRSA(ctx, 256, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := big.NewInt(0xCAFE)
+	sig, err := c.SignRSA(ctx, key, digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.VerifyRSA(ctx, key.N, key.E, digest, sig); err != nil {
+		t.Fatal(err)
+	}
+	r, s, err := c.SignECDSA(ctx, cryptosvc.CurveP256, big.NewInt(0x1337), digest, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	item := cryptosvc.ECDSAVerifyItem{Qx: big.NewInt(1), Qy: big.NewInt(2), R: r, S: s, Digest: digest}
+	if _, err := c.VerifyECDSABatch(ctx, cryptosvc.CurveP256, []cryptosvc.ECDSAVerifyItem{item}); err != nil {
+		t.Fatal(err)
+	}
+	spanOps, wideOps := map[string]bool{}, map[string]bool{}
+	for _, s := range tracer.Spans() {
+		if op, ok := strings.CutPrefix(s.Name, "route/"); ok {
+			spanOps[op] = true
+		}
+	}
+	for _, line := range strings.Split(strings.TrimSpace(wideBuf.String()), "\n") {
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("wide line not JSON: %v\n%s", err, line)
+		}
+		if ev["layer"] == "route" {
+			wideOps[ev["op"].(string)] = true
+		}
+	}
+	want := []string{"modexp", "mont", "batch_modexp", "keygen_rsa", "sign_rsa",
+		"verify_rsa", "sign_ecdsa", "verify_ecdsa_batch"}
+	for _, op := range want {
+		if !spanOps[op] {
+			t.Errorf("no route/%s span; route spans seen: %v", op, spanOps)
+		}
+		if !wideOps[op] {
+			t.Errorf("no route wide event with op %q; ops seen: %v", op, wideOps)
+		}
+	}
+	if len(spanOps) != len(want) || len(wideOps) != len(want) {
+		t.Errorf("route ops: spans %v, wide events %v, want exactly %v", spanOps, wideOps, want)
 	}
 }
 

@@ -113,9 +113,8 @@ type VerifyResult struct {
 // can answer for the same keys (the cluster tier routes repeat-key
 // traffic to one home backend only to keep context caches warm).
 type Service struct {
-	eng       *engine.Engine
-	blinding  bool
-	blindBits int
+	eng      *engine.Engine
+	blinding bool
 
 	// seeded is the deterministic blinding source installed by
 	// WithBlindSeed — tests and trace campaigns only. When nil (the
@@ -133,20 +132,13 @@ type drawFunc func(bound *big.Int) (*big.Int, error)
 // Option configures New.
 type Option func(*Service)
 
+// blindBits is the bit width of the exponent-blinding randomizer.
+const blindBits = 64
+
 // WithBlinding toggles message + exponent blinding on the private-key
 // paths (default on). Turning it off exists for benchmarks and for the
 // SCA gate's teeth check — production paths should never disable it.
 func WithBlinding(on bool) Option { return func(s *Service) { s.blinding = on } }
-
-// WithBlindBits sets the bit width of the exponent-blinding randomizer
-// (default 64).
-func WithBlindBits(n int) Option {
-	return func(s *Service) {
-		if n > 0 {
-			s.blindBits = n
-		}
-	}
-}
 
 // WithBlindSeed makes the blinding randomness deterministic — for
 // tests and the SCA gate only. Without it the service draws every
@@ -160,11 +152,7 @@ func WithBlindSeed(seed int64) Option {
 // caller-owned; closing the service's engine fails in-flight calls
 // with errs.ErrEngineClosed like any other engine submission.
 func New(eng *engine.Engine, opts ...Option) *Service {
-	s := &Service{
-		eng:       eng,
-		blinding:  true,
-		blindBits: 64,
-	}
+	s := &Service{eng: eng, blinding: true}
 	for _, o := range opts {
 		o(s)
 	}
@@ -426,8 +414,8 @@ func (s *Service) signCRT(ctx context.Context, key *rsa.PrivateKey, base *big.In
 // source without touching the service's.
 func (s *Service) blindExponent(d, p *big.Int, draw drawFunc) (*big.Int, error) {
 	pm1 := new(big.Int).Sub(p, big.NewInt(1))
-	target := pm1.BitLen() + s.blindBits
-	span := new(big.Int).Lsh(big.NewInt(1), uint(s.blindBits-1))
+	target := pm1.BitLen() + blindBits
+	span := new(big.Int).Lsh(big.NewInt(1), blindBits-1)
 	for {
 		r, err := draw(span)
 		if err != nil {

@@ -100,8 +100,8 @@ func (s *Service) windows(key *rsa.PrivateKey) (pPts, qPts int) {
 	pLen := new(big.Int).Sub(key.P, big.NewInt(1)).BitLen()
 	qLen := new(big.Int).Sub(key.Q, big.NewInt(1)).BitLen()
 	if s.blinding {
-		pLen += s.blindBits
-		qLen += s.blindBits
+		pLen += blindBits
+		qLen += blindBits
 	}
 	return pLen - tailSkip, qLen - tailSkip
 }

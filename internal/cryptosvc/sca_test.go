@@ -101,7 +101,7 @@ func TestBlindedExponentShape(t *testing.T) {
 	key := testKey(t, 512, 55)
 	eng := testEngine(t)
 	svc := New(eng, WithBlindSeed(9))
-	want := new(big.Int).Sub(key.P, big.NewInt(1)).BitLen() + svc.blindBits
+	want := new(big.Int).Sub(key.P, big.NewInt(1)).BitLen() + blindBits
 	seen := map[string]bool{}
 	for i := 0; i < 50; i++ {
 		b, err := svc.blindExponent(key.DP, key.P, svc.randInt)

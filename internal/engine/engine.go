@@ -55,12 +55,10 @@ type config struct {
 	integritySample    float64 // modexp full-recheck rate in [0, 1]
 	integrityRecompute bool
 	injector           *faults.Injector
-	quarBase, quarMax  time.Duration
 	watchdogK          float64
 	clk                clock
 
-	laneAging time.Duration
-	qosObs    QoSObserver
+	qosObs QoSObserver
 
 	// Test seams: override how workers build their cores (e.g. a
 	// deliberately panicking fake). nil = the real constructors.
@@ -133,13 +131,6 @@ func WithFaultInjector(in *faults.Injector) Option {
 	return func(c *config) { c.injector = in }
 }
 
-// WithQuarantineBackoff sets the re-probe schedule for quarantined
-// cores: the first known-answer probe runs after base, doubling up to
-// max, with ±50% jitter (default 100ms…10s).
-func WithQuarantineBackoff(base, max time.Duration) Option {
-	return func(c *config) { c.quarBase = base; c.quarMax = max }
-}
-
 // WithWatchdog arms the per-job watchdog: a job still running after
 // k × its hardware cycle bound (3l+4 cycles for a Montgomery product,
 // the Eq. 10 upper bound 6l²+14l+12 for an exponentiation, budgeted
@@ -165,13 +156,6 @@ type QoSObserver interface {
 // WithQoSObserver attaches a QoS observer (see QoSObserver). Like
 // WithObserver, the default is none and costs a nil check per event.
 func WithQoSObserver(o QoSObserver) Option { return func(c *config) { c.qosObs = o } }
-
-// WithLaneAging sets the scheduler's aging quantum: every full quantum
-// a lane's head job has waited promotes that lane one priority class,
-// bounding how long sustained higher-priority load can delay it
-// (default 100ms). Smaller quanta trade strictness of priority for a
-// tighter starvation bound.
-func WithLaneAging(d time.Duration) Option { return func(c *config) { c.laneAging = d } }
 
 // withClock overrides the engine's time source (tests only).
 func withClock(c clock) Option { return func(cfg *config) { cfg.clk = c } }
@@ -201,8 +185,6 @@ type Engine struct {
 	closing chan struct{}
 	healthy atomic.Int64 // workers not currently quarantined
 	integ   *integrity.System
-	iobs    IntegrityObserver
-	sobs    SpanObserver
 
 	// sel resolves kits.Auto to a concrete kit per job; nil unless the
 	// engine was built with WithKit(kits.Auto).
@@ -219,8 +201,6 @@ func New(opts ...Option) (*Engine, error) {
 		variant:            systolic.Guarded,
 		cacheSize:          128,
 		integrityRecompute: true,
-		quarBase:           100 * time.Millisecond,
-		quarMax:            10 * time.Second,
 		clk:                realClock{},
 	}
 	for _, o := range opts {
@@ -244,15 +224,9 @@ func New(opts ...Option) (*Engine, error) {
 	if cfg.integritySample > 1 {
 		cfg.integritySample = 1
 	}
-	if cfg.quarBase <= 0 {
-		cfg.quarBase = 100 * time.Millisecond
-	}
-	if cfg.quarMax < cfg.quarBase {
-		cfg.quarMax = cfg.quarBase
-	}
 	e := &Engine{
 		cfg:     cfg,
-		sched:   newLaneScheduler(cfg.queue, cfg.laneAging),
+		sched:   newLaneScheduler(cfg.queue, defaultLaneAging),
 		cache:   newCtxCache(cfg.cacheSize),
 		closing: make(chan struct{}),
 	}
@@ -269,12 +243,6 @@ func New(opts ...Option) (*Engine, error) {
 	}
 	if cfg.integrity {
 		e.integ = integrity.NewSystem(0)
-	}
-	if io, ok := cfg.observer.(IntegrityObserver); ok {
-		e.iobs = io
-	}
-	if so, ok := cfg.observer.(SpanObserver); ok {
-		e.sobs = so
 	}
 	e.cache.obs = cfg.observer
 	e.wg.Add(cfg.workers)

@@ -18,11 +18,10 @@ type realClock struct{}
 
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
-// integrityEvent forwards a lifecycle event to the observer, if it
-// cares (IntegrityObserver is optional — see observer.go).
+// integrityEvent forwards a lifecycle event to the observer, if any.
 func (e *Engine) integrityEvent(event string, worker int) {
-	if e.iobs != nil {
-		e.iobs.IntegrityEvent(event, worker)
+	if ob := e.cfg.observer; ob != nil {
+		ob.IntegrityEvent(event, worker)
 	}
 }
 
@@ -68,18 +67,25 @@ func (w *worker) quarantineWait() {
 	}
 }
 
+// Quarantine re-probe schedule: the first known-answer probe runs
+// after quarantineBase, doubling per failed probe up to quarantineMax.
+const (
+	quarantineBase = 100 * time.Millisecond
+	quarantineMax  = 10 * time.Second
+)
+
 // backoff is the jittered exponential re-probe schedule:
-// base·2^fails clamped to max, ±50% jitter — the same shape as the
-// cluster tier's backend reinstatement so thundering re-entries don't
-// line up.
+// quarantineBase·2^fails clamped to quarantineMax, ±50% jitter — the
+// same shape as the cluster tier's backend reinstatement so thundering
+// re-entries don't line up.
 func (w *worker) backoff() time.Duration {
 	shift := w.probeFails
 	if shift > 20 {
 		shift = 20
 	}
-	d := w.eng.cfg.quarBase << shift
-	if d <= 0 || d > w.eng.cfg.quarMax {
-		d = w.eng.cfg.quarMax
+	d := quarantineBase << shift
+	if d > quarantineMax {
+		d = quarantineMax
 	}
 	return d/2 + time.Duration(w.rng.Int63n(int64(d)))
 }

@@ -40,8 +40,10 @@ import (
 	"repro/internal/qos"
 )
 
-// defaultLaneAging is the aging quantum: every full quantum a lane's
-// head job has waited promotes the lane one class for scheduling.
+// defaultLaneAging is the engine's aging quantum: every full quantum a
+// lane's head job has waited promotes the lane one class for
+// scheduling, bounding how long sustained higher-priority load can
+// delay it.
 const defaultLaneAging = 100 * time.Millisecond
 
 // laneHeap is one class's EDF min-heap, ordered by (deadline, seq)
@@ -109,9 +111,6 @@ type laneScheduler struct {
 }
 
 func newLaneScheduler(capacity int, aging time.Duration) *laneScheduler {
-	if aging <= 0 {
-		aging = defaultLaneAging
-	}
 	s := &laneScheduler{cap: capacity, aging: aging}
 	s.cond = sync.NewCond(&s.mu)
 	return s

@@ -7,11 +7,12 @@ import (
 )
 
 // Observer receives engine lifecycle callbacks: job submission,
-// dequeue, completion, and modulus-context cache traffic. Attach one
-// with WithObserver to feed an external metrics/tracing sink (see
-// internal/obs.Collector, which satisfies this interface); leave it
-// unset and the engine skips every callback with a single nil check —
-// instrumentation is strictly opt-in and near-zero-cost when disabled.
+// dequeue, completion, modulus-context cache traffic and integrity
+// events. Attach one with WithObserver to feed an external
+// metrics/tracing sink (see internal/obs.Collector, which satisfies
+// this interface); leave it unset and the engine skips every callback
+// with a single nil check — instrumentation is strictly opt-in and
+// near-zero-cost when disabled.
 //
 // Callbacks run inline on the submission path (JobSubmitted) and the
 // worker cores (everything else), possibly concurrently, so
@@ -27,17 +28,20 @@ type Observer interface {
 	// including ones that immediately fail expiry checks.
 	JobStarted(kind string, worker int, queueWait time.Duration)
 
-	// JobFinished fires when a job reaches a terminal state — outcome
+	// JobSpan fires once when a job reaches a terminal state — Outcome
 	// "ok", "failed" (invalid operands or arithmetic errors) or
 	// "canceled" (batch context done / per-job deadline passed) — and
-	// once more with outcome "requeued" each time a job whose result
+	// once more with Outcome "requeued" each time a job whose result
 	// failed an integrity check goes back on the queue for recompute
 	// (not terminal: the same job finishes later on another core).
-	// start is the enqueue instant; queueWait and exec partition the
-	// job's total latency. muls, modelCycles and simCycles report the
-	// work the job performed (all zero unless outcome is "ok").
-	JobFinished(kind string, worker int, outcome string, start time.Time,
-		queueWait, exec time.Duration, muls, modelCycles, simCycles int64)
+	// Start is the enqueue instant; QueueWait and Exec partition the
+	// job's total latency, Integrity is the tail of Exec spent
+	// re-verifying the result. Muls, ModelCycles, SimCycles and Kit
+	// report the work the job performed and the concrete kit that did
+	// it (zero unless Outcome is "ok"). For requests sampled by the
+	// tracing plane the trace/span ids join this job into its
+	// request's cross-process trace tree.
+	JobSpan(s obs.Span)
 
 	// CacheHit / CacheMiss / CacheEviction fire on modulus-context LRU
 	// traffic: a context reused, a precomputation run, a context
@@ -45,49 +49,21 @@ type Observer interface {
 	CacheHit()
 	CacheMiss()
 	CacheEviction()
-}
 
-// IntegrityObserver is the optional extension an Observer may also
-// implement to receive integrity lifecycle events; the engine
-// type-asserts for it at construction, so plain Observers keep
-// working unchanged. event is one of "check_failed" (a result failed
-// its residue/re-verification check), "quarantine" / "probe_failed" /
-// "reinstate" (the benched-core lifecycle), "panic" (a core panicked
-// mid-job), "watchdog" (a job blew its cycle budget) or "recompute"
-// (a corrupted job was redone, by requeue or inline oracle).
-//
-// Like Observer, implementations must be safe for concurrent use —
-// watchdog-abandoned goroutines may report "panic" after their worker
-// has moved on.
-type IntegrityObserver interface {
+	// IntegrityEvent fires on integrity lifecycle events. event is one
+	// of "check_failed" (a result failed its residue/re-verification
+	// check), "quarantine" / "probe_failed" / "reinstate" (the
+	// benched-core lifecycle), "panic" (a core panicked mid-job),
+	// "watchdog" (a job blew its cycle budget) or "recompute" (a
+	// corrupted job was redone, by requeue or inline oracle). It may
+	// fire after the worker has moved on: watchdog-abandoned
+	// goroutines report "panic" late.
 	IntegrityEvent(event string, worker int)
 }
 
-// SpanObserver is the optional extension an Observer may also
-// implement to receive the span-shaped superset of JobFinished: the
-// same terminal-state notification carrying everything extra the
-// worker knows — the concrete kit that computed the job, the tail of
-// execution spent in the integrity check, and (for requests sampled by
-// the cluster tracing plane) the trace/span ids that join this job
-// into its request's cross-process trace tree.
-//
-// The engine type-asserts for it at construction, exactly like
-// IntegrityObserver. When present, JobSpan fires INSTEAD of
-// JobFinished for every finish — one or the other, never both, so an
-// implementation backing both methods with one sink (obs.Collector
-// routes JobFinished through JobSpan) counts each job once.
-type SpanObserver interface {
-	JobSpan(s obs.Span)
-}
-
-// internal/obs.Collector must keep satisfying Observer (and the
-// integrity and span extensions) without obs importing engine (the
-// interfaces are matched structurally).
-var (
-	_ Observer          = (*obs.Collector)(nil)
-	_ IntegrityObserver = (*obs.Collector)(nil)
-	_ SpanObserver      = (*obs.Collector)(nil)
-)
+// internal/obs.Collector must keep satisfying Observer without obs
+// importing engine (the interface is matched structurally).
+var _ Observer = (*obs.Collector)(nil)
 
 // kindName reports the observer-facing name of a job kind.
 func (k jobKind) kindName() string {
@@ -97,7 +73,7 @@ func (k jobKind) kindName() string {
 	return "modexp"
 }
 
-// outcome strings passed to Observer.JobFinished.
+// outcome strings reported in Observer.JobSpan.
 const (
 	outcomeOK       = "ok"
 	outcomeFailed   = "failed"

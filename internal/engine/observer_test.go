@@ -41,22 +41,22 @@ func (r *recordingObserver) JobStarted(kind string, worker int, queueWait time.D
 	r.mu.Unlock()
 }
 
-func (r *recordingObserver) JobFinished(kind string, worker int, outcome string,
-	start time.Time, queueWait, exec time.Duration, muls, modelCycles, simCycles int64) {
+func (r *recordingObserver) JobSpan(s obs.Span) {
 	r.mu.Lock()
-	r.finished[outcome]++
-	if muls > 0 && modelCycles > 0 {
+	r.finished[s.Outcome]++
+	if s.Muls > 0 && s.ModelCycles > 0 {
 		r.sawWork = true
 	}
-	if exec > 0 {
+	if s.Exec > 0 {
 		r.sawExec = true
 	}
 	r.mu.Unlock()
 }
 
-func (r *recordingObserver) CacheHit()      { r.mu.Lock(); r.hits++; r.mu.Unlock() }
-func (r *recordingObserver) CacheMiss()     { r.mu.Lock(); r.misses++; r.mu.Unlock() }
-func (r *recordingObserver) CacheEviction() { r.mu.Lock(); r.evictions++; r.mu.Unlock() }
+func (r *recordingObserver) CacheHit()                  { r.mu.Lock(); r.hits++; r.mu.Unlock() }
+func (r *recordingObserver) CacheMiss()                 { r.mu.Lock(); r.misses++; r.mu.Unlock() }
+func (r *recordingObserver) CacheEviction()             { r.mu.Lock(); r.evictions++; r.mu.Unlock() }
+func (r *recordingObserver) IntegrityEvent(string, int) {}
 
 // TestObserverLifecycle: every job produces exactly one submit, one
 // start and one finish callback, with work accounting on successes.

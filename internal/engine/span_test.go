@@ -15,26 +15,19 @@ import (
 	"repro/internal/obs"
 )
 
-// spanRecorder is an Observer that also implements SpanObserver: the
-// engine must then deliver every terminal state through JobSpan and
-// never through JobFinished.
+// spanRecorder is an Observer that keeps every span the engine
+// delivers through JobSpan.
 type spanRecorder struct {
-	mu       sync.Mutex
-	spans    []obs.Span
-	finished int // legacy JobFinished calls — must stay zero
+	mu    sync.Mutex
+	spans []obs.Span
 }
 
 func (r *spanRecorder) JobSubmitted(string)                   {}
 func (r *spanRecorder) JobStarted(string, int, time.Duration) {}
-func (r *spanRecorder) JobFinished(string, int, string, time.Time,
-	time.Duration, time.Duration, int64, int64, int64) {
-	r.mu.Lock()
-	r.finished++
-	r.mu.Unlock()
-}
-func (r *spanRecorder) CacheHit()      {}
-func (r *spanRecorder) CacheMiss()     {}
-func (r *spanRecorder) CacheEviction() {}
+func (r *spanRecorder) CacheHit()                             {}
+func (r *spanRecorder) CacheMiss()                            {}
+func (r *spanRecorder) CacheEviction()                        {}
+func (r *spanRecorder) IntegrityEvent(string, int)            {}
 func (r *spanRecorder) JobSpan(s obs.Span) {
 	r.mu.Lock()
 	r.spans = append(r.spans, s)
@@ -52,11 +45,9 @@ func (r *spanRecorder) byOutcome() map[string][]obs.Span {
 	return m
 }
 
-// TestJobSpanReplacesJobFinished: with a SpanObserver attached, every
-// job lands in JobSpan exactly once — OK spans carrying the concrete
-// kit — and the legacy JobFinished hook stays silent (no double
-// counting).
-func TestJobSpanReplacesJobFinished(t *testing.T) {
+// TestJobSpanOncePerJob: every job lands in JobSpan exactly once, OK
+// spans carrying the concrete kit and the work accounting.
+func TestJobSpanOncePerJob(t *testing.T) {
 	rec := &spanRecorder{}
 	eng, err := New(WithWorkers(2), WithObserver(rec))
 	if err != nil {
@@ -75,8 +66,8 @@ func TestJobSpanReplacesJobFinished(t *testing.T) {
 	}
 
 	by := rec.byOutcome()
-	if len(by["ok"]) != count {
-		t.Fatalf("ok spans = %d, want %d", len(by["ok"]), count)
+	if len(by["ok"]) != count || len(by) != 1 {
+		t.Fatalf("spans by outcome = %d ok of %d buckets, want %d ok only", len(by["ok"]), len(by), count)
 	}
 	for _, s := range by["ok"] {
 		if s.Kit == "" {
@@ -85,11 +76,6 @@ func TestJobSpanReplacesJobFinished(t *testing.T) {
 		if s.Muls == 0 || s.ModelCycles == 0 {
 			t.Errorf("ok span missing work accounting: %+v", s)
 		}
-	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if rec.finished != 0 {
-		t.Fatalf("JobFinished fired %d times alongside JobSpan", rec.finished)
 	}
 }
 

@@ -158,7 +158,7 @@ func (w *worker) run(j *job) bool {
 	}
 
 	// doneKit and integDur accumulate what the span reports beyond the
-	// legacy JobFinished payload: the concrete kit (set on the OK path
+	// timings and work counts: the concrete kit (set on the OK path
 	// only — a failed job's kit field would be a zero-value lie) and
 	// the tail of execution spent re-verifying the result.
 	doneKit := kits.Kit(-1)
@@ -184,8 +184,7 @@ func (w *worker) run(j *job) bool {
 			ctr.failed.Add(1)
 			ctr.failedLat.Observe((queueWait + exec).Nanoseconds())
 		}
-		switch {
-		case w.eng.sobs != nil:
+		if ob != nil {
 			s := obs.Span{
 				Name: j.kind.kindName(), Worker: w.id, Outcome: outcome,
 				Start: j.enqueued, QueueWait: queueWait, Exec: exec,
@@ -198,10 +197,7 @@ func (w *worker) run(j *job) bool {
 			if tc, ok := obs.TraceFromContext(j.ctx); ok && tc.Sampled {
 				s.TraceID, s.Parent, s.SpanID = tc.TraceID, tc.SpanID, obs.NewSpanID()
 			}
-			w.eng.sobs.JobSpan(s)
-		case ob != nil:
-			ob.JobFinished(j.kind.kindName(), w.id, outcome, j.enqueued,
-				queueWait, exec, muls, modelCycles, simCycles)
+			ob.JobSpan(s)
 		}
 	}
 

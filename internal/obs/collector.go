@@ -56,16 +56,9 @@ type Collector struct {
 type CollectorOption func(*collectorConfig)
 
 type collectorConfig struct {
-	registry *Registry
 	traceCap int
 	tracing  bool
 	wide     *WideWriter
-}
-
-// WithRegistry collects into an existing registry (default: a fresh
-// one), letting several engines share one /metrics page.
-func WithRegistry(r *Registry) CollectorOption {
-	return func(c *collectorConfig) { c.registry = r }
 }
 
 // WithTracing enables the span ring buffer, keeping the most recent
@@ -89,7 +82,7 @@ var jobKinds = []string{"modexp", "mont", "other"}
 var outcomes = []string{"ok", "failed", "canceled", "requeued"}
 
 // integrityEvents are the engine's integrity lifecycle events (see
-// engine.IntegrityObserver); anything new lands on "other" so an
+// engine.Observer.IntegrityEvent); anything new lands on "other" so an
 // engine upgrade can't panic an old collector.
 var integrityEvents = []string{
 	"check_failed", "quarantine", "probe_failed", "reinstate",
@@ -103,10 +96,7 @@ func NewCollector(opts ...CollectorOption) *Collector {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	reg := cfg.registry
-	if reg == nil {
-		reg = NewRegistry()
-	}
+	reg := NewRegistry()
 	c := &Collector{
 		reg:       reg,
 		wide:      cfg.wide,
@@ -208,27 +198,12 @@ func (c *Collector) JobStarted(kind string, worker int, queueWait time.Duration)
 	c.queueWait.ObserveDuration(queueWait)
 }
 
-// JobFinished implements engine.Observer: a job reached outcome
-// ("ok" | "failed" | "canceled") on the given worker core. start is the
-// enqueue instant; queueWait and exec split its total latency; muls,
-// modelCycles and simCycles are the job's own work accounting (zero
-// for failures). It is the span-less compatibility path: the full
-// bookkeeping lives in JobSpan, which engines that know about spans
-// (kit identity, trace context, integrity timing) call directly.
-func (c *Collector) JobFinished(kind string, worker int, outcome string,
-	start time.Time, queueWait, exec time.Duration, muls, modelCycles, simCycles int64) {
-	c.JobSpan(Span{
-		Name: kind, Worker: worker, Outcome: outcome,
-		Start: start, QueueWait: queueWait, Exec: exec,
-		Muls: muls, ModelCycles: modelCycles, SimCycles: simCycles,
-	})
-}
-
-// JobSpan implements engine.SpanObserver: the span-shaped superset of
-// JobFinished. One call does all terminal-state bookkeeping — outcome
-// counters, latency/exec histograms (aggregate and per-kit), work
-// accounting, the tracer ring, and (for sampled spans with wide
-// events on) one wide engine log line.
+// JobSpan implements engine.Observer: a job reached s.Outcome
+// ("ok" | "failed" | "canceled" | "requeued") on worker s.Worker. One
+// call does all terminal-state bookkeeping — outcome counters,
+// latency/exec histograms (aggregate and per-kit), work accounting, the
+// tracer ring, and (for sampled spans with wide events on) one wide
+// engine log line.
 func (c *Collector) JobSpan(s Span) {
 	kind := c.kind(s.Name)
 	c.finished[kind].Inc()
@@ -294,7 +269,7 @@ func (c *Collector) CacheMiss() { c.cacheMisses.Inc() }
 // CacheEviction implements engine.Observer.
 func (c *Collector) CacheEviction() { c.cacheEvictions.Inc() }
 
-// IntegrityEvent implements engine.IntegrityObserver: one integrity
+// IntegrityEvent implements engine.Observer: one integrity
 // lifecycle event on the given worker core. Quarantine and
 // reinstatement additionally move the quarantined-workers gauge so a
 // dashboard shows benched cores directly.

@@ -31,11 +31,11 @@ func TestHandlerEndToEnd(t *testing.T) {
 	col.SetEngineInfo(4, "model", "guarded")
 	col.JobSubmitted("modexp")
 	col.JobStarted("modexp", 0, 50*time.Microsecond)
-	col.JobFinished("modexp", 0, "ok", time.Now().Add(-time.Millisecond),
-		50*time.Microsecond, 900*time.Microsecond, 7, 1234, 0)
+	col.JobSpan(Span{Name: "modexp", Worker: 0, Outcome: "ok", Start: time.Now().Add(-time.Millisecond),
+		QueueWait: 50 * time.Microsecond, Exec: 900 * time.Microsecond, Muls: 7, ModelCycles: 1234})
 	col.JobSubmitted("mont")
 	col.JobStarted("mont", 1, time.Microsecond)
-	col.JobFinished("mont", 1, "canceled", time.Now(), time.Microsecond, 0, 0, 0, 0)
+	col.JobSpan(Span{Name: "mont", Worker: 1, Outcome: "canceled", Start: time.Now(), QueueWait: time.Microsecond})
 	col.CacheHit()
 	col.CacheMiss()
 	col.CacheEviction()
@@ -124,7 +124,7 @@ func TestTraceHandlerDisabled(t *testing.T) {
 func TestCollectorUnknownKind(t *testing.T) {
 	col := NewCollector()
 	col.JobSubmitted("mystery")
-	col.JobFinished("mystery", 0, "ok", time.Now(), 0, time.Microsecond, 1, 0, 0)
+	col.JobSpan(Span{Name: "mystery", Outcome: "ok", Start: time.Now(), Exec: time.Microsecond, Muls: 1})
 	var sb strings.Builder
 	if err := col.Registry().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"sync"
 	"time"
@@ -54,6 +56,26 @@ func NewWideWriter(w io.Writer) *WideWriter {
 		return nil
 	}
 	return &WideWriter{w: w, now: time.Now}
+}
+
+// OpenWideEvents opens a wide-event destination by name: "" disables
+// the log (nil writer), "stderr" and "stdout" name the process streams,
+// and anything else is a file path opened for append. The closer is
+// non-nil only when a file was opened; the caller closes it.
+func OpenWideEvents(dest string) (*WideWriter, io.Closer, error) {
+	switch dest {
+	case "":
+		return nil, nil, nil
+	case "stderr":
+		return NewWideWriter(os.Stderr), nil, nil
+	case "stdout":
+		return NewWideWriter(os.Stdout), nil, nil
+	}
+	f, err := os.OpenFile(dest, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, fmt.Errorf("wide-events log: %w", err)
+	}
+	return NewWideWriter(f), f, nil
 }
 
 // Enabled reports whether events will actually be written.

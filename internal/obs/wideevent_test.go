@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -144,4 +146,54 @@ func (s *safeWriter) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.w.Write(p)
+}
+
+// TestOpenWideEvents: the four destination forms — disabled, the two
+// process streams, and a file path — open the right writer, and only a
+// file comes back with a closer. A file destination appends, and an
+// unopenable path is an error.
+func TestOpenWideEvents(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wide.log")
+	for _, tc := range []struct {
+		dest       string
+		enabled    bool
+		wantCloser bool
+	}{
+		{"", false, false},
+		{"stderr", true, false},
+		{"stdout", true, false},
+		{path, true, true},
+	} {
+		ww, c, err := OpenWideEvents(tc.dest)
+		if err != nil {
+			t.Fatalf("OpenWideEvents(%q): %v", tc.dest, err)
+		}
+		if ww.Enabled() != tc.enabled || (c != nil) != tc.wantCloser {
+			t.Fatalf("OpenWideEvents(%q) = enabled %v closer %v, want %v %v",
+				tc.dest, ww.Enabled(), c != nil, tc.enabled, tc.wantCloser)
+		}
+		if c != nil {
+			ww.Emit(&WideEvent{Layer: "server", Op: "modexp", Outcome: "ok"})
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Reopening appends rather than truncates.
+	ww, c, err := OpenWideEvents(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ww.Emit(&WideEvent{Layer: "server", Op: "mont", Outcome: "ok"})
+	c.Close()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(b), "\n"); n != 2 {
+		t.Fatalf("file holds %d lines after two opens, want 2:\n%s", n, b)
+	}
+	if _, _, err := OpenWideEvents(filepath.Join(path, "not-a-dir", "x")); err == nil {
+		t.Fatal("unopenable path accepted")
+	}
 }

@@ -29,7 +29,6 @@ type clientConfig struct {
 	maxRetries  int
 	backoffBase time.Duration
 	backoffMax  time.Duration
-	maxFrame    int
 	tracer      *obs.Tracer
 	sampleRate  float64
 	rootTraces  bool
@@ -59,10 +58,6 @@ func WithMaxRetries(n int) ClientOption { return func(c *clientConfig) { c.maxRe
 func WithBackoff(base, max time.Duration) ClientOption {
 	return func(c *clientConfig) { c.backoffBase, c.backoffMax = base, max }
 }
-
-// WithClientMaxFrame bounds response frame payloads (default
-// DefaultMaxFrame).
-func WithClientMaxFrame(n int) ClientOption { return func(c *clientConfig) { c.maxFrame = n } }
 
 // WithClientTracing makes this client a trace head: calls whose
 // context carries no trace yet mint a root trace context, sampled
@@ -101,9 +96,9 @@ func WithClientClass(class qos.Class) ClientOption {
 // backoff and jitter, bounded by WithMaxRetries and the call context.
 //
 // Retries after an ambiguous failure (the request was written but the
-// connection died before the response) are only attempted for ops whose
-// opTable row is idempotent. Every current op is; the gate exists so a
-// future mutating op cannot be silently double-executed.
+// connection died before the response) are safe because every op is
+// idempotent — an invariant opTable documents and every new op must
+// keep.
 //
 // A Client is safe for concurrent use by multiple goroutines.
 type Client struct {
@@ -129,7 +124,6 @@ func Dial(addr string, opts ...ClientOption) *Client {
 		maxRetries:  3,
 		backoffBase: 10 * time.Millisecond,
 		backoffMax:  time.Second,
-		maxFrame:    DefaultMaxFrame,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -355,7 +349,7 @@ func (c *Client) callRetry(ctx context.Context, req *request, tc obs.TraceContex
 		if attempts != nil {
 			*attempts = attempt + 1
 		}
-		resp, wrote, err := c.tryOnce(ctx, req, tc)
+		resp, err := c.tryOnce(ctx, req, tc)
 		switch {
 		case err == nil && resp.code == CodeOK:
 			return resp, nil
@@ -385,13 +379,10 @@ func (c *Client) callRetry(ctx context.Context, req *request, tc obs.TraceContex
 		case errors.Is(err, errs.ErrEngineClosed) || errors.Is(err, errs.ErrProtocol):
 			return nil, err
 		default:
-			// A network-level failure. Before the request was written it
-			// is trivially safe to retry; after, only idempotent ops may.
+			// A network-level failure, possibly after the request was
+			// written: every op is idempotent, so it retries either way.
 			lastErr = err
 			lastNetwork = true
-			if wrote && !opTable[req.op].idempotent {
-				return nil, fmt.Errorf("server: ambiguous failure on non-idempotent op: %w", err)
-			}
 		}
 		if attempt >= c.cfg.maxRetries {
 			if lastNetwork && !errors.Is(lastErr, errs.ErrBackendDown) {
@@ -445,19 +436,17 @@ func (c *Client) sleep(ctx context.Context, attempt int) error {
 }
 
 // tryOnce performs a single attempt: pick or dial a connection, write
-// the request, wait for its response. wrote reports whether any bytes
-// may have reached the server (the ambiguity gate for retries).
-func (c *Client) tryOnce(ctx context.Context, tmpl *request,
-	tc obs.TraceContext) (resp *response, wrote bool, err error) {
+// the request, wait for its response.
+func (c *Client) tryOnce(ctx context.Context, tmpl *request, tc obs.TraceContext) (*response, error) {
 	cc, err := c.conn(ctx)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	id := c.nextID.Add(1)
 	ca := &call{op: tmpl.op, done: make(chan struct{})}
 	if err := cc.register(id, ca); err != nil {
 		c.drop(cc)
-		return nil, false, err
+		return nil, err
 	}
 	req := *tmpl
 	req.id, req.tc = id, tc
@@ -475,20 +464,18 @@ func (c *Client) tryOnce(ctx context.Context, tmpl *request,
 	if err := cc.write(ctx, encodeRequest(&req)); err != nil {
 		cc.unregister(id)
 		c.drop(cc)
-		// A failed write may still have delivered the full frame from
-		// the kernel's buffers — treat it as ambiguous.
-		return nil, true, err
+		return nil, err
 	}
 	select {
 	case <-ca.done:
 		if ca.err != nil {
 			c.drop(cc)
-			return nil, true, ca.err
+			return nil, ca.err
 		}
-		return ca.resp, true, nil
+		return ca.resp, nil
 	case <-ctx.Done():
 		cc.unregister(id)
-		return nil, true, ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 
@@ -629,7 +616,7 @@ func (cc *cconn) fail(err error) {
 func (cc *cconn) readLoop() {
 	br := bufio.NewReader(cc.nc)
 	for {
-		payload, err := readFrame(br, cc.cl.cfg.maxFrame)
+		payload, err := readFrame(br, DefaultMaxFrame)
 		if err != nil {
 			cc.fail(fmt.Errorf("server: connection lost: %w", err))
 			return

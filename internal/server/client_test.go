@@ -126,8 +126,9 @@ func TestClientNoRetryOnPermanentError(t *testing.T) {
 	}
 }
 
-// A connection dropped after the request was written is ambiguous; the
-// op is idempotent, so the client redials and retries.
+// A connection dropped after the request was written is ambiguous;
+// every op is idempotent, so the client redials and retries — checked
+// end to end for modexp, then for every row of the op table.
 func TestClientRedialsAfterAmbiguousDrop(t *testing.T) {
 	addr, _, dials := scriptedServer(t, func(i int, req *request) *response {
 		if i == 0 {
@@ -148,6 +149,29 @@ func TestClientRedialsAfterAmbiguousDrop(t *testing.T) {
 	}
 	if d := dials.Load(); d < 2 {
 		t.Fatalf("client dialed %d times, want ≥ 2", d)
+	}
+
+	// Every op: the first copy is dropped mid-call, the retry is
+	// answered with a permanent error so the call ends there.
+	bodies := sampleBodies()
+	for _, op := range tableOps() {
+		addr, requests, _ := scriptedServer(t, func(i int, req *request) *response {
+			if i == 0 {
+				return nil
+			}
+			return &response{code: CodeOperandRange, msg: "stop"}
+		})
+		cl := Dial(addr, WithMaxRetries(3), WithBackoff(time.Millisecond, 10*time.Millisecond))
+		req := bodies[op]
+		req.op = op
+		_, err := cl.call(context.Background(), &req)
+		cl.Close()
+		if !errors.Is(err, errs.ErrOperandRange) {
+			t.Errorf("%s: err = %v, want the retry's ErrOperandRange", op, err)
+		}
+		if r := requests.Load(); r != 2 {
+			t.Errorf("%s: server saw %d requests, want 2 (drop + retry)", op, r)
+		}
 	}
 }
 

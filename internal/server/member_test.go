@@ -90,9 +90,10 @@ func TestMemberDecodeRejectsBadFields(t *testing.T) {
 
 // TestMemberOpsAreControlPlane pins the control-plane exemptions in
 // the op table: membership ops take no QoS tag, have no traced variant,
-// are answered inline (no admission slot), need a MembershipHandler, and
-// are idempotent so registrars can retry blindly. Ping shares the tag,
-// trace and inline exemptions.
+// are answered inline (no admission slot) and need a MembershipHandler.
+// Ping shares the tag, trace and inline exemptions. (Every op's
+// ambiguous-drop retry, which registrars rely on, is pinned by
+// TestClientRedialsAfterAmbiguousDrop.)
 func TestMemberOpsAreControlPlane(t *testing.T) {
 	for _, op := range []Op{OpJoin, OpGoodbye, OpPing} {
 		d := opTable[op]
@@ -104,9 +105,6 @@ func TestMemberOpsAreControlPlane(t *testing.T) {
 		}
 		if !d.inline {
 			t.Errorf("%s goes through admission; control-plane ops answer inline", op)
-		}
-		if !d.idempotent {
-			t.Errorf("%s not marked idempotent; registrar retries need it", op)
 		}
 		if w := wireOps[op+OpQoSOffset]; w.base != 0 {
 			t.Errorf("tagged %s byte %d decodes as %+v", op, op+OpQoSOffset, w)

@@ -8,7 +8,7 @@ import (
 // Op identifies a request operation. Values are a network ABI — append
 // only. Only base ops are named here: the wire bytes of their traced and
 // tenant-tagged variants come from opTable, which is the single source
-// of every op's wire bytes, codec, dispatch and retry policy.
+// of every op's wire bytes, codec and dispatch.
 type Op uint8
 
 // Base ops. OpMont is one raw Montgomery product X·Y·R⁻¹ mod 2N;
@@ -63,15 +63,14 @@ const perItem = -1
 // opDesc is one row of the op table: everything the codec, the server
 // and the client need to know about a base op.
 type opDesc struct {
-	name       string    // metric label; "" marks a byte that is no base op
-	traced     Op        // wire byte of the traced variant, 0 = none
-	tagged     bool      // every variant has a tenant-tagged twin at +OpQoSOffset
-	inline     bool      // answered on the read loop: no admission slot, no QoS charge
-	needs      need      // handler surface the op runs on
-	idempotent bool      // the client may retry it after an ambiguous failure
-	body       bodyCodec // request body after the header blocks
-	values     int       // OK response: this many bigs, or perItem
-	serve      func(*Server, context.Context, *request) *response
+	name   string    // metric label; "" marks a byte that is no base op
+	traced Op        // wire byte of the traced variant, 0 = none
+	tagged bool      // every variant has a tenant-tagged twin at +OpQoSOffset
+	inline bool      // answered on the read loop: no admission slot, no QoS charge
+	needs  need      // handler surface the op runs on
+	body   bodyCodec // request body after the header blocks
+	values int       // OK response: this many bigs, or perItem
+	serve  func(*Server, context.Context, *request) *response
 }
 
 // opTable is the wire op registry, indexed by base op.
@@ -86,34 +85,36 @@ type opDesc struct {
 // inline so they keep working exactly when the data plane is saturated
 // or every tenant is throttled.
 //
-// Every op is idempotent: the compute ops and verifies are pure, keygen
-// and ECDSA signing are deterministic under their seeds, RSA blinds
-// never change the signature, and join/goodbye are idempotent by
-// contract (see MembershipHandler).
+// Every op is idempotent, and every new row must keep it so: the
+// compute ops and verifies are pure, keygen and ECDSA signing are
+// deterministic under their seeds, RSA blinds never change the
+// signature, and join/goodbye are idempotent by contract (see
+// MembershipHandler). The client relies on it to retry an ambiguous
+// failure — request written, answer lost — like any other.
 var opTable = [...]opDesc{
-	OpMont: {name: "mont", traced: 5, tagged: true, idempotent: true,
+	OpMont: {name: "mont", traced: 5, tagged: true,
 		body: tripleBody, values: 1, serve: (*Server).mont},
-	OpModExp: {name: "modexp", traced: 6, tagged: true, idempotent: true,
+	OpModExp: {name: "modexp", traced: 6, tagged: true,
 		body: tripleBody, values: 1, serve: (*Server).modExp},
-	OpBatchModExp: {name: "batch_modexp", traced: 7, tagged: true, idempotent: true,
+	OpBatchModExp: {name: "batch_modexp", traced: 7, tagged: true,
 		body: tripleBatchBody, values: perItem, serve: (*Server).batchModExp},
-	OpPing: {name: "ping", inline: true, idempotent: true,
+	OpPing: {name: "ping", inline: true,
 		body: noBody, values: 1, serve: (*Server).ping},
 
-	OpKeygenRSA: {name: "keygen_rsa", traced: 13, tagged: true, needs: needSign, idempotent: true,
+	OpKeygenRSA: {name: "keygen_rsa", traced: 13, tagged: true, needs: needSign,
 		body: keygenRSABody, values: 8, serve: (*Server).keygenRSA},
-	OpSignRSA: {name: "sign_rsa", traced: 14, tagged: true, needs: needSign, idempotent: true,
+	OpSignRSA: {name: "sign_rsa", traced: 14, tagged: true, needs: needSign,
 		body: signRSABody, values: 1, serve: (*Server).signRSA},
-	OpVerifyRSA: {name: "verify_rsa", traced: 15, tagged: true, needs: needSign, idempotent: true,
+	OpVerifyRSA: {name: "verify_rsa", traced: 15, tagged: true, needs: needSign,
 		body: verifyRSABody, values: 1, serve: (*Server).verifyRSA},
-	OpSignECDSA: {name: "sign_ecdsa", traced: 16, tagged: true, needs: needSign, idempotent: true,
+	OpSignECDSA: {name: "sign_ecdsa", traced: 16, tagged: true, needs: needSign,
 		body: signECDSABody, values: 2, serve: (*Server).signECDSA},
-	OpVerifyECDSABatch: {name: "verify_ecdsa_batch", traced: 17, tagged: true, needs: needSign, idempotent: true,
+	OpVerifyECDSABatch: {name: "verify_ecdsa_batch", traced: 17, tagged: true, needs: needSign,
 		body: verifyECDSABatchBody, values: perItem, serve: (*Server).verifyECDSABatch},
 
-	OpJoin: {name: "join", inline: true, needs: needMember, idempotent: true,
+	OpJoin: {name: "join", inline: true, needs: needMember,
 		body: joinBody, values: 1, serve: (*Server).join},
-	OpGoodbye: {name: "goodbye", inline: true, needs: needMember, idempotent: true,
+	OpGoodbye: {name: "goodbye", inline: true, needs: needMember,
 		body: goodbyeBody, values: 1, serve: (*Server).goodbye},
 }
 
@@ -162,6 +163,15 @@ func (o Op) String() string {
 		return opTable[w.base].name
 	}
 	return "unknown"
+}
+
+// PerItem reports whether the op answers per item — a batch with one
+// code per element. A balancer fails such ops over as a unit and never
+// hedges them: racing a whole batch doubles real work, not just tail
+// risk.
+func (o Op) PerItem() bool {
+	w := wireOps[o]
+	return w.base != 0 && opTable[w.base].values == perItem
 }
 
 // supports reports whether the server's handler has the surface d runs

@@ -20,10 +20,13 @@ import (
 // Option configures a Server.
 type Option func(*config)
 
+// writeTimeout bounds each response write, so a stalled client cannot
+// pin a writer goroutine forever.
+const writeTimeout = time.Minute
+
 type config struct {
 	maxInflight  int
 	idleTimeout  time.Duration
-	writeTimeout time.Duration
 	frameTimeout time.Duration
 	maxFrame     int
 	registry     *obs.Registry
@@ -42,10 +45,6 @@ func WithMaxInflight(n int) Option { return func(c *config) { c.maxInflight = n 
 // WithIdleTimeout closes connections that send no request for d
 // (default 2 minutes; ≤ 0 disables).
 func WithIdleTimeout(d time.Duration) Option { return func(c *config) { c.idleTimeout = d } }
-
-// WithWriteTimeout bounds each response write (default 1 minute), so a
-// stalled client cannot pin a writer goroutine forever.
-func WithWriteTimeout(d time.Duration) Option { return func(c *config) { c.writeTimeout = d } }
 
 // WithFrameTimeout bounds the time from a request frame's first byte to
 // its last (default 10 s; ≤ 0 disables). This is the slow-loris guard,
@@ -221,7 +220,6 @@ func newServer(h Handler, defaultInflight int, opts []Option) (*Server, error) {
 	cfg := config{
 		maxInflight:  defaultInflight,
 		idleTimeout:  2 * time.Minute,
-		writeTimeout: time.Minute,
 		frameTimeout: 10 * time.Second,
 		maxFrame:     DefaultMaxFrame,
 	}
@@ -523,9 +521,7 @@ func (c *sconn) writeLoop(done chan<- struct{}) {
 		if werr != nil {
 			continue
 		}
-		if c.srv.cfg.writeTimeout > 0 {
-			c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.writeTimeout))
-		}
+		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if werr = writeFrame(bw, payload); werr == nil {
 			werr = bw.Flush()
 		}

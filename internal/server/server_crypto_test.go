@@ -359,9 +359,6 @@ func TestCryptoOpNames(t *testing.T) {
 		if d.traced != w.traced {
 			t.Errorf("%s traced byte %d, want %d", w.name, d.traced, w.traced)
 		}
-		if !d.idempotent {
-			t.Errorf("%s not idempotent", w.name)
-		}
 		variants := []wireOp{{base: w.op}}
 		bytes := []Op{w.op}
 		if w.traced != 0 {
