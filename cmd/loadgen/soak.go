@@ -121,6 +121,7 @@ func runSoak(ctx context.Context, cfg sweepConfig, bits []int) error {
 
 	runCtx, cancel := context.WithTimeout(ctx, cfg.duration)
 	defer cancel()
+	end, _ := runCtx.Deadline()
 	start := time.Now()
 
 	// Windowed acme latencies: one bucket per soakWindow of wall time.
@@ -155,8 +156,13 @@ func runSoak(ctx context.Context, cfg sweepConfig, bits []int) error {
 					v, err := cls[w%len(cls)].ModExp(runCtx, n, base, exp)
 					if err != nil {
 						// The run's own deadline/interrupt is the end of the
-						// soak, not a served error.
-						if runCtx.Err() != nil &&
+						// soak, not a served error. The deadline is read off
+						// the clock too: a dial or write fails against it the
+						// moment it passes, as a timeout or, through the
+						// balancer, as backend_down, before the context's
+						// timer fires and sets Err — and a worker spinning on
+						// such instant failures would count each one.
+						if !time.Now().Before(end) || runCtx.Err() != nil &&
 							(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 							return
 						}

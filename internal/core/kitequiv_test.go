@@ -139,8 +139,10 @@ func TestCrossKitModExpEquivalence(t *testing.T) {
 // TestCIOSWitnessIntegrity runs the integrity system's quotient-witness
 // verification over the high-radix path: MulWitness exposes the CIOS
 // quotient digits m as the witness M, and T·R = x·y + M·N must hold over
-// the integers for the word-level R = 2^(64·S) — checked by the
-// R-generic residue verifier. A corrupted T must be refuted.
+// the integers for the word-level R = 2^(64·S) and the product T before
+// the final subtraction — checked by the R-generic residue verifier on
+// operands across the kernel's [0, R) domain. A corrupted T must be
+// refuted.
 func TestCIOSWitnessIntegrity(t *testing.T) {
 	sys := integrity.NewSystem(0)
 	for _, l := range []int{256, 1024, 2048} {
@@ -152,10 +154,9 @@ func TestCIOSWitnessIntegrity(t *testing.T) {
 		}
 		w := highradix.NewWord(ctx)
 		r := w.Params().R
-		n2 := new(big.Int).Lsh(n, 1)
 		for trial := 0; trial < 8; trial++ {
-			x := new(big.Int).Rand(rng, n2)
-			y := new(big.Int).Rand(rng, n2)
+			x := new(big.Int).Rand(rng, r)
+			y := new(big.Int).Rand(rng, r)
 			tt, m, err := w.MulWitness(x, y)
 			if err != nil {
 				t.Fatal(err)

@@ -4,7 +4,9 @@
 // needs no final subtraction for operands below 2N, and the iteration
 // count drops by the radix factor — at the price of wider, slower
 // processing elements (quotient-digit computation now needs the full
-// N' = -N⁻¹ mod 2^α multiply the radix-2 design erased).
+// N' = -N⁻¹ mod 2^α multiply the radix-2 design erased). Word, the
+// production α = 64 kit, takes the other side of that trade: ⌈l/64⌉
+// limbs and one masked final subtraction (see its doc).
 //
 // The functional core is property-tested against math/big; the cost
 // model feeds the radix-ablation benchmark that grounds the paper's

@@ -18,14 +18,17 @@ import (
 // two clocks, and the quotient digit costs the full N' = -N⁻¹ mod 2^64
 // multiply the radix-2 design erased.
 //
-// Two properties carry over from the paper's bit-serial design:
+// One property is re-priced and one carries over from the paper's
+// bit-serial design:
 //
-//   - No final subtraction on the hot path. The Montgomery parameter is
-//     R = 2^(64·S) with S = ⌈(l+2)/64⌉ (mont.WordParams), so R ≥
-//     2^(l+2) > 4N — Walter's bound at word level. Operands in [0, 2N)
-//     multiply to results in [0, 2N), which chain with no conditional
-//     reduction; the single branch-free canonicalization happens once,
-//     at the end of an exponentiation.
+//   - One masked subtraction, one limb fewer. The paper's Algorithm 2
+//     runs one iteration more than Blum–Paar to drop the final
+//     subtraction, which at radix 2 costs one bit. At radix 2^64 the
+//     same choice (R > 4N, S = ⌈(l+2)/64⌉) costs a whole limb row per
+//     pass at every RSA size, so Word is limb-exact instead: S =
+//     ⌈l/64⌉ limbs (mont.WordParams), values in [0, R), and each
+//     product ends with t − (N & −carry), one branch-free masked
+//     subtraction keyed on the pass carry-out.
 //
 //   - Carry-save accumulation inside the word loop. The systolic PE
 //     keeps its running sum as (carry, sum) pairs that never propagate
@@ -102,28 +105,33 @@ func NewWord(ctx *mont.Ctx) *Word {
 // Params exposes the shared word-level precompute.
 func (w *Word) Params() *mont.WordParams { return w.p }
 
-// MulInto sets out = a·b·R⁻¹ mod 2N with R = 2^(64·S), the word-serial
-// CIOS loop with no final subtraction: operands and result live in
-// [0, 2N) and out may be fed straight back in. out, a and b must each
-// have S limbs; out may alias a or b (the product accumulates in
-// scratch and is copied out last). The loop allocates nothing — CI
-// gates this with testing.AllocsPerRun.
+// MulInto sets out = a·b·R⁻¹ mod N with R = 2^(64·S), the word-serial
+// CIOS loop: operands and result live in [0, R), so out may be fed
+// straight back in. out, a and b must each have S limbs; out may alias a
+// or b (the product accumulates in scratch and is copied out last). The
+// loop allocates nothing — CI gates this with testing.AllocsPerRun.
+//
+// The result is below 2N whenever one operand is below N, but it is
+// not canonical in general; ModExp and Mont canonicalize once, at the
+// edge.
 func (w *Word) MulInto(out, a, b []uint64) {
 	w.mul(out, a, b, nil)
 }
 
 // MulWitnessInto is MulInto with a receipt: wit receives the S quotient
-// digits m_i (little-endian limbs), tying the result to its inputs over
+// digits m_i (little-endian limbs), tying the product to its inputs over
 // the integers exactly as mont.Ctx.MulWitness does for the bit-serial
 // path:
 //
-//	out·R = a·b + M·N   with M = Σ m_i·2^(64·i)
+//	T·R = a·b + M·N   with M = Σ m_i·2^(64·i),  T = out + carry·N
 //
-// so the engine's residue-system integrity checker works unchanged on
-// the high-radix kit — the m_i words are what a radix-2^α array would
-// broadcast where the paper's Fig. 1 cells broadcast the m_i bits.
-func (w *Word) MulWitnessInto(out, wit, a, b []uint64) {
-	w.mul(out, a, b, wit)
+// T is the value before the final masked subtraction, and carry (0 or
+// 1) reports whether the subtraction fired. The engine's residue-system
+// integrity checker works on T unchanged — the m_i words are what a
+// radix-2^α array would broadcast where the paper's Fig. 1 cells
+// broadcast the m_i bits.
+func (w *Word) MulWitnessInto(out, wit, a, b []uint64) (carry uint64) {
+	return w.mul(out, a, b, wit)
 }
 
 // mul is the CIOS hot loop. Pass i adds a_i·b into the row window
@@ -131,49 +139,91 @@ func (w *Word) MulWitnessInto(out, wit, a, b []uint64) {
 // limb i, and adds m·N into the same window: two addMulVVW row
 // operations. Advancing the window one limb per pass is the division by
 // 2^64 — the array's one-cell-right shift, done by indexing instead of
-// moving data — so after S passes the product sits in t[S:2S].
-func (w *Word) mul(out, a, b, wit []uint64) {
-	s := w.p.S
+// moving data — so after S passes the product sits in t[S:2S], with
+// its 2^(64·S) bit in the returned carry.
+func (w *Word) mul(out, a, b, wit []uint64) (carry uint64) {
+	p := w.p
+	s := p.S
 	if len(out) != s || len(a) != s || len(b) != s {
 		panic("highradix: MulInto operand limb count mismatch")
 	}
-	n := w.p.N
 	t := w.t
-	clear(t)
+	// Pass i writes t[i+S] before any later pass reads it, so only the
+	// first window needs clearing.
+	clear(t[:s])
+	var c uint64
 	for i, ai := range a {
 		row := t[i : i+s]
 		c1 := addMulVVW(row, b, ai)
-		m := row[0] * w.p.N0Inv
+		m := row[0] * p.N0Inv
 		if wit != nil {
 			wit[i] = m
 		}
-		c2 := addMulVVW(row, n, m)
-		// t[i+S] is still zero, and c1+c2 cannot wrap: after the pass,
-		// t[i+1:i+S+1] holds (Σ_{j≤i} a_j·2^(64j)·b + M_i·N)/2^(64(i+1))
-		// < 2N + N < R, which fits S limbs with no carry out.
-		t[i+s] = c1 + c2
+		c2 := addMulVVW(row, p.N, m)
+		// After the pass, t[i+1:i+S+1] plus c·2^(64·S) holds
+		// (Σ_{j≤i} a_j·2^(64j)·b + M_i·N)/2^(64(i+1)) < b + N < 2R: one
+		// carry bit above the window, which c1 + c2 + c carries over.
+		top, cx := mathbits.Add64(c1, c2, 0)
+		top, cy := mathbits.Add64(top, c, 0)
+		t[i+s] = top
+		c = cx | cy
 	}
-	// R > 4N and a, b < 2N give t = (a·b + M·N)/R < 4N²/R + N < 2N,
-	// which fits S limbs — no subtraction happens. (The bit-serial
-	// design's central property, held at radix 2^64.)
-	copy(out, t[s:])
+	// a, b < R give T = (a·b + M·N)/R < R + N. When T ≥ R (c = 1), T − N
+	// < R fits S limbs; the borrow out of the top limb cancels c.
+	z := t[s:]
+	n := p.N[:len(z)]
+	out = out[:len(z)]
+	mask := -c
+	var borrow uint64
+	for j, zj := range z {
+		out[j], borrow = mathbits.Sub64(zj, n[j]&mask, borrow)
+	}
+	return c
 }
 
-// Mont computes x·y·2^-(l+2) mod 2N — the same mathematical function as
-// the paper's Algorithm 2 (mod N; the in-[0, 2N) representative may
-// differ by N) — via two word-level products: the first divides by the
-// word-aligned R = 2^(64·S), the second multiplies by the precomputed
-// Adj = 2^(2·64·S-(l+2)) mod N, leaving exactly the 2^(l+2) divided
-// out. Operands must lie in [0, 2N-1].
+// reduce sets v = v − N when v ≥ N, without branching on v: the one
+// canonicalizing subtraction for a v in [0, 2N), off the hot loop.
+func (w *Word) reduce(v []uint64) {
+	n := w.p.N[:len(v)]
+	var borrow uint64
+	for j, vj := range v {
+		_, borrow = mathbits.Sub64(vj, n[j], borrow)
+	}
+	mask := borrow - 1 // all-ones when v ≥ N
+	borrow = 0
+	for j, vj := range v {
+		v[j], borrow = mathbits.Sub64(vj, n[j]&mask, borrow)
+	}
+}
+
+// Mont computes x·y·2^-(l+2) mod N — the same mathematical function as
+// the paper's Algorithm 2 (mod N; Algorithm 2's representative in
+// [0, 2N) may differ from this one by N) — via two word-level products:
+// the first divides by the word-aligned R = 2^(64·S), the second
+// multiplies by the precomputed Adj = 2^(2·64·S-(l+2)) mod N, leaving
+// exactly the 2^(l+2) divided out. Operands must lie in [0, 2N-1], the
+// paper's domain; they are reduced below N on entry, and the result is
+// canonical in [0, N).
 func (w *Word) Mont(x, y *big.Int) (*big.Int, error) {
 	if x.Sign() < 0 || x.Cmp(w.p.N2) >= 0 || y.Sign() < 0 || y.Cmp(w.p.N2) >= 0 {
 		return nil, fmt.Errorf("highradix: Mont operands must be in [0, 2N-1]: %w", errs.ErrOperandRange)
 	}
-	mont.WordsSetBig(w.xbuf, x)
-	mont.WordsSetBig(w.ybuf, y)
-	w.MulInto(w.u, w.xbuf, w.ybuf)
-	w.MulInto(w.tmp, w.u, w.p.Adj)
+	w.setReduced(w.xbuf, x)
+	w.setReduced(w.ybuf, y)
+	w.mul(w.u, w.xbuf, w.ybuf, nil)
+	// Adj < N bounds the second product below 2N.
+	w.mul(w.tmp, w.u, w.p.Adj, nil)
+	w.reduce(w.tmp)
 	return mont.BigFromWords(w.tmp), nil
+}
+
+// setReduced loads x mod N into out for an x in [0, 2N): 2N−1 may not
+// fit S limbs, so the subtraction happens on the big.Int side.
+func (w *Word) setReduced(out []uint64, x *big.Int) {
+	if x.Cmp(w.p.NBig) >= 0 {
+		x = new(big.Int).Sub(x, w.p.NBig)
+	}
+	mont.WordsSetBig(out, x)
 }
 
 // ModExp computes m^e mod N entirely in the word domain, conversions
@@ -195,28 +245,18 @@ func (w *Word) ModExp(m, e *big.Int) (*big.Int, error) {
 	if m.Sign() < 0 || m.Cmp(w.p.NBig) >= 0 {
 		return nil, fmt.Errorf("highradix: base must be in [0, N-1]: %w", errs.ErrOperandRange)
 	}
-	s := w.p.S
 	mont.WordsSetBig(w.xbuf, m)
-	// Enter the domain: am = m·R mod 2N.
+	// Enter the domain: am = m·R mod N, below 2N since m < N.
 	w.mul(w.am, w.xbuf, w.p.RR, nil)
 	if e.BitLen() > binaryMaxBits {
 		w.expWindow(e)
 	} else {
 		w.expBinary(e)
 	}
-	// Leave the domain: Mont(acc, 1) ≤ N, then one branch-free
-	// canonicalizing subtraction — off the hot loop, as in §3.
+	// Leave the domain: Mont(acc, 1) = (acc + M·N)/R ≤ N, then one
+	// branch-free canonicalizing subtraction — off the hot loop, as in §3.
 	w.mul(w.u, w.acc, w.one, nil)
-	var borrow uint64
-	for i := 0; i < s; i++ {
-		d, br := mathbits.Sub64(w.u[i], w.p.N[i], borrow)
-		w.tmp[i] = d
-		borrow = br
-	}
-	keep := -borrow // all-ones when u < N: keep u, else take u-N
-	for i := 0; i < s; i++ {
-		w.u[i] = (w.u[i] & keep) | (w.tmp[i] &^ keep)
-	}
+	w.reduce(w.u)
 	return mont.BigFromWords(w.u), nil
 }
 
@@ -239,7 +279,7 @@ func (w *Word) expWindow(e *big.Int) {
 		w.table = make([]uint64, winRows*s)
 	}
 	row := func(r int) []uint64 { return w.table[r*s : (r+1)*s] }
-	w.mul(row(0), w.one, w.p.RR, nil) // am^0 = R mod 2N
+	w.mul(row(0), w.one, w.p.RR, nil) // am^0 = R mod N, below 2N
 	copy(row(1), w.am)
 	for r := 2; r < winRows; r++ {
 		w.mul(row(r), row(r-1), w.am, nil)
@@ -276,31 +316,55 @@ func window(e *big.Int, i int) uint64 {
 
 // selectRow copies table row d into out by reading every row and
 // keeping one under a mask, so the memory access pattern does not
-// depend on d.
+// depend on d. The scan runs four limbs at a time across all rows, so
+// the four output limbs stay in registers instead of being reloaded and
+// stored once per row.
 func (w *Word) selectRow(out []uint64, d uint64) {
-	s := w.p.S
-	clear(out)
-	for r := 0; r < winRows; r++ {
-		// mask is all-ones exactly when r == d: r^d is 0 only then, and
-		// (x-1)>>63 is 1 only for x = 0 (both are < 2^63).
-		mask := -(((uint64(r) ^ d) - 1) >> 63)
-		row := w.table[r*s : (r+1)*s]
-		for j := range out {
-			out[j] |= row[j] & mask
+	s := len(out)
+	tab := w.table[:winRows*s]
+	j := 0
+	for ; j+4 <= s; j += 4 {
+		var o0, o1, o2, o3 uint64
+		for r := 0; r < winRows; r++ {
+			mask := rowMask(r, d)
+			row := tab[r*s+j : r*s+j+4 : r*s+j+4]
+			o0 |= row[0] & mask
+			o1 |= row[1] & mask
+			o2 |= row[2] & mask
+			o3 |= row[3] & mask
 		}
+		out[j], out[j+1], out[j+2], out[j+3] = o0, o1, o2, o3
+	}
+	for ; j < s; j++ {
+		var o uint64
+		for r := 0; r < winRows; r++ {
+			o |= tab[r*s+j] & rowMask(r, d)
+		}
+		out[j] = o
 	}
 }
 
-// MulWitness is the big.Int face of MulWitnessInto, returning the
-// product T and witness M for operands in [0, 2N-1) so integrity
-// checkers can verify T·R = x·y + M·N over ℤ (R = 2^(64·S)).
+// rowMask is all-ones exactly when r == d: r^d is 0 only then, and
+// (x-1)>>63 is 1 only for x = 0 (both are < 2^63).
+func rowMask(r int, d uint64) uint64 {
+	return -(((uint64(r) ^ d) - 1) >> 63)
+}
+
+// MulWitness is the big.Int face of MulWitnessInto for operands in
+// [0, R), returning the product T before the final subtraction and the
+// witness M, so integrity checkers can verify T·R = x·y + M·N over ℤ
+// (R = 2^(64·S)). T lies in [0, R+N).
 func (w *Word) MulWitness(x, y *big.Int) (t, m *big.Int, err error) {
-	if x.Sign() < 0 || x.Cmp(w.p.N2) >= 0 || y.Sign() < 0 || y.Cmp(w.p.N2) >= 0 {
-		return nil, nil, fmt.Errorf("highradix: MulWitness operands must be in [0, 2N-1]: %w", errs.ErrOperandRange)
+	if x.Sign() < 0 || x.Cmp(w.p.R) >= 0 || y.Sign() < 0 || y.Cmp(w.p.R) >= 0 {
+		return nil, nil, fmt.Errorf("highradix: MulWitness operands must be in [0, R): %w", errs.ErrOperandRange)
 	}
 	mont.WordsSetBig(w.xbuf, x)
 	mont.WordsSetBig(w.ybuf, y)
 	wit := make([]uint64, w.p.S)
-	w.MulWitnessInto(w.u, wit, w.xbuf, w.ybuf)
-	return mont.BigFromWords(w.u), mont.BigFromWords(wit), nil
+	carry := w.MulWitnessInto(w.u, wit, w.xbuf, w.ybuf)
+	t = mont.BigFromWords(w.u)
+	if carry != 0 {
+		t.Add(t, w.p.NBig)
+	}
+	return t, mont.BigFromWords(wit), nil
 }

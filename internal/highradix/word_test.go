@@ -12,8 +12,10 @@ import (
 )
 
 // The word-level CIOS loop vs math/big, across the bit lengths the
-// serving stack actually handles, with the no-subtraction output bound
-// held at every step.
+// serving stack actually handles: S is limb-exact, every product of
+// operands in [0, R) is congruent to a·b·R⁻¹, and a product with one
+// operand below N lands below 2N, which Mont's and ModExp's single
+// canonicalizing subtraction relies on.
 func TestWordMulMatchesClosedForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(601))
 	for _, l := range []int{61, 128, 256, 512, 1024, 2048} {
@@ -24,22 +26,25 @@ func TestWordMulMatchesClosedForm(t *testing.T) {
 		}
 		w := NewWord(ctx)
 		p := w.Params()
-		if 64*p.S < l+2 {
-			t.Fatalf("l=%d: S=%d violates 64·S ≥ l+2", l, p.S)
+		if 64*p.S < l || 64*(p.S-1) >= l {
+			t.Fatalf("l=%d: S=%d is not ⌈l/64⌉", l, p.S)
 		}
 		rinv := new(big.Int).ModInverse(p.R, n)
 		a := make([]uint64, p.S)
 		b := make([]uint64, p.S)
 		out := make([]uint64, p.S)
 		for trial := 0; trial < 25; trial++ {
-			x := new(big.Int).Rand(rng, p.N2)
-			y := new(big.Int).Rand(rng, p.N2)
+			x := new(big.Int).Rand(rng, p.R)
+			y := new(big.Int).Rand(rng, p.R)
+			if trial%2 == 1 {
+				y.Mod(y, n)
+			}
 			mont.WordsSetBig(a, x)
 			mont.WordsSetBig(b, y)
 			w.MulInto(out, a, b)
 			got := mont.BigFromWords(out)
-			if got.Cmp(p.N2) >= 0 {
-				t.Fatalf("l=%d: output ≥ 2N", l)
+			if y.Cmp(n) < 0 && got.Cmp(p.N2) >= 0 {
+				t.Fatalf("l=%d: output ≥ 2N with an operand below N", l)
 			}
 			want := new(big.Int).Mul(x, y)
 			want.Mul(want, rinv).Mod(want, n)
@@ -61,8 +66,8 @@ func TestWordMulAliasing(t *testing.T) {
 	a := make([]uint64, p.S)
 	b := make([]uint64, p.S)
 	want := make([]uint64, p.S)
-	x := new(big.Int).Rand(rng, p.N2)
-	y := new(big.Int).Rand(rng, p.N2)
+	x := new(big.Int).Rand(rng, p.R)
+	y := new(big.Int).Rand(rng, p.R)
 	mont.WordsSetBig(a, x)
 	mont.WordsSetBig(b, y)
 	w.MulInto(want, a, b)
@@ -97,8 +102,9 @@ func TestWordMulLimbMismatchPanics(t *testing.T) {
 	w.MulInto(make([]uint64, 1), make([]uint64, 1), make([]uint64, 2))
 }
 
-// The quotient witness must satisfy T·R = x·y + M·N exactly over ℤ —
-// the identity internal/integrity verifies in a residue system.
+// The quotient witness must satisfy T·R = x·y + M·N exactly over ℤ for
+// the product T before the final subtraction — the identity
+// internal/integrity verifies in a residue system.
 func TestWordMulWitnessIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(603))
 	for _, l := range []int{128, 521, 1024} {
@@ -107,8 +113,8 @@ func TestWordMulWitnessIdentity(t *testing.T) {
 		w := NewWord(ctx)
 		p := w.Params()
 		for trial := 0; trial < 10; trial++ {
-			x := new(big.Int).Rand(rng, p.N2)
-			y := new(big.Int).Rand(rng, p.N2)
+			x := new(big.Int).Rand(rng, p.R)
+			y := new(big.Int).Rand(rng, p.R)
 			tt, m, err := w.MulWitness(x, y)
 			if err != nil {
 				t.Fatal(err)
@@ -119,6 +125,9 @@ func TestWordMulWitnessIdentity(t *testing.T) {
 			if lhs.Cmp(rhs) != 0 {
 				t.Fatalf("l=%d: witness identity T·R = x·y + M·N fails", l)
 			}
+		}
+		if _, _, err := w.MulWitness(p.R, big.NewInt(1)); !errors.Is(err, errs.ErrOperandRange) {
+			t.Errorf("l=%d: MulWitness(R, 1): got %v, want ErrOperandRange", l, err)
 		}
 	}
 }
@@ -199,8 +208,8 @@ func TestMulIntoAllocs(t *testing.T) {
 	a := make([]uint64, p.S)
 	b := make([]uint64, p.S)
 	out := make([]uint64, p.S)
-	mont.WordsSetBig(a, new(big.Int).Rand(rng, p.N2))
-	mont.WordsSetBig(b, new(big.Int).Rand(rng, p.N2))
+	mont.WordsSetBig(a, new(big.Int).Rand(rng, p.R))
+	mont.WordsSetBig(b, new(big.Int).Rand(rng, p.R))
 	if avg := testing.AllocsPerRun(100, func() { w.MulInto(out, a, b) }); avg != 0 {
 		t.Errorf("MulInto allocates %.1f objects/op, want 0", avg)
 	}
@@ -312,8 +321,8 @@ func benchWord(bits int) (*Word, []uint64, []uint64, []uint64) {
 	a := make([]uint64, p.S)
 	b := make([]uint64, p.S)
 	out := make([]uint64, p.S)
-	mont.WordsSetBig(a, new(big.Int).Rand(rng, p.N2))
-	mont.WordsSetBig(b, new(big.Int).Rand(rng, p.N2))
+	mont.WordsSetBig(a, new(big.Int).Rand(rng, p.R))
+	mont.WordsSetBig(b, new(big.Int).Rand(rng, p.R))
 	return w, a, b, out
 }
 

@@ -35,7 +35,7 @@ func newWord(t *testing.T, n *big.Int) *highradix.Word {
 }
 
 // The kernel inherits its modulus validation from NewCtx, sizes its limbs
-// by S = ⌈(l+2)/64⌉, and rejects operands outside its documented ranges.
+// by S = ⌈l/64⌉, and rejects operands outside its documented ranges.
 func TestCIOSValidation(t *testing.T) {
 	if _, err := mont.NewCtx(big.NewInt(4)); err != mont.ErrEvenModulus {
 		t.Errorf("even: %v", err)
@@ -64,7 +64,8 @@ func TestCIOSValidation(t *testing.T) {
 }
 
 // MulInto returns a·b·R⁻¹ mod N (R = 2^(64·S)) as a representative in
-// [0, 2N), for single-limb, limb-boundary and multi-limb widths.
+// [0, R) for operands in [0, R), for single-limb, limb-boundary and
+// multi-limb widths.
 func TestCIOSMulMatchesBig(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, l := range []int{16, 63, 64, 65, 128, 512, 1024} {
@@ -73,14 +74,14 @@ func TestCIOSMulMatchesBig(t *testing.T) {
 		p := w.Params()
 		rinv := new(big.Int).ModInverse(p.R, n)
 		for trial := 0; trial < 20; trial++ {
-			xa := new(big.Int).Rand(rng, p.N2)
-			xb := new(big.Int).Rand(rng, p.N2)
+			xa := new(big.Int).Rand(rng, p.R)
+			xb := new(big.Int).Rand(rng, p.R)
 			out := make([]uint64, p.S)
 			w.MulInto(out, mont.WordsFromBig(xa, p.S), mont.WordsFromBig(xb, p.S))
 			got := mont.BigFromWords(out)
 			want := new(big.Int).Mul(xa, xb)
 			want.Mul(want, rinv).Mod(want, n)
-			if got.Cmp(p.N2) >= 0 || new(big.Int).Mod(got, n).Cmp(want) != 0 {
+			if new(big.Int).Mod(got, n).Cmp(want) != 0 {
 				t.Fatalf("l=%d MulInto mismatch: got %s want %s (mod N)", l, got, want)
 			}
 		}
@@ -157,7 +158,8 @@ func TestCrossImplementationExp(t *testing.T) {
 	}
 }
 
-// Property: every product stays in [0, 2N) with no final subtraction,
+// Property: a product of operands in [0, R) is congruent to
+// a·b·R⁻¹ mod N, a product with one operand below N stays below 2N,
 // and an exponentiation leaves the domain canonical, in [0, N).
 func TestQuickCIOSCanonical(t *testing.T) {
 	n, _ := new(big.Int).SetString("f000000000000000000000000000000d", 16)
@@ -167,13 +169,20 @@ func TestQuickCIOSCanonical(t *testing.T) {
 	}
 	w := highradix.NewWord(ctx)
 	p := w.Params()
+	rinv := new(big.Int).ModInverse(p.R, n)
 	f := func(a0, a1, b0, b1 uint64) bool {
 		xa := new(big.Int).SetUint64(a1)
-		xa.Lsh(xa, 64).Or(xa, new(big.Int).SetUint64(a0)).Mod(xa, p.N2)
+		xa.Lsh(xa, 64).Or(xa, new(big.Int).SetUint64(a0)) // two limbs: any value in [0, R)
 		xb := new(big.Int).SetUint64(b1)
-		xb.Lsh(xb, 64).Or(xb, new(big.Int).SetUint64(b0)).Mod(xb, p.N2)
+		xb.Lsh(xb, 64).Or(xb, new(big.Int).SetUint64(b0))
 		out := make([]uint64, p.S)
 		w.MulInto(out, mont.WordsFromBig(xa, p.S), mont.WordsFromBig(xb, p.S))
+		want := new(big.Int).Mul(xa, xb)
+		want.Mul(want, rinv).Mod(want, n)
+		if new(big.Int).Mod(mont.BigFromWords(out), n).Cmp(want) != 0 {
+			return false
+		}
+		w.MulInto(out, mont.WordsFromBig(xa, p.S), mont.WordsFromBig(new(big.Int).Mod(xb, n), p.S))
 		if mont.BigFromWords(out).Cmp(p.N2) >= 0 {
 			return false
 		}
@@ -185,33 +194,47 @@ func TestQuickCIOSCanonical(t *testing.T) {
 	}
 }
 
-// checkWordMethods asserts that the kernel's entry points agree on one
-// operand pair: MulInto and MulWitnessInto give identical limbs, the
-// witness satisfies T·R = x·y + M·N, and Word.Mont equals the bit-serial
-// Algorithm 2 (Ctx.Mul) mod N.
-func checkWordMethods(t *testing.T, ctx *mont.Ctx, w *highradix.Word, x, y *big.Int) {
+// checkWordKernel asserts that the kernel's limb entry points agree on
+// one operand pair in [0, R): MulInto and MulWitnessInto give identical
+// limbs, and the witness satisfies T·R = x·y + M·N for the product
+// T = out + carry·N before the final subtraction.
+func checkWordKernel(t *testing.T, w *highradix.Word, x, y *big.Int) {
 	t.Helper()
 	p := w.Params()
 	a, b := mont.WordsFromBig(x, p.S), mont.WordsFromBig(y, p.S)
 	out, wout, wit := make([]uint64, p.S), make([]uint64, p.S), make([]uint64, p.S)
 	w.MulInto(out, a, b)
-	w.MulWitnessInto(wout, wit, a, b)
+	carry := w.MulWitnessInto(wout, wit, a, b)
 	if !slices.Equal(out, wout) {
 		t.Fatalf("l=%d: MulWitnessInto diverges from MulInto:\n x=%s\n y=%s", p.L, x, y)
 	}
-	lhs := new(big.Int).Mul(mont.BigFromWords(out), p.R)
+	tt := mont.BigFromWords(out)
+	if carry == 1 {
+		tt.Add(tt, p.NBig)
+	}
+	lhs := new(big.Int).Mul(tt, p.R)
 	rhs := new(big.Int).Mul(x, y)
 	rhs.Add(rhs, new(big.Int).Mul(mont.BigFromWords(wit), p.NBig))
 	if lhs.Cmp(rhs) != 0 {
 		t.Fatalf("l=%d: T·R ≠ x·y + M·N:\n x=%s\n y=%s", p.L, x, y)
 	}
+}
+
+// checkWordMont asserts that Word.Mont, on one operand pair in the
+// paper's [0, 2N) domain, equals the bit-serial Algorithm 2 (Ctx.Mul)
+// mod N and returns a value in [0, 2N).
+func checkWordMont(t *testing.T, ctx *mont.Ctx, w *highradix.Word, x, y *big.Int) {
+	t.Helper()
 	got, err := w.Mont(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got.Cmp(ctx.N2) >= 0 {
+		t.Fatalf("l=%d: Word.Mont %s ≥ 2N:\n x=%s\n y=%s", ctx.L, got, x, y)
+	}
 	want := ctx.Mul(x, y)
-	if d := new(big.Int).Sub(got, want); d.Mod(d, p.NBig).Sign() != 0 {
-		t.Fatalf("l=%d: Word.Mont %s ≢ Algorithm 2 %s (mod N):\n x=%s\n y=%s", p.L, got, want, x, y)
+	if d := new(big.Int).Sub(got, want); d.Mod(d, ctx.N).Sign() != 0 {
+		t.Fatalf("l=%d: Word.Mont %s ≢ Algorithm 2 %s (mod N):\n x=%s\n y=%s", ctx.L, got, want, x, y)
 	}
 }
 
@@ -234,12 +257,13 @@ func checkWordModExp(t *testing.T, w *highradix.Word, rng *rand.Rand, m *big.Int
 
 // wordLengths are the modulus widths the word-kernel tests sweep:
 // single-limb, limb-boundary (190–194 and 256–258 straddle l+2 ≡ 0
-// mod 64) and multi-limb.
+// mod 64 and l ≡ 0 mod 64) and multi-limb.
 var wordLengths = []int{16, 63, 64, 65, 128, 190, 191, 192, 193, 194, 256, 257, 258, 511, 512, 1024}
 
-// The word kernel's entry points agree with each other and with the
-// bit-serial Algorithm 2 on random operands in [0, 2N) across widths,
-// and ModExp agrees with math/big.
+// The word kernel's entry points agree with each other on random
+// operands in [0, R), Word.Mont agrees with the bit-serial Algorithm 2
+// on random operands in [0, 2N), across widths, and ModExp agrees with
+// math/big.
 func TestWordMethodsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
 	for _, l := range wordLengths {
@@ -247,15 +271,19 @@ func TestWordMethodsAgree(t *testing.T) {
 		ctx, _ := mont.NewCtx(n)
 		w := highradix.NewWord(ctx)
 		for trial := 0; trial < 15; trial++ {
-			checkWordMethods(t, ctx, w, new(big.Int).Rand(rng, w.Params().N2), new(big.Int).Rand(rng, w.Params().N2))
+			checkWordKernel(t, w, new(big.Int).Rand(rng, w.Params().R), new(big.Int).Rand(rng, w.Params().R))
+			checkWordMont(t, ctx, w, new(big.Int).Rand(rng, ctx.N2), new(big.Int).Rand(rng, ctx.N2))
 		}
 		checkWordModExp(t, w, rng, new(big.Int).Rand(rng, n))
 	}
 }
 
-// Edge operands: zero, one, two, (N-1)/2, N-1, N, 2N-1 and a random one
-// — N and 2N-1 are legal inputs only because the kernel has no final
-// subtraction — for a fixed 128-bit modulus and one of every swept width.
+// Edge operands, for a fixed 128-bit modulus and one of every swept
+// width. The limb entry points take the edges of their [0, R) domain:
+// zero, one, two, (N-1)/2, N-1, N, R-1 and a random one. Word.Mont takes
+// the edges of the paper's [0, 2N) domain: the same small values, N-1,
+// N, 2N-1 and a random one — N and 2N-1 are legal there because
+// Algorithm 2 has no final subtraction.
 func TestWordMethodsEdgeOperands(t *testing.T) {
 	rng := rand.New(rand.NewSource(202))
 	fixed, _ := new(big.Int).SetString("ffffffffffffffffffffffffffffff61", 16)
@@ -269,15 +297,22 @@ func TestWordMethodsEdgeOperands(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := highradix.NewWord(ctx)
-		nm1 := new(big.Int).Sub(n, big.NewInt(1))
-		edges := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(2), new(big.Int).Rsh(nm1, 1),
-			nm1, n, new(big.Int).Sub(w.Params().N2, big.NewInt(1)), new(big.Int).Rand(rng, w.Params().N2)}
-		for _, x := range edges {
-			for _, y := range edges {
-				checkWordMethods(t, ctx, w, x, y)
+		one := big.NewInt(1)
+		nm1 := new(big.Int).Sub(n, one)
+		small := []*big.Int{big.NewInt(0), one, big.NewInt(2), new(big.Int).Rsh(nm1, 1), nm1, n}
+		kernel := append(slices.Clone(small), new(big.Int).Sub(w.Params().R, one), new(big.Int).Rand(rng, w.Params().R))
+		paper := append(slices.Clone(small), new(big.Int).Sub(ctx.N2, one), new(big.Int).Rand(rng, ctx.N2))
+		for _, x := range kernel {
+			for _, y := range kernel {
+				checkWordKernel(t, w, x, y)
 			}
 		}
-		for _, m := range []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(2), nm1} {
+		for _, x := range paper {
+			for _, y := range paper {
+				checkWordMont(t, ctx, w, x, y)
+			}
+		}
+		for _, m := range []*big.Int{big.NewInt(0), one, big.NewInt(2), nm1} {
 			checkWordModExp(t, w, rng, m)
 		}
 	}

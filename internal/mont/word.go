@@ -11,18 +11,22 @@ import (
 // else (N' degenerates to 1 at α = 1, §2), the radix-2^α design pays for
 // the full N' = -N⁻¹ mod 2^α inverse and an R² against a word-aligned R.
 //
-// The limb count S is the smallest with 64·S ≥ l+2, so the word-level
-// Montgomery parameter R = 2^(64·S) ≥ 2^(l+2) satisfies Walter's
-// no-final-subtraction bound R > 4N exactly as the bit-serial design's
-// does: operands in [0, 2N) multiply to results in [0, 2N) with no
-// conditional subtraction on the hot path.
+// The limb count S is the smallest with 64·S ≥ l, so the word-level
+// Montgomery parameter R = 2^(64·S) > N spends no limb beyond the
+// modulus — the same limb count as math/big. Operands and results live
+// in [0, R); each product ends in one branch-free masked subtraction of
+// N instead of the extra limb Walter's no-subtraction bound R > 4N
+// would cost at every RSA size (l+2 crosses a limb boundary whenever
+// l ≡ 0 mod 64). At radix 2 the paper's Algorithm 2 buys the
+// subtraction away with one more one-bit iteration; at radix 2^64 that
+// iteration is a whole limb row per pass, so the trade flips.
 //
 // A WordParams is immutable after construction and safe to share across
 // goroutines; obtain one from Ctx.Word, which builds it lazily once per
 // context and caches it.
 type WordParams struct {
 	L     int      // modulus bit length
-	S     int      // limb count: smallest S with 64·S ≥ L+2 (⇒ R > 4N)
+	S     int      // limb count: smallest S with 64·S ≥ L (⇒ R > N)
 	N     []uint64 // modulus, S limbs little-endian
 	N0Inv uint64   // -N⁻¹ mod 2^64 (the α=64 quotient constant N')
 	RR    []uint64 // R² mod N with R = 2^(64·S), S limbs
@@ -30,7 +34,7 @@ type WordParams struct {
 
 	R    *big.Int // 2^(64·S)
 	NBig *big.Int // the modulus (shared with the owning Ctx; immutable)
-	N2   *big.Int // 2N, the operand/result bound
+	N2   *big.Int // 2N, the bound of Word.Mont's paper-domain operands
 }
 
 // Word returns the word-level precompute for this context, building it
@@ -43,7 +47,7 @@ func (c *Ctx) Word() *WordParams {
 }
 
 func newWordParams(c *Ctx) *WordParams {
-	s := (c.L + 2 + 63) / 64
+	s := (c.L + 63) / 64
 	r := new(big.Int).Lsh(big.NewInt(1), uint(64*s))
 	rr := new(big.Int).Mul(r, r)
 	rr.Mod(rr, c.N)
