@@ -3,9 +3,13 @@
 
 GO ?= go
 
-.PHONY: ci build vet bench-vet bench-test dead-options test test-386 race staticcheck cover bench-engine bench-obs bench-faults bench-kits bench-sign bench-qos sca-gate qos fuzz soak
+.PHONY: ci fmt build vet bench-vet bench-test dead-options test test-386 race staticcheck cover bench-engine bench-obs bench-faults bench-sign bench-qos sca-gate qos fuzz soak
 
-ci: vet bench-vet bench-test staticcheck dead-options build test test-386 race
+ci: fmt vet bench-vet bench-test staticcheck dead-options build test test-386 race
+
+# gofmt over every module in the tree, bench/ included.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...
@@ -67,13 +71,6 @@ bench-obs:
 # integrity checking (off vs sampled vs every-job) on the modexp path.
 bench-faults:
 	$(GO) test -run xxx -bench EngineIntegrity -benchtime 60x -count 6 ./internal/engine/
-
-# Regenerate BENCH_kits.json's raw numbers: per-kit modexp throughput at
-# 1024/2048 bits (the sim kit takes seconds per op — keep -benchtime
-# small) plus the CIOS word-loop microbenchmarks.
-bench-kits:
-	$(GO) test -run xxx -bench KitModExp -benchtime 3x ./internal/engine/
-	$(GO) test -run xxx -bench 'WordMul|WordModExp' -benchtime 100x ./internal/highradix/
 
 # Regenerate BENCH_sign.json's raw numbers: CRT vs full-exponent RSA
 # signing (blinded and not) at 1024/2048 bits plus verify and ECDSA.

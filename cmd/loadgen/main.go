@@ -7,7 +7,7 @@
 // Usage:
 //
 //	loadgen [-workers 1,2,4,8] [-jobs 200] [-bits 512,1024] [-keys 4]
-//	        [-kit cios,model,big,auto] [-variant guarded|faithful]
+//	        [-kit cios,model,big] [-variant guarded|faithful]
 //	        [-exp full|f4] [-queue 0] [-timeout 0]
 //	        [-listen :9090] [-linger 0] [-trace 4096] [-trace-sample 0]
 //	        [-connect host:7077] [-clients 8] [-retries 3]
@@ -43,13 +43,10 @@
 // batch-verify call that must answer all-OK. See sign.go.
 //
 // -kit takes a comma-separated compute-kit list (model | sim | cios |
-// big | auto; default cios, the radix-2^64 fast path the daemons serve
-// on) and sweeps every (kit, workers) combination, so one run compares
-// the paper-faithful radix-2 path (model) against the radix-2^64 CIOS
-// fast path, the math/big oracle and the auto-selector side by side —
-// the source of BENCH_kits.json. Rows are labelled per kit; under
-// `auto` the stats line's kit_* counters show the selector's per-job
-// choices.
+// big; default cios, the radix-2^64 fast path the daemons serve on) and
+// sweeps every (kit, workers) combination, so one run compares the
+// paper-faithful radix-2 path (model) against the radix-2^64 CIOS fast
+// path and the math/big oracle side by side. Rows are labelled per kit.
 //
 // Each sweep point drives the engine closed-loop from 2×workers
 // submitter goroutines, measuring every job's submit→finish latency.
@@ -131,7 +128,7 @@ func main() {
 	jobs := flag.Int("jobs", 200, "jobs per sweep point")
 	bitsList := flag.String("bits", "512,1024", "comma-separated modulus bit lengths, mixed round-robin")
 	keys := flag.Int("keys", 4, "distinct moduli per bit length (exercises the context LRU)")
-	kitList := flag.String("kit", "cios", "comma-separated compute kits to sweep: model | sim | cios | big | auto")
+	kitList := flag.String("kit", "cios", "comma-separated compute kits to sweep: model | sim | cios | big")
 	variantName := flag.String("variant", "guarded", "array variant for the sim kit: guarded | faithful")
 	expKind := flag.String("exp", "full", "exponent shape: full (private-key-size) | f4 (65537)")
 	queue := flag.Int("queue", 0, "submission queue depth (0 = engine default)")

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	montsysd [-listen :7077] [-workers N] [-kit cios|model|sim|big|auto]
+//	montsysd [-listen :7077] [-workers N] [-kit cios|model|sim|big]
 //	         [-variant guarded|faithful] [-queue 0] [-cache 128]
 //	         [-inflight 0] [-idle 2m] [-drain 30s] [-frame-timeout 10s]
 //	         [-metrics :9090] [-trace 4096]
@@ -63,8 +63,7 @@
 // -kit picks the compute kit every core runs (cios, the default — the
 // radix-2^64 CIOS fast path; model — the paper's closed-form cycle
 // accounting, the paper-faithful opt-in; sim — the gate-level radix-2
-// systolic array; big — the math/big oracle; auto — per-job
-// microbenchmark-driven selection).
+// systolic array; big — the math/big oracle).
 //
 // With -metrics the observability endpoints are served too:
 // /metrics carries the engine series and the server series
@@ -110,7 +109,7 @@ import (
 func main() {
 	listen := flag.String("listen", ":7077", "serve the binary protocol on this address")
 	workers := flag.Int("workers", 0, "engine worker cores (0 = GOMAXPROCS)")
-	kitName := flag.String("kit", "cios", "compute kit: model | sim | cios | big | auto")
+	kitName := flag.String("kit", "cios", "compute kit: model | sim | cios | big")
 	variantName := flag.String("variant", "guarded", "array variant for the sim kit: guarded | faithful")
 	queue := flag.Int("queue", 0, "engine queue depth (0 = engine default)")
 	cache := flag.Int("cache", 128, "per-modulus context LRU size")

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	rsatool [-bits 128] [-msg <hex>] [-seed 1] [-kit model|sim|cios|big|auto] [-crt] [-sign]
+//	rsatool [-bits 128] [-msg <hex>] [-seed 1] [-kit model|sim|cios|big] [-crt] [-sign]
 //
 // The -kit flag selects the compute kit every exponentiation runs on
 // (see internal/kits); -simulate remains as a deprecated alias for
@@ -28,7 +28,7 @@ func main() {
 	bitsFlag := flag.Int("bits", 128, "modulus size in bits (even, ≥ 16)")
 	msgHex := flag.String("msg", "48656c6c6f", "message (hex, < N)")
 	seed := flag.Int64("seed", 1, "deterministic key-generation seed")
-	kitFlag := flag.String("kit", "model", "compute kit: model|sim|cios|big|auto")
+	kitFlag := flag.String("kit", "model", "compute kit: model|sim|cios|big")
 	simulate := flag.Bool("simulate", false, "deprecated alias for -kit sim (slow; use small -bits)")
 	crt := flag.Bool("crt", true, "decrypt with CRT")
 	sign := flag.Bool("sign", true, "also sign the message (SHA-256 digest, CRT when available) and verify")

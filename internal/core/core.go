@@ -16,11 +16,9 @@ import (
 	"fmt"
 	"math/big"
 
-	"repro/internal/bits"
 	"repro/internal/errs"
 	"repro/internal/expo"
 	"repro/internal/fpga"
-	"repro/internal/highradix"
 	"repro/internal/kits"
 	"repro/internal/logic"
 	"repro/internal/mmmc"
@@ -34,15 +32,13 @@ type Option func(*config)
 type config struct {
 	kit     kits.Kit
 	variant systolic.Variant
-	table   *kits.Table
 }
 
 // WithKit selects the compute kit executing Montgomery operations:
 // kits.Model (radix-2 reference arithmetic with the paper's cycle
 // formulas — the default), kits.Sim (the cycle-accurate MMM circuit),
-// kits.CIOS (the production radix-2^64 word-serial fast path), kits.Big
-// (math/big oracle), or kits.Auto (pick the fastest measured kit for
-// this modulus size; resolved once at construction).
+// kits.CIOS (the production radix-2^64 word-serial fast path) or
+// kits.Big (math/big oracle).
 func WithKit(k kits.Kit) Option { return func(c *config) { c.kit = k } }
 
 // WithArrayVariant selects the simulated array variant for the Sim kit:
@@ -51,26 +47,10 @@ func WithKit(k kits.Kit) Option { return func(c *config) { c.kit = k } }
 // y + N ≤ 2^(l+1) condition). It has no effect on other kits.
 func WithArrayVariant(v systolic.Variant) Option { return func(c *config) { c.variant = v } }
 
-// WithKitTable pins the benchmark table used to resolve kits.Auto,
-// instead of the process-cached microbenchmark. Tests use this to make
-// auto-selection deterministic.
-func WithKitTable(t *kits.Table) Option { return func(c *config) { c.table = t } }
-
-// resolve maps Auto to a concrete kit for the given op and modulus
-// size, using the pinned table when one was supplied and the
-// process-cached microbenchmark otherwise.
-func (c *config) resolve(op kits.Op, bits int) kits.Kit {
-	if c.kit != kits.Auto {
-		return c.kit
-	}
-	t := c.table
-	if t == nil {
-		t = kits.ProcessTable()
-	}
-	return kits.NewSelector(t).Pick(op, bits)
-}
-
 // Multiplier is a Montgomery modular multiplier for one odd modulus.
+// Its products run through an expo.Exponentiator's Mont, the one place
+// that dispatches a product on a kit; the Multiplier adds the operand
+// check and the Muls/Cycles counters.
 //
 // Concurrency: a Model-kit Multiplier only reads its immutable
 // mont.Ctx during Mont, but the Muls/Cycles counters are plain ints, a
@@ -82,11 +62,8 @@ func (c *config) resolve(op kits.Op, bits int) kits.Kit {
 // safe to share). This is exactly how internal/engine arranges its
 // worker cores.
 type Multiplier struct {
-	kit     kits.Kit
-	ctx     *mont.Ctx
-	circuit *mmmc.Circuit
-	nVec    bits.Vec
-	word    *highradix.Word // CIOS kit only
+	ex  *expo.Exponentiator
+	ctx *mont.Ctx
 
 	// Muls counts Montgomery products; Cycles accumulates simulated
 	// clock cycles (Sim kit only).
@@ -110,26 +87,20 @@ func NewMultiplier(n *big.Int, opts ...Option) (*Multiplier, error) {
 // one goroutine; see the type's concurrency note. internal/engine uses
 // this to fan one LRU-cached Ctx out across its worker cores.
 func NewMultiplierFromCtx(ctx *mont.Ctx, opts ...Option) (*Multiplier, error) {
+	cfg := newConfig(opts)
+	ex, err := expo.NewKitFromCtx(ctx, cfg.kit, expo.WithVariant(cfg.variant))
+	if err != nil {
+		return nil, err
+	}
+	return &Multiplier{ex: ex, ctx: ctx}, nil
+}
+
+func newConfig(opts []Option) config {
 	cfg := config{variant: systolic.Guarded}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if !cfg.kit.Valid() {
-		return nil, fmt.Errorf("core: unknown kit %v: %w", cfg.kit, errs.ErrOperandRange)
-	}
-	m := &Multiplier{kit: cfg.resolve(kits.OpMont, ctx.L), ctx: ctx}
-	switch m.kit {
-	case kits.Sim:
-		c, err := mmmc.New(ctx.L, cfg.variant)
-		if err != nil {
-			return nil, err
-		}
-		m.circuit = c
-		m.nVec = bits.FromBig(ctx.N, ctx.L)
-	case kits.CIOS:
-		m.word = highradix.NewWord(ctx)
-	}
-	return m, nil
+	return cfg
 }
 
 // L returns the modulus bit length.
@@ -144,12 +115,11 @@ func (m *Multiplier) R() *big.Int { return new(big.Int).Set(m.ctx.R) }
 // Ctx exposes the underlying Montgomery context.
 func (m *Multiplier) Ctx() *mont.Ctx { return m.ctx }
 
-// Kit reports the concrete compute kit this multiplier runs on (never
-// kits.Auto — auto-selection resolves at construction).
-func (m *Multiplier) Kit() kits.Kit { return m.kit }
+// Kit reports the compute kit this multiplier runs on.
+func (m *Multiplier) Kit() kits.Kit { return m.ex.Kit }
 
 // Simulated reports whether products run through the MMM circuit.
-func (m *Multiplier) Simulated() bool { return m.circuit != nil }
+func (m *Multiplier) Simulated() bool { return m.ex.Kit == kits.Sim }
 
 // CyclesPerMont returns the clock cycles one Montgomery product takes on
 // the circuit: 3l + 4.
@@ -160,29 +130,15 @@ func (m *Multiplier) CyclesPerMont() int { return 3*m.ctx.L + 4 }
 // back — no reduction ever happens, the paper's central property.
 //
 // Every kit computes the same residue mod N; the in-[0, 2N)
-// representative may differ across kits (the CIOS kit's word-aligned R
-// and the Big kit's canonical reduction both legitimately land on the
-// other representative of the same class).
+// representative may differ across kits (see expo.(*Exponentiator).Mont).
 func (m *Multiplier) Mont(x, y *big.Int) (*big.Int, error) {
 	if x.Sign() < 0 || x.Cmp(m.ctx.N2) >= 0 || y.Sign() < 0 || y.Cmp(m.ctx.N2) >= 0 {
 		return nil, fmt.Errorf("core: Mont operands must be in [0, 2N-1]: %w", errs.ErrOperandRange)
 	}
 	m.Muls++
-	switch m.kit {
-	case kits.Sim:
-		l := m.ctx.L
-		res, cycles, err := m.circuit.Run(bits.FromBig(x, l+1), bits.FromBig(y, l+1), m.nVec)
-		if err != nil {
-			return nil, err
-		}
-		m.Cycles += cycles
-		return res.Big(), nil
-	case kits.CIOS:
-		return m.word.Mont(x, y)
-	case kits.Big:
-		return m.ctx.MulClosedForm(x, y), nil
-	}
-	return m.ctx.Mul(x, y), nil
+	v, cycles, err := m.ex.Mont(x, y)
+	m.Cycles += cycles
+	return v, err
 }
 
 // MulMod computes the plain modular product x·y mod N for x, y in
@@ -221,14 +177,8 @@ func (m *Multiplier) FromMont(t *big.Int) (*big.Int, error) {
 // NewMultiplier: WithKit selects the execution path, WithArrayVariant
 // the simulated array flavour for the Sim kit.
 func NewExponentiator(n *big.Int, opts ...Option) (*expo.Exponentiator, error) {
-	cfg := config{variant: systolic.Guarded}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if !cfg.kit.Valid() {
-		return nil, fmt.Errorf("core: unknown kit %v: %w", cfg.kit, errs.ErrOperandRange)
-	}
-	return expo.NewKit(n, cfg.resolve(kits.OpModExp, n.BitLen()), expo.WithVariant(cfg.variant))
+	cfg := newConfig(opts)
+	return expo.NewKit(n, cfg.kit, expo.WithVariant(cfg.variant))
 }
 
 // HardwareReport summarizes the synthesized circuit for a bit length:

@@ -129,7 +129,6 @@ func TestNewExponentiator(t *testing.T) {
 		{"simulate-faithful", []Option{WithKit(kits.Sim), WithArrayVariant(systolic.Faithful)}},
 		{"cios", []Option{WithKit(kits.CIOS)}},
 		{"big", []Option{WithKit(kits.Big)}},
-		{"auto", []Option{WithKit(kits.Auto)}},
 	} {
 		ex, err := NewExponentiator(n, tc.opts...)
 		if err != nil {

@@ -171,31 +171,3 @@ func TestCIOSWitnessIntegrity(t *testing.T) {
 		}
 	}
 }
-
-// TestKitAutoPinnedTable: with a pinned benchmark table, kit resolution
-// at construction is fully deterministic — the multiplier reports
-// exactly the pinned pick, across repeated constructions.
-func TestKitAutoPinnedTable(t *testing.T) {
-	tbl := &kits.Table{}
-	for b := 0; b < kits.NumBuckets; b++ {
-		tbl.Picks[b][int(kits.OpMont)] = kits.CIOS
-		tbl.Picks[b][int(kits.OpModExp)] = kits.Big
-	}
-	n := randOdd(rand.New(rand.NewSource(9)), 512)
-	for i := 0; i < 3; i++ {
-		m, err := NewMultiplier(n, WithKit(kits.Auto), WithKitTable(tbl))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Kit() != kits.CIOS {
-			t.Fatalf("auto multiplier resolved to %s, want cios", m.Kit())
-		}
-		ex, err := NewExponentiator(n, WithKit(kits.Auto), WithKitTable(tbl))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ex.Kit != kits.Big {
-			t.Fatalf("auto exponentiator resolved to %s, want big", ex.Kit)
-		}
-	}
-}

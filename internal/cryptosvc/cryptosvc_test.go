@@ -260,10 +260,10 @@ func TestVerifyECDSABatchPerItem(t *testing.T) {
 	}
 
 	items := []ECDSAVerifyItem{
-		{Qx: qx, Qy: qy, R: r, S: s, Digest: digest},                           // valid
-		{Qx: qx, Qy: qy, R: r, S: s, Digest: big.NewInt(1)},                    // wrong digest
-		{Qx: qx, Qy: qy, R: big.NewInt(0), S: s, Digest: digest},               // r out of range
-		{Qx: big.NewInt(1), Qy: big.NewInt(2), R: r, S: s, Digest: digest},     // bad point
+		{Qx: qx, Qy: qy, R: r, S: s, Digest: digest},                                  // valid
+		{Qx: qx, Qy: qy, R: r, S: s, Digest: big.NewInt(1)},                           // wrong digest
+		{Qx: qx, Qy: qy, R: big.NewInt(0), S: s, Digest: digest},                      // r out of range
+		{Qx: big.NewInt(1), Qy: big.NewInt(2), R: r, S: s, Digest: digest},            // bad point
 		{Qx: qx, Qy: qy, R: r, S: new(big.Int).Add(s, big.NewInt(1)), Digest: digest}, // tampered s
 	}
 	res, err := svc.VerifyECDSABatch(context.Background(), CurveP256, items)

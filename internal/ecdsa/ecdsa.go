@@ -71,13 +71,9 @@ func hashToInt(hash []byte, order *big.Int) *big.Int {
 }
 
 // invMod computes a⁻¹ mod n (n prime) by Fermat through the Montgomery
-// exponentiator — every inversion is a chain of Algorithm-2 passes. The
-// compute kit is resolved per order from the process benchmark table,
-// so scalar-field inversions ride the CIOS fast path when it wins the
-// order's bit-length bucket.
+// exponentiator on the CIOS kit, the fastest at every order size.
 func invMod(a, n *big.Int) (*big.Int, error) {
-	k := kits.NewSelector(kits.ProcessTable()).Pick(kits.OpModExp, n.BitLen())
-	ex, err := expo.NewKit(n, k)
+	ex, err := expo.NewKit(n, kits.CIOS)
 	if err != nil {
 		return nil, err
 	}

@@ -175,11 +175,10 @@ func BenchmarkEngineIntegrity(b *testing.B) {
 }
 
 // BenchmarkKitModExp compares single-threaded modexp throughput across
-// the concrete compute kits at the paper's RSA bit lengths with the F4
-// public exponent (65537) — the workload where even the gate-level sim
-// kit finishes in benchmarkable time. This is the source of
-// BENCH_kits.json; the ≥10× CIOS-vs-sim criterion falls out of the
-// ops/s column. Run with -benchtime 1x or a small fixed count: the sim
+// the compute kits at the paper's RSA bit lengths with the F4 public
+// exponent (65537) — the workload where even the gate-level sim kit
+// finishes in benchmarkable time. EXPERIMENTS.md records its first run;
+// the ≥10× CIOS-vs-sim criterion falls out of the ops/s column. Run with -benchtime 1x or a small fixed count: the sim
 // kit takes seconds per op at these lengths.
 func BenchmarkKitModExp(b *testing.B) {
 	for _, l := range []int{1024, 2048} {

@@ -1,7 +1,8 @@
 // Package engine is the concurrent multi-core face of the system: a
 // pool of K worker "cores", each owning an exclusive Montgomery
-// multiplier/exponentiator (reference arithmetic or the cycle-accurate
-// MMMC), fed from a bounded priority-lane scheduler (one EDF lane per
+// multiplier/exponentiator on the engine's one compute kit (WithKit:
+// the CIOS fast path, reference arithmetic, the cycle-accurate MMMC or
+// math/big), fed from a bounded priority-lane scheduler (one EDF lane per
 // qos.Class, strict priority with aging across lanes — see lanes.go). It is the software
 // analogue of the replicated-core scaling move in the quad-core RSA
 // processor literature: the paper's systolic array pipelines bit
@@ -47,7 +48,6 @@ type config struct {
 	queue     int
 	cacheSize int
 	kit       kits.Kit
-	table     *kits.Table // pinned auto-selection table (tests); nil = process table
 	variant   systolic.Variant
 	observer  Observer
 
@@ -77,19 +77,13 @@ func WithQueueDepth(d int) Option { return func(c *config) { c.queue = d } }
 // WithKit selects the compute kit worker cores run on: kits.Model
 // (radix-2 reference arithmetic, the default), kits.Sim (every product
 // through the cycle-accurate MMMC, each core simulating its own
-// circuit), kits.CIOS (the radix-2^64 word-serial fast path), kits.Big
-// (math/big oracle), or kits.Auto (pick the fastest measured kit per
-// job from the benchmark table, by modulus size and op shape).
+// circuit), kits.CIOS (the radix-2^64 word-serial fast path) or
+// kits.Big (math/big oracle). Every job runs on this kit.
 func WithKit(k kits.Kit) Option { return func(c *config) { c.kit = k } }
 
 // WithArrayVariant selects the simulated array variant Sim-kit cores
 // use. It has no effect on other kits.
 func WithArrayVariant(v systolic.Variant) Option { return func(c *config) { c.variant = v } }
-
-// WithKitTable pins the benchmark table used to resolve kits.Auto,
-// instead of the process-cached startup microbenchmark. Tests use this
-// to make per-job selection deterministic.
-func WithKitTable(t *kits.Table) Option { return func(c *config) { c.table = t } }
 
 // WithCtxCacheSize bounds the per-modulus context LRU (default 128).
 func WithCtxCacheSize(n int) Option { return func(c *config) { c.cacheSize = n } }
@@ -186,10 +180,6 @@ type Engine struct {
 	healthy atomic.Int64 // workers not currently quarantined
 	integ   *integrity.System
 
-	// sel resolves kits.Auto to a concrete kit per job; nil unless the
-	// engine was built with WithKit(kits.Auto).
-	sel *kits.Selector
-
 	ctr counters
 }
 
@@ -234,13 +224,6 @@ func New(opts ...Option) (*Engine, error) {
 		e.sched.onDepth = cfg.qosObs.LaneDepth
 	}
 	e.healthy.Store(int64(cfg.workers))
-	if cfg.kit == kits.Auto {
-		t := cfg.table
-		if t == nil {
-			t = kits.ProcessTable() // bounded microbenchmark, once per process
-		}
-		e.sel = kits.NewSelector(t)
-	}
 	if cfg.integrity {
 		e.integ = integrity.NewSystem(0)
 	}
@@ -256,8 +239,7 @@ func New(opts ...Option) (*Engine, error) {
 // Workers returns the number of worker cores.
 func (e *Engine) Workers() int { return e.cfg.workers }
 
-// Kit returns the configured compute kit (possibly kits.Auto, in which
-// case the concrete kit varies per job).
+// Kit returns the compute kit every job runs on.
 func (e *Engine) Kit() kits.Kit { return e.cfg.kit }
 
 // Close stops accepting work, waits for queued and in-flight jobs to

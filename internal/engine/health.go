@@ -127,7 +127,7 @@ func (w *worker) probe() (ok bool) {
 	if err != nil {
 		return false
 	}
-	me, err := w.multiplierIn(w.kit, katModulus, w.kitFor(kindMont, katModulus))
+	me, err := w.multiplierIn(w.kit, katModulus)
 	if err != nil {
 		return false
 	}

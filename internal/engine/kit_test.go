@@ -65,97 +65,3 @@ func TestEngineCIOSIntegrity(t *testing.T) {
 		t.Errorf("kit accounting: kit_cios=%d, want %d", st.KitJobs[kits.CIOS], 2*count)
 	}
 }
-
-// TestEngineAutoPinnedTable: under kits.Auto with a pinned table, the
-// per-job selection is deterministic — the bucket's pinned kit computes
-// every job, visible in the per-kit stats.
-func TestEngineAutoPinnedTable(t *testing.T) {
-	tbl := &kits.Table{}
-	for b := 0; b < kits.NumBuckets; b++ {
-		tbl.Picks[b][int(kits.OpModExp)] = kits.CIOS
-		tbl.Picks[b][int(kits.OpMont)] = kits.Big
-	}
-	rng := rand.New(rand.NewSource(0xA070))
-	n := randOdd(rng, 512)
-
-	eng, err := New(WithWorkers(3), WithKit(kits.Auto), WithKitTable(tbl))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
-	const count = 30
-	jobs := make([]ModExpJob, count)
-	for i := range jobs {
-		jobs[i] = ModExpJob{N: n, Base: new(big.Int).Rand(rng, n), Exp: big.NewInt(65537)}
-	}
-	results, err := eng.ModExpBatch(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("job %d: %v", i, r.Err)
-		}
-		if want := new(big.Int).Exp(jobs[i].Base, jobs[i].Exp, n); r.Value.Cmp(want) != 0 {
-			t.Fatalf("job %d: wrong answer", i)
-		}
-	}
-	n2 := new(big.Int).Lsh(n, 1)
-	mres, err := eng.MontBatch(context.Background(), []MontJob{
-		{N: n, X: new(big.Int).Rand(rng, n2), Y: new(big.Int).Rand(rng, n2)},
-	})
-	if err != nil || mres[0].Err != nil {
-		t.Fatal(err, mres[0].Err)
-	}
-
-	st := eng.Stats()
-	if st.KitJobs[kits.CIOS] != count {
-		t.Errorf("pinned modexp pick not honored: kit_cios=%d, want %d", st.KitJobs[kits.CIOS], count)
-	}
-	if st.KitJobs[kits.Big] != 1 {
-		t.Errorf("pinned mont pick not honored: kit_big=%d, want 1", st.KitJobs[kits.Big])
-	}
-}
-
-// TestEngineAutoMeasured: kits.Auto with no pinned table exercises the
-// real process-cached microbenchmark end to end — whatever the selector
-// picked, answers must match math/big and land in the per-kit stats.
-func TestEngineAutoMeasured(t *testing.T) {
-	rng := rand.New(rand.NewSource(0xA071))
-	n := randOdd(rng, 1024)
-
-	eng, err := New(WithWorkers(2), WithKit(kits.Auto))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
-	const count = 10
-	jobs := make([]ModExpJob, count)
-	for i := range jobs {
-		jobs[i] = ModExpJob{N: n, Base: new(big.Int).Rand(rng, n), Exp: big.NewInt(65537)}
-	}
-	results, err := eng.ModExpBatch(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("job %d: %v", i, r.Err)
-		}
-		if want := new(big.Int).Exp(jobs[i].Base, jobs[i].Exp, n); r.Value.Cmp(want) != 0 {
-			t.Fatalf("job %d: wrong answer", i)
-		}
-	}
-	total := int64(0)
-	for k, v := range eng.Stats().KitJobs {
-		if k == kits.Sim || !k.Valid() || k == kits.Auto {
-			t.Errorf("selector routed jobs to %s", k)
-		}
-		total += v
-	}
-	if total != count {
-		t.Errorf("per-kit totals %d, want %d", total, count)
-	}
-}

@@ -37,7 +37,7 @@ type Observer interface {
 	// Start is the enqueue instant; QueueWait and Exec partition the
 	// job's total latency, Integrity is the tail of Exec spent
 	// re-verifying the result. Muls, ModelCycles, SimCycles and Kit
-	// report the work the job performed and the concrete kit that did
+	// report the work the job performed and the kit that did
 	// it (zero unless Outcome is "ok"). For requests sampled by the
 	// tracing plane the trace/span ids join this job into its
 	// request's cross-process trace tree.

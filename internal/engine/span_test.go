@@ -46,7 +46,7 @@ func (r *spanRecorder) byOutcome() map[string][]obs.Span {
 }
 
 // TestJobSpanOncePerJob: every job lands in JobSpan exactly once, OK
-// spans carrying the concrete kit and the work accounting.
+// spans carrying the kit and the work accounting.
 func TestJobSpanOncePerJob(t *testing.T) {
 	rec := &spanRecorder{}
 	eng, err := New(WithWorkers(2), WithObserver(rec))

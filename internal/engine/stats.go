@@ -28,16 +28,10 @@ type counters struct {
 	modelCycles atomic.Int64 // paper-formula cycles (Model-mode reports)
 	simCycles   atomic.Int64 // measured MMMC cycles (Sim kit)
 
-	// kitJobs counts completed jobs per concrete compute kit — under
-	// kits.Auto this is where the selector's choices become visible.
+	// kitJobs counts completed jobs per compute kit: the engine's kit,
+	// plus kits.Model for jobs recomputed inline after an integrity
+	// failure.
 	kitJobs [kits.NumKits]atomic.Int64
-
-	// kitLatency distributes completed-job latency per concrete kit.
-	// kitJobs says the selector picked CIOS; these say whether that
-	// pick was actually faster — an Auto-selection regression moves a
-	// kit's percentiles while the aggregate latency histogram smears
-	// the shift across every kit.
-	kitLatency [kits.NumKits]obs.Histogram
 
 	integrityFailures atomic.Int64 // results refuted by a check
 	panics            atomic.Int64 // core panics recovered
@@ -87,14 +81,10 @@ type Stats struct {
 	CtxMisses    int64 // modulus-context LRU misses (precomputations run)
 	CtxEvictions int64 // modulus contexts dropped at LRU capacity
 
-	// KitJobs counts completed jobs by the concrete kit that computed
-	// them (kits.Model, .Sim, .CIOS, .Big). Under kits.Auto the spread
-	// across entries shows the selector's per-job choices.
+	// KitJobs counts completed jobs by the kit that computed them: the
+	// engine's kit, plus kits.Model for every job an integrity failure
+	// sent to the inline reference recompute.
 	KitJobs map[kits.Kit]int64
-
-	// KitLatency holds per-kit submit→finish latency distributions for
-	// every kit that completed at least one job.
-	KitLatency map[kits.Kit]obs.HistogramSnapshot
 
 	// Integrity subsystem (all zero unless WithIntegrityCheck /
 	// WithWatchdog is in effect or a core panicked).
@@ -124,11 +114,9 @@ func (e *Engine) Stats() Stats {
 	hits, misses, evictions := e.cache.counts()
 	lat := e.ctr.latency.Snapshot()
 	kitJobs := make(map[kits.Kit]int64, kits.NumKits)
-	kitLat := make(map[kits.Kit]obs.HistogramSnapshot, kits.NumKits)
 	for i := 0; i < kits.NumKits; i++ {
 		if v := e.ctr.kitJobs[i].Load(); v > 0 {
 			kitJobs[kits.Kit(i)] = v
-			kitLat[kits.Kit(i)] = e.ctr.kitLatency[i].Snapshot()
 		}
 	}
 	return Stats{
@@ -148,7 +136,6 @@ func (e *Engine) Stats() Stats {
 		CtxMisses:      int64(misses),
 		CtxEvictions:   int64(evictions),
 		KitJobs:        kitJobs,
-		KitLatency:     kitLat,
 
 		IntegrityFailures: e.ctr.integrityFailures.Load(),
 		Panics:            e.ctr.panics.Load(),

@@ -121,23 +121,9 @@ type jobResult struct {
 	v       *big.Int
 	rep     expo.Report
 	wk      work
-	kt      kits.Kit // concrete kit that produced the value
+	kt      kits.Kit // kit that produced the value
 	err     error
 	corrupt bool
-}
-
-// kitFor resolves the concrete kit for one job: the engine's fixed kit,
-// or — under kits.Auto — the benchmark table's pick for this operation
-// shape and modulus size.
-func (w *worker) kitFor(kind jobKind, n *big.Int) kits.Kit {
-	if w.eng.sel == nil {
-		return w.eng.cfg.kit
-	}
-	op := kits.OpModExp
-	if kind == kindMont {
-		op = kits.OpMont
-	}
-	return w.eng.sel.Pick(op, n.BitLen())
 }
 
 // run executes one dequeued job, splitting its latency into queue wait
@@ -151,14 +137,15 @@ func (w *worker) run(j *job) bool {
 	ctr := &w.eng.ctr
 	ob := w.eng.cfg.observer
 	dequeued := time.Now()
-	queueWait := dequeued.Sub(j.enqueued)
+	start := j.enqueued // redirect re-stamps j.enqueued for the next run
+	queueWait := dequeued.Sub(start)
 	ctr.queueWait.Observe(queueWait.Nanoseconds())
 	if ob != nil {
 		ob.JobStarted(j.kind.kindName(), w.id, queueWait)
 	}
 
 	// doneKit and integDur accumulate what the span reports beyond the
-	// timings and work counts: the concrete kit (set on the OK path
+	// timings and work counts: the kit that ran (set on the OK path
 	// only — a failed job's kit field would be a zero-value lie) and
 	// the tail of execution spent re-verifying the result.
 	doneKit := kits.Kit(-1)
@@ -171,9 +158,6 @@ func (w *worker) run(j *job) bool {
 			ctr.completed.Add(1)
 			ctr.latency.Observe((queueWait + exec).Nanoseconds())
 			ctr.execTime.Observe(exec.Nanoseconds())
-			if doneKit >= 0 && int(doneKit) < kits.NumKits {
-				ctr.kitLatency[doneKit].Observe((queueWait + exec).Nanoseconds())
-			}
 		case outcomeCanceled:
 			ctr.canceled.Add(1)
 			ctr.failedLat.Observe((queueWait + exec).Nanoseconds())
@@ -187,7 +171,7 @@ func (w *worker) run(j *job) bool {
 		if ob != nil {
 			s := obs.Span{
 				Name: j.kind.kindName(), Worker: w.id, Outcome: outcome,
-				Start: j.enqueued, QueueWait: queueWait, Exec: exec,
+				Start: start, QueueWait: queueWait, Exec: exec,
 				Integrity: integDur,
 				Muls:      muls, ModelCycles: modelCycles, SimCycles: simCycles,
 			}
@@ -226,10 +210,16 @@ func (w *worker) run(j *job) bool {
 	if res.corrupt {
 		w.quarantine()
 		if w.eng.cfg.integrity && w.eng.cfg.integrityRecompute {
+			// Hold the batch open until the requeued span is recorded:
+			// once the job is back in the queue another core may finish
+			// it and release the caller.
+			j.wg.Add(1)
 			if w.redirect(j) {
 				finish(outcomeRequeued, 0, 0, 0)
+				j.wg.Done()
 				return false
 			}
+			j.wg.Done()
 			res = w.recomputeInline(j, res)
 		}
 	}
@@ -348,10 +338,10 @@ func (w *worker) compute(j *job, k *kit) (res jobResult) {
 			}
 		}
 	}()
-	kt := w.kitFor(j.kind, j.n)
+	kt := w.eng.cfg.kit
 	switch j.kind {
 	case kindModExp:
-		ex, err := w.exponentiatorIn(k, j.n, kt)
+		ex, err := w.exponentiatorIn(k, j.n)
 		if err != nil {
 			return jobResult{err: err}
 		}
@@ -366,7 +356,7 @@ func (w *worker) compute(j *job, k *kit) (res jobResult) {
 			simCycles:   int64(rep.SimulatedMulCycles),
 		}}
 	default: // kindMont
-		me, err := w.multiplierIn(k, j.n, kt)
+		me, err := w.multiplierIn(k, j.n)
 		if err != nil {
 			return jobResult{err: err}
 		}
@@ -463,19 +453,15 @@ func (w *worker) recomputeInline(j *job, failed jobResult) jobResult {
 	return failed
 }
 
-// cacheKey keys the worker-local core caches by (kit, modulus): under
-// kits.Auto the same modulus can legitimately need cores on different
-// kits for different op shapes.
-func cacheKey(kt kits.Kit, n *big.Int) string {
-	return string(byte(kt)) + string(n.Bytes())
-}
+// cacheKey keys the worker-local core caches by modulus.
+func cacheKey(n *big.Int) string { return string(n.Bytes()) }
 
 // exponentiatorIn returns the kit's exclusive exponentiator for
-// modulus n on compute kit kt, building it over the shared LRU-cached
-// context on first use and wrapping it with the fault injector when
-// one is configured.
-func (w *worker) exponentiatorIn(k *kit, n *big.Int, kt kits.Kit) (exponentiator, error) {
-	key := cacheKey(kt, n)
+// modulus n on the engine's compute kit, building it over the shared
+// LRU-cached context on first use and wrapping it with the fault
+// injector when one is configured.
+func (w *worker) exponentiatorIn(k *kit, n *big.Int) (exponentiator, error) {
+	key := cacheKey(n)
 	if ex, ok := k.exps[key]; ok {
 		return ex, nil
 	}
@@ -487,7 +473,7 @@ func (w *worker) exponentiatorIn(k *kit, n *big.Int, kt kits.Kit) (exponentiator
 	if f := w.eng.cfg.expFactory; f != nil {
 		ex, err = f(w.id, ctx)
 	} else {
-		ex, err = expo.NewKitFromCtx(ctx, kt, expo.WithVariant(w.eng.cfg.variant))
+		ex, err = expo.NewKitFromCtx(ctx, w.eng.cfg.kit, expo.WithVariant(w.eng.cfg.variant))
 	}
 	if err != nil {
 		return nil, err
@@ -503,8 +489,8 @@ func (w *worker) exponentiatorIn(k *kit, n *big.Int, kt kits.Kit) (exponentiator
 }
 
 // multiplierIn is exponentiatorIn's twin for raw Montgomery products.
-func (w *worker) multiplierIn(k *kit, n *big.Int, kt kits.Kit) (*mulEntry, error) {
-	key := cacheKey(kt, n)
+func (w *worker) multiplierIn(k *kit, n *big.Int) (*mulEntry, error) {
+	key := cacheKey(n)
 	if me, ok := k.muls[key]; ok {
 		return me, nil
 	}
@@ -520,7 +506,7 @@ func (w *worker) multiplierIn(k *kit, n *big.Int, kt kits.Kit) (*mulEntry, error
 		}
 	} else {
 		raw, err := core.NewMultiplierFromCtx(ctx,
-			core.WithKit(kt), core.WithArrayVariant(w.eng.cfg.variant))
+			core.WithKit(w.eng.cfg.kit), core.WithArrayVariant(w.eng.cfg.variant))
 		if err != nil {
 			return nil, err
 		}

@@ -17,6 +17,8 @@
 // conformance tests pin the two to identical results and identical
 // square/multiply counts, so Model is safe for the large bit lengths of
 // Tables 1 and 2. kits.CIOS and kits.Big are the host fast paths.
+// (*Exponentiator).Mont is the one switch over the kits for a single
+// product; internal/core's Multiplier computes through it.
 package expo
 
 import (
@@ -71,7 +73,7 @@ func PaperAverageCycles(l int) float64 {
 // Exponentiator computes modular exponentiations over one modulus.
 type Exponentiator struct {
 	L   int
-	Kit kits.Kit // the concrete compute kit executing multiplications
+	Kit kits.Kit // the compute kit executing multiplications
 
 	ctx     *mont.Ctx
 	circuit *mmmc.Circuit // Sim kit only
@@ -103,17 +105,15 @@ func NewKit(n *big.Int, k kits.Kit, opts ...Option) (*Exponentiator, error) {
 }
 
 // NewKitFromCtx builds an exponentiator on the given compute kit over an
-// existing context, skipping the per-modulus precomputation. The kit must
-// be concrete: callers wanting Auto resolve it first (internal/core and
-// internal/engine do this through kits.ProcessTable / their pinned
-// table). The Ctx is immutable and may be shared freely; the
-// Exponentiator itself (whose Sim-kit circuit and CIOS-kit scratch are
-// mutable state) must stay confined to one goroutine. internal/engine
-// uses this to share LRU-cached contexts across worker cores while
-// giving each core an exclusive circuit.
+// existing context, skipping the per-modulus precomputation. The Ctx is
+// immutable and may be shared freely; the Exponentiator itself (whose
+// Sim-kit circuit and CIOS-kit scratch are mutable state) must stay
+// confined to one goroutine. internal/engine uses this to share
+// LRU-cached contexts across worker cores while giving each core an
+// exclusive circuit.
 func NewKitFromCtx(ctx *mont.Ctx, k kits.Kit, opts ...Option) (*Exponentiator, error) {
-	if k == kits.Auto || !k.Valid() {
-		return nil, fmt.Errorf("expo: kit %v is not a concrete compute kit: %w", k, errs.ErrOperandRange)
+	if !k.Valid() {
+		return nil, fmt.Errorf("expo: unknown kit %v: %w", k, errs.ErrOperandRange)
 	}
 	cfg := config{variant: systolic.Guarded}
 	for _, o := range opts {
@@ -137,26 +137,36 @@ func NewKitFromCtx(ctx *mont.Ctx, k kits.Kit, opts ...Option) (*Exponentiator, e
 // Ctx exposes the Montgomery context (for benchmarks and applications).
 func (e *Exponentiator) Ctx() *mont.Ctx { return e.ctx }
 
-// mul computes one Montgomery product x·y·R⁻¹ (R = 2^(l+2)) on the
-// exponentiator's kit, for operands in [0, 2N). Every kit returns the
-// same residue mod N in [0, 2N): Sim runs the circuit (adding its
-// measured cycles to rep), CIOS the word kernel, Big the closed form,
-// Model Algorithm 2.
-func (e *Exponentiator) mul(x, y *big.Int, rep *Report) (*big.Int, error) {
+// Mont computes one Montgomery product x·y·R⁻¹ (R = 2^(l+2)) on the
+// exponentiator's kit and returns it with the clock cycles the
+// simulated MMMC measured (Sim kit only; 0 on every other kit). It is
+// the one place that dispatches a product on a kit. Operands must lie
+// in [0, 2N); core.Multiplier checks them. Every kit returns the same
+// residue mod N in [0, 2N): Sim runs the circuit, CIOS the word kernel,
+// Big the closed form, Model Algorithm 2. The representative may differ
+// across kits (CIOS and Big both reduce below N, Algorithm 2 need not).
+func (e *Exponentiator) Mont(x, y *big.Int) (*big.Int, int, error) {
 	switch e.Kit {
 	case kits.Sim:
 		res, cycles, err := e.circuit.Run(bits.FromBig(x, e.L+1), bits.FromBig(y, e.L+1), e.nVec)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		rep.SimulatedMulCycles += cycles
-		return res.Big(), nil
+		return res.Big(), cycles, nil
 	case kits.CIOS:
-		return e.word.Mont(x, y)
+		v, err := e.word.Mont(x, y)
+		return v, 0, err
 	case kits.Big:
-		return e.ctx.MulClosedForm(x, y), nil
+		return e.ctx.MulClosedForm(x, y), 0, nil
 	}
-	return e.ctx.Mul(x, y), nil
+	return e.ctx.Mul(x, y), 0, nil
+}
+
+// mul is Mont with its simulated cycles added to rep.
+func (e *Exponentiator) mul(x, y *big.Int, rep *Report) (*big.Int, error) {
+	v, cycles, err := e.Mont(x, y)
+	rep.SimulatedMulCycles += cycles
+	return v, err
 }
 
 // checkArgs validates a base in [0, N-1] and a positive exponent.

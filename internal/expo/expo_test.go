@@ -22,8 +22,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := NewKit(big.NewInt(1), kits.Model); err == nil {
 		t.Error("tiny modulus accepted")
 	}
-	if _, err := NewKit(big.NewInt(101), kits.Auto); err == nil {
-		t.Error("unresolved Auto kit accepted")
+	if _, err := NewKit(big.NewInt(101), kits.Kit(kits.NumKits)); err == nil {
+		t.Error("out-of-range kit accepted")
 	}
 	e, err := NewKit(big.NewInt(101), kits.Sim)
 	if err != nil || e.L != 7 || e.Kit != kits.Sim {

@@ -178,7 +178,7 @@ func TestWindowReducesMultiplies(t *testing.T) {
 	}
 }
 
-// Ladder and window must match math/big on every concrete kit — each
+// Ladder and window must match math/big on every kit — each
 // product dispatches on the kit — and on the Sim kit every product is
 // measured, so SimulatedMulCycles must be exactly products·(3l+4).
 func TestLadderAndWindowEveryKit(t *testing.T) {

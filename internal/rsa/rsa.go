@@ -174,24 +174,12 @@ func GenerateKey(bits int, e *big.Int, rng *rand.Rand) (*PrivateKey, error) {
 	return nil, errors.New("rsa: key generation exhausted attempts")
 }
 
-// newExp builds an exponentiator for n on the requested compute kit.
-// kits.Auto resolves through the process benchmark table per modulus —
-// in particular the two half-size CRT moduli resolve independently, so
-// they ride the CIOS fast path whenever it wins their bucket.
-func newExp(n *big.Int, k kits.Kit) (*expo.Exponentiator, error) {
-	if k == kits.Auto {
-		k = kits.NewSelector(kits.ProcessTable()).Pick(kits.OpModExp, n.BitLen())
-	}
-	return expo.NewKit(n, k)
-}
-
 // Encrypt computes C = M^E mod N through the exponentiator on the given
 // compute kit (kits.Model for the paper-faithful path, kits.CIOS for
-// host speed, kits.Sim for the cycle-accurate circuit, kits.Auto to let
-// the benchmark table choose). It returns the ciphertext and the
+// host speed, kits.Sim for the cycle-accurate circuit). It returns the ciphertext and the
 // exponentiation report.
 func (pub *PublicKey) Encrypt(m *big.Int, k kits.Kit) (*big.Int, expo.Report, error) {
-	ex, err := newExp(pub.N, k)
+	ex, err := expo.NewKit(pub.N, k)
 	if err != nil {
 		return nil, expo.Report{}, err
 	}
@@ -200,7 +188,7 @@ func (pub *PublicKey) Encrypt(m *big.Int, k kits.Kit) (*big.Int, expo.Report, er
 
 // Decrypt computes M = C^D mod N directly (no CRT).
 func (priv *PrivateKey) Decrypt(c *big.Int, k kits.Kit) (*big.Int, expo.Report, error) {
-	ex, err := newExp(priv.N, k)
+	ex, err := expo.NewKit(priv.N, k)
 	if err != nil {
 		return nil, expo.Report{}, err
 	}
@@ -212,11 +200,11 @@ func (priv *PrivateKey) Decrypt(c *big.Int, k kits.Kit) (*big.Int, expo.Report, 
 // standard ~4× speedup, included as the paper's natural extension for
 // RSA deployments. The combined cycle report sums both halves.
 func (priv *PrivateKey) DecryptCRT(c *big.Int, k kits.Kit) (*big.Int, expo.Report, error) {
-	exP, err := newExp(priv.P, k)
+	exP, err := expo.NewKit(priv.P, k)
 	if err != nil {
 		return nil, expo.Report{}, err
 	}
-	exQ, err := newExp(priv.Q, k)
+	exQ, err := expo.NewKit(priv.Q, k)
 	if err != nil {
 		return nil, expo.Report{}, err
 	}

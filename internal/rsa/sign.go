@@ -28,7 +28,7 @@ func (priv *PrivateKey) SignSHA256(message []byte, k kits.Kit) (*big.Int, expo.R
 	if priv.P != nil && priv.Q != nil {
 		return priv.decryptCRTValue(h, k)
 	}
-	ex, err := newExp(priv.N, k)
+	ex, err := expo.NewKit(priv.N, k)
 	if err != nil {
 		return nil, expo.Report{}, err
 	}
@@ -49,7 +49,7 @@ func (pub *PublicKey) VerifySHA256(message []byte, sig *big.Int, k kits.Kit) (bo
 	digest := sha256.Sum256(message)
 	h := new(big.Int).SetBytes(digest[:])
 	h.Mod(h, pub.N)
-	ex, err := newExp(pub.N, k)
+	ex, err := expo.NewKit(pub.N, k)
 	if err != nil {
 		return false, err
 	}
@@ -84,7 +84,7 @@ func (priv *PrivateKey) DecryptBlinded(c *big.Int, k kits.Kit, rng *rand.Rand) (
 			break
 		}
 	}
-	ex, err := newExp(priv.N, k)
+	ex, err := expo.NewKit(priv.N, k)
 	if err != nil {
 		return nil, expo.Report{}, err
 	}

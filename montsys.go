@@ -19,7 +19,6 @@
 //	KitSim    cycle-accurate simulated systolic circuit
 //	KitCIOS   production radix-2^64 CIOS word-serial fast path
 //	KitBig    math/big oracle
-//	KitAuto   pick the fastest measured kit per modulus size and op
 //
 // Quick start:
 //
@@ -32,7 +31,7 @@
 //	c, report, err := ex.ModExp(msg, e)                   // RSA-style exponentiation
 //
 //	eng, err := montsys.NewEngine(montsys.WithEngineWorkers(8),
-//	    montsys.WithEngineKit(montsys.KitAuto))           // auto-tuned kit per job
+//	    montsys.WithEngineKit(montsys.KitCIOS))           // fast path on every core
 //	results, err := eng.ModExpBatch(ctx, jobs)            // fan across 8 cores
 //
 //	srv, err := montsys.NewServer(eng)                    // TCP front door (montsysd)
@@ -143,19 +142,15 @@ const (
 // Exponentiator, or engine worker core runs Montgomery operations on.
 type Kit = kits.Kit
 
-// The compute kits. KitAuto is a selection policy, not a backend: the
-// concrete kit is picked per modulus size (and, in the engine, per
-// operation shape) from a bounded startup microbenchmark cached for
-// the process lifetime.
+// The compute kits.
 const (
 	KitModel = kits.Model // radix-2 reference arithmetic, paper cycle formulas (default)
 	KitSim   = kits.Sim   // cycle-accurate simulated systolic circuit
 	KitCIOS  = kits.CIOS  // radix-2^64 CIOS word-serial fast path
 	KitBig   = kits.Big   // math/big oracle
-	KitAuto  = kits.Auto  // auto-tuned per-job selection
 )
 
-// ParseKit maps a flag value (model|sim|cios|big|auto, case-insensitive)
+// ParseKit maps a flag value (model|sim|cios|big, case-insensitive)
 // to its Kit.
 func ParseKit(s string) (Kit, error) { return kits.Parse(s) }
 
@@ -168,8 +163,7 @@ func NewMultiplier(n *big.Int, opts ...Option) (*Multiplier, error) {
 // Kits never change answers — every kit computes the same residues,
 // equivalence-tested against one another — only the speed/fidelity
 // trade: KitModel and KitSim are the paper's reference and simulation,
-// KitCIOS is the production fast path, KitBig the math/big oracle, and
-// KitAuto picks per modulus size from the process benchmark table.
+// KitCIOS is the production fast path and KitBig the math/big oracle.
 func WithKit(k Kit) Option { return core.WithKit(k) }
 
 // WithArrayVariant selects the systolic array variant the KitSim
@@ -222,10 +216,8 @@ func WithEngineWorkers(k int) EngineOption { return engine.WithWorkers(k) }
 func WithEngineQueueDepth(d int) EngineOption { return engine.WithQueueDepth(d) }
 
 // WithEngineKit selects the compute kit worker cores run on (default
-// KitModel). With KitAuto the engine resolves the kit per job — by
-// modulus bit-length bucket and operation shape — from a bounded
-// startup microbenchmark cached for the process; per-kit job counts
-// appear in EngineStats.KitJobs.
+// KitModel). Every job runs on it; per-kit job counts appear in
+// EngineStats.KitJobs.
 func WithEngineKit(k Kit) EngineOption { return engine.WithKit(k) }
 
 // WithEngineCtxCacheSize bounds the per-modulus context LRU (default 128).

@@ -88,7 +88,6 @@ func TestExponentiatorOptions(t *testing.T) {
 		{"sim-kit-faithful", []Option{WithKit(KitSim), WithArrayVariant(Faithful)}},
 		{"cios-kit", []Option{WithKit(KitCIOS)}},
 		{"big-kit", []Option{WithKit(KitBig)}},
-		{"auto-kit", []Option{WithKit(KitAuto)}},
 	} {
 		ex, err := NewExponentiator(n, tc.opts...)
 		if err != nil {
@@ -106,7 +105,7 @@ func TestExponentiatorOptions(t *testing.T) {
 
 // ParseKit round-trips every kit constant and rejects junk.
 func TestParseKit(t *testing.T) {
-	for _, k := range []Kit{KitModel, KitSim, KitCIOS, KitBig, KitAuto} {
+	for _, k := range []Kit{KitModel, KitSim, KitCIOS, KitBig} {
 		got, err := ParseKit(k.String())
 		if err != nil || got != k {
 			t.Errorf("ParseKit(%q) = %v, %v", k.String(), got, err)
