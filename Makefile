@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt build vet bench-vet bench-test dead-options test test-386 race staticcheck cover bench-engine bench-obs bench-faults bench-sign bench-qos sca-gate qos fuzz soak
+.PHONY: ci fmt build vet bench-vet bench-test dead-options test test-386 race staticcheck cover bench-faults bench-sign bench-qos sca-gate qos fuzz soak
 
 ci: fmt vet bench-vet bench-test staticcheck dead-options build test test-386 race
 
@@ -57,15 +57,6 @@ staticcheck:
 cover:
 	$(GO) test -race -coverprofile=coverage.out -covermode=atomic ./internal/obs/... ./internal/engine/...
 	$(GO) tool cover -func=coverage.out | tail -1
-
-# Regenerate BENCH_engine.json's raw numbers (paste + annotate by hand).
-bench-engine:
-	$(GO) test -run xxx -bench 'EngineModExp|SequentialModExp' -benchtime 20x ./internal/engine/
-
-# Regenerate BENCH_obs.json's raw numbers: observer off vs metrics vs
-# metrics+trace on the model-mode hot path.
-bench-obs:
-	$(GO) test -run xxx -bench EngineModExpObserved -benchtime 60x -count 6 ./internal/engine/
 
 # Regenerate BENCH_faults.json's raw numbers: the clean-path cost of
 # integrity checking (off vs sampled vs every-job) on the modexp path.

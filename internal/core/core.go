@@ -48,9 +48,9 @@ func WithKit(k kits.Kit) Option { return func(c *config) { c.kit = k } }
 func WithArrayVariant(v systolic.Variant) Option { return func(c *config) { c.variant = v } }
 
 // Multiplier is a Montgomery modular multiplier for one odd modulus.
-// Its products run through an expo.Exponentiator's Mont, the one place
-// that dispatches a product on a kit; the Multiplier adds the operand
-// check and the Muls/Cycles counters.
+// Its products run through an expo.Exponentiator's Mont, which checks
+// the operands and dispatches the product on the kit; the Multiplier
+// adds the Muls/Cycles counters.
 //
 // Concurrency: a Model-kit Multiplier only reads its immutable
 // mont.Ctx during Mont, but the Muls/Cycles counters are plain ints, a
@@ -59,8 +59,8 @@ func WithArrayVariant(v systolic.Variant) Option { return func(c *config) { c.va
 // mutable word-slice scratch — so a Multiplier is NOT safe for
 // concurrent use. Give each goroutine its own Multiplier; they may
 // share one *mont.Ctx via NewMultiplierFromCtx (a Ctx is immutable and
-// safe to share). This is exactly how internal/engine arranges its
-// worker cores.
+// safe to share). internal/engine follows the same rule with one
+// expo.Exponentiator per worker and modulus.
 type Multiplier struct {
 	ex  *expo.Exponentiator
 	ctx *mont.Ctx
@@ -84,8 +84,7 @@ func NewMultiplier(n *big.Int, opts ...Option) (*Multiplier, error) {
 // context, skipping the per-modulus precomputation (the R⁻¹ inversion
 // and R² reduction). The Ctx may be shared between multipliers — it is
 // immutable — but the returned Multiplier itself must stay confined to
-// one goroutine; see the type's concurrency note. internal/engine uses
-// this to fan one LRU-cached Ctx out across its worker cores.
+// one goroutine; see the type's concurrency note.
 func NewMultiplierFromCtx(ctx *mont.Ctx, opts ...Option) (*Multiplier, error) {
 	cfg := newConfig(opts)
 	ex, err := expo.NewKitFromCtx(ctx, cfg.kit, expo.WithVariant(cfg.variant))
@@ -128,17 +127,19 @@ func (m *Multiplier) CyclesPerMont() int { return 3*m.ctx.L + 4 }
 // Mont computes the Montgomery product x·y·R⁻¹ mod 2N for operands in
 // [0, 2N-1]. The result is again in [0, 2N-1] and may be fed straight
 // back — no reduction ever happens, the paper's central property.
+// Operands outside that range fail with ErrOperandRange and are not
+// counted.
 //
 // Every kit computes the same residue mod N; the in-[0, 2N)
 // representative may differ across kits (see expo.(*Exponentiator).Mont).
 func (m *Multiplier) Mont(x, y *big.Int) (*big.Int, error) {
-	if x.Sign() < 0 || x.Cmp(m.ctx.N2) >= 0 || y.Sign() < 0 || y.Cmp(m.ctx.N2) >= 0 {
-		return nil, fmt.Errorf("core: Mont operands must be in [0, 2N-1]: %w", errs.ErrOperandRange)
+	v, cycles, err := m.ex.Mont(x, y)
+	if err != nil {
+		return nil, err
 	}
 	m.Muls++
-	v, cycles, err := m.ex.Mont(x, y)
 	m.Cycles += cycles
-	return v, err
+	return v, nil
 }
 
 // MulMod computes the plain modular product x·y mod N for x, y in

@@ -1,21 +1,26 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 	"testing"
 
+	"repro/internal/errs"
 	"repro/internal/kits"
 )
 
 // edgeWidths are the modulus bit lengths around the 64-bit limb
 // boundaries, where Walter's bound (R = 2^(l+2)) and the word kernel's
-// limb count S = ⌈l/64⌉ meet with the least slack.
+// limb count S = ⌈l/64⌉ meet with the least slack, plus the RSA
+// CRT-half and full-modulus widths.
 var edgeWidths = []int{
 	62, 63, 64, 65, 66,
 	126, 127, 128, 129, 130, 131,
 	190, 191, 192, 193, 194,
 	253, 254, 255, 256, 257, 258,
+	1022, 1023, 1024,
+	2046, 2047, 2048,
 }
 
 // edgeModuli returns the maximal and minimal odd l-bit moduli:
@@ -45,10 +50,12 @@ func edgeKits(l int) []kits.Kit {
 // Exponentiator interfaces at the limb-boundary widths, on the maximal
 // and minimal modulus of each width. Mont takes every pair of the edge
 // operands {0, 1, N−1, N, 2N−1}; each result must lie in [0, 2N) and
-// equal x·y·2^−(l+2) mod N as math/big computes it. ModExp must equal
-// big.Int.Exp exactly, for exponents on both sides of the CIOS kit's
-// 64-bit switch from binary to windowed exponentiation (short exponents
-// only on the Sim kit).
+// equal x·y·2^−(l+2) mod N as math/big computes it, and x = 2N must
+// fail with ErrOperandRange without touching the counters. ModExp must
+// equal big.Int.Exp exactly, for exponents on both sides of the CIOS
+// kit's 64-bit switch from binary to windowed exponentiation (short
+// exponents only on the Sim kit, and on the Model kit at the RSA
+// widths).
 func TestKitEdgeSweep(t *testing.T) {
 	for _, l := range edgeWidths {
 		for shape, n := range edgeModuli(l) {
@@ -95,6 +102,11 @@ func checkMontEdges(t *testing.T, name string, n *big.Int, k kits.Kit) {
 			}
 		}
 	}
+	// x = 2N is out of range on every kit, and a failed call is not
+	// counted.
+	if _, err := m.Mont(n2, one); !errors.Is(err, errs.ErrOperandRange) {
+		t.Fatalf("%s: Mont(2N, 1): err = %v, want ErrOperandRange", name, err)
+	}
 	wantCycles := 0
 	if k == kits.Sim {
 		wantCycles = products * m.CyclesPerMont()
@@ -114,9 +126,10 @@ func checkModExpEdges(t *testing.T, name string, n *big.Int, k kits.Kit) {
 	one := big.NewInt(1)
 	bases := []*big.Int{big.NewInt(0), one, big.NewInt(2), new(big.Int).Sub(n, one)}
 	exps := []*big.Int{one, big.NewInt(2), big.NewInt(3)}
-	if k != kits.Sim {
-		// 2^16+1 runs the CIOS kit's binary schedule, the all-ones
-		// 72-bit exponent its fixed window.
+	// 2^16+1 runs the CIOS kit's binary schedule, the all-ones 72-bit
+	// exponent its fixed window. The bit-serial kits skip them where a
+	// product is slow: Sim everywhere, Model at the RSA widths.
+	if k != kits.Sim && (k != kits.Model || n.BitLen() <= 258) {
 		exps = append(exps, big.NewInt(65537), new(big.Int).Sub(new(big.Int).Lsh(one, 72), one))
 	}
 	for _, b := range bases {

@@ -63,7 +63,7 @@ func BenchmarkEngineModExp(b *testing.B) {
 // with the full obs.Collector (metrics only), and with metrics +
 // tracing. The instrumentation is a handful of atomic adds per job
 // against a ~ms modular exponentiation, so the on/off delta must stay
-// in the noise (<5%) — BENCH_obs.json records a run.
+// in the noise (<5%); EXPERIMENTS.md records a run.
 func BenchmarkEngineModExpObserved(b *testing.B) {
 	cases := []struct {
 		name string
@@ -108,8 +108,9 @@ func BenchmarkEngineModExpObserved(b *testing.B) {
 // (its own context, a freshly minted root trace context) exactly like
 // a request arriving over the wire. rate=0 is the floor: everything
 // wired up but nothing sampled, so the only cost is the nil-check and
-// the sampling hash. BENCH_obs.json records a run and where the
-// overhead knee sits.
+// the sampling hash. EXPERIMENTS.md records a run and where the
+// overhead knee sits; the benchmark metric trace.overhead_ratio is the
+// live record.
 func BenchmarkEngineModExpSampled(b *testing.B) {
 	for _, rate := range []float64{0, 0.01, 0.1, 1} {
 		b.Run("l=512/w=2/kit=cios/sample="+strconv.FormatFloat(rate, 'g', -1, 64), func(b *testing.B) {

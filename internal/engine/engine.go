@@ -1,6 +1,6 @@
 // Package engine is the concurrent multi-core face of the system: a
-// pool of K worker "cores", each owning an exclusive Montgomery
-// multiplier/exponentiator on the engine's one compute kit (WithKit:
+// pool of K worker "cores", each owning one exclusive exponentiator per
+// modulus on the engine's one compute kit (WithKit:
 // the CIOS fast path, reference arithmetic, the cycle-accurate MMMC or
 // math/big), fed from a bounded priority-lane scheduler (one EDF lane per
 // qos.Class, strict priority with aging across lanes — see lanes.go). It is the software
@@ -13,9 +13,10 @@
 //
 //   - a mont.Ctx is immutable → shared freely via an LRU cache, so
 //     repeated moduli skip the R⁻¹/R² precomputation;
-//   - a Multiplier/Exponentiator owns mutable circuit state → strictly
-//     one per worker, never shared (see core.Multiplier's concurrency
-//     note);
+//   - an expo.Exponentiator owns mutable circuit state → strictly one
+//     per worker and modulus, never shared; it runs both ModExp and
+//     Mont jobs, as the paper's §4.5 exponentiator runs a lone product
+//     and a whole exponentiation on the same MMMC;
 //   - batches preserve input order: results[i] always answers jobs[i];
 //   - cancellation is prompt: a cancelled context stops submission,
 //     and queued-but-unexecuted jobs come back marked with ctx.Err().
@@ -60,10 +61,9 @@ type config struct {
 
 	qosObs QoSObserver
 
-	// Test seams: override how workers build their cores (e.g. a
-	// deliberately panicking fake). nil = the real constructors.
-	mulFactory func(worker int, ctx *mont.Ctx) (multiplier, error)
-	expFactory func(worker int, ctx *mont.Ctx) (exponentiator, error)
+	// Test seam: overrides how workers build their cores (e.g. a
+	// deliberately panicking fake). nil = the real constructor.
+	factory func(worker int, ctx *mont.Ctx) (exponentiator, error)
 }
 
 // WithWorkers sets the number of worker cores (default GOMAXPROCS).
@@ -154,12 +154,9 @@ func WithQoSObserver(o QoSObserver) Option { return func(c *config) { c.qosObs =
 // withClock overrides the engine's time source (tests only).
 func withClock(c clock) Option { return func(cfg *config) { cfg.clk = c } }
 
-// withFactories overrides how workers build their cores (tests only).
-func withFactories(
-	mf func(worker int, ctx *mont.Ctx) (multiplier, error),
-	xf func(worker int, ctx *mont.Ctx) (exponentiator, error),
-) Option {
-	return func(c *config) { c.mulFactory = mf; c.expFactory = xf }
+// withFactory overrides how workers build their cores (tests only).
+func withFactory(f func(worker int, ctx *mont.Ctx) (exponentiator, error)) Option {
+	return func(c *config) { c.factory = f }
 }
 
 // Engine schedules Montgomery work across a pool of worker cores. It is
@@ -438,35 +435,35 @@ func (e *Engine) ModExp(ctx context.Context, n, base, exp *big.Int) (*big.Int, e
 // and clearly marked, never silently dropped.
 func (e *Engine) ModExpBatch(ctx context.Context, jobs []ModExpJob) ([]ModExpResult, error) {
 	results := make([]ModExpResult, len(jobs))
+	err := e.runBatch(ctx, len(jobs), func(i int) *job {
+		return &job{kind: kindModExp, deadline: jobs[i].Deadline,
+			n: jobs[i].N, a: jobs[i].Base, b: jobs[i].Exp, expOut: &results[i]}
+	})
+	return results, err
+}
+
+// runBatch submits the jobs mk builds for indexes 0..count-1 and waits
+// for every submitted one (in-flight jobs only; cancelled queued jobs
+// drain fast). When a submission fails, that job and every later one
+// fail with its error, which runBatch returns; otherwise it returns
+// ctx.Err().
+func (e *Engine) runBatch(ctx context.Context, count int, mk func(i int) *job) error {
 	var wg sync.WaitGroup
-	var submitErr error
-	for i := range jobs {
-		j := &job{
-			kind:     kindModExp,
-			ctx:      ctx,
-			deadline: jobs[i].Deadline,
-			enqueued: time.Now(),
-			n:        jobs[i].N,
-			a:        jobs[i].Base,
-			b:        jobs[i].Exp,
-			expOut:   &results[i],
-			wg:       &wg,
-		}
+	for i := 0; i < count; i++ {
+		j := mk(i)
+		j.ctx, j.enqueued, j.wg = ctx, time.Now(), &wg
 		wg.Add(1)
 		if err := e.submit(ctx, j); err != nil {
 			wg.Done()
-			for k := i; k < len(jobs); k++ {
-				results[k].Err = err
+			for k := i; k < count; k++ {
+				mk(k).fail(err)
 			}
-			submitErr = err
-			break
+			wg.Wait()
+			return err
 		}
 	}
-	wg.Wait() // in-flight jobs only; cancelled queued jobs drain fast
-	if submitErr != nil {
-		return results, submitErr
-	}
-	return results, ctx.Err()
+	wg.Wait()
+	return ctx.Err()
 }
 
 // Mont runs one Montgomery product through the pool and waits for it.
@@ -482,33 +479,9 @@ func (e *Engine) Mont(ctx context.Context, n, x, y *big.Int) (*big.Int, error) {
 // preserving, cancellation-prompt, per-job deadlines honoured.
 func (e *Engine) MontBatch(ctx context.Context, jobs []MontJob) ([]MontResult, error) {
 	results := make([]MontResult, len(jobs))
-	var wg sync.WaitGroup
-	var submitErr error
-	for i := range jobs {
-		j := &job{
-			kind:     kindMont,
-			ctx:      ctx,
-			deadline: jobs[i].Deadline,
-			enqueued: time.Now(),
-			n:        jobs[i].N,
-			a:        jobs[i].X,
-			b:        jobs[i].Y,
-			montOut:  &results[i],
-			wg:       &wg,
-		}
-		wg.Add(1)
-		if err := e.submit(ctx, j); err != nil {
-			wg.Done()
-			for k := i; k < len(jobs); k++ {
-				results[k].Err = err
-			}
-			submitErr = err
-			break
-		}
-	}
-	wg.Wait()
-	if submitErr != nil {
-		return results, submitErr
-	}
-	return results, ctx.Err()
+	err := e.runBatch(ctx, len(jobs), func(i int) *job {
+		return &job{kind: kindMont, deadline: jobs[i].Deadline,
+			n: jobs[i].N, a: jobs[i].X, b: jobs[i].Y, montOut: &results[i]}
+	})
+	return results, err
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"sync"
@@ -145,55 +146,84 @@ func TestEngineMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestMontBatchMatchesReference checks the raw-product batch API
-// against the reference arithmetic, including the operand-range
-// sentinel on a bad job (which must not poison its neighbours).
+// TestMontBatchMatchesReference checks the raw-product batch API on
+// every kit against math/big, including the operand-range sentinel on a
+// bad job (which must not poison its neighbours), and pins the cycle
+// accounting: every product adds the paper's 3l+4 model cycles, and on
+// the Sim kit exactly 3l+4 simulated ones.
 func TestMontBatchMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	n := randOdd(rng, 64)
-	n2 := new(big.Int).Lsh(n, 1)
-
-	eng, err := New(WithWorkers(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
 	const count = 500
-	jobs := make([]MontJob, count)
-	for i := range jobs {
-		jobs[i] = MontJob{
-			N: n,
-			X: new(big.Int).Rand(rng, n2),
-			Y: new(big.Int).Rand(rng, n2),
-		}
+	cases := []struct {
+		kit kits.Kit
+		l   int
+	}{
+		{kits.Model, 64}, {kits.Model, 1024},
+		{kits.CIOS, 64}, {kits.CIOS, 1024},
+		{kits.Big, 64}, {kits.Big, 1024},
+		{kits.Sim, 64},
 	}
-	jobs[137].X = new(big.Int).Set(n2) // out of range: x = 2N
+	for _, c := range cases {
+		t.Run(fmt.Sprintf("%s/l=%d", c.kit, c.l), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(42))
+			n := randOdd(rng, c.l)
+			n2 := new(big.Int).Lsh(n, 1)
+			rInv := new(big.Int).Lsh(big.NewInt(1), uint(c.l+2))
+			rInv.ModInverse(rInv, n)
 
-	results, err := eng.MontBatch(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := expo.NewKit(n, kits.Model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if i == 137 {
-			if !errors.Is(r.Err, errs.ErrOperandRange) {
-				t.Fatalf("bad job: want ErrOperandRange, got %v", r.Err)
+			eng, err := New(WithWorkers(3), WithKit(c.kit))
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
-		}
-		if r.Err != nil {
-			t.Fatalf("job %d failed: %v", i, r.Err)
-		}
-		if want := ref.Ctx().Mul(jobs[i].X, jobs[i].Y); r.Value.Cmp(want) != 0 {
-			t.Fatalf("job %d: %s != %s", i, r.Value, want)
-		}
-	}
-	if st := eng.Stats(); st.Failed != 1 || st.Completed != count-1 {
-		t.Errorf("stats: %s", st)
+			defer eng.Close()
+
+			jobs := make([]MontJob, count)
+			for i := range jobs {
+				jobs[i] = MontJob{
+					N: n,
+					X: new(big.Int).Rand(rng, n2),
+					Y: new(big.Int).Rand(rng, n2),
+				}
+			}
+			bad := count / 3
+			jobs[bad].X = new(big.Int).Set(n2) // out of range: x = 2N
+
+			results, err := eng.MontBatch(context.Background(), jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range results {
+				if i == bad {
+					if !errors.Is(r.Err, errs.ErrOperandRange) {
+						t.Fatalf("bad job: want ErrOperandRange, got %v", r.Err)
+					}
+					continue
+				}
+				if r.Err != nil {
+					t.Fatalf("job %d failed: %v", i, r.Err)
+				}
+				want := new(big.Int).Mul(jobs[i].X, jobs[i].Y)
+				want.Mul(want, rInv).Mod(want, n)
+				if r.Value.Sign() < 0 || r.Value.Cmp(n2) >= 0 ||
+					new(big.Int).Mod(r.Value, n).Cmp(want) != 0 {
+					t.Fatalf("job %d: %s is not x·y·2^-(l+2) mod N = %s in [0, 2N)", i, r.Value, want)
+				}
+			}
+			st := eng.Stats()
+			if st.Failed != 1 || st.Completed != count-1 || st.Muls != count-1 {
+				t.Errorf("stats: %s", st)
+			}
+			perProduct := int64(3*c.l + 4)
+			if want := (count - 1) * perProduct; st.ModelCycles != want {
+				t.Errorf("ModelCycles = %d, want (count-1)·(3l+4) = %d", st.ModelCycles, want)
+			}
+			wantSim := int64(0)
+			if c.kit == kits.Sim {
+				wantSim = (count - 1) * perProduct
+			}
+			if st.SimCycles != wantSim {
+				t.Errorf("SimCycles = %d, want %d", st.SimCycles, wantSim)
+			}
+		})
 	}
 }
 

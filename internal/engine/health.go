@@ -127,7 +127,7 @@ func (w *worker) probe() (ok bool) {
 	if err != nil {
 		return false
 	}
-	me, err := w.multiplierIn(w.kit, katModulus)
+	ex, err := w.exponentiatorIn(w.kit, katModulus)
 	if err != nil {
 		return false
 	}
@@ -137,7 +137,7 @@ func (w *worker) probe() (ok bool) {
 	for i := 0; i < katProbeOps; i++ {
 		x.Add(x, step).Mod(x, ctx.N2)
 		y.Add(y, step).Mod(y, ctx.N2)
-		v, err := me.m.Mont(x, y)
+		v, _, err := ex.Mont(x, y)
 		if err != nil || integrity.CheckMont(ctx, x, y, v) != nil {
 			return false
 		}

@@ -244,6 +244,10 @@ func (panicExp) ModExp(base, exp *big.Int) (*big.Int, expo.Report, error) {
 	panic("injected core panic")
 }
 
+func (panicExp) Mont(x, y *big.Int) (*big.Int, int, error) {
+	panic("injected core panic")
+}
+
 // TestPanickingCoreRecovered: a panicking core must fail its job with a
 // typed error and quarantine — never kill the process. With integrity +
 // recompute on, the caller still gets the right answer via the trusted
@@ -256,7 +260,7 @@ func TestPanickingCoreRecovered(t *testing.T) {
 	t.Run("integrity off: typed failure", func(t *testing.T) {
 		eng, err := New(
 			WithWorkers(1),
-			withFactories(nil, func(worker int, ctx *mont.Ctx) (exponentiator, error) {
+			withFactory(func(worker int, ctx *mont.Ctx) (exponentiator, error) {
 				return panicExp{}, nil
 			}),
 		)
@@ -278,7 +282,7 @@ func TestPanickingCoreRecovered(t *testing.T) {
 		eng, err := New(
 			WithWorkers(1),
 			WithIntegrityCheck(1),
-			withFactories(nil, func(worker int, ctx *mont.Ctx) (exponentiator, error) {
+			withFactory(func(worker int, ctx *mont.Ctx) (exponentiator, error) {
 				return panicExp{}, nil
 			}),
 		)
@@ -301,17 +305,22 @@ func TestPanickingCoreRecovered(t *testing.T) {
 	})
 }
 
-// blockingMul wedges its first caller until the gate opens, then
-// behaves like the reference multiplier — a hung core the watchdog
-// must catch without the stray goroutine corrupting later work.
+// blockingMul wedges its callers until the gate opens, then behaves
+// like the reference core — a hung core the watchdog must catch
+// without the stray goroutine corrupting later work.
 type blockingMul struct {
 	gate <-chan struct{}
 	ctx  *mont.Ctx
 }
 
-func (b blockingMul) Mont(x, y *big.Int) (*big.Int, error) {
+func (b blockingMul) Mont(x, y *big.Int) (*big.Int, int, error) {
 	<-b.gate
-	return b.ctx.Mul(x, y), nil
+	return b.ctx.Mul(x, y), 0, nil
+}
+
+func (b blockingMul) ModExp(base, exp *big.Int) (*big.Int, expo.Report, error) {
+	<-b.gate
+	return new(big.Int).Exp(base, exp, b.ctx.N), expo.Report{}, nil
 }
 
 // TestWatchdogTimeout: a stuck job is abandoned when its k×(3l+4)-cycle
@@ -324,9 +333,9 @@ func TestWatchdogTimeout(t *testing.T) {
 		WithWorkers(1),
 		WithWatchdog(4),
 		withClock(clk),
-		withFactories(func(worker int, ctx *mont.Ctx) (multiplier, error) {
+		withFactory(func(worker int, ctx *mont.Ctx) (exponentiator, error) {
 			return blockingMul{gate: gate, ctx: ctx}, nil
-		}, nil),
+		}),
 	)
 	if err != nil {
 		t.Fatal(err)

@@ -165,9 +165,9 @@ func TestJobSpanWatchdogAbandoned(t *testing.T) {
 		WithObserver(rec),
 		WithWatchdog(4),
 		withClock(clk),
-		withFactories(func(worker int, ctx *mont.Ctx) (multiplier, error) {
+		withFactory(func(worker int, ctx *mont.Ctx) (exponentiator, error) {
 			return blockingMul{gate: gate, ctx: ctx}, nil
-		}, nil),
+		}),
 	)
 	if err != nil {
 		t.Fatal(err)

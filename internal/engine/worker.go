@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/errs"
 	"repro/internal/expo"
 	"repro/internal/faults"
@@ -15,27 +14,17 @@ import (
 	"repro/internal/obs"
 )
 
-// exponentiator and multiplier are the result-bearing surfaces the
-// worker actually calls through. Interfaces rather than the concrete
-// types so a fault injector (internal/faults) or a test fake can sit
-// between the worker and the real core.
+// exponentiator is the result-bearing surface the worker calls
+// through, for ModExp and Mont jobs alike. An interface rather than the
+// concrete type so a fault injector (internal/faults) or a test fake can
+// sit between the worker and the real core.
 type exponentiator interface {
 	ModExp(base, exp *big.Int) (*big.Int, expo.Report, error)
+	Mont(x, y *big.Int) (*big.Int, int, error)
 }
 
-type multiplier interface {
-	Mont(x, y *big.Int) (*big.Int, error)
-}
-
-// mulEntry pairs the possibly-wrapped multiplier a worker computes
-// through with the raw core underneath; the raw pointer (nil for test
-// fakes) feeds the simulated-cycle accounting via its Cycles counter.
-type mulEntry struct {
-	m   multiplier
-	raw *core.Multiplier
-}
-
-// kit is a worker's disposable compute state: its circuit caches, its
+// kit is a worker's disposable compute state: its one exclusive
+// exponentiator per modulus (exps), which runs both job kinds, its
 // fault-injection handle and its integrity sampler. It exists as one
 // swappable unit for two reasons. Quarantine replaces the kit so a
 // core suspected of corruption restarts from fresh circuits — the
@@ -46,18 +35,18 @@ type mulEntry struct {
 // mutable state.
 type kit struct {
 	exps    map[string]exponentiator
-	muls    map[string]*mulEntry
 	fcore   *faults.Core
 	sampler *integrity.Sampler
 }
 
 // worker is one engine core. It owns its kit outright — simulated
-// circuits are mutable and must never be shared (core.Multiplier's
+// circuits are mutable and must never be shared (expo.Exponentiator's
 // concurrency contract) — while the mont.Ctx inside comes from the
-// engine-wide LRU, shared safely because a Ctx is immutable.
-// Per-worker caches avoid rebuilding circuits for repeated moduli;
-// they are bounded and simply reset when full, which is cheap and
-// keeps the common steady-state (few hot moduli) fully cached.
+// engine-wide LRU, shared safely because a Ctx is immutable. The
+// per-worker cache holds one exponentiator per modulus, which serves
+// both job kinds, so repeated moduli skip rebuilding circuits; it is
+// bounded and simply reset when full, which is cheap and keeps the
+// common steady-state (few hot moduli) fully cached.
 type worker struct {
 	eng *Engine
 	id  int
@@ -68,7 +57,7 @@ type worker struct {
 	rng        *rand.Rand // backoff jitter, deterministic per worker
 }
 
-// maxLocal bounds each worker's circuit caches.
+// maxLocal bounds each worker's core cache.
 const maxLocal = 32
 
 // maxRedo bounds integrity-driven requeues per job before the worker
@@ -86,10 +75,7 @@ func newWorker(e *Engine, id int) *worker {
 }
 
 func (w *worker) newKit() *kit {
-	k := &kit{
-		exps: make(map[string]exponentiator),
-		muls: make(map[string]*mulEntry),
-	}
+	k := &kit{exps: make(map[string]exponentiator)}
 	if in := w.eng.cfg.injector; in != nil {
 		k.fcore = in.Core(w.id)
 	}
@@ -338,46 +324,43 @@ func (w *worker) compute(j *job, k *kit) (res jobResult) {
 			}
 		}
 	}()
+	ex, err := w.exponentiatorIn(k, j.n)
+	if err != nil {
+		return jobResult{err: err}
+	}
 	kt := w.eng.cfg.kit
-	switch j.kind {
-	case kindModExp:
-		ex, err := w.exponentiatorIn(k, j.n)
+	if j.kind == kindMont {
+		v, cycles, err := ex.Mont(j.a, j.b)
 		if err != nil {
 			return jobResult{err: err}
 		}
-		v, rep, err := ex.ModExp(j.a, j.b)
-		if err != nil {
-			return jobResult{err: err}
-		}
-		return jobResult{v: v, rep: rep, kt: kt, wk: work{
-			// Squares + Multiplies plus the explicit pre- and post-products.
-			muls:        int64(rep.Squares + rep.Multiplies + 2),
-			modelCycles: int64(rep.TotalCycles),
-			simCycles:   int64(rep.SimulatedMulCycles),
-		}}
-	default: // kindMont
-		me, err := w.multiplierIn(k, j.n)
-		if err != nil {
-			return jobResult{err: err}
-		}
-		var before int
-		if me.raw != nil {
-			before = me.raw.Cycles
-		}
-		v, err := me.m.Mont(j.a, j.b)
-		if err != nil {
-			return jobResult{err: err}
-		}
-		wk := work{muls: 1}
-		if me.raw != nil {
-			wk.simCycles = int64(me.raw.Cycles - before)
-		}
-		return jobResult{v: v, kt: kt, wk: wk}
+		return jobResult{v: v, kt: kt, wk: montWork(j.n.BitLen(), cycles)}
+	}
+	v, rep, err := ex.ModExp(j.a, j.b)
+	if err != nil {
+		return jobResult{err: err}
+	}
+	return jobResult{v: v, rep: rep, kt: kt, wk: modExpWork(rep)}
+}
+
+// montWork accounts one Montgomery product at modulus length l: the
+// paper's 3l+4 cycles, and the cycles the core simulated.
+func montWork(l, simCycles int) work {
+	return work{muls: 1, modelCycles: cycleBound(kindMont, l), simCycles: int64(simCycles)}
+}
+
+// modExpWork accounts one exponentiation from its report: squares and
+// multiplies plus the explicit pre- and post-products.
+func modExpWork(rep expo.Report) work {
+	return work{
+		muls:        int64(rep.Squares + rep.Multiplies + 2),
+		modelCycles: int64(rep.TotalCycles),
+		simCycles:   int64(rep.SimulatedMulCycles),
 	}
 }
 
 // verify applies the integrity checks: every Montgomery product gets
-// the full residue-identity check (no witness crosses the multiplier
+// the full residue-identity check (no witness crosses the exponentiator
 // interface, and residues alone cannot verify a mod-N congruence —
 // see internal/integrity), and a sampled fraction of exponentiations
 // get the big.Int re-verification.
@@ -432,7 +415,7 @@ func (w *worker) recomputeInline(j *job, failed jobResult) jobResult {
 		if err != nil {
 			return jobResult{err: err}
 		}
-		return jobResult{v: v, kt: kits.Model, wk: work{muls: 1}}
+		return jobResult{v: v, kt: kits.Model, wk: montWork(ctx.L, 0)}
 	case kindModExp:
 		ex, err := expo.NewKitFromCtx(ctx, kits.Model)
 		if err != nil {
@@ -445,21 +428,19 @@ func (w *worker) recomputeInline(j *job, failed jobResult) jobResult {
 		if ierr := integrity.CheckModExp(j.n, j.a, j.b, v); ierr != nil {
 			return jobResult{err: ierr}
 		}
-		return jobResult{v: v, rep: rep, kt: kits.Model, wk: work{
-			muls:        int64(rep.Squares + rep.Multiplies + 2),
-			modelCycles: int64(rep.TotalCycles),
-		}}
+		return jobResult{v: v, rep: rep, kt: kits.Model, wk: modExpWork(rep)}
 	}
 	return failed
 }
 
-// cacheKey keys the worker-local core caches by modulus.
+// cacheKey keys the worker-local core cache by modulus.
 func cacheKey(n *big.Int) string { return string(n.Bytes()) }
 
 // exponentiatorIn returns the kit's exclusive exponentiator for
 // modulus n on the engine's compute kit, building it over the shared
 // LRU-cached context on first use and wrapping it with the fault
-// injector when one is configured.
+// injector when one is configured. ModExp jobs, Mont jobs and the
+// health probe all compute through it.
 func (w *worker) exponentiatorIn(k *kit, n *big.Int) (exponentiator, error) {
 	key := cacheKey(n)
 	if ex, ok := k.exps[key]; ok {
@@ -470,7 +451,7 @@ func (w *worker) exponentiatorIn(k *kit, n *big.Int) (exponentiator, error) {
 		return nil, err
 	}
 	var ex exponentiator
-	if f := w.eng.cfg.expFactory; f != nil {
+	if f := w.eng.cfg.factory; f != nil {
 		ex, err = f(w.id, ctx)
 	} else {
 		ex, err = expo.NewKitFromCtx(ctx, w.eng.cfg.kit, expo.WithVariant(w.eng.cfg.variant))
@@ -479,46 +460,11 @@ func (w *worker) exponentiatorIn(k *kit, n *big.Int) (exponentiator, error) {
 		return nil, err
 	}
 	if k.fcore != nil {
-		ex = k.fcore.WrapExponentiator(ex, ctx.L)
+		ex = k.fcore.Wrap(ex, ctx.L)
 	}
 	if len(k.exps) >= maxLocal {
 		k.exps = make(map[string]exponentiator)
 	}
 	k.exps[key] = ex
 	return ex, nil
-}
-
-// multiplierIn is exponentiatorIn's twin for raw Montgomery products.
-func (w *worker) multiplierIn(k *kit, n *big.Int) (*mulEntry, error) {
-	key := cacheKey(n)
-	if me, ok := k.muls[key]; ok {
-		return me, nil
-	}
-	ctx, err := w.eng.cache.get(n)
-	if err != nil {
-		return nil, err
-	}
-	entry := &mulEntry{}
-	if f := w.eng.cfg.mulFactory; f != nil {
-		entry.m, err = f(w.id, ctx)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		raw, err := core.NewMultiplierFromCtx(ctx,
-			core.WithKit(w.eng.cfg.kit), core.WithArrayVariant(w.eng.cfg.variant))
-		if err != nil {
-			return nil, err
-		}
-		entry.raw = raw
-		entry.m = raw
-	}
-	if k.fcore != nil {
-		entry.m = k.fcore.WrapMultiplier(entry.m, ctx.L+1)
-	}
-	if len(k.muls) >= maxLocal {
-		k.muls = make(map[string]*mulEntry)
-	}
-	k.muls[key] = entry
-	return entry, nil
 }

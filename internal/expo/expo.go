@@ -17,8 +17,9 @@
 // conformance tests pin the two to identical results and identical
 // square/multiply counts, so Model is safe for the large bit lengths of
 // Tables 1 and 2. kits.CIOS and kits.Big are the host fast paths.
-// (*Exponentiator).Mont is the one switch over the kits for a single
-// product; internal/core's Multiplier computes through it.
+// (*Exponentiator).Mont checks its operands and runs one product through
+// the exponentiator's single switch over the kits; internal/core's
+// Multiplier and each internal/engine worker core compute through it.
 package expo
 
 import (
@@ -139,13 +140,23 @@ func (e *Exponentiator) Ctx() *mont.Ctx { return e.ctx }
 
 // Mont computes one Montgomery product x·y·R⁻¹ (R = 2^(l+2)) on the
 // exponentiator's kit and returns it with the clock cycles the
-// simulated MMMC measured (Sim kit only; 0 on every other kit). It is
-// the one place that dispatches a product on a kit. Operands must lie
-// in [0, 2N); core.Multiplier checks them. Every kit returns the same
-// residue mod N in [0, 2N): Sim runs the circuit, CIOS the word kernel,
-// Big the closed form, Model Algorithm 2. The representative may differ
-// across kits (CIOS and Big both reduce below N, Algorithm 2 need not).
+// simulated MMMC measured (Sim kit only; 0 on every other kit).
+// Operands must lie in [0, 2N); others fail with ErrOperandRange. Every
+// kit returns the same residue mod N in [0, 2N): Sim runs the circuit,
+// CIOS the word kernel, Big the closed form, Model Algorithm 2. The
+// representative may differ across kits (CIOS and Big both reduce
+// below N, Algorithm 2 need not).
 func (e *Exponentiator) Mont(x, y *big.Int) (*big.Int, int, error) {
+	if x.Sign() < 0 || x.Cmp(e.ctx.N2) >= 0 || y.Sign() < 0 || y.Cmp(e.ctx.N2) >= 0 {
+		return nil, 0, fmt.Errorf("expo: Mont operands must be in [0, 2N-1]: %w", errs.ErrOperandRange)
+	}
+	return e.mont(x, y)
+}
+
+// mont is Mont without the operand check: the one place that
+// dispatches a product on a kit. ModExp's chained products stay in
+// [0, 2N) by construction, so they call it directly.
+func (e *Exponentiator) mont(x, y *big.Int) (*big.Int, int, error) {
 	switch e.Kit {
 	case kits.Sim:
 		res, cycles, err := e.circuit.Run(bits.FromBig(x, e.L+1), bits.FromBig(y, e.L+1), e.nVec)
@@ -162,9 +173,9 @@ func (e *Exponentiator) Mont(x, y *big.Int) (*big.Int, int, error) {
 	return e.ctx.Mul(x, y), 0, nil
 }
 
-// mul is Mont with its simulated cycles added to rep.
+// mul is mont with its simulated cycles added to rep.
 func (e *Exponentiator) mul(x, y *big.Int, rep *Report) (*big.Int, error) {
-	v, cycles, err := e.Mont(x, y)
+	v, cycles, err := e.mont(x, y)
 	rep.SimulatedMulCycles += cycles
 	return v, err
 }

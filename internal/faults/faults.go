@@ -6,10 +6,11 @@
 // regime (T stays in [0, 2N-1], never canonicalized), one flipped bit
 // amplifies across the remaining squarings of an exponentiation — the
 // Bellcore failure mode. This package models exactly that: a wrapper
-// around any multiplier/exponentiator that perturbs *results* (bit-flip
-// or stuck-at, one-shot or persistent, per-core, rate-limited,
-// fire-after-N) so the integrity subsystem and the quarantine logic can
-// be exercised in unit tests, loadgen, and CI chaos runs.
+// around an exponentiator core that perturbs the *results* of its
+// exponentiations and lone products alike (bit-flip or stuck-at,
+// one-shot or persistent, per-core, rate-limited, fire-after-N) so the
+// integrity subsystem and the quarantine logic can be exercised in unit
+// tests, loadgen, and CI chaos runs.
 //
 // Everything is deterministic given a seed: each core id derives its
 // own rand stream, so a 4-worker engine with a seeded injector produces
@@ -210,55 +211,41 @@ func (c *Core) Perturb(v *big.Int, width int) (*big.Int, bool) {
 	return out, true
 }
 
-// Multiplier is the result-bearing surface of core.Multiplier.
-type Multiplier interface {
-	Mont(x, y *big.Int) (*big.Int, error)
-}
-
-// Exponentiator is the result-bearing surface of expo.Exponentiator.
+// Exponentiator is the result-bearing surface of expo.Exponentiator:
+// a whole exponentiation and a lone Montgomery product, run by the same
+// core as in the paper's §4.5 exponentiator.
 type Exponentiator interface {
 	ModExp(base, exp *big.Int) (*big.Int, expo.Report, error)
+	Mont(x, y *big.Int) (*big.Int, int, error)
 }
 
-// WrapMultiplier returns inner with this core's faults applied to its
-// results; width is the result width in bits (l+1 for Mont, whose
-// results live in [0, 2N-1]).
-func (c *Core) WrapMultiplier(inner Multiplier, width int) Multiplier {
-	return &faultyMultiplier{c: c, inner: inner, width: width}
+// Wrap returns inner with this core's faults applied to its results,
+// for a modulus of l bits: ModExp results lie in [0, N) and are
+// perturbed at width l, Mont results in [0, 2N) at width l+1.
+func (c *Core) Wrap(inner Exponentiator, l int) Exponentiator {
+	return &faulty{c: c, inner: inner, l: l}
 }
 
-// WrapExponentiator is WrapMultiplier for exponentiators; width is l
-// for ModExp results in [0, N-1].
-func (c *Core) WrapExponentiator(inner Exponentiator, width int) Exponentiator {
-	return &faultyExponentiator{c: c, inner: inner, width: width}
-}
-
-type faultyMultiplier struct {
-	c     *Core
-	inner Multiplier
-	width int
-}
-
-func (f *faultyMultiplier) Mont(x, y *big.Int) (*big.Int, error) {
-	v, err := f.inner.Mont(x, y)
-	if err != nil {
-		return v, err
-	}
-	v, _ = f.c.Perturb(v, f.width)
-	return v, nil
-}
-
-type faultyExponentiator struct {
+type faulty struct {
 	c     *Core
 	inner Exponentiator
-	width int
+	l     int
 }
 
-func (f *faultyExponentiator) ModExp(base, exp *big.Int) (*big.Int, expo.Report, error) {
+func (f *faulty) ModExp(base, exp *big.Int) (*big.Int, expo.Report, error) {
 	v, rep, err := f.inner.ModExp(base, exp)
 	if err != nil {
 		return v, rep, err
 	}
-	v, _ = f.c.Perturb(v, f.width)
+	v, _ = f.c.Perturb(v, f.l)
 	return v, rep, nil
+}
+
+func (f *faulty) Mont(x, y *big.Int) (*big.Int, int, error) {
+	v, cycles, err := f.inner.Mont(x, y)
+	if err != nil {
+		return v, cycles, err
+	}
+	v, _ = f.c.Perturb(v, f.l+1)
+	return v, cycles, nil
 }

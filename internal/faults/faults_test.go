@@ -167,52 +167,69 @@ func TestRateZeroAndNil(t *testing.T) {
 	}
 }
 
-type fakeMul struct{ v *big.Int }
+// fakeCore returns v from both operations.
+type fakeCore struct{ v *big.Int }
 
-func (f fakeMul) Mont(x, y *big.Int) (*big.Int, error) { return f.v, nil }
-
-type fakeExp struct{ v *big.Int }
-
-func (f fakeExp) ModExp(base, exp *big.Int) (*big.Int, expo.Report, error) {
+func (f fakeCore) ModExp(base, exp *big.Int) (*big.Int, expo.Report, error) {
 	return f.v, expo.Report{}, nil
 }
 
-// TestWrappers: the wrapped surfaces corrupt successful results and
-// pass errors through untouched.
-func TestWrappers(t *testing.T) {
-	in := New(WithBitFlip(0))
-	c := in.Core(0)
+func (f fakeCore) Mont(x, y *big.Int) (*big.Int, int, error) { return f.v, 7, nil }
 
-	clean := big.NewInt(0b10)
-	m := c.WrapMultiplier(fakeMul{v: clean}, 8)
-	got, err := m.Mont(nil, nil)
+// TestWrappers: the wrapped core corrupts successful results of both
+// operations, at width l for ModExp and l+1 for Mont, and passes the
+// product's cycle count through.
+func TestWrappers(t *testing.T) {
+	c := New(WithBitFlip(0)).Core(0)
+	ex := c.Wrap(fakeCore{v: big.NewInt(0b10)}, 8)
+
+	got, cycles, err := ex.Mont(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Int64() != 0b11 {
-		t.Fatalf("wrapped Mont = %b, want bit 0 flipped", got)
+	if got.Int64() != 0b11 || cycles != 7 {
+		t.Fatalf("wrapped Mont = %b, %d cycles; want bit 0 flipped, 7 cycles", got, cycles)
 	}
-
-	x := c.WrapExponentiator(fakeExp{v: big.NewInt(0b10)}, 8)
-	ev, _, err := x.ModExp(nil, nil)
+	ev, _, err := ex.ModExp(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ev.Int64() != 0b11 {
 		t.Fatalf("wrapped ModExp = %b, want bit 0 flipped", ev)
 	}
+
+	// A bit pinned past the result width falls back to a random bit
+	// inside it: l bits for ModExp, l+1 for Mont.
+	ex = New(WithBitFlip(63)).Core(0).Wrap(fakeCore{v: new(big.Int)}, 8)
+	var expTop, montTop int
+	for i := 0; i < 200; i++ {
+		v, _, _ := ex.ModExp(nil, nil)
+		expTop = max(expTop, v.BitLen())
+		v, _, _ = ex.Mont(nil, nil)
+		montTop = max(montTop, v.BitLen())
+	}
+	if expTop != 8 || montTop != 9 {
+		t.Fatalf("highest flipped bit: ModExp %d, Mont %d; want 8 and 9", expTop, montTop)
+	}
 }
 
-type errMul struct{ err error }
+type errCore struct{ err error }
 
-func (f errMul) Mont(x, y *big.Int) (*big.Int, error) { return nil, f.err }
+func (f errCore) ModExp(base, exp *big.Int) (*big.Int, expo.Report, error) {
+	return nil, expo.Report{}, f.err
+}
+
+func (f errCore) Mont(x, y *big.Int) (*big.Int, int, error) { return nil, 0, f.err }
 
 // TestWrapperErrorPassthrough: a failing inner core's error is not
 // perturbed into a "result".
 func TestWrapperErrorPassthrough(t *testing.T) {
 	sentinel := errors.New("core broke")
-	m := New().Core(0).WrapMultiplier(errMul{err: sentinel}, 8)
-	if _, err := m.Mont(nil, nil); !errors.Is(err, sentinel) {
-		t.Fatalf("wrapper swallowed the inner error: %v", err)
+	ex := New().Core(0).Wrap(errCore{err: sentinel}, 8)
+	if _, _, err := ex.Mont(nil, nil); !errors.Is(err, sentinel) {
+		t.Fatalf("wrapper swallowed the Mont error: %v", err)
+	}
+	if _, _, err := ex.ModExp(nil, nil); !errors.Is(err, sentinel) {
+		t.Fatalf("wrapper swallowed the ModExp error: %v", err)
 	}
 }

@@ -184,12 +184,12 @@ func NewExponentiator(n *big.Int, opts ...Option) (*Exponentiator, error) {
 }
 
 // Engine is the concurrent multi-core modexp/Mont engine: a pool of
-// worker cores (each owning an exclusive multiplier/exponentiator —
-// simulated cycle-accurate cores included), a bounded submission queue
-// with context cancellation and per-job deadlines, an LRU cache of
-// per-modulus Montgomery contexts, order-preserving batch APIs
-// (ModExpBatch, MontBatch) and an atomic Stats block. See
-// internal/engine.
+// worker cores (each owning one exclusive exponentiator per modulus,
+// which runs both job kinds — simulated cycle-accurate cores included),
+// a bounded submission queue with context cancellation and per-job
+// deadlines, an LRU cache of per-modulus Montgomery contexts,
+// order-preserving batch APIs (ModExpBatch, MontBatch) and an atomic
+// Stats block. See internal/engine.
 type Engine = engine.Engine
 
 // EngineOption configures NewEngine.
