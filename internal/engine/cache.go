@@ -16,19 +16,15 @@ import (
 // handed out to every worker core that asks; the cores build their own
 // mutable circuits on top (see worker.go).
 //
-// Hits, misses and evictions are counted, and an optional Observer
-// hears about each — evictions in particular are the signal that the
-// cache is sized below the working set and precomputations are being
-// redone.
+// The engine counts the traffic (Engine.modCtx): get reports whether
+// it hit and whether caching a new context evicted one — evictions are
+// the signal that the cache is sized below the working set and
+// precomputations are being redone.
 type ctxCache struct {
 	mu  sync.Mutex
 	cap int
 	ll  *list.List // front = most recently used
 	m   map[string]*list.Element
-
-	hits, misses, evictions uint64
-
-	obs Observer // optional; may be nil
 }
 
 type ctxEntry struct {
@@ -42,60 +38,55 @@ func newCtxCache(capacity int) *ctxCache {
 
 // get returns the context for modulus n, building and caching it on a
 // miss. Errors from mont.NewCtx (even or too-small moduli) are not
-// cached — the sentinels make them cheap to produce again. Observer
-// callbacks fire outside the cache lock so a slow observer cannot
-// serialize the workers.
-func (c *ctxCache) get(n *big.Int) (*mont.Ctx, error) {
+// cached — the sentinels make them cheap to produce again. hit reports
+// a cached context; evicted reports that caching the new one dropped
+// the least recently used.
+func (c *ctxCache) get(n *big.Int) (ctx *mont.Ctx, hit, evicted bool, err error) {
 	key := string(n.Bytes())
 	c.mu.Lock()
 	if el, ok := c.m[key]; ok {
 		c.ll.MoveToFront(el)
-		c.hits++
-		ctx := el.Value.(*ctxEntry).ctx
+		ctx = el.Value.(*ctxEntry).ctx
 		c.mu.Unlock()
-		if c.obs != nil {
-			c.obs.CacheHit()
-		}
-		return ctx, nil
+		return ctx, true, false, nil
 	}
-	c.misses++
 	c.mu.Unlock()
-	if c.obs != nil {
-		c.obs.CacheMiss()
-	}
 
 	// Build outside the lock: the inversion is the expensive part, and
 	// two workers racing to build the same context is harmless — both
 	// results are correct, one wins the map.
-	ctx, err := mont.NewCtx(n)
+	ctx, err = mont.NewCtx(n)
 	if err != nil {
-		return nil, err
+		return nil, false, false, err
 	}
 
-	evicted := false
-	c.mu.Lock()
-	if el, ok := c.m[key]; ok { // lost the race; adopt the winner
-		c.ll.MoveToFront(el)
-		ctx = el.Value.(*ctxEntry).ctx
-	} else {
-		c.m[key] = c.ll.PushFront(&ctxEntry{key: key, ctx: ctx})
-		if c.ll.Len() > c.cap {
-			old := c.ll.Back()
-			c.ll.Remove(old)
-			delete(c.m, old.Value.(*ctxEntry).key)
-			c.evictions++
-			evicted = true
-		}
-	}
-	c.mu.Unlock()
-	if evicted && c.obs != nil {
-		c.obs.CacheEviction()
-	}
-	return ctx, nil
-}
-
-func (c *ctxCache) counts() (hits, misses, evictions uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions
+	if el, ok := c.m[key]; ok { // lost the race; adopt the winner
+		c.ll.MoveToFront(el)
+		return el.Value.(*ctxEntry).ctx, false, false, nil
+	}
+	c.m[key] = c.ll.PushFront(&ctxEntry{key: key, ctx: ctx})
+	if c.ll.Len() > c.cap {
+		old := c.ll.Back()
+		c.ll.Remove(old)
+		delete(c.m, old.Value.(*ctxEntry).key)
+		evicted = true
+	}
+	return ctx, false, evicted, nil
+}
+
+// modCtx returns the shared context for modulus n, counting the lookup
+// as a hit or a miss and any eviction it caused.
+func (e *Engine) modCtx(n *big.Int) (*mont.Ctx, error) {
+	ctx, hit, evicted, err := e.cache.get(n)
+	if hit {
+		e.met.ctxHits.Inc()
+	} else {
+		e.met.ctxMisses.Inc()
+	}
+	if evicted {
+		e.met.ctxEvictions.Inc()
+	}
+	return ctx, err
 }

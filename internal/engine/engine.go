@@ -19,7 +19,10 @@
 //     and a whole exponentiation on the same MMMC;
 //   - batches preserve input order: results[i] always answers jobs[i];
 //   - cancellation is prompt: a cancelled context stops submission,
-//     and queued-but-unexecuted jobs come back marked with ctx.Err().
+//     and queued-but-unexecuted jobs come back marked with ctx.Err();
+//   - every event is counted once, on obs instruments registered on the
+//     observer's registry (metrics.go): Stats and /metrics read the
+//     same values, and every job end goes through Engine.finish.
 package engine
 
 import (
@@ -37,6 +40,7 @@ import (
 	"repro/internal/integrity"
 	"repro/internal/kits"
 	"repro/internal/mont"
+	"repro/internal/obs"
 	"repro/internal/qos"
 	"repro/internal/systolic"
 )
@@ -88,9 +92,11 @@ func WithArrayVariant(v systolic.Variant) Option { return func(c *config) { c.va
 // WithCtxCacheSize bounds the per-modulus context LRU (default 128).
 func WithCtxCacheSize(n int) Option { return func(c *config) { c.cacheSize = n } }
 
-// WithObserver attaches a lifecycle observer (see Observer). The
-// default is none, in which case every callback site is a single nil
-// check — instrumentation costs nothing unless asked for.
+// WithObserver attaches an observer (see Observer): the engine
+// registers its counters on the observer's registry and reports job
+// spans and integrity events to it. The default is none, in which case
+// the counters live in a private registry and every callback site is a
+// single nil check.
 func WithObserver(o Observer) Option { return func(c *config) { c.observer = o } }
 
 // WithIntegrityCheck turns on per-operation result verification.
@@ -177,7 +183,8 @@ type Engine struct {
 	healthy atomic.Int64 // workers not currently quarantined
 	integ   *integrity.System
 
-	ctr counters
+	met   *metrics
+	sheds atomic.Int64 // queued jobs evicted lowest-class-first
 }
 
 // New builds and starts an engine.
@@ -211,11 +218,19 @@ func New(opts ...Option) (*Engine, error) {
 	if cfg.integritySample > 1 {
 		cfg.integritySample = 1
 	}
+	var reg *obs.Registry
+	if cfg.observer != nil {
+		reg = cfg.observer.Registry()
+	}
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	e := &Engine{
 		cfg:     cfg,
 		sched:   newLaneScheduler(cfg.queue, defaultLaneAging),
 		cache:   newCtxCache(cfg.cacheSize),
 		closing: make(chan struct{}),
+		met:     newMetrics(reg, cfg.kit),
 	}
 	if cfg.qosObs != nil {
 		e.sched.onDepth = cfg.qosObs.LaneDepth
@@ -224,7 +239,6 @@ func New(opts ...Option) (*Engine, error) {
 	if cfg.integrity {
 		e.integ = integrity.NewSystem(0)
 	}
-	e.cache.obs = cfg.observer
 	e.wg.Add(cfg.workers)
 	for i := 0; i < cfg.workers; i++ {
 		w := newWorker(e, i)
@@ -306,6 +320,7 @@ type jobKind uint8
 const (
 	kindModExp jobKind = iota
 	kindMont
+	numKinds
 )
 
 type job struct {
@@ -368,12 +383,8 @@ func (e *Engine) submit(ctx context.Context, j *job) error {
 	if err != nil {
 		return err
 	}
-	e.ctr.submitted.Add(1)
-	depth := e.ctr.queueDepth.Add(1)
-	setMax(&e.ctr.queueHighWater, depth)
-	if e.cfg.observer != nil {
-		e.cfg.observer.JobSubmitted(j.kind.kindName())
-	}
+	e.met.submitted[j.kind].Inc()
+	e.met.enqueued()
 	if victim != nil {
 		e.finalizeShed(victim)
 	}
@@ -383,13 +394,14 @@ func (e *Engine) submit(ctx context.Context, j *job) error {
 // finalizeShed completes a job the scheduler evicted to make room for
 // higher-class work: it fails with ErrOverloaded (the same transient
 // contract as an admission fast-fail — retry with backoff elsewhere)
-// and is attributed to its tenant and class on the QoS plane.
+// and is attributed to its tenant and class on the QoS plane. No core
+// ran it, so its span has worker −1 and no execution time.
 func (e *Engine) finalizeShed(v *job) {
-	e.ctr.queueDepth.Add(-1)
-	e.ctr.sheds.Add(1)
-	e.ctr.failed.Add(1)
-	e.ctr.failedLat.Observe(time.Since(v.enqueued).Nanoseconds())
+	e.met.queueDepth.Add(-1)
+	e.sheds.Add(1)
 	v.fail(fmt.Errorf("engine: %s job shed under overload: %w", v.class, errs.ErrOverloaded))
+	e.finish(v, outcomeFailed, work{},
+		obs.Span{Worker: -1, Start: v.enqueued, QueueWait: time.Since(v.enqueued)})
 	if e.cfg.qosObs != nil {
 		e.cfg.qosObs.Shed(v.tenant, v.class)
 	}
@@ -410,8 +422,7 @@ func (e *Engine) requeue(j *job) bool {
 	if !e.sched.tryPush(j) {
 		return false
 	}
-	depth := e.ctr.queueDepth.Add(1)
-	setMax(&e.ctr.queueHighWater, depth)
+	e.met.enqueued()
 	return true
 }
 

@@ -467,19 +467,30 @@ func TestStatsAccounting(t *testing.T) {
 // TestCtxCacheLRU evicts least-recently-used moduli at capacity.
 func TestCtxCacheLRU(t *testing.T) {
 	c := newCtxCache(2)
-	n1, n2, n3 := big.NewInt(101), big.NewInt(103), big.NewInt(107)
-	for _, n := range []*big.Int{n1, n2, n3, n3, n2} {
-		if _, err := c.get(n); err != nil {
+	var hits, misses, evictions int
+	get := func(n *big.Int) {
+		t.Helper()
+		_, hit, evicted, err := c.get(n)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if hit {
+			hits++
+		} else {
+			misses++
+		}
+		if evicted {
+			evictions++
+		}
+	}
+	n1, n2, n3 := big.NewInt(101), big.NewInt(103), big.NewInt(107)
+	for _, n := range []*big.Int{n1, n2, n3, n3, n2} {
+		get(n)
 	}
 	// n1 was evicted by n3; n2 and n3 should be resident.
-	hits0, misses0, evict0 := c.counts()
-	if _, err := c.get(n1); err != nil {
-		t.Fatal(err)
-	}
-	_, misses1, evict1 := c.counts()
-	if misses1 != misses0+1 {
+	hits0, misses0, evict0 := hits, misses, evictions
+	get(n1)
+	if misses != misses0+1 {
 		t.Error("expected n1 to have been evicted")
 	}
 	if hits0 != 2 || misses0 != 3 {
@@ -487,7 +498,7 @@ func TestCtxCacheLRU(t *testing.T) {
 	}
 	// Capacity 2 with 4 distinct moduli inserted: n3 evicted n1, and the
 	// re-fetch of n1 evicted the then-LRU resident.
-	if evict0 != 1 || evict1 != 2 {
-		t.Errorf("eviction accounting: %d then %d, want 1 then 2", evict0, evict1)
+	if evict0 != 1 || evictions != 2 {
+		t.Errorf("eviction accounting: %d then %d, want 1 then 2", evict0, evictions)
 	}
 }

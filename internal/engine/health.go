@@ -18,10 +18,12 @@ type realClock struct{}
 
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
-// integrityEvent forwards a lifecycle event to the observer, if any.
-func (e *Engine) integrityEvent(event string, worker int) {
+// integrityEvent counts a lifecycle event and forwards it to the
+// observer, if any.
+func (e *Engine) integrityEvent(ev integEvent, worker int) {
+	e.met.integrity[ev].Inc()
 	if ob := e.cfg.observer; ob != nil {
-		ob.IntegrityEvent(event, worker)
+		ob.IntegrityEvent(eventNames[ev], worker)
 	}
 }
 
@@ -38,8 +40,8 @@ func (w *worker) quarantine() {
 	w.probeFails = 0
 	w.kit = w.newKit()
 	w.eng.healthy.Add(-1)
-	w.eng.ctr.quarantines.Add(1)
-	w.eng.integrityEvent("quarantine", w.id)
+	w.eng.met.quarantined.Add(1)
+	w.eng.integrityEvent(evQuarantine, w.id)
 }
 
 // quarantineWait is where a benched worker sits between jobs: backoff,
@@ -96,12 +98,12 @@ func (w *worker) probeOnce() {
 		w.quar = false
 		w.probeFails = 0
 		w.eng.healthy.Add(1)
-		w.eng.ctr.reinstated.Add(1)
-		w.eng.integrityEvent("reinstate", w.id)
+		w.eng.met.quarantined.Add(-1)
+		w.eng.integrityEvent(evReinstate, w.id)
 		return
 	}
 	w.probeFails++
-	w.eng.integrityEvent("probe_failed", w.id)
+	w.eng.integrityEvent(evProbeFailed, w.id)
 }
 
 // katModulus is the probe modulus, 2⁶¹−1 (a Mersenne prime): small
@@ -123,7 +125,7 @@ func (w *worker) probe() (ok bool) {
 			ok = false
 		}
 	}()
-	ctx, err := w.eng.cache.get(katModulus)
+	ctx, err := w.eng.modCtx(katModulus)
 	if err != nil {
 		return false
 	}

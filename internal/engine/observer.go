@@ -1,54 +1,43 @@
 package engine
 
 import (
-	"time"
-
 	"repro/internal/obs"
 )
 
-// Observer receives engine lifecycle callbacks: job submission,
-// dequeue, completion, modulus-context cache traffic and integrity
-// events. Attach one with WithObserver to feed an external
-// metrics/tracing sink (see internal/obs.Collector, which satisfies
-// this interface); leave it unset and the engine skips every callback
-// with a single nil check — instrumentation is strictly opt-in and
-// near-zero-cost when disabled.
+// Observer is the engine's link to an observability sink (see
+// internal/obs.Collector, which satisfies this interface). Attach one
+// with WithObserver. The engine registers its counters, gauges and
+// histograms on the observer's Registry, so /metrics renders the same
+// instruments Stats reads; the two callbacks carry what a counter
+// cannot, the per-job span and the per-event worker id. Leave it unset
+// and the engine counts into a private registry and skips every
+// callback with a single nil check.
 //
-// Callbacks run inline on the submission path (JobSubmitted) and the
-// worker cores (everything else), possibly concurrently, so
-// implementations must be safe for concurrent use and should return
-// quickly — a slow observer stalls the pool it is watching.
+// Callbacks run inline on the worker cores and the submission path,
+// possibly concurrently, so implementations must be safe for
+// concurrent use and should return quickly — a slow observer stalls
+// the pool it is watching.
 type Observer interface {
-	// JobSubmitted fires when a job is accepted into the queue.
-	// kind is "modexp" or "mont".
-	JobSubmitted(kind string)
-
-	// JobStarted fires when a worker core dequeues a job, after it
-	// waited queueWait in the queue. It fires for every dequeued job,
-	// including ones that immediately fail expiry checks.
-	JobStarted(kind string, worker int, queueWait time.Duration)
+	// Registry is where the engine registers its instruments. Engines
+	// sharing one registry share its totals. nil selects a private
+	// registry.
+	Registry() *obs.Registry
 
 	// JobSpan fires once when a job reaches a terminal state — Outcome
-	// "ok", "failed" (invalid operands or arithmetic errors) or
-	// "canceled" (batch context done / per-job deadline passed) — and
-	// once more with Outcome "requeued" each time a job whose result
-	// failed an integrity check goes back on the queue for recompute
-	// (not terminal: the same job finishes later on another core).
-	// Start is the enqueue instant; QueueWait and Exec partition the
-	// job's total latency, Integrity is the tail of Exec spent
-	// re-verifying the result. Muls, ModelCycles, SimCycles and Kit
-	// report the work the job performed and the kit that did
-	// it (zero unless Outcome is "ok"). For requests sampled by the
-	// tracing plane the trace/span ids join this job into its
-	// request's cross-process trace tree.
+	// "ok", "failed" (invalid operands, arithmetic errors, or shed from
+	// the queue under overload) or "canceled" (batch context done /
+	// per-job deadline passed) — and once more with Outcome "requeued"
+	// each time a job whose result failed an integrity check goes back
+	// on the queue for recompute (not terminal: the same job finishes
+	// later on another core). Start is the enqueue instant; QueueWait
+	// and Exec partition the job's total latency, Integrity is the tail
+	// of Exec spent re-verifying the result. Worker is −1 for a job
+	// shed before any core ran it. Muls, ModelCycles, SimCycles and Kit
+	// report the work the job performed and the kit that did it (zero
+	// unless Outcome is "ok"). For requests sampled by the tracing
+	// plane the trace/span ids join this job into its request's
+	// cross-process trace tree.
 	JobSpan(s obs.Span)
-
-	// CacheHit / CacheMiss / CacheEviction fire on modulus-context LRU
-	// traffic: a context reused, a precomputation run, a context
-	// dropped at capacity.
-	CacheHit()
-	CacheMiss()
-	CacheEviction()
 
 	// IntegrityEvent fires on integrity lifecycle events. event is one
 	// of "check_failed" (a result failed its residue/re-verification
@@ -65,18 +54,7 @@ type Observer interface {
 // importing engine (the interface is matched structurally).
 var _ Observer = (*obs.Collector)(nil)
 
-// kindName reports the observer-facing name of a job kind.
-func (k jobKind) kindName() string {
-	if k == kindMont {
-		return "mont"
-	}
-	return "modexp"
-}
+var kindNames = [numKinds]string{"modexp", "mont"}
 
-// outcome strings reported in Observer.JobSpan.
-const (
-	outcomeOK       = "ok"
-	outcomeFailed   = "failed"
-	outcomeCanceled = "canceled"
-	outcomeRequeued = "requeued"
-)
+// kindName reports the metric-label and span name of a job kind.
+func (k jobKind) kindName() string { return kindNames[k] }

@@ -2,44 +2,35 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"math/big"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/errs"
+	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/qos"
 )
 
-// recordingObserver counts callbacks, for asserting hook placement
-// without pulling the full collector in.
+// recordingObserver keeps what the engine's callbacks deliver, for
+// asserting hook placement without pulling the full collector in. Its
+// nil Registry makes the engine count into a private one.
 type recordingObserver struct {
-	mu                             sync.Mutex
-	submitted, started             int
-	finished                       map[string]int // by outcome
-	hits, misses, evictions        int
-	sawWork, sawQueueWait, sawExec bool
+	mu               sync.Mutex
+	finished         map[string]int // by outcome
+	sawWork, sawExec bool
 }
 
 func newRecordingObserver() *recordingObserver {
 	return &recordingObserver{finished: make(map[string]int)}
 }
 
-func (r *recordingObserver) JobSubmitted(kind string) {
-	r.mu.Lock()
-	r.submitted++
-	r.mu.Unlock()
-}
-
-func (r *recordingObserver) JobStarted(kind string, worker int, queueWait time.Duration) {
-	r.mu.Lock()
-	r.started++
-	if queueWait >= 0 {
-		r.sawQueueWait = true
-	}
-	r.mu.Unlock()
-}
+func (r *recordingObserver) Registry() *obs.Registry { return nil }
 
 func (r *recordingObserver) JobSpan(s obs.Span) {
 	r.mu.Lock()
@@ -53,13 +44,11 @@ func (r *recordingObserver) JobSpan(s obs.Span) {
 	r.mu.Unlock()
 }
 
-func (r *recordingObserver) CacheHit()                  { r.mu.Lock(); r.hits++; r.mu.Unlock() }
-func (r *recordingObserver) CacheMiss()                 { r.mu.Lock(); r.misses++; r.mu.Unlock() }
-func (r *recordingObserver) CacheEviction()             { r.mu.Lock(); r.evictions++; r.mu.Unlock() }
 func (r *recordingObserver) IntegrityEvent(string, int) {}
 
-// TestObserverLifecycle: every job produces exactly one submit, one
-// start and one finish callback, with work accounting on successes.
+// TestObserverLifecycle: every job produces exactly one span, with work
+// accounting on successes, and the engine's own counters see every
+// submission and dequeue.
 func TestObserverLifecycle(t *testing.T) {
 	rec := newRecordingObserver()
 	eng, err := New(WithWorkers(2), WithObserver(rec))
@@ -82,71 +71,225 @@ func TestObserverLifecycle(t *testing.T) {
 		t.Fatal("even modulus accepted")
 	}
 
+	st := eng.Stats()
+	if st.Submitted != count+1 || st.QueueWait.Count != count+1 {
+		t.Errorf("submitted/dequeued = %d/%d, want %d", st.Submitted, st.QueueWait.Count, count+1)
+	}
+	if st.CtxMisses == 0 {
+		t.Error("no cache misses counted")
+	}
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if rec.submitted != count+1 || rec.started != count+1 {
-		t.Errorf("submitted/started = %d/%d, want %d", rec.submitted, rec.started, count+1)
-	}
 	if rec.finished["ok"] != count || rec.finished["failed"] != 1 {
 		t.Errorf("finished = %v", rec.finished)
 	}
-	if !rec.sawWork || !rec.sawQueueWait || !rec.sawExec {
-		t.Errorf("missing measurements: work=%v qwait=%v exec=%v",
-			rec.sawWork, rec.sawQueueWait, rec.sawExec)
-	}
-	if rec.misses == 0 {
-		t.Error("no cache misses observed")
+	if !rec.sawWork || !rec.sawExec {
+		t.Errorf("missing measurements: work=%v exec=%v", rec.sawWork, rec.sawExec)
 	}
 }
 
-// TestObserverCollectorAgreesWithStats runs the real obs.Collector as
-// the observer and cross-checks its registry against engine.Stats —
-// the two accounting paths must tell the same story.
-func TestObserverCollectorAgreesWithStats(t *testing.T) {
-	col := obs.NewCollector(obs.WithTracing(64))
-	eng, err := New(WithWorkers(2), WithObserver(col))
-	if err != nil {
-		t.Fatal(err)
+// promSum adds up the integer samples of one metric family in a
+// Prometheus text page, keeping the series whose labels contain every
+// filter string.
+func promSum(page, family string, filters ...string) int64 {
+	var sum int64
+	for _, line := range strings.Split(page, "\n") {
+		sp := strings.LastIndexByte(line, ' ')
+		if sp < 0 || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name := line[:sp]
+		if name != family && !strings.HasPrefix(name, family+"{") {
+			continue
+		}
+		keep := true
+		for _, f := range filters {
+			keep = keep && strings.Contains(name, f)
+		}
+		if v, err := strconv.ParseInt(line[sp+1:], 10, 64); err == nil && keep {
+			sum += v
+		}
 	}
-	defer eng.Close()
+	return sum
+}
 
-	rng := rand.New(rand.NewSource(7))
-	n := randOdd(rng, 128)
-	const count = 20
-	jobs := make([]ModExpJob, count)
-	for i := range jobs {
-		jobs[i] = ModExpJob{N: n, Base: new(big.Int).Rand(rng, n), Exp: big.NewInt(65537)}
-	}
-	if _, err := eng.ModExpBatch(context.Background(), jobs); err != nil {
-		t.Fatal(err)
-	}
-	st := eng.Stats()
-
+// checkMetricsAgree renders col's registry after the engine closed and
+// checks it tells Stats' story: an empty queue, the same outcome
+// totals, and jobs_finished counting terminal outcomes only.
+func checkMetricsAgree(t *testing.T, phase string, col *obs.Collector, st Stats) string {
+	t.Helper()
 	var sb strings.Builder
 	if err := col.Registry().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{
-		`montsys_jobs_submitted_total{kind="modexp"} 20`,
-		`montsys_job_outcomes_total{kind="modexp",outcome="ok"} 20`,
-		`montsys_job_latency_seconds_count{kind="modexp"} 20`,
-		"montsys_job_queue_wait_seconds_count 20",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("collector missing %q", want)
+	page := sb.String()
+	if got := promSum(page, "montsys_queue_depth"); got != 0 || !strings.Contains(page, "\nmontsys_queue_depth 0\n") {
+		t.Errorf("%s: montsys_queue_depth %d after Close, want 0", phase, got)
+	}
+	for _, c := range []struct {
+		outcome string
+		want    int64
+	}{{"ok", st.Completed}, {"failed", st.Failed}, {"canceled", st.Canceled}} {
+		if got := promSum(page, "montsys_job_outcomes_total", `outcome="`+c.outcome+`"`); got != c.want {
+			t.Errorf("%s: outcome %q: /metrics %d, Stats %d", phase, c.outcome, got, c.want)
 		}
 	}
-	if st.Completed != count || st.Latency.Count != count {
-		t.Errorf("stats: completed=%d latency.count=%d", st.Completed, st.Latency.Count)
+	terminal := st.Completed + st.Failed + st.Canceled
+	if got := promSum(page, "montsys_jobs_finished_total"); got != terminal {
+		t.Errorf("%s: montsys_jobs_finished_total %d, want %d terminal outcomes", phase, got, terminal)
 	}
-	if tr := col.Tracer(); tr.Len() != count {
-		t.Errorf("tracer holds %d spans, want %d", tr.Len(), count)
-	}
-	// Model-cycle totals agree between the two paths.
-	if !strings.Contains(out, "montsys_model_cycles_total "+big.NewInt(st.ModelCycles).String()) {
-		t.Errorf("model cycles disagree: stats=%d, metrics:\n%s", st.ModelCycles, out)
-	}
+	return page
+}
+
+// TestObserverCollectorAgreesWithStats runs the real obs.Collector as
+// the observer and cross-checks its /metrics page against
+// engine.Stats in three phases — clean traffic, overload sheds and an
+// integrity requeue — so the two views must tell the same story on the
+// failure paths too.
+func TestObserverCollectorAgreesWithStats(t *testing.T) {
+	t.Run("clean", func(t *testing.T) {
+		col := obs.NewCollector(obs.WithTracing(64))
+		eng, err := New(WithWorkers(2), WithCtxCacheSize(1), WithObserver(col))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(7))
+		n1, n2 := randOdd(rng, 128), randOdd(rng, 128)
+		const count = 20
+		jobs := make([]ModExpJob, count)
+		for i := range jobs {
+			n := n1
+			if i%2 == 1 {
+				n = n2
+			}
+			jobs[i] = ModExpJob{N: n, Base: new(big.Int).Rand(rng, n), Exp: big.NewInt(65537)}
+		}
+		if _, err := eng.ModExpBatch(context.Background(), jobs); err != nil {
+			t.Fatal(err)
+		}
+		// A Mont job past its deadline → canceled.
+		if _, err := eng.MontBatch(context.Background(), []MontJob{
+			{N: n1, X: big.NewInt(3), Y: big.NewInt(5), Deadline: time.Now().Add(-time.Second)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st := eng.Stats()
+		out := checkMetricsAgree(t, "clean", col, st)
+		for _, want := range []string{
+			`montsys_jobs_submitted_total{kind="modexp"} 20`,
+			`montsys_jobs_submitted_total{kind="mont"} 1`,
+			`montsys_job_outcomes_total{kind="modexp",outcome="ok"} 20`,
+			`montsys_job_outcomes_total{kind="mont",outcome="canceled"} 1`,
+			`montsys_job_latency_seconds_count{kind="modexp"} 20`,
+			"montsys_job_failed_latency_seconds_count 1",
+			"montsys_job_queue_wait_seconds_count 21",
+			"montsys_job_exec_seconds_count 20",
+			"# TYPE montsys_job_latency_seconds histogram",
+			`montsys_mont_muls_total{kind="modexp"} ` + strconv.FormatInt(st.Muls, 10),
+			"montsys_model_cycles_total " + strconv.FormatInt(st.ModelCycles, 10),
+			"montsys_ctx_cache_hits_total " + strconv.FormatInt(st.CtxHits, 10),
+			"montsys_ctx_cache_misses_total " + strconv.FormatInt(st.CtxMisses, 10),
+			"montsys_ctx_cache_evictions_total " + strconv.FormatInt(st.CtxEvictions, 10),
+			"montsys_queue_high_watermark " + strconv.FormatInt(st.QueueHighWater, 10),
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("collector missing %q", want)
+			}
+		}
+		if st.Completed != count || st.Latency.Count != count || st.Canceled != 1 {
+			t.Errorf("stats: completed=%d latency.count=%d canceled=%d",
+				st.Completed, st.Latency.Count, st.Canceled)
+		}
+		if st.CtxEvictions == 0 {
+			t.Error("two moduli over a one-entry context cache evicted nothing")
+		}
+		if tr := col.Tracer(); tr.Len() != count+1 {
+			t.Errorf("tracer holds %d spans, want %d", tr.Len(), count+1)
+		}
+	})
+
+	t.Run("shed", func(t *testing.T) {
+		col := obs.NewCollector()
+		eng, err := New(WithWorkers(1), WithQueueDepth(2), WithObserver(col))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(11))
+		n := randOdd(rng, 1024)
+		// 256-bit exponents keep the core busy for tens of
+		// milliseconds per job, so the queue stays full long enough to
+		// be seen.
+		batch := func() []ModExpJob {
+			jobs := make([]ModExpJob, 6)
+			for i := range jobs {
+				jobs[i] = ModExpJob{N: n, Base: new(big.Int).Rand(rng, n), Exp: randOdd(rng, 256)}
+			}
+			return jobs
+		}
+		beJobs, intJobs := batch(), batch()
+		beCtx := qos.WithIdentity(context.Background(), qos.Identity{Tenant: "bulk", Class: qos.BestEffort})
+		intCtx := qos.WithIdentity(context.Background(), qos.Identity{Tenant: "live", Class: qos.Interactive})
+
+		beDone := make(chan []ModExpResult, 1)
+		go func() {
+			res, _ := eng.ModExpBatch(beCtx, beJobs)
+			beDone <- res
+		}()
+		// Let the best-effort jobs fill the queue, so interactive
+		// submissions have something to shed.
+		waitFor(t, 5*time.Second, "a full queue", func() bool { return eng.Stats().QueueDepth >= 2 })
+		intRes, err := eng.ModExpBatch(intCtx, intJobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var overloaded int64
+		for _, r := range append(<-beDone, intRes...) {
+			if errors.Is(r.Err, errs.ErrOverloaded) {
+				overloaded++
+			} else if r.Err != nil {
+				t.Errorf("unexpected job error: %v", r.Err)
+			}
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st := eng.Stats()
+		if overloaded == 0 || st.Sheds != overloaded {
+			t.Errorf("Sheds = %d, ErrOverloaded results = %d (want equal and > 0)", st.Sheds, overloaded)
+		}
+		checkMetricsAgree(t, "shed", col, st)
+	})
+
+	t.Run("requeue", func(t *testing.T) {
+		col := obs.NewCollector()
+		eng, err := New(
+			WithWorkers(2),
+			WithObserver(col),
+			WithFaultInjector(faults.New(faults.WithRate(1), faults.WithSeed(1),
+				faults.WithBitFlip(-1), faults.WithOneShot())),
+			WithIntegrityCheck(1),
+			WithIntegrityRecompute(true),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(31))
+		n := randOdd(rng, 64)
+		if _, _, err := eng.ModExp(context.Background(), n, big.NewInt(5), big.NewInt(65537)); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st := eng.Stats()
+		if st.Recomputes == 0 || st.Completed != 1 {
+			t.Errorf("recomputes=%d completed=%d, want a recompute and one completed job", st.Recomputes, st.Completed)
+		}
+		checkMetricsAgree(t, "requeue", col, st)
+	})
 }
 
 // TestFailedJobsHaveLatency: canceled and failed jobs land in
@@ -229,22 +372,36 @@ func TestStatsStringMentionsNewFields(t *testing.T) {
 	}
 }
 
-// TestCtxCacheObserverHooks: hit/miss/eviction callbacks fire from the
-// shared cache.
+// TestCtxCacheObserverHooks: context-cache hits, misses and evictions
+// land on the observer's registry, and Stats reads the same counts.
 func TestCtxCacheObserverHooks(t *testing.T) {
-	rec := newRecordingObserver()
-	c := newCtxCache(1)
-	c.obs = rec
+	col := obs.NewCollector()
+	eng, err := New(WithWorkers(1), WithCtxCacheSize(1), WithObserver(col))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
 	n1, n2 := big.NewInt(101), big.NewInt(103)
 	for _, n := range []*big.Int{n1, n1, n2} { // miss, hit, miss+evict
-		if _, err := c.get(n); err != nil {
+		if _, err := eng.modCtx(n); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if rec.hits != 1 || rec.misses != 2 || rec.evictions != 1 {
-		t.Errorf("hooks: hits=%d misses=%d evictions=%d", rec.hits, rec.misses, rec.evictions)
+	st := eng.Stats()
+	if st.CtxHits != 1 || st.CtxMisses != 2 || st.CtxEvictions != 1 {
+		t.Errorf("stats: hits=%d misses=%d evictions=%d", st.CtxHits, st.CtxMisses, st.CtxEvictions)
 	}
-	if _, _, ev := c.counts(); ev != 1 {
-		t.Errorf("eviction counter: %d", ev)
+	var sb strings.Builder
+	if err := col.Registry().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"montsys_ctx_cache_hits_total 1",
+		"montsys_ctx_cache_misses_total 2",
+		"montsys_ctx_cache_evictions_total 1",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
 	}
 }

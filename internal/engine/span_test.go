@@ -13,6 +13,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/mont"
 	"repro/internal/obs"
+	"repro/internal/qos"
 )
 
 // spanRecorder is an Observer that keeps every span the engine
@@ -22,12 +23,8 @@ type spanRecorder struct {
 	spans []obs.Span
 }
 
-func (r *spanRecorder) JobSubmitted(string)                   {}
-func (r *spanRecorder) JobStarted(string, int, time.Duration) {}
-func (r *spanRecorder) CacheHit()                             {}
-func (r *spanRecorder) CacheMiss()                            {}
-func (r *spanRecorder) CacheEviction()                        {}
-func (r *spanRecorder) IntegrityEvent(string, int)            {}
+func (r *spanRecorder) Registry() *obs.Registry    { return nil }
+func (r *spanRecorder) IntegrityEvent(string, int) {}
 func (r *spanRecorder) JobSpan(s obs.Span) {
 	r.mu.Lock()
 	r.spans = append(r.spans, s)
@@ -111,6 +108,71 @@ func TestJobSpanCanceled(t *testing.T) {
 	}
 	if s.Kit != "" {
 		t.Errorf("canceled span claims a kit: %+v", s)
+	}
+}
+
+// TestJobSpanShed: a queued job shed under overload finishes as one
+// "failed" span that keeps its sampled request's trace ids, so a shed
+// request still shows in the trace and the wide events. No core ran
+// it: worker −1, no execution time, no kit.
+func TestJobSpanShed(t *testing.T) {
+	gate := make(chan struct{})
+	rec := &spanRecorder{}
+	eng, err := New(WithWorkers(1), WithQueueDepth(1), WithObserver(rec),
+		withFactory(func(worker int, ctx *mont.Ctx) (exponentiator, error) {
+			return blockingMul{gate: gate, ctx: ctx}, nil
+		}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	n := big.NewInt(0xF1F1)
+	job := []ModExpJob{{N: n, Base: big.NewInt(5), Exp: big.NewInt(3)}}
+	tc := obs.TraceContext{TraceID: obs.NewTraceID(), SpanID: obs.NewSpanID(), Sampled: true}
+	beCtx := qos.WithIdentity(obs.ContextWithTrace(context.Background(), tc),
+		qos.Identity{Tenant: "bulk", Class: qos.BestEffort})
+
+	// Wedge the core on one job, queue the sampled best-effort job
+	// behind it, then let an interactive job shed it.
+	var wg sync.WaitGroup
+	run := func(ctx context.Context) chan []ModExpResult {
+		out := make(chan []ModExpResult, 1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, _ := eng.ModExpBatch(ctx, job)
+			out <- res
+		}()
+		return out
+	}
+	run(context.Background())
+	waitFor(t, 5*time.Second, "the core to take the first job", func() bool {
+		return eng.Stats().QueueWait.Count == 1
+	})
+	shed := run(beCtx)
+	waitFor(t, 5*time.Second, "a queued job", func() bool { return eng.Stats().QueueDepth == 1 })
+	run(context.Background())
+	res := <-shed
+	close(gate)
+	wg.Wait()
+
+	if !errors.Is(res[0].Err, errs.ErrOverloaded) {
+		t.Fatalf("best-effort job: err = %v, want ErrOverloaded", res[0].Err)
+	}
+	by := rec.byOutcome()
+	if len(by["failed"]) != 1 || len(by["ok"]) != 2 {
+		t.Fatalf("spans by outcome = %v, want 1 failed and 2 ok", by)
+	}
+	s := by["failed"][0]
+	if s.TraceID != tc.TraceID || s.Parent != tc.SpanID || s.SpanID.IsZero() {
+		t.Errorf("shed span lost its trace join: %+v", s)
+	}
+	if s.Worker != -1 || s.Exec != 0 || s.Kit != "" || s.QueueWait <= 0 {
+		t.Errorf("shed span: %+v", s)
+	}
+	if st := eng.Stats(); st.Sheds != 1 || st.Failed != 1 {
+		t.Errorf("Sheds = %d, Failed = %d, want 1 and 1", st.Sheds, st.Failed)
 	}
 }
 

@@ -2,60 +2,12 @@ package engine
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/kits"
 	"repro/internal/obs"
 	"repro/internal/qos"
 )
-
-// counters is the engine's lock-free stats block, updated from every
-// worker and the submission path. Latency is no longer a single summed
-// mean: completed jobs, failed/canceled jobs, queue wait and execute
-// time each get their own log-bucketed histogram, so Stats can report
-// p50/p90/p99/max and split scheduling delay from compute.
-type counters struct {
-	submitted      atomic.Int64
-	completed      atomic.Int64
-	failed         atomic.Int64
-	canceled       atomic.Int64
-	queueDepth     atomic.Int64
-	queueHighWater atomic.Int64 // deepest the queue has been
-	sheds          atomic.Int64 // queued jobs evicted lowest-class-first
-
-	muls        atomic.Int64 // Montgomery products executed
-	modelCycles atomic.Int64 // paper-formula cycles (Model-mode reports)
-	simCycles   atomic.Int64 // measured MMMC cycles (Sim kit)
-
-	// kitJobs counts completed jobs per compute kit: the engine's kit,
-	// plus kits.Model for jobs recomputed inline after an integrity
-	// failure.
-	kitJobs [kits.NumKits]atomic.Int64
-
-	integrityFailures atomic.Int64 // results refuted by a check
-	panics            atomic.Int64 // core panics recovered
-	watchdogTimeouts  atomic.Int64 // jobs stuck past their cycle budget
-	quarantines       atomic.Int64 // cores benched
-	reinstated        atomic.Int64 // cores un-benched after a clean probe
-	recomputes        atomic.Int64 // corrupted jobs redone (requeue or inline)
-
-	latency   obs.Histogram // submit→finish, completed jobs (ns)
-	failedLat obs.Histogram // submit→finish, failed + canceled jobs (ns)
-	queueWait obs.Histogram // submit→dequeue, every dequeued job (ns)
-	execTime  obs.Histogram // dequeue→finish, completed jobs (ns)
-}
-
-// setMax raises g to v if v exceeds the current value — the lock-free
-// high-watermark update behind queueHighWater.
-func setMax(g *atomic.Int64, v int64) {
-	for {
-		old := g.Load()
-		if v <= old || g.CompareAndSwap(old, v) {
-			return
-		}
-	}
-}
 
 // Stats is a consistent-enough snapshot of the engine's counters.
 // Completed + Failed + Canceled = jobs finished; Submitted − finished −
@@ -109,47 +61,54 @@ type Stats struct {
 	TotalWall time.Duration // summed latency of completed jobs
 }
 
-// Stats snapshots the counters.
+// Stats snapshots the engine's registered instruments — the same ones
+// /metrics renders — plus the engine-local shed count, lane split and
+// healthy-worker count.
 func (e *Engine) Stats() Stats {
-	hits, misses, evictions := e.cache.counts()
-	lat := e.ctr.latency.Snapshot()
-	kitJobs := make(map[kits.Kit]int64, kits.NumKits)
-	for i := 0; i < kits.NumKits; i++ {
-		if v := e.ctr.kitJobs[i].Load(); v > 0 {
-			kitJobs[kits.Kit(i)] = v
+	m := e.met
+	s := Stats{
+		Workers:        e.cfg.workers,
+		QueueDepth:     m.queueDepth.Value(),
+		QueueHighWater: m.queueHighWater.Value(),
+		Sheds:          e.sheds.Load(),
+		LaneDepths:     e.laneDepths(),
+		ModelCycles:    m.modelCycles.Value(),
+		SimCycles:      m.simCycles.Value(),
+		CtxHits:        m.ctxHits.Value(),
+		CtxMisses:      m.ctxMisses.Value(),
+		CtxEvictions:   m.ctxEvictions.Value(),
+		KitJobs:        make(map[kits.Kit]int64, 2),
+
+		IntegrityFailures: m.integrity[evCheckFailed].Value(),
+		Panics:            m.integrity[evPanic].Value(),
+		WatchdogTimeouts:  m.integrity[evWatchdog].Value(),
+		Quarantines:       m.integrity[evQuarantine].Value(),
+		Reinstatements:    m.integrity[evReinstate].Value(),
+		Recomputes:        m.integrity[evRecompute].Value(),
+		HealthyWorkers:    int(e.healthy.Load()),
+
+		Latency:       obs.Merge(m.latency[:]...),
+		FailedLatency: m.failedLat.Snapshot(),
+		QueueWait:     m.queueWait.Snapshot(),
+		ExecTime:      m.exec.Snapshot(),
+	}
+	for k := jobKind(0); k < numKinds; k++ {
+		s.Submitted += m.submitted[k].Value()
+		s.Completed += m.outcomes[k][outcomeOK].Value()
+		s.Failed += m.outcomes[k][outcomeFailed].Value()
+		s.Canceled += m.outcomes[k][outcomeCanceled].Value()
+		s.Muls += m.muls[k].Value()
+	}
+	for kt, h := range m.kitLat {
+		if h == nil {
+			continue
+		}
+		if n := h.Snapshot().Count; n > 0 {
+			s.KitJobs[kits.Kit(kt)] = n
 		}
 	}
-	return Stats{
-		Workers:        e.cfg.workers,
-		Submitted:      e.ctr.submitted.Load(),
-		Completed:      e.ctr.completed.Load(),
-		Failed:         e.ctr.failed.Load(),
-		Canceled:       e.ctr.canceled.Load(),
-		QueueDepth:     e.ctr.queueDepth.Load(),
-		QueueHighWater: e.ctr.queueHighWater.Load(),
-		Sheds:          e.ctr.sheds.Load(),
-		LaneDepths:     e.laneDepths(),
-		Muls:           e.ctr.muls.Load(),
-		ModelCycles:    e.ctr.modelCycles.Load(),
-		SimCycles:      e.ctr.simCycles.Load(),
-		CtxHits:        int64(hits),
-		CtxMisses:      int64(misses),
-		CtxEvictions:   int64(evictions),
-		KitJobs:        kitJobs,
-
-		IntegrityFailures: e.ctr.integrityFailures.Load(),
-		Panics:            e.ctr.panics.Load(),
-		WatchdogTimeouts:  e.ctr.watchdogTimeouts.Load(),
-		Quarantines:       e.ctr.quarantines.Load(),
-		Reinstatements:    e.ctr.reinstated.Load(),
-		Recomputes:        e.ctr.recomputes.Load(),
-		HealthyWorkers:    int(e.healthy.Load()),
-		Latency:           lat,
-		FailedLatency:     e.ctr.failedLat.Snapshot(),
-		QueueWait:         e.ctr.queueWait.Snapshot(),
-		ExecTime:          e.ctr.execTime.Snapshot(),
-		TotalWall:         time.Duration(lat.Sum),
-	}
+	s.TotalWall = time.Duration(s.Latency.Sum)
+	return s
 }
 
 // laneDepths snapshots the per-class queue split.

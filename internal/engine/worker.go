@@ -92,7 +92,7 @@ func (w *worker) loop() {
 		if !ok {
 			return
 		}
-		w.eng.ctr.queueDepth.Add(-1)
+		w.eng.met.queueDepth.Add(-1)
 		if w.run(j) {
 			j.wg.Done()
 		}
@@ -107,78 +107,37 @@ type jobResult struct {
 	v       *big.Int
 	rep     expo.Report
 	wk      work
-	kt      kits.Kit // kit that produced the value
 	err     error
 	corrupt bool
 }
 
 // run executes one dequeued job, splitting its latency into queue wait
-// (enqueue→dequeue) and execute time (dequeue→finish). Completed jobs
-// feed the latency/exec histograms; failed and canceled jobs get their
-// own histogram instead of silently dropping out of the accounting.
-// It returns false when the job was requeued for recompute on another
-// core — the job is not finished and its WaitGroup must not be
-// released yet.
+// (enqueue→dequeue) and execute time (dequeue→finish), and accounts
+// its end through Engine.finish. It returns false when the job was
+// requeued for recompute on another core — the job is not finished and
+// its WaitGroup must not be released yet.
 func (w *worker) run(j *job) bool {
-	ctr := &w.eng.ctr
-	ob := w.eng.cfg.observer
 	dequeued := time.Now()
 	start := j.enqueued // redirect re-stamps j.enqueued for the next run
 	queueWait := dequeued.Sub(start)
-	ctr.queueWait.Observe(queueWait.Nanoseconds())
-	if ob != nil {
-		ob.JobStarted(j.kind.kindName(), w.id, queueWait)
-	}
+	w.eng.met.queueWait.ObserveDuration(queueWait)
 
-	// doneKit and integDur accumulate what the span reports beyond the
-	// timings and work counts: the kit that ran (set on the OK path
-	// only — a failed job's kit field would be a zero-value lie) and
-	// the tail of execution spent re-verifying the result.
-	doneKit := kits.Kit(-1)
-	var integDur time.Duration
-
-	finish := func(outcome string, muls, modelCycles, simCycles int64) {
-		exec := time.Since(dequeued)
-		switch outcome {
-		case outcomeOK:
-			ctr.completed.Add(1)
-			ctr.latency.Observe((queueWait + exec).Nanoseconds())
-			ctr.execTime.Observe(exec.Nanoseconds())
-		case outcomeCanceled:
-			ctr.canceled.Add(1)
-			ctr.failedLat.Observe((queueWait + exec).Nanoseconds())
-		case outcomeRequeued:
-			// Neither terminal nor failed: the job lives on in the queue
-			// and its next run does the accounting.
-		default:
-			ctr.failed.Add(1)
-			ctr.failedLat.Observe((queueWait + exec).Nanoseconds())
-		}
-		if ob != nil {
-			s := obs.Span{
-				Name: j.kind.kindName(), Worker: w.id, Outcome: outcome,
-				Start: start, QueueWait: queueWait, Exec: exec,
-				Integrity: integDur,
-				Muls:      muls, ModelCycles: modelCycles, SimCycles: simCycles,
-			}
-			if doneKit >= 0 && int(doneKit) < kits.NumKits {
-				s.Kit = doneKit.String()
-			}
-			if tc, ok := obs.TraceFromContext(j.ctx); ok && tc.Sampled {
-				s.TraceID, s.Parent, s.SpanID = tc.TraceID, tc.SpanID, obs.NewSpanID()
-			}
-			ob.JobSpan(s)
-		}
+	var integDur time.Duration // tail of execution spent re-verifying
+	finish := func(o outcome, wk work) {
+		w.eng.finish(j, o, wk, obs.Span{
+			Worker: w.id, Start: start, QueueWait: queueWait,
+			Exec: time.Since(dequeued), Integrity: integDur,
+		})
 	}
 
 	if err := j.expired(dequeued); err != nil {
 		j.fail(err)
-		finish(outcomeCanceled, 0, 0, 0)
+		finish(outcomeCanceled, work{})
 		return true
 	}
 	if j.n == nil || j.a == nil || j.b == nil {
 		j.fail(fmt.Errorf("engine: nil job operand: %w", errs.ErrOperandRange))
-		finish(outcomeFailed, 0, 0, 0)
+		finish(outcomeFailed, work{})
 		return true
 	}
 
@@ -188,8 +147,7 @@ func (w *worker) run(j *job) bool {
 		ierr := w.verify(j, res.v)
 		integDur = time.Since(vStart)
 		if ierr != nil {
-			ctr.integrityFailures.Add(1)
-			w.eng.integrityEvent("check_failed", w.id)
+			w.eng.integrityEvent(evCheckFailed, w.id)
 			res = jobResult{err: ierr, corrupt: true}
 		}
 	}
@@ -201,7 +159,7 @@ func (w *worker) run(j *job) bool {
 			// it and release the caller.
 			j.wg.Add(1)
 			if w.redirect(j) {
-				finish(outcomeRequeued, 0, 0, 0)
+				finish(outcomeRequeued, work{})
 				j.wg.Done()
 				return false
 			}
@@ -211,7 +169,7 @@ func (w *worker) run(j *job) bool {
 	}
 	if res.err != nil {
 		j.fail(res.err)
-		finish(outcomeFailed, 0, 0, 0)
+		finish(outcomeFailed, work{})
 		return true
 	}
 
@@ -224,20 +182,52 @@ func (w *worker) run(j *job) bool {
 		j.montOut.Value = res.v
 		j.montOut.Err = nil
 	}
-	ctr.muls.Add(res.wk.muls)
-	ctr.modelCycles.Add(res.wk.modelCycles)
-	ctr.simCycles.Add(res.wk.simCycles)
-	if res.kt >= 0 && int(res.kt) < kits.NumKits {
-		ctr.kitJobs[res.kt].Add(1)
-		doneKit = res.kt
-	}
-	finish(outcomeOK, res.wk.muls, res.wk.modelCycles, res.wk.simCycles)
+	finish(outcomeOK, res.wk)
 	return true
 }
 
-// work is one job's own accounting, reported to the observer and added
-// to the engine-wide counters.
+// finish is the one place the end of a job's run is accounted: the
+// outcome counters, the latency histograms and, for a completed job,
+// its work and kit; then the span goes to the observer. Workers call it
+// for every run, requeued ones included, and finalizeShed for a job
+// shed from the queue. s carries the worker and the timings.
+func (e *Engine) finish(j *job, o outcome, wk work, s obs.Span) {
+	m := e.met
+	m.outcomes[j.kind][o].Inc()
+	total := s.QueueWait + s.Exec
+	switch o {
+	case outcomeOK:
+		m.finished[j.kind].Inc()
+		m.latency[j.kind].ObserveDuration(total)
+		m.kitLat[wk.kit].ObserveDuration(total)
+		m.exec.ObserveDuration(s.Exec)
+		m.muls[j.kind].Add(wk.muls)
+		m.modelCycles.Add(wk.modelCycles)
+		m.simCycles.Add(wk.simCycles)
+		s.Kit = wk.kit.String()
+		s.Muls, s.ModelCycles, s.SimCycles = wk.muls, wk.modelCycles, wk.simCycles
+	case outcomeRequeued:
+		// Not terminal: the job's next run does the accounting.
+	default:
+		m.finished[j.kind].Inc()
+		m.failedLat.ObserveDuration(total)
+	}
+	ob := e.cfg.observer
+	if ob == nil {
+		return
+	}
+	s.Name, s.Outcome = j.kind.kindName(), outcomeNames[o]
+	if tc, ok := obs.TraceFromContext(j.ctx); ok && tc.Sampled {
+		s.TraceID, s.Parent, s.SpanID = tc.TraceID, tc.SpanID, obs.NewSpanID()
+	}
+	ob.JobSpan(s)
+}
+
+// work is one completed job's own accounting: the kit that computed it
+// and what it cost, reported in its span and added to the engine-wide
+// counters.
 type work struct {
+	kit                          kits.Kit
 	muls, modelCycles, simCycles int64
 }
 
@@ -258,7 +248,7 @@ func (w *worker) execute(j *job) jobResult {
 	if w.eng.cfg.watchdogK <= 0 {
 		return w.compute(j, w.kit)
 	}
-	ctx, err := w.eng.cache.get(j.n)
+	ctx, err := w.eng.modCtx(j.n)
 	if err != nil {
 		return jobResult{err: err}
 	}
@@ -270,8 +260,7 @@ func (w *worker) execute(j *job) jobResult {
 	case res := <-ch:
 		return res
 	case <-w.eng.cfg.clk.After(budget):
-		w.eng.ctr.watchdogTimeouts.Add(1)
-		w.eng.integrityEvent("watchdog", w.id)
+		w.eng.integrityEvent(evWatchdog, w.id)
 		w.kit = w.newKit()
 		return jobResult{
 			err: fmt.Errorf("engine: worker %d: watchdog: %s stuck past %v (k=%g × %d cycles): %w",
@@ -315,8 +304,7 @@ func watchdogBudget(k float64, kind jobKind, l int) time.Duration {
 func (w *worker) compute(j *job, k *kit) (res jobResult) {
 	defer func() {
 		if r := recover(); r != nil {
-			w.eng.ctr.panics.Add(1)
-			w.eng.integrityEvent("panic", w.id)
+			w.eng.integrityEvent(evPanic, w.id)
 			res = jobResult{
 				err: fmt.Errorf("engine: worker %d: core panicked: %v: %w",
 					w.id, r, errs.ErrIntegrity),
@@ -334,25 +322,26 @@ func (w *worker) compute(j *job, k *kit) (res jobResult) {
 		if err != nil {
 			return jobResult{err: err}
 		}
-		return jobResult{v: v, kt: kt, wk: montWork(j.n.BitLen(), cycles)}
+		return jobResult{v: v, wk: montWork(kt, j.n.BitLen(), cycles)}
 	}
 	v, rep, err := ex.ModExp(j.a, j.b)
 	if err != nil {
 		return jobResult{err: err}
 	}
-	return jobResult{v: v, rep: rep, kt: kt, wk: modExpWork(rep)}
+	return jobResult{v: v, rep: rep, wk: modExpWork(kt, rep)}
 }
 
-// montWork accounts one Montgomery product at modulus length l: the
-// paper's 3l+4 cycles, and the cycles the core simulated.
-func montWork(l, simCycles int) work {
-	return work{muls: 1, modelCycles: cycleBound(kindMont, l), simCycles: int64(simCycles)}
+// montWork accounts one Montgomery product at modulus length l on kit
+// kt: the paper's 3l+4 cycles, and the cycles the core simulated.
+func montWork(kt kits.Kit, l, simCycles int) work {
+	return work{kit: kt, muls: 1, modelCycles: cycleBound(kindMont, l), simCycles: int64(simCycles)}
 }
 
-// modExpWork accounts one exponentiation from its report: squares and
-// multiplies plus the explicit pre- and post-products.
-func modExpWork(rep expo.Report) work {
+// modExpWork accounts one exponentiation on kit kt from its report:
+// squares and multiplies plus the explicit pre- and post-products.
+func modExpWork(kt kits.Kit, rep expo.Report) work {
 	return work{
+		kit:         kt,
 		muls:        int64(rep.Squares + rep.Multiplies + 2),
 		modelCycles: int64(rep.TotalCycles),
 		simCycles:   int64(rep.SimulatedMulCycles),
@@ -367,7 +356,7 @@ func modExpWork(rep expo.Report) work {
 func (w *worker) verify(j *job, v *big.Int) error {
 	switch j.kind {
 	case kindMont:
-		ctx, err := w.eng.cache.get(j.n)
+		ctx, err := w.eng.modCtx(j.n)
 		if err != nil {
 			return err
 		}
@@ -393,8 +382,7 @@ func (w *worker) redirect(j *job) bool {
 	if !w.eng.requeue(j) {
 		return false
 	}
-	w.eng.ctr.recomputes.Add(1)
-	w.eng.integrityEvent("recompute", w.id)
+	w.eng.integrityEvent(evRecompute, w.id)
 	return true
 }
 
@@ -403,9 +391,8 @@ func (w *worker) redirect(j *job) bool {
 // back. It bypasses the worker's (possibly fault-wrapped) cores
 // entirely.
 func (w *worker) recomputeInline(j *job, failed jobResult) jobResult {
-	w.eng.ctr.recomputes.Add(1)
-	w.eng.integrityEvent("recompute", w.id)
-	ctx, err := w.eng.cache.get(j.n)
+	w.eng.integrityEvent(evRecompute, w.id)
+	ctx, err := w.eng.modCtx(j.n)
 	if err != nil {
 		return jobResult{err: err}
 	}
@@ -415,7 +402,7 @@ func (w *worker) recomputeInline(j *job, failed jobResult) jobResult {
 		if err != nil {
 			return jobResult{err: err}
 		}
-		return jobResult{v: v, kt: kits.Model, wk: montWork(ctx.L, 0)}
+		return jobResult{v: v, wk: montWork(kits.Model, ctx.L, 0)}
 	case kindModExp:
 		ex, err := expo.NewKitFromCtx(ctx, kits.Model)
 		if err != nil {
@@ -428,7 +415,7 @@ func (w *worker) recomputeInline(j *job, failed jobResult) jobResult {
 		if ierr := integrity.CheckModExp(j.n, j.a, j.b, v); ierr != nil {
 			return jobResult{err: ierr}
 		}
-		return jobResult{v: v, rep: rep, kt: kits.Model, wk: modExpWork(rep)}
+		return jobResult{v: v, rep: rep, wk: modExpWork(kits.Model, rep)}
 	}
 	return failed
 }
@@ -446,7 +433,7 @@ func (w *worker) exponentiatorIn(k *kit, n *big.Int) (exponentiator, error) {
 	if ex, ok := k.exps[key]; ok {
 		return ex, nil
 	}
-	ctx, err := w.eng.cache.get(n)
+	ctx, err := w.eng.modCtx(n)
 	if err != nil {
 		return nil, err
 	}

@@ -11,10 +11,11 @@
 // simulated-cycle totals), and a running engine can be watched live.
 //
 // The package deliberately depends only on the standard library and is
-// import-cycle-free with internal/engine: engine imports obs for its
-// histogram-backed stats, while obs.Collector satisfies the
-// engine.Observer interface structurally (its methods use only basic
-// types), so obs never needs to import engine.
+// import-cycle-free with internal/engine: engine imports obs and
+// registers its counters on the observer's Registry, while
+// obs.Collector satisfies the engine.Observer interface structurally
+// (its methods use only obs and basic types), so obs never needs to
+// import engine.
 package obs
 
 import (
@@ -89,13 +90,22 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Nanoseconds()
 // are read bucket-by-bucket without a global lock, so a snapshot taken
 // mid-recording may be off by in-flight samples — fine for monitoring,
 // and the only cost lock-freedom asks.
-func (h *Histogram) Snapshot() HistogramSnapshot {
+func (h *Histogram) Snapshot() HistogramSnapshot { return Merge(h) }
+
+// Merge snapshots several histograms as one distribution: counts, sums
+// and buckets add, Max is the largest, and the percentiles are taken
+// over the union.
+func Merge(hs ...*Histogram) HistogramSnapshot {
 	var s HistogramSnapshot
-	s.Count = h.count.Load()
-	s.Sum = h.sum.Load()
-	s.Max = h.max.Load()
-	for i := range h.buckets {
-		s.Buckets[i] = h.buckets[i].Load()
+	for _, h := range hs {
+		s.Count += h.count.Load()
+		s.Sum += h.sum.Load()
+		if m := h.max.Load(); m > s.Max {
+			s.Max = m
+		}
+		for i := range h.buckets {
+			s.Buckets[i] += h.buckets[i].Load()
+		}
 	}
 	s.P50 = s.Quantile(0.50)
 	s.P90 = s.Quantile(0.90)

@@ -27,8 +27,9 @@ type Gauge struct{ v atomic.Int64 }
 // Set replaces the gauge value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add moves the gauge by d (negative to decrement).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
+// Add moves the gauge by d (negative to decrement) and returns the new
+// value.
+func (g *Gauge) Add(d int64) int64 { return g.v.Add(d) }
 
 // SetMax raises the gauge to v if v exceeds the current value — a
 // high-watermark update, lock-free via CAS.

@@ -21,7 +21,7 @@ import (
 // the exported spans of one request join into a single tree.
 type Span struct {
 	Name      string        // "modexp", "server/modexp", "route/modexp", ...
-	Worker    int           // core that executed the job (Track == "")
+	Worker    int           // core that executed the job (Track == ""); −1 if shed from the queue
 	Track     string        // named lane ("client", "route", "server"); "" = worker core
 	Outcome   string        // "ok" | "failed" | "canceled" | wire code string
 	Start     time.Time     // span open instant (enqueue, for engine jobs)
@@ -31,9 +31,8 @@ type Span struct {
 	SimCycles int64         // measured MMMC cycles (Sim kit)
 	Kit       string        // concrete compute kit ("model", "cios", ...)
 
-	// Work accounting carried so Collector.JobSpan can do the full
-	// metrics bookkeeping from a span alone (zero for failures and for
-	// non-engine spans).
+	// Work accounting of a completed engine job (zero for failures and
+	// for non-engine spans).
 	Muls        int64 // Montgomery products executed by the job
 	ModelCycles int64 // paper-formula cycles (Model-mode reports)
 

@@ -188,14 +188,15 @@ func NewExponentiator(n *big.Int, opts ...Option) (*Exponentiator, error) {
 // which runs both job kinds — simulated cycle-accurate cores included),
 // a bounded submission queue with context cancellation and per-job
 // deadlines, an LRU cache of per-modulus Montgomery contexts,
-// order-preserving batch APIs (ModExpBatch, MontBatch) and an atomic
-// Stats block. See internal/engine.
+// order-preserving batch APIs (ModExpBatch, MontBatch) and Stats, read
+// from the metrics it registers. See internal/engine.
 type Engine = engine.Engine
 
 // EngineOption configures NewEngine.
 type EngineOption = engine.Option
 
-// EngineStats is the engine's counters snapshot.
+// EngineStats snapshots the engine's registered counters, the same
+// instruments an attached Collector's /metrics page renders.
 type EngineStats = engine.Stats
 
 // Engine job/result types: results[i] always answers jobs[i].
@@ -223,26 +224,30 @@ func WithEngineKit(k Kit) EngineOption { return engine.WithKit(k) }
 // WithEngineCtxCacheSize bounds the per-modulus context LRU (default 128).
 func WithEngineCtxCacheSize(n int) EngineOption { return engine.WithCtxCacheSize(n) }
 
-// Observability. The engine exposes a pluggable Observer hook
-// (submission, dequeue, completion, context-cache traffic); Collector
-// is the batteries-included implementation feeding a metrics registry
-// (Prometheus-exportable counters, gauges and log-bucketed latency
-// histograms with p50/p90/p99/max) that a server can share, so one
-// /metrics page carries client→server→engine→core end to end:
+// Observability. The engine counts its jobs, queue, context cache and
+// integrity events on instruments (Prometheus-exportable counters,
+// gauges and log-bucketed latency histograms with p50/p90/p99/max) that
+// it registers on its observer's registry. Collector is the
+// batteries-included observer: it owns that registry, which a server
+// can share so one /metrics page carries client→server→engine→core end
+// to end, and it keeps each job's span for tracing:
 //
 //	col := montsys.NewCollector()
 //	eng, _ := montsys.NewEngine(montsys.WithEngineObserver(col))
 //	srv, _ := montsys.NewServer(eng, montsys.WithServerRegistry(col.Registry()))
 
-// EngineObserver receives engine lifecycle callbacks; see
+// EngineObserver supplies the registry an engine counts on and
+// receives its job spans and integrity events; see
 // internal/engine.Observer for the contract.
 type EngineObserver = engine.Observer
 
-// WithEngineObserver attaches an observer to an engine. Observation is
-// opt-in: without one, every hook site is a single nil check.
+// WithEngineObserver attaches an observer to an engine. Without one the
+// engine counts into a private registry (EngineStats still reads it)
+// and every callback site is a single nil check.
 func WithEngineObserver(o EngineObserver) EngineOption { return engine.WithObserver(o) }
 
-// Collector adapts observer callbacks into metrics and trace spans.
+// Collector is the engine observer of the obs layer: its registry holds
+// the engine's metrics, and it records job spans for tracing.
 type Collector = obs.Collector
 
 // CollectorOption configures NewCollector.
@@ -254,8 +259,7 @@ type MetricsRegistry = obs.Registry
 // TraceSpan is one recorded job lifecycle in the span ring buffer.
 type TraceSpan = obs.Span
 
-// NewCollector builds an engine observer with every metric
-// pre-registered.
+// NewCollector builds an engine observer around an empty registry.
 func NewCollector(opts ...CollectorOption) *Collector { return obs.NewCollector(opts...) }
 
 // Serving. The engine's network front door is montsysd (cmd/montsysd):
