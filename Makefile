@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt build vet bench-vet bench-test dead-options test test-386 race staticcheck cover bench-faults bench-sign bench-qos sca-gate qos fuzz soak
+.PHONY: ci fmt build vet bench-vet bench-test dead-options test test-386 race staticcheck cover sca-gate qos fuzz soak
 
 ci: fmt vet bench-vet bench-test staticcheck dead-options build test test-386 race
 
@@ -58,16 +58,6 @@ cover:
 	$(GO) test -race -coverprofile=coverage.out -covermode=atomic ./internal/obs/... ./internal/engine/...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-# Regenerate BENCH_faults.json's raw numbers: the clean-path cost of
-# integrity checking (off vs sampled vs every-job) on the modexp path.
-bench-faults:
-	$(GO) test -run xxx -bench EngineIntegrity -benchtime 60x -count 6 ./internal/engine/
-
-# Regenerate BENCH_sign.json's raw numbers: CRT vs full-exponent RSA
-# signing (blinded and not) at 1024/2048 bits plus verify and ECDSA.
-bench-sign:
-	$(GO) test -run xxx -bench 'Sign|Verify' -benchtime 10x ./internal/cryptosvc/
-
 # The SCA regression gate on its own (also part of `test` and `race`).
 sca-gate:
 	$(GO) test -run 'SCALeakageGate' -v ./internal/cryptosvc/
@@ -104,10 +94,3 @@ fuzz:
 # errors, no windowed-p99 cliff. SOAK_DURATION overrides the default.
 soak:
 	bash scripts/soak.sh
-
-# Regenerate BENCH_qos.json's raw numbers: the admission fast path
-# (what every request pays when -qos is armed) and the lane scheduler
-# hot path (what every job pays since the lanes replaced the channel).
-bench-qos:
-	$(GO) test -run xxx -bench 'Admit' -benchtime 2000x -count 6 ./internal/qos/
-	$(GO) test -run xxx -bench 'LaneSched' -benchtime 2000x -count 6 ./internal/engine/

@@ -181,7 +181,7 @@ func main() {
 		}
 		fmt.Printf("observability: http://%s/  (/metrics, /debug/pprof/, /trace)\n", ln.Addr())
 		go func() {
-			if err := http.Serve(ln, obs.NewHandler(col)); err != nil {
+			if err := http.Serve(ln, obs.NewMux(col.Registry(), col.Tracer(), nil, nil)); err != nil {
 				fmt.Fprintln(os.Stderr, "loadgen: obs server:", err)
 			}
 		}()

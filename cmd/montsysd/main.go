@@ -77,8 +77,8 @@
 // Sampled requests — those arriving on the traced wire ops with the
 // sampled bit set — additionally record server and engine spans into
 // the /trace ring (joined by trace id to the caller's spans; merge the
-// exports with cmd/tracecat) and, with -wide-events, emit one wide
-// JSON log line per request per layer.
+// exports with cmd/tracecat) and, with -wide-events, render each of
+// those spans as one wide JSON log line (layers "server" and "engine").
 package main
 
 import (
@@ -316,8 +316,9 @@ func run(listen string, workers int, kitName, variantName string, queue, cache,
 		defer wideFile.Close()
 	}
 
-	col := obs.NewCollector(obs.WithTracing(oc.traceCap), obs.WithWideEvents(wide))
+	col := obs.NewCollector(obs.WithTracing(oc.traceCap))
 	col.Tracer().SetProcess("montsysd")
+	col.Tracer().SetWideEvents(wide)
 	engOpts := []engine.Option{
 		engine.WithKit(kit),
 		engine.WithArrayVariant(variant),
@@ -368,7 +369,6 @@ func run(listen string, workers int, kitName, variantName string, queue, cache,
 		server.WithFrameTimeout(frameTimeout),
 		server.WithRegistry(col.Registry()),
 		server.WithTracer(col.Tracer()),
-		server.WithWideEvents(wide),
 		server.WithSignService(cryptosvc.New(eng, cryptosvc.WithBlinding(signBlinding))),
 	}
 	if inflight > 0 {
@@ -397,7 +397,7 @@ func run(listen string, workers int, kitName, variantName string, queue, cache,
 		defer slo.Close()
 		fmt.Printf("montsysd: observability on http://%s/ (/metrics, /statusz, /quotaz, /debug/pprof/, /trace)\n", mln.Addr())
 		go func() {
-			if err := http.Serve(mln, obs.NewQoSMux(col.Registry(), col.Tracer(), slo, quotaz)); err != nil {
+			if err := http.Serve(mln, obs.NewMux(col.Registry(), col.Tracer(), slo, quotaz)); err != nil {
 				fmt.Fprintln(os.Stderr, "montsysd: metrics server:", err)
 			}
 		}()

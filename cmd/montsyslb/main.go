@@ -89,8 +89,8 @@
 // per backend try (pick reason, hedge race outcome, budget spend) and
 // the backend call spans under them, all joined by trace id to the
 // spans the client and the backends record themselves (merge with
-// cmd/tracecat). -wide-events adds one JSON request-log line per
-// sampled request per layer.
+// cmd/tracecat). -wide-events renders each of those spans as one JSON
+// request-log line (layers "server", "route" and "client").
 package main
 
 import (
@@ -273,6 +273,7 @@ func run(listen, backends string, inflight int, idle, drain, probe, frameTimeout
 	}
 	tracer := obs.NewTracer(oc.traceCap)
 	tracer.SetProcess("montsyslb")
+	tracer.SetWideEvents(wide)
 
 	registry := obs.NewRegistry()
 	var plane *qos.Plane
@@ -284,7 +285,6 @@ func run(listen, backends string, inflight int, idle, drain, probe, frameTimeout
 		cluster.WithRetryBudget(budget, burst),
 		cluster.WithIntegrityEjectThreshold(integrityEject),
 		cluster.WithTracer(tracer),
-		cluster.WithWideEvents(wide),
 		cluster.WithZone(mc.zone),
 		cluster.WithHandover(mc.handover, mc.handoverWarm),
 		cluster.WithMaxMembers(mc.maxMembers),
@@ -309,7 +309,6 @@ func run(listen, backends string, inflight int, idle, drain, probe, frameTimeout
 		server.WithFrameTimeout(frameTimeout),
 		server.WithRegistry(registry),
 		server.WithTracer(tracer),
-		server.WithWideEvents(wide),
 	}
 	// A nil *qos.Plane must reach the mux as a nil obs.Quotaz, not a
 	// typed nil, so /quotaz answers 404 when -qos is off.
@@ -334,7 +333,7 @@ func run(listen, backends string, inflight int, idle, drain, probe, frameTimeout
 		defer slo.Close()
 		fmt.Printf("montsyslb: observability on http://%s/ (/metrics, /statusz, /quotaz, /trace)\n", mln.Addr())
 		go func() {
-			if err := http.Serve(mln, obs.NewQoSMux(registry, tracer, slo, quotaz)); err != nil {
+			if err := http.Serve(mln, obs.NewMux(registry, tracer, slo, quotaz)); err != nil {
 				fmt.Fprintln(os.Stderr, "montsyslb: metrics server:", err)
 			}
 		}()

@@ -111,7 +111,6 @@ type config struct {
 	clock           func() time.Time
 
 	tracer *obs.Tracer
-	wide   *obs.WideWriter
 
 	tenants []string
 
@@ -175,16 +174,13 @@ func WithIntegrityEjectThreshold(n int) Option {
 // WithTracer records a route-attempt span for every backend call made
 // on behalf of a sampled request: one span per attempt (primary,
 // hedge, failover), tagged with the backend, the pick reason, whether
-// the attempt was the winning copy, and whether it spent retry budget.
-// The same tracer is handed to every backend client so its call spans
-// nest under the route spans, and the trace context is forwarded on
-// the wire so the backend's own spans join the same tree.
+// the attempt was the winning copy, whether it spent retry budget, and
+// the error of a failed attempt. The same tracer is handed to every
+// backend client so its call spans nest under the route spans, and the
+// trace context is forwarded on the wire so the backend's own spans
+// join the same tree. The tracer's wide-event writer, if set, logs
+// every one of those spans as a route or client line.
 func WithTracer(t *obs.Tracer) Option { return func(c *config) { c.tracer = t } }
-
-// WithWideEvents emits one structured "route" event per backend
-// attempt of a sampled request — the balancer's line in the per-request
-// wide-event log.
-func WithWideEvents(w *obs.WideWriter) Option { return func(c *config) { c.wide = w } }
 
 // WithTenants names the tenants the cluster keeps per-tenant pick and
 // shed counters for. Requests from any other tenant (or untagged ones)
@@ -657,91 +653,45 @@ func attempt[T any](c *Cluster, ctx context.Context, op server.Op, p *membership
 	return zero, lastErr
 }
 
-// recordAttempt emits the route-attempt span and wide event for one
-// finished backend call of a sampled request. won is true for the copy
-// that answered first with a success — on a hedged race exactly one
-// attempt carries winner=true, and a losing-but-successful copy is the
-// hedge loss the span names explicitly.
+// recordAttempt records the route-attempt span for one finished
+// backend call of a sampled request. won is true for the copy that
+// answered first with a success — on a hedged race exactly one attempt
+// carries race=won, and a losing-but-successful copy is the hedge loss
+// the span names explicitly. A failed attempt carries its error text.
 func (c *Cluster) recordAttempt(tc obs.TraceContext, span obs.SpanID, op server.Op,
 	b *backend, reason string, start time.Time, elapsed time.Duration, err error,
 	hedged, budgeted, won bool) {
-	if !tc.Sampled || (c.cfg.tracer == nil && c.cfg.wide == nil) {
+	if !tc.Sampled || c.cfg.tracer == nil {
 		return
 	}
-	outcome := routeOutcome(err)
-	if c.cfg.tracer != nil {
-		s := obs.Span{
-			Name:    "route/" + op.String(),
-			Track:   "route",
-			Outcome: outcome,
-			Start:   start,
-			Exec:    elapsed,
-			TraceID: tc.TraceID,
-			SpanID:  span,
-			Parent:  tc.SpanID,
-			Attrs: []obs.Attr{
-				{Key: "backend", Val: b.addr},
-				{Key: "pick", Val: reason},
-			},
-		}
-		if hedged || won {
-			hw := "lost"
-			if won {
-				hw = "won"
-			}
-			s.Attrs = append(s.Attrs, obs.Attr{Key: "race", Val: hw})
-		}
-		if budgeted {
-			s.Attrs = append(s.Attrs, obs.Attr{Key: "budget", Val: "spent"})
-		}
-		c.cfg.tracer.Record(s)
-	}
-	c.cfg.wide.Emit(&obs.WideEvent{
-		Layer:   "route",
-		Op:      op.String(),
+	s := obs.Span{
+		Name:    "route/" + op.String(),
+		Track:   "route",
+		Outcome: server.CodeOf(err).String(),
+		Start:   start,
+		Exec:    elapsed,
 		TraceID: tc.TraceID,
 		SpanID:  span,
 		Parent:  tc.SpanID,
-		Outcome: outcome,
-		Backend: b.addr,
-		Dur:     elapsed,
-		Hedged:  hedged,
-		Err:     errString(err),
-	})
-}
-
-// routeOutcome classifies one backend-call error the way the wire codes
-// would, so route spans and server spans speak the same outcome names.
-func routeOutcome(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.Is(err, errs.ErrRateLimited):
-		return "rate_limited"
-	case errors.Is(err, errs.ErrOverloaded):
-		return "overloaded"
-	case errors.Is(err, errs.ErrDraining):
-		return "draining"
-	case errors.Is(err, errs.ErrBackendDown):
-		return "backend_down"
-	case errors.Is(err, errs.ErrEngineClosed):
-		return "engine_closed"
-	case errors.Is(err, errs.ErrIntegrity):
-		return "integrity"
-	case errors.Is(err, context.DeadlineExceeded):
-		return "deadline"
-	case errors.Is(err, context.Canceled):
-		return "canceled"
-	default:
-		return "error"
+		Attrs: []obs.Attr{
+			{Key: "backend", Val: b.addr},
+			{Key: "pick", Val: reason},
+		},
 	}
-}
-
-func errString(err error) string {
-	if err == nil {
-		return ""
+	if hedged || won {
+		hw := "lost"
+		if won {
+			hw = "won"
+		}
+		s.Attrs = append(s.Attrs, obs.Attr{Key: "race", Val: hw})
 	}
-	return err.Error()
+	if budgeted {
+		s.Attrs = append(s.Attrs, obs.Attr{Key: "budget", Val: "spent"})
+	}
+	if err != nil {
+		s.Attrs = append(s.Attrs, obs.Attr{Key: "err", Val: err.Error()})
+	}
+	c.cfg.tracer.Record(s)
 }
 
 // observe feeds one finished backend call into the breaker, the

@@ -365,11 +365,11 @@ func TestClusterEjectAndReinstate(t *testing.T) {
 	}
 }
 
-// A backend that accepts connections but never answers (the worst
-// failure mode: no error, just silence) is rescued by the hedge — the
-// request races onto the healthy backend and completes.
-func TestClusterHedgesPastStuckBackend(t *testing.T) {
-	// The stuck "backend": accepts and swallows bytes forever.
+// startStuckBackend listens for connections it accepts and never
+// answers, swallowing every byte — the worst failure mode: no error,
+// just silence. It returns the listen address.
+func startStuckBackend(t *testing.T) string {
+	t.Helper()
 	stuck, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -384,9 +384,15 @@ func TestClusterHedgesPastStuckBackend(t *testing.T) {
 			go func(nc net.Conn) { defer nc.Close(); io.Copy(io.Discard, nc) }(nc)
 		}
 	}()
+	return stuck.Addr().String()
+}
 
+// A backend that accepts connections but never answers (the worst
+// failure mode: no error, just silence) is rescued by the hedge — the
+// request races onto the healthy backend and completes.
+func TestClusterHedgesPastStuckBackend(t *testing.T) {
 	_, _, healthy := startBackend(t, []engine.Option{engine.WithWorkers(1)}, nil)
-	addrs := []string{stuck.Addr().String(), healthy}
+	addrs := []string{startStuckBackend(t), healthy}
 
 	c, err := New(addrs,
 		WithProbeInterval(time.Hour), // probes must not eject the stuck backend mid-test
@@ -396,16 +402,9 @@ func TestClusterHedgesPastStuckBackend(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Craft a modulus whose affinity home is the stuck backend, so the
-	// primary pick is guaranteed to hang and only the hedge can win.
-	var n *big.Int
-	for i := int64(0); ; i++ {
-		cand := new(big.Int).Add(big.NewInt(1<<20+2*i), big.NewInt(1)) // odd
-		if hrwScore(cand.Bytes(), addrs[0]) > hrwScore(cand.Bytes(), addrs[1]) {
-			n = cand
-			break
-		}
-	}
+	// A modulus whose affinity home is the stuck backend: the primary
+	// pick is guaranteed to hang and only the hedge can win.
+	n := modulusHomedOn(t, addrs, addrs[0], nil)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

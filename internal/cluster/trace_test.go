@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math/big"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,10 +24,9 @@ func TestRouteSpansRecorded(t *testing.T) {
 	_, _, a2 := startBackend(t, []engine.Option{engine.WithWorkers(1)}, nil)
 
 	tracer := obs.NewTracer(64)
-	var wideBuf bytes.Buffer
-	c, err := New([]string{a1, a2},
-		WithTracer(tracer),
-		WithWideEvents(obs.NewWideWriter(&wideBuf)))
+	var wideBuf lockedBuffer
+	tracer.SetWideEvents(obs.NewWideWriter(&wideBuf))
+	c, err := New([]string{a1, a2}, WithTracer(tracer))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,22 +81,28 @@ func TestRouteSpansRecorded(t *testing.T) {
 		t.Fatalf("call span not nested under the route attempt: %+v", call)
 	}
 
-	// And the wide log got a route-layer line for the same trace.
-	var sawRouteLine bool
-	for _, line := range strings.Split(strings.TrimSpace(wideBuf.String()), "\n") {
-		var ev map[string]any
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("wide line not JSON: %v\n%s", err, line)
+	// And the wide log got a route line and the backend client's line
+	// for the same trace, rendered from those two spans.
+	var sawRouteLine, sawClientLine bool
+	for _, ev := range wideLines(t, &wideBuf) {
+		if ev["trace_id"] != tc.TraceID.String() {
+			continue
 		}
-		if ev["layer"] == "route" && ev["trace_id"] == tc.TraceID.String() {
+		switch ev["layer"] {
+		case "route":
 			sawRouteLine = true
-			if ev["backend"] == "" || ev["outcome"] != "ok" {
-				t.Errorf("route wide event payload: %v", ev)
+			if ev["backend"] != attrs["backend"] || ev["pick"] != attrs["pick"] || ev["outcome"] != "ok" {
+				t.Errorf("route wide line payload: %v", ev)
+			}
+		case "client":
+			sawClientLine = true
+			if ev["addr"] != attrs["backend"] || ev["attempts"] != "1" || ev["parent_id"] != route.SpanID.String() {
+				t.Errorf("client wide line payload: %v", ev)
 			}
 		}
 	}
-	if !sawRouteLine {
-		t.Fatalf("no route wide event:\n%s", wideBuf.String())
+	if !sawRouteLine || !sawClientLine {
+		t.Fatalf("want route and client wide lines:\n%s", wideBuf.String())
 	}
 
 	// Every routed op names its route span and its route wide event
@@ -133,11 +139,7 @@ func TestRouteSpansRecorded(t *testing.T) {
 			spanOps[op] = true
 		}
 	}
-	for _, line := range strings.Split(strings.TrimSpace(wideBuf.String()), "\n") {
-		var ev map[string]any
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("wide line not JSON: %v\n%s", err, line)
-		}
+	for _, ev := range wideLines(t, &wideBuf) {
 		if ev["layer"] == "route" {
 			wideOps[ev["op"].(string)] = true
 		}
@@ -149,11 +151,94 @@ func TestRouteSpansRecorded(t *testing.T) {
 			t.Errorf("no route/%s span; route spans seen: %v", op, spanOps)
 		}
 		if !wideOps[op] {
-			t.Errorf("no route wide event with op %q; ops seen: %v", op, wideOps)
+			t.Errorf("no route wide line with op %q; ops seen: %v", op, wideOps)
 		}
 	}
 	if len(spanOps) != len(want) || len(wideOps) != len(want) {
-		t.Errorf("route ops: spans %v, wide events %v, want exactly %v", spanOps, wideOps, want)
+		t.Errorf("route ops: spans %v, wide lines %v, want exactly %v", spanOps, wideOps, want)
+	}
+}
+
+// lockedBuffer is a bytes.Buffer safe to read while a losing attempt's
+// goroutine may still be writing its wide line.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// wideLines parses every wide line written so far.
+func wideLines(t *testing.T, b *lockedBuffer) []map[string]any {
+	t.Helper()
+	var out []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n") {
+		if line == "" {
+			continue
+		}
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("wide line not JSON: %v\n%s", err, line)
+		}
+		out = append(out, ev)
+	}
+	return out
+}
+
+// TestHedgeAttemptWideLines: a request homed on a stuck backend is won
+// by its hedge, and the wide log tells the race — the hedge copy's
+// route line carries pick=hedge and race=won.
+func TestHedgeAttemptWideLines(t *testing.T) {
+	stuck := startStuckBackend(t)
+	_, _, healthy := startBackend(t, []engine.Option{engine.WithWorkers(1)}, nil)
+	addrs := []string{stuck, healthy}
+
+	tracer := obs.NewTracer(64)
+	var wideBuf lockedBuffer
+	tracer.SetWideEvents(obs.NewWideWriter(&wideBuf))
+	c, err := New(addrs,
+		WithTracer(tracer),
+		WithProbeInterval(time.Hour), // probes must not eject the stuck backend mid-test
+		WithHedgeDelayBounds(5*time.Millisecond, 20*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	tc := obs.TraceContext{TraceID: obs.NewTraceID(), SpanID: obs.NewSpanID(), Sampled: true}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	n := modulusHomedOn(t, addrs, stuck, nil)
+	if _, err := c.ModExp(obs.ContextWithTrace(ctx, tc), n, big.NewInt(2), big.NewInt(10)); err != nil {
+		t.Fatalf("hedged ModExp: %v", err)
+	}
+
+	// The hedge copy's span is recorded before its answer is delivered,
+	// so its line is in the log by the time ModExp returns.
+	var hedge map[string]any
+	for _, ev := range wideLines(t, &wideBuf) {
+		if ev["layer"] == "route" && ev["trace_id"] == tc.TraceID.String() && ev["pick"] == "hedge" {
+			hedge = ev
+		}
+	}
+	if hedge == nil {
+		t.Fatalf("no route line with pick=hedge:\n%s", wideBuf.String())
+	}
+	if hedge["backend"] != healthy || hedge["race"] != "won" || hedge["outcome"] != "ok" {
+		t.Errorf("hedge route line: %v", hedge)
+	}
+	if _, hasHedged := hedge["hedged"]; hasHedged {
+		t.Errorf("hedge route line still carries hedged: %v", hedge)
 	}
 }
 
@@ -259,6 +344,9 @@ func TestFailoverAttemptsShareTrace(t *testing.T) {
 			}
 			if s.Outcome != "ok" {
 				failed = true
+				if attrs["err"] == "" {
+					t.Errorf("failed route attempt carries no err: %+v", s)
+				}
 			}
 			if attrs["pick"] == "failover" && s.Outcome == "ok" {
 				failedOver = true

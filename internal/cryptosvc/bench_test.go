@@ -10,9 +10,10 @@ import (
 	"repro/internal/rsa"
 )
 
-// The BENCH_sign.json source: RSA sign throughput CRT vs non-CRT and
-// blinded vs not, plus verify — all on the CIOS fast path, 2048-bit
-// keys, so the numbers describe the production configuration.
+// RSA sign throughput CRT vs non-CRT and blinded vs not, plus verify —
+// all on the CIOS fast path, 2048-bit keys, so the numbers describe the
+// production configuration. EXPERIMENTS.md ("RSA-CRT signing") records
+// a run.
 
 func benchEngine(b *testing.B) *engine.Engine {
 	b.Helper()

@@ -114,8 +114,8 @@ func BenchmarkEngineModExpObserved(b *testing.B) {
 func BenchmarkEngineModExpSampled(b *testing.B) {
 	for _, rate := range []float64{0, 0.01, 0.1, 1} {
 		b.Run("l=512/w=2/kit=cios/sample="+strconv.FormatFloat(rate, 'g', -1, 64), func(b *testing.B) {
-			col := obs.NewCollector(obs.WithTracing(0),
-				obs.WithWideEvents(obs.NewWideWriter(io.Discard)))
+			col := obs.NewCollector(obs.WithTracing(0))
+			col.Tracer().SetWideEvents(obs.NewWideWriter(io.Discard))
 			eng, err := New(WithWorkers(2), WithKit(kits.CIOS), WithObserver(col))
 			if err != nil {
 				b.Fatal(err)
@@ -139,9 +139,10 @@ func BenchmarkEngineModExpSampled(b *testing.B) {
 // sampled at 10%, and every job fully re-verified. The re-check is one
 // math/big Exp — word-level Montgomery arithmetic, an order of
 // magnitude faster than the bit-serial Model path it guards — so even
-// check=1 must stay under 10% overhead; BENCH_faults.json records a
-// run. No faults are injected: this is the price paid when nothing is
-// wrong, which is all the time in production.
+// check=1 must stay under 10% overhead; EXPERIMENTS.md ("Integrity
+// checking on the clean path") records a run. No faults are injected:
+// this is the price paid when nothing is wrong, which is all the time
+// in production.
 func BenchmarkEngineIntegrity(b *testing.B) {
 	cases := []struct {
 		name string

@@ -254,7 +254,8 @@ func TestDeadlineExpiredCanceledBeforeDispatch(t *testing.T) {
 
 // BenchmarkLaneSchedPushPop: the lane scheduler's uncontended hot path
 // — one push and one pop, the per-job cost that replaced the old FIFO
-// channel send/receive (BENCH_qos.json).
+// channel send/receive (EXPERIMENTS.md, "QoS plane: uncontended
+// overhead").
 func BenchmarkLaneSchedPushPop(b *testing.B) {
 	s := newLaneScheduler(1024, defaultLaneAging)
 	now := time.Unix(1000, 0)

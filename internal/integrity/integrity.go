@@ -31,7 +31,8 @@
 //     arithmetic is an order of magnitude faster than the bit-serial
 //     Model path and several orders faster than circuit simulation, so
 //     even re-checking every job costs only a few percent
-//     (BENCH_faults.json). A Sampler makes the rate configurable.
+//     (EXPERIMENTS.md, "Integrity checking on the clean path"). A
+//     Sampler makes the rate configurable.
 package integrity
 
 import (

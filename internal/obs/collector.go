@@ -13,13 +13,12 @@ import "time"
 // engine registers its own counters, gauges and histograms on the
 // collector's Registry — the instruments Engine.Stats reads — so the
 // collector counts nothing itself: it records job spans in the tracer
-// ring, emits wide events for sampled jobs, and marks quarantines on
-// the trace. Servers and other layers can share the same registry, so
-// one /metrics page carries them all.
+// ring (whose wide-event writer, if set, logs the sampled ones) and
+// marks quarantines on the trace. Servers and other layers can share
+// the same registry, so one /metrics page carries them all.
 type Collector struct {
 	reg    *Registry
 	tracer *Tracer
-	wide   *WideWriter
 }
 
 // CollectorOption configures NewCollector.
@@ -28,7 +27,6 @@ type CollectorOption func(*collectorConfig)
 type collectorConfig struct {
 	traceCap int
 	tracing  bool
-	wide     *WideWriter
 }
 
 // WithTracing enables the span ring buffer, keeping the most recent
@@ -37,19 +35,13 @@ func WithTracing(capacity int) CollectorOption {
 	return func(c *collectorConfig) { c.tracing, c.traceCap = true, capacity }
 }
 
-// WithWideEvents emits one wide JSON log line per sampled job the
-// engine finishes (layer "engine"). A nil writer leaves it off.
-func WithWideEvents(w *WideWriter) CollectorOption {
-	return func(c *collectorConfig) { c.wide = w }
-}
-
 // NewCollector builds a collector around an empty registry.
 func NewCollector(opts ...CollectorOption) *Collector {
 	cfg := collectorConfig{}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	c := &Collector{reg: NewRegistry(), wide: cfg.wide}
+	c := &Collector{reg: NewRegistry()}
 	if cfg.tracing {
 		c.tracer = NewTracer(cfg.traceCap)
 	}
@@ -76,19 +68,10 @@ func (c *Collector) SetEngineInfo(workers int, mode, variant string) {
 }
 
 // JobSpan implements engine.Observer: a job's run ended with
-// s.Outcome. The span goes into the tracer ring, and a sampled span
-// with wide events on emits one wide engine log line.
+// s.Outcome. The span goes into the tracer ring.
 func (c *Collector) JobSpan(s Span) {
 	if c.tracer != nil {
 		c.tracer.Record(s)
-	}
-	if c.wide != nil && !s.TraceID.IsZero() {
-		c.wide.Emit(&WideEvent{
-			Layer: "engine", Op: s.Name,
-			TraceID: s.TraceID, SpanID: s.SpanID, Parent: s.Parent,
-			Outcome: s.Outcome, Kit: s.Kit,
-			Dur: s.QueueWait + s.Exec, Queue: s.QueueWait,
-		})
 	}
 }
 

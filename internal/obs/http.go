@@ -8,36 +8,24 @@ import (
 	"net/http/pprof"
 )
 
-// NewHandler builds the observability HTTP mux for a collector:
+// NewMux builds the observability HTTP mux from its parts:
 //
 //	/metrics          Prometheus text exposition of the registry
+//	/statusz          human SLO page of slo
+//	/quotaz           per-tenant quota page of the QoS plane q
 //	/debug/vars       expvar (Go runtime memstats, cmdline)
 //	/debug/pprof/...  net/http/pprof (profile, heap, goroutine, trace)
 //	/trace            Chrome trace-event JSON of the span ring buffer
 //	/                 a plain-text index of the above
 //
-// Serve it wherever convenient, e.g.
+// A nil tracer, slo or q makes its page answer 404. Serve it wherever
+// convenient, e.g.
 //
-//	go http.ListenAndServe(":9090", obs.NewHandler(col))
+//	go http.ListenAndServe(":9090", obs.NewMux(col.Registry(), col.Tracer(), nil, nil))
 //
 // then scrape /metrics, run `go tool pprof host:9090/debug/pprof/profile`,
 // and open /trace in Perfetto (ui.perfetto.dev).
-func NewHandler(c *Collector) http.Handler {
-	return NewMux(c.Registry(), c.Tracer(), nil)
-}
-
-// NewMux builds the same observability mux from the parts directly —
-// for processes without an engine Collector (montsyslb collects into a
-// bare registry) or with an SLO tracker to serve. A nil tracer makes
-// /trace answer 404; a nil slo does the same for /statusz. Processes
-// with a QoS plane use NewQoSMux to serve /quotaz too.
-func NewMux(r *Registry, t *Tracer, slo *SLOTracker) http.Handler {
-	return NewQoSMux(r, t, slo, nil)
-}
-
-// NewQoSMux is NewMux plus a /quotaz page rendering per-tenant quota
-// state from q (the QoS plane). A nil q makes /quotaz answer 404.
-func NewQoSMux(r *Registry, t *Tracer, slo *SLOTracker, q Quotaz) http.Handler {
+func NewMux(r *Registry, t *Tracer, slo *SLOTracker, q Quotaz) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", MetricsHandler(r))
 	mux.Handle("/debug/vars", expvar.Handler())

@@ -35,7 +35,7 @@ func TestHandlerEndToEnd(t *testing.T) {
 		QueueWait: 50 * time.Microsecond, Exec: 900 * time.Microsecond, Muls: 7, ModelCycles: 1234})
 	col.JobSpan(Span{Name: "mont", Worker: 1, Outcome: "canceled", Start: time.Now(), QueueWait: time.Microsecond})
 
-	srv := httptest.NewServer(NewHandler(col))
+	srv := httptest.NewServer(NewMux(col.Registry(), col.Tracer(), nil, nil))
 	defer srv.Close()
 
 	code, body, hdr := get(t, srv, "/metrics")
@@ -94,7 +94,8 @@ func TestHandlerEndToEnd(t *testing.T) {
 // TestTraceHandlerDisabled: a collector without tracing answers 404 on
 // /trace rather than an empty document.
 func TestTraceHandlerDisabled(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(NewCollector()))
+	col := NewCollector()
+	srv := httptest.NewServer(NewMux(col.Registry(), col.Tracer(), nil, nil))
 	defer srv.Close()
 	if code, _, _ := get(t, srv, "/trace"); code != http.StatusNotFound {
 		t.Errorf("/trace without tracing: %d", code)

@@ -10,15 +10,18 @@ import (
 	"time"
 )
 
-// Span is one recorded unit of work. Engine job spans are the original
-// shape: enqueued at Start, waited QueueWait in the submission queue,
-// then executed for Exec on worker core Worker, with SimCycles carrying
-// measured MMMC clock cycles on the Sim kit and Integrity the time
-// spent re-verifying the result. Since the tracing plane went
-// cluster-wide the same struct also records client, route and server
-// spans: those set Track to a named lane instead of a worker core, and
-// sampled requests thread TraceID/SpanID/Parent through every layer so
-// the exported spans of one request join into a single tree.
+// Span is one recorded unit of work, and the only per-layer record of
+// a sampled request. Engine job spans are the original shape: enqueued
+// at Start, waited QueueWait in the submission queue, then executed for
+// Exec on worker core Worker, with SimCycles carrying measured MMMC
+// clock cycles on the Sim kit and Integrity the time spent
+// re-verifying the result. Since the tracing plane went cluster-wide
+// the same struct also records client, route and server spans: those
+// set Track to a named lane instead of a worker core, and sampled
+// requests thread TraceID/SpanID/Parent through every layer so the
+// exported spans of one request join into a single tree. A tracer with
+// a WideWriter renders each sampled span as that layer's wide-event
+// line too, so the trace and the log cannot disagree.
 type Span struct {
 	Name      string        // "modexp", "server/modexp", "route/modexp", ...
 	Worker    int           // core that executed the job (Track == ""); −1 if shed from the queue
@@ -30,6 +33,8 @@ type Span struct {
 	Integrity time.Duration // tail of Exec spent in the integrity check
 	SimCycles int64         // measured MMMC cycles (Sim kit)
 	Kit       string        // concrete compute kit ("model", "cios", ...)
+	Bits      int           // modulus width in bits (server spans)
+	Batch     int           // jobs in a per-item request (server spans)
 
 	// Work accounting of a completed engine job (zero for failures and
 	// for non-engine spans).
@@ -43,7 +48,8 @@ type Span struct {
 	Parent  SpanID
 
 	// Attrs are free-form key/value annotations exported into the
-	// trace-event args (pick reason, backend address, hedge verdict...).
+	// trace-event args and the wide-event line (pick reason, backend
+	// address, hedge verdict...).
 	Attrs []Attr
 
 	// Instant marks a point event (quarantine, probe) rather than a
@@ -56,9 +62,11 @@ type Attr struct{ Key, Val string }
 
 // Tracer is a bounded ring buffer of spans. When full, the oldest span
 // is overwritten — a crash-cart flight recorder, not an archival log.
-// All methods are safe for concurrent use; recording takes a short
-// mutex (two copies and two index bumps), negligible next to a modular
-// exponentiation.
+// With SetWideEvents it also renders every sampled span it records as
+// one wide-event log line, the archival record. All methods are safe
+// for concurrent use; recording takes a short mutex (two copies and
+// two index bumps), negligible next to a modular exponentiation, and
+// the wide line is written after the mutex is released.
 type Tracer struct {
 	mu    sync.Mutex
 	ring  []Span
@@ -68,6 +76,7 @@ type Tracer struct {
 
 	procName string
 	procPid  int
+	wide     *WideWriter
 }
 
 // DefaultTraceCapacity bounds a Tracer built with capacity ≤ 0.
@@ -91,7 +100,18 @@ func (t *Tracer) SetProcess(name string) {
 	t.mu.Unlock()
 }
 
-// Record appends one span, overwriting the oldest when full.
+// SetWideEvents renders every sampled span recorded from now on as one
+// wide-event line on ww (nil, the default, writes none). Like
+// SetProcess it is set once at startup.
+func (t *Tracer) SetWideEvents(ww *WideWriter) {
+	t.mu.Lock()
+	t.wide = ww
+	t.mu.Unlock()
+}
+
+// Record appends one span, overwriting the oldest when full, and
+// writes its wide-event line when the span is sampled (non-zero
+// TraceID) and a writer is set.
 func (t *Tracer) Record(s Span) {
 	t.mu.Lock()
 	t.ring[t.next] = s
@@ -101,7 +121,11 @@ func (t *Tracer) Record(s Span) {
 		t.full = true
 	}
 	t.total++
+	ww := t.wide
 	t.mu.Unlock()
+	if ww != nil && !s.TraceID.IsZero() {
+		ww.emit(&s)
+	}
 }
 
 // RecordInstant appends a point event (quarantine, probe verdict) on a
@@ -253,6 +277,12 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		}
 		if s.Kit != "" {
 			args["kit"] = s.Kit
+		}
+		if s.Bits > 0 {
+			args["modulus_bits"] = s.Bits
+		}
+		if s.Batch > 0 {
+			args["batch"] = s.Batch
 		}
 		for _, a := range s.Attrs {
 			args[a.Key] = a.Val

@@ -52,7 +52,9 @@ func TestTracerDefaultCapacity(t *testing.T) {
 func TestChromeTraceExport(t *testing.T) {
 	tr := NewTracer(16)
 	tr.Record(span(0, 0))
-	tr.Record(span(1, 1))
+	sized := span(1, 1)
+	sized.Bits, sized.Batch = 256, 4
+	tr.Record(sized)
 	var sb strings.Builder
 	if err := tr.WriteChromeTrace(&sb); err != nil {
 		t.Fatal(err)
@@ -111,6 +113,9 @@ func TestChromeTraceExport(t *testing.T) {
 			found = true
 			if ev.Ts != wantTs {
 				t.Errorf("second exec ts = %v µs, want %v", ev.Ts, wantTs)
+			}
+			if ev.Args["modulus_bits"] != float64(256) || ev.Args["batch"] != float64(4) {
+				t.Errorf("second exec args lack modulus_bits/batch: %v", ev.Args)
 			}
 		}
 	}

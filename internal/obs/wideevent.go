@@ -5,43 +5,21 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
 
-// WideEvent is one wide structured request log record: everything known
-// about a sampled request at one layer, denormalized into a single
-// line, in the "canonical log line" style. Every layer that touches a
-// sampled request emits one (Layer "client", "route", "server" or
-// "engine"), all sharing the trace id, so a grep for one trace id
-// reconstructs the request's whole story without joining log streams.
-type WideEvent struct {
-	Layer    string // emitting layer: "client" | "route" | "server" | "engine"
-	Op       string // "mont" | "modexp" | "batch_modexp"
-	TraceID  TraceID
-	SpanID   SpanID
-	Parent   SpanID
-	Outcome  string        // wire code string or engine outcome
-	Tenant   string        // tenant the request was accounted to (QoS)
-	Class    string        // QoS class name when the request was tagged
-	Kit      string        // concrete compute kit (engine layer)
-	Backend  string        // chosen backend address (route layer)
-	Bits     int           // modulus width in bits
-	Batch    int           // jobs in the request (batch ops)
-	Dur      time.Duration // whole-span duration at this layer
-	Queue    time.Duration // queue wait portion (engine layer)
-	Attempts int           // tries incl. hedges/failovers (client/route)
-	Hedged   bool          // a hedge was launched (route layer)
-	Err      string        // error detail when Outcome isn't ok
-}
-
-// WideWriter serializes wide events as one JSON line each. The writer
-// is zero-cost when off: a nil *WideWriter is valid and Emit on it is
-// an inlineable nil-check — callers keep unconditional Emit calls on
-// the hot path and pay one predictable branch when logging is
-// disabled. When on, serialization is a hand-rolled append into a
-// reused buffer under the writer's mutex: no reflection, one Write
-// call per event.
+// WideWriter renders sampled spans as wide structured request log
+// lines: everything one layer knows about a sampled request,
+// denormalized into a single JSON line in the "canonical log line"
+// style. A tracer hands it every sampled span it records (see
+// Tracer.SetWideEvents), so each layer's line — "client", "route",
+// "server" or "engine" — carries the same facts as its span, and a grep
+// for one trace id reconstructs the request's whole story without
+// joining log streams. A nil *WideWriter is the disabled writer. When
+// on, serialization is a hand-rolled append into a reused buffer under
+// the writer's mutex: no reflection, one Write call per line.
 type WideWriter struct {
 	mu  sync.Mutex
 	w   io.Writer
@@ -78,79 +56,74 @@ func OpenWideEvents(dest string) (*WideWriter, io.Closer, error) {
 	return NewWideWriter(f), f, nil
 }
 
-// Enabled reports whether events will actually be written.
-func (ww *WideWriter) Enabled() bool { return ww != nil }
-
-// Emit writes one event as a JSON line. No-op on a nil receiver.
-func (ww *WideWriter) Emit(ev *WideEvent) {
-	if ww == nil {
-		return
+// emit writes the wide line of one sampled span. The fixed keys come
+// first, in this order — ts, layer (the span's Track, "engine" for
+// worker-core spans), op (Name after its last '/'), trace_id, span_id,
+// parent_id, outcome, dur_us (QueueWait+Exec), queue_us, kit,
+// modulus_bits, batch — with zero-valued optional ones left off; then
+// each Attr as a JSON string. An Attr never overwrites a fixed key.
+func (ww *WideWriter) emit(s *Span) {
+	layer := s.Track
+	if layer == "" {
+		layer = "engine"
 	}
 	ww.mu.Lock()
 	defer ww.mu.Unlock()
 	b := ww.buf[:0]
 	b = append(b, `{"ts":"`...)
 	b = ww.now().UTC().AppendFormat(b, time.RFC3339Nano)
-	b = append(b, `","layer":`...)
-	b = strconv.AppendQuote(b, ev.Layer)
-	b = append(b, `,"op":`...)
-	b = strconv.AppendQuote(b, ev.Op)
-	if !ev.TraceID.IsZero() {
-		b = append(b, `,"trace_id":"`...)
-		b = append(b, ev.TraceID.String()...)
-		b = append(b, `","span_id":"`...)
-		b = append(b, ev.SpanID.String()...)
-		b = append(b, '"')
-		if !ev.Parent.IsZero() {
-			b = append(b, `,"parent_id":"`...)
-			b = append(b, ev.Parent.String()...)
-			b = append(b, '"')
+	b = append(b, '"')
+	b = appendWideString(b, "layer", layer)
+	b = appendWideString(b, "op", s.Name[strings.LastIndexByte(s.Name, '/')+1:])
+	b = appendWideString(b, "trace_id", s.TraceID.String())
+	b = appendWideString(b, "span_id", s.SpanID.String())
+	if !s.Parent.IsZero() {
+		b = appendWideString(b, "parent_id", s.Parent.String())
+	}
+	b = appendWideString(b, "outcome", s.Outcome)
+	b = appendWideInt(b, "dur_us", (s.QueueWait + s.Exec).Microseconds())
+	if s.QueueWait > 0 {
+		b = appendWideInt(b, "queue_us", s.QueueWait.Microseconds())
+	}
+	if s.Kit != "" {
+		b = appendWideString(b, "kit", s.Kit)
+	}
+	if s.Bits > 0 {
+		b = appendWideInt(b, "modulus_bits", int64(s.Bits))
+	}
+	if s.Batch > 0 {
+		b = appendWideInt(b, "batch", int64(s.Batch))
+	}
+	for _, a := range s.Attrs {
+		if !fixedWideKey(a.Key) {
+			b = appendWideString(b, a.Key, a.Val)
 		}
-	}
-	b = append(b, `,"outcome":`...)
-	b = strconv.AppendQuote(b, ev.Outcome)
-	if ev.Tenant != "" {
-		b = append(b, `,"tenant":`...)
-		b = strconv.AppendQuote(b, ev.Tenant)
-	}
-	if ev.Class != "" {
-		b = append(b, `,"class":`...)
-		b = strconv.AppendQuote(b, ev.Class)
-	}
-	if ev.Kit != "" {
-		b = append(b, `,"kit":`...)
-		b = strconv.AppendQuote(b, ev.Kit)
-	}
-	if ev.Backend != "" {
-		b = append(b, `,"backend":`...)
-		b = strconv.AppendQuote(b, ev.Backend)
-	}
-	if ev.Bits > 0 {
-		b = append(b, `,"modulus_bits":`...)
-		b = strconv.AppendInt(b, int64(ev.Bits), 10)
-	}
-	if ev.Batch > 0 {
-		b = append(b, `,"batch":`...)
-		b = strconv.AppendInt(b, int64(ev.Batch), 10)
-	}
-	b = append(b, `,"dur_us":`...)
-	b = strconv.AppendInt(b, ev.Dur.Microseconds(), 10)
-	if ev.Queue > 0 {
-		b = append(b, `,"queue_us":`...)
-		b = strconv.AppendInt(b, ev.Queue.Microseconds(), 10)
-	}
-	if ev.Attempts > 0 {
-		b = append(b, `,"attempts":`...)
-		b = strconv.AppendInt(b, int64(ev.Attempts), 10)
-	}
-	if ev.Hedged {
-		b = append(b, `,"hedged":true`...)
-	}
-	if ev.Err != "" {
-		b = append(b, `,"err":`...)
-		b = strconv.AppendQuote(b, ev.Err)
 	}
 	b = append(b, '}', '\n')
 	ww.buf = b
 	_, _ = ww.w.Write(b)
+}
+
+// fixedWideKey reports whether key is one of emit's fixed keys.
+func fixedWideKey(key string) bool {
+	switch key {
+	case "ts", "layer", "op", "trace_id", "span_id", "parent_id", "outcome",
+		"dur_us", "queue_us", "kit", "modulus_bits", "batch":
+		return true
+	}
+	return false
+}
+
+func appendWideString(b []byte, key, val string) []byte {
+	b = append(b, ',')
+	b = strconv.AppendQuote(b, key)
+	b = append(b, ':')
+	return strconv.AppendQuote(b, val)
+}
+
+func appendWideInt(b []byte, key string, v int64) []byte {
+	b = append(b, ',')
+	b = strconv.AppendQuote(b, key)
+	b = append(b, ':')
+	return strconv.AppendInt(b, v, 10)
 }

@@ -5,40 +5,88 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestWideEventJSONShape: a fully-populated event serializes to one
-// parseable JSON line carrying every documented key, with the ids in
-// their hex forms.
-func TestWideEventJSONShape(t *testing.T) {
+// wideTracer returns a tracer whose wide lines land in the returned
+// buffer, timestamped at a fixed instant.
+func wideTracer() (*Tracer, *bytes.Buffer) {
 	var buf bytes.Buffer
 	ww := NewWideWriter(&buf)
 	ww.now = func() time.Time { return time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC) }
+	tr := NewTracer(16)
+	tr.SetWideEvents(ww)
+	return tr, &buf
+}
 
-	tid := NewTraceID()
-	sid, pid := NewSpanID(), NewSpanID()
-	ww.Emit(&WideEvent{
-		Layer: "route", Op: "modexp",
-		TraceID: tid, SpanID: sid, Parent: pid,
-		Outcome: "overloaded", Kit: "cios", Backend: "127.0.0.1:7077",
-		Bits: 512, Batch: 8,
-		Dur: 1500 * time.Microsecond, Queue: 250 * time.Microsecond,
-		Attempts: 2, Hedged: true, Err: "engine: overloaded",
-	})
-
-	line := buf.String()
-	if !strings.HasSuffix(line, "\n") || strings.Count(line, "\n") != 1 {
-		t.Fatalf("not one line: %q", line)
-	}
+// wideKeys decodes one JSON object line into its values and its keys in
+// line order.
+func wideKeys(t *testing.T, line string) (map[string]any, []string) {
+	t.Helper()
 	var ev map[string]any
 	if err := json.Unmarshal([]byte(line), &ev); err != nil {
 		t.Fatalf("not JSON: %v\n%s", err, line)
 	}
-	want := map[string]any{
+	dec := json.NewDecoder(strings.NewReader(line))
+	var keys []string
+	if _, err := dec.Token(); err != nil { // '{'
+		t.Fatal(err)
+	}
+	for dec.More() {
+		k, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ev, keys
+}
+
+// checkWideLine records span on a wide-event tracer and checks that it
+// wrote exactly one parseable JSON line holding want, keys in order.
+func checkWideLine(t *testing.T, span Span, want map[string]any, wantKeys []string) {
+	t.Helper()
+	tr, buf := wideTracer()
+	tr.Record(span)
+	line := buf.String()
+	if !strings.HasSuffix(line, "\n") || strings.Count(line, "\n") != 1 {
+		t.Fatalf("not one line: %q", line)
+	}
+	ev, keys := wideKeys(t, line)
+	if !reflect.DeepEqual(ev, want) {
+		t.Errorf("line = %v\nwant   %v", ev, want)
+	}
+	if !reflect.DeepEqual(keys, wantKeys) {
+		t.Errorf("key order = %v\nwant        %v", keys, wantKeys)
+	}
+}
+
+// TestWideEventJSONShape: recording a fully-populated sampled span
+// writes one JSON line rendered from it — the fixed keys in their
+// documented order and JSON types, then every Attr as a string.
+func TestWideEventJSONShape(t *testing.T) {
+	tid := NewTraceID()
+	sid, pid := NewSpanID(), NewSpanID()
+	checkWideLine(t, Span{
+		Name: "route/modexp", Track: "route", Outcome: "overloaded",
+		Start: time.Now(), QueueWait: 250 * time.Microsecond, Exec: 1250 * time.Microsecond,
+		Kit: "cios", Bits: 512, Batch: 8,
+		TraceID: tid, SpanID: sid, Parent: pid,
+		Attrs: []Attr{
+			{Key: "backend", Val: "127.0.0.1:7077"},
+			{Key: "pick", Val: "hedge"},
+			{Key: "attempts", Val: "2"},
+			{Key: "err", Val: "engine: overloaded"},
+		},
+	}, map[string]any{
 		"ts":           "2026-01-02T03:04:05Z",
 		"layer":        "route",
 		"op":           "modexp",
@@ -46,72 +94,100 @@ func TestWideEventJSONShape(t *testing.T) {
 		"span_id":      sid.String(),
 		"parent_id":    pid.String(),
 		"outcome":      "overloaded",
-		"kit":          "cios",
-		"backend":      "127.0.0.1:7077",
-		"modulus_bits": float64(512),
-		"batch":        float64(8),
 		"dur_us":       float64(1500),
 		"queue_us":     float64(250),
-		"attempts":     float64(2),
-		"hedged":       true,
+		"kit":          "cios",
+		"modulus_bits": float64(512),
+		"batch":        float64(8),
+		"backend":      "127.0.0.1:7077",
+		"pick":         "hedge",
+		"attempts":     "2",
 		"err":          "engine: overloaded",
+	}, []string{"ts", "layer", "op", "trace_id", "span_id", "parent_id", "outcome",
+		"dur_us", "queue_us", "kit", "modulus_bits", "batch",
+		"backend", "pick", "attempts", "err"})
+}
+
+// TestWideEventOmitsEmptyFields: a root engine-job span with its
+// optional fields zero writes a line that leaves those keys off.
+func TestWideEventOmitsEmptyFields(t *testing.T) {
+	tid, sid := NewTraceID(), NewSpanID()
+	checkWideLine(t, Span{
+		Name: "mont", Outcome: "ok", Start: time.Now(), Exec: 40 * time.Microsecond,
+		TraceID: tid, SpanID: sid,
+	}, map[string]any{
+		"ts":       "2026-01-02T03:04:05Z",
+		"layer":    "engine",
+		"op":       "mont",
+		"trace_id": tid.String(),
+		"span_id":  sid.String(),
+		"outcome":  "ok",
+		"dur_us":   float64(40),
+	}, []string{"ts", "layer", "op", "trace_id", "span_id", "outcome", "dur_us"})
+}
+
+// TestWideLineOnlyForSampledSpans: an unsampled span (zero trace id)
+// and an instant go into the ring but write no line.
+func TestWideLineOnlyForSampledSpans(t *testing.T) {
+	tr, buf := wideTracer()
+	tr.Record(Span{Name: "modexp", Outcome: "ok", Start: time.Now(), Exec: time.Millisecond})
+	tr.RecordInstant("integrity/quarantine", 1, time.Now())
+	if tr.Len() != 2 {
+		t.Fatalf("ring holds %d spans, want 2", tr.Len())
 	}
-	for k, v := range want {
-		if ev[k] != v {
-			t.Errorf("%s = %v, want %v", k, ev[k], v)
-		}
-	}
-	if len(ev) != len(want) {
-		t.Errorf("extra keys: got %d fields, want %d: %s", len(ev), len(want), line)
+	if buf.Len() != 0 {
+		t.Fatalf("unsampled span or instant wrote a wide line: %s", buf.String())
 	}
 }
 
-// TestWideEventOmitsEmptyFields: zero-valued optional fields stay off
-// the line entirely — wide events stay narrow when there is nothing to
-// say.
-func TestWideEventOmitsEmptyFields(t *testing.T) {
-	var buf bytes.Buffer
-	ww := NewWideWriter(&buf)
-	ww.Emit(&WideEvent{Layer: "server", Op: "mont", Outcome: "ok"})
-
-	var ev map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &ev); err != nil {
-		t.Fatalf("not JSON: %v\n%s", err, buf.String())
+// TestWideLineAttrCannotOverwriteFixedKey: an Attr named like a fixed
+// key is dropped from the line rather than emitted as a duplicate key
+// that would shadow the span's own value.
+func TestWideLineAttrCannotOverwriteFixedKey(t *testing.T) {
+	tr, buf := wideTracer()
+	tr.Record(Span{
+		Name: "server/modexp", Track: "server", Outcome: "ok", Start: time.Now(),
+		TraceID: NewTraceID(), SpanID: NewSpanID(),
+		Attrs: []Attr{{Key: "outcome", Val: "bogus"}, {Key: "tenant", Val: "acme"}},
+	})
+	ev, keys := wideKeys(t, strings.TrimSuffix(buf.String(), "\n"))
+	if ev["outcome"] != "ok" || ev["tenant"] != "acme" {
+		t.Errorf("line = %v, want outcome ok and tenant acme", ev)
 	}
-	for _, absent := range []string{
-		"trace_id", "span_id", "parent_id", "kit", "backend",
-		"modulus_bits", "batch", "queue_us", "attempts", "hedged", "err",
-	} {
-		if _, ok := ev[absent]; ok {
-			t.Errorf("zero field %q serialized: %s", absent, buf.String())
+	var n int
+	for _, k := range keys {
+		if k == "outcome" {
+			n++
 		}
 	}
-	for _, present := range []string{"ts", "layer", "op", "outcome", "dur_us"} {
-		if _, ok := ev[present]; !ok {
-			t.Errorf("required field %q missing: %s", present, buf.String())
-		}
+	if n != 1 {
+		t.Errorf("outcome appears %d times: %s", n, buf.String())
 	}
 }
 
 // TestWideWriterDisabled: the nil writer is the documented off switch —
-// constructing on nil returns nil, and Emit/Enabled on nil are safe.
+// constructing on nil returns nil, and a tracer given it records
+// sampled spans without writing anything.
 func TestWideWriterDisabled(t *testing.T) {
 	ww := NewWideWriter(nil)
 	if ww != nil {
 		t.Fatal("NewWideWriter(nil) != nil")
 	}
-	if ww.Enabled() {
-		t.Fatal("nil writer claims enabled")
+	tr := NewTracer(4)
+	tr.SetWideEvents(ww)
+	tr.Record(Span{Name: "modexp", TraceID: NewTraceID(), SpanID: NewSpanID()}) // must not panic
+	if tr.Len() != 1 {
+		t.Fatalf("ring holds %d spans, want 1", tr.Len())
 	}
-	ww.Emit(&WideEvent{Layer: "client", Op: "modexp"}) // must not panic
 }
 
-// TestWideWriterConcurrent: concurrent emitters never interleave
-// mid-line (every line parses) and never lose events. Run under -race
+// TestWideWriterConcurrent: concurrent recorders never interleave
+// mid-line (every line parses) and never lose lines. Run under -race
 // this also proves the buffer reuse is properly serialized.
 func TestWideWriterConcurrent(t *testing.T) {
 	var buf bytes.Buffer
-	ww := NewWideWriter(&safeWriter{w: &buf})
+	tr := NewTracer(64)
+	tr.SetWideEvents(NewWideWriter(&safeWriter{w: &buf}))
 	const goroutines, each = 8, 50
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -119,7 +195,7 @@ func TestWideWriterConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				ww.Emit(&WideEvent{Layer: "engine", Op: "modexp", Outcome: "ok"})
+				tr.Record(Span{Name: "modexp", Outcome: "ok", TraceID: NewTraceID(), SpanID: NewSpanID()})
 			}
 		}()
 	}
@@ -154,6 +230,8 @@ func (s *safeWriter) Write(p []byte) (int, error) {
 // unopenable path is an error.
 func TestOpenWideEvents(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wide.log")
+	sampled := Span{Name: "server/modexp", Track: "server", Outcome: "ok",
+		TraceID: NewTraceID(), SpanID: NewSpanID()}
 	for _, tc := range []struct {
 		dest       string
 		enabled    bool
@@ -168,12 +246,14 @@ func TestOpenWideEvents(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenWideEvents(%q): %v", tc.dest, err)
 		}
-		if ww.Enabled() != tc.enabled || (c != nil) != tc.wantCloser {
+		if (ww != nil) != tc.enabled || (c != nil) != tc.wantCloser {
 			t.Fatalf("OpenWideEvents(%q) = enabled %v closer %v, want %v %v",
-				tc.dest, ww.Enabled(), c != nil, tc.enabled, tc.wantCloser)
+				tc.dest, ww != nil, c != nil, tc.enabled, tc.wantCloser)
 		}
 		if c != nil {
-			ww.Emit(&WideEvent{Layer: "server", Op: "modexp", Outcome: "ok"})
+			tr := NewTracer(4)
+			tr.SetWideEvents(ww)
+			tr.Record(sampled)
 			if err := c.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +264,9 @@ func TestOpenWideEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ww.Emit(&WideEvent{Layer: "server", Op: "mont", Outcome: "ok"})
+	tr := NewTracer(4)
+	tr.SetWideEvents(ww)
+	tr.Record(sampled)
 	c.Close()
 	b, err := os.ReadFile(path)
 	if err != nil {

@@ -300,7 +300,7 @@ func (c *Client) call(ctx context.Context, req *request) (*response, error) {
 	if c.cfg.tracer != nil {
 		outcome := "ok"
 		if err != nil {
-			outcome = codeFor(err).String()
+			outcome = CodeOf(err).String()
 		}
 		c.cfg.tracer.Record(obs.Span{
 			Name: "call/" + req.op.String(), Track: "client", Outcome: outcome,

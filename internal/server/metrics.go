@@ -52,11 +52,11 @@ func newMetrics(reg *obs.Registry) *metrics {
 		m.latency[op] = reg.HistogramLabeled("montsys_server_request_seconds",
 			"Admission-to-response latency of finished requests.",
 			obs.Label("op", d.name))
-		m.requests[op] = make(map[Code]*obs.Counter, len(wireCodes))
-		for _, c := range wireCodes {
-			m.requests[op][c] = reg.CounterLabeled("montsys_server_requests_total",
+		m.requests[op] = make(map[Code]*obs.Counter, len(codeTable))
+		for _, c := range codeTable {
+			m.requests[op][c.code] = reg.CounterLabeled("montsys_server_requests_total",
 				"Requests finished, by op and response code.",
-				obs.Label("op", d.name), obs.Label("code", c.String()))
+				obs.Label("op", d.name), obs.Label("code", c.name))
 		}
 	}
 	return m

@@ -136,8 +136,8 @@ func TestClientBackendDownAfterDrop(t *testing.T) {
 // CodeBackendDown survives the wire round trip like every other
 // sentinel (the proxy answers it when its whole pool is down).
 func TestBackendDownCodeMapping(t *testing.T) {
-	if c := codeFor(errs.ErrBackendDown); c != CodeBackendDown {
-		t.Fatalf("codeFor(ErrBackendDown) = %v", c)
+	if c := CodeOf(errs.ErrBackendDown); c != CodeBackendDown {
+		t.Fatalf("CodeOf(ErrBackendDown) = %v", c)
 	}
 	err := errFor(CodeBackendDown, "no backend in rotation")
 	if !errors.Is(err, errs.ErrBackendDown) {

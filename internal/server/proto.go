@@ -71,7 +71,7 @@ const traceFlagSampled = 1
 
 // Code is a stable wire error code. Codes exist so the typed sentinels
 // of internal/errs survive the network hop: the server maps an error to
-// a code with codeFor, the client maps it back with errFor, and
+// a code with CodeOf, the client maps it back with errFor, and
 // errors.Is keeps working end to end.
 type Code uint8
 
@@ -92,86 +92,57 @@ const (
 	CodeInternal        Code = 255
 )
 
-// String names a code the way the server's metrics label it.
+// codeTable is the one code ↔ name ↔ sentinel mapping, listing every
+// code the server can emit. Code.String names a code from it, CodeOf
+// matches an error against its sentinels in this order, errFor wraps a
+// code's sentinel back, and the server's metrics pre-register one
+// series per row. CodeOK and CodeInternal have no sentinel.
+var codeTable = []struct {
+	code Code
+	name string
+	err  error
+}{
+	{CodeOK, "ok", nil},
+	{CodeEvenModulus, "even_modulus", errs.ErrEvenModulus},
+	{CodeModulusTooSmall, "modulus_too_small", errs.ErrModulusTooSmall},
+	{CodeOperandRange, "operand_range", errs.ErrOperandRange},
+	{CodeEngineClosed, "engine_closed", errs.ErrEngineClosed},
+	{CodeOverloaded, "overloaded", errs.ErrOverloaded},
+	{CodeDraining, "draining", errs.ErrDraining},
+	{CodeProtocol, "protocol", errs.ErrProtocol},
+	{CodeBackendDown, "backend_down", errs.ErrBackendDown},
+	{CodeIntegrity, "integrity", errs.ErrIntegrity},
+	{CodeBadKey, "bad_key", errs.ErrBadKey},
+	{CodeRateLimited, "rate_limited", errs.ErrRateLimited},
+	{CodeDeadline, "deadline", context.DeadlineExceeded},
+	{CodeCanceled, "canceled", context.Canceled},
+	{CodeInternal, "internal", nil},
+}
+
+// String names a code the way the server's metrics label it; a code
+// missing from codeTable reads "internal".
 func (c Code) String() string {
-	switch c {
-	case CodeOK:
-		return "ok"
-	case CodeEvenModulus:
-		return "even_modulus"
-	case CodeModulusTooSmall:
-		return "modulus_too_small"
-	case CodeOperandRange:
-		return "operand_range"
-	case CodeEngineClosed:
-		return "engine_closed"
-	case CodeOverloaded:
-		return "overloaded"
-	case CodeDraining:
-		return "draining"
-	case CodeProtocol:
-		return "protocol"
-	case CodeDeadline:
-		return "deadline"
-	case CodeCanceled:
-		return "canceled"
-	case CodeBackendDown:
-		return "backend_down"
-	case CodeIntegrity:
-		return "integrity"
-	case CodeBadKey:
-		return "bad_key"
-	case CodeRateLimited:
-		return "rate_limited"
-	default:
-		return "internal"
+	for _, e := range codeTable {
+		if e.code == c {
+			return e.name
+		}
 	}
+	return "internal"
 }
 
-// wireCodes enumerates every code the server can emit, for metric
-// pre-registration.
-var wireCodes = []Code{
-	CodeOK, CodeEvenModulus, CodeModulusTooSmall, CodeOperandRange,
-	CodeEngineClosed, CodeOverloaded, CodeDraining, CodeProtocol,
-	CodeDeadline, CodeCanceled, CodeBackendDown, CodeIntegrity,
-	CodeBadKey, CodeRateLimited, CodeInternal,
-}
-
-// codeFor maps an error to its wire code. Unrecognized errors become
-// CodeInternal — the message still crosses the wire for debugging.
-func codeFor(err error) Code {
-	switch {
-	case err == nil:
+// CodeOf maps an error to its wire code — the name every layer's span
+// outcome uses. Unrecognized errors become CodeInternal; the message
+// still crosses the wire for debugging.
+func CodeOf(err error) Code {
+	if err == nil {
 		return CodeOK
-	case errors.Is(err, errs.ErrEvenModulus):
-		return CodeEvenModulus
-	case errors.Is(err, errs.ErrModulusTooSmall):
-		return CodeModulusTooSmall
-	case errors.Is(err, errs.ErrOperandRange):
-		return CodeOperandRange
-	case errors.Is(err, errs.ErrEngineClosed):
-		return CodeEngineClosed
-	case errors.Is(err, errs.ErrOverloaded):
-		return CodeOverloaded
-	case errors.Is(err, errs.ErrDraining):
-		return CodeDraining
-	case errors.Is(err, errs.ErrProtocol):
-		return CodeProtocol
-	case errors.Is(err, errs.ErrBackendDown):
-		return CodeBackendDown
-	case errors.Is(err, errs.ErrIntegrity):
-		return CodeIntegrity
-	case errors.Is(err, errs.ErrBadKey):
-		return CodeBadKey
-	case errors.Is(err, errs.ErrRateLimited):
-		return CodeRateLimited
-	case errors.Is(err, context.DeadlineExceeded):
-		return CodeDeadline
-	case errors.Is(err, context.Canceled):
-		return CodeCanceled
-	default:
-		return CodeInternal
 	}
+	for _, e := range codeTable {
+		if e.err != nil && errors.Is(err, e.err) {
+			return e.code
+		}
+	}
+	return CodeInternal
 }
 
 // errFor reconstructs a sentinel-wrapped error from a wire code and its
@@ -184,41 +155,19 @@ func errFor(code Code, msg string) error {
 	if msg == "" {
 		msg = code.String()
 	}
-	switch code {
-	case CodeEvenModulus:
-		return fmt.Errorf("montsys: remote: %s: %w", msg, errs.ErrEvenModulus)
-	case CodeModulusTooSmall:
-		return fmt.Errorf("montsys: remote: %s: %w", msg, errs.ErrModulusTooSmall)
-	case CodeOperandRange:
-		return fmt.Errorf("montsys: remote: %s: %w", msg, errs.ErrOperandRange)
-	case CodeEngineClosed:
-		return fmt.Errorf("montsys: remote: %s: %w", msg, errs.ErrEngineClosed)
-	case CodeOverloaded:
-		return fmt.Errorf("montsys: remote: %s: %w", msg, errs.ErrOverloaded)
-	case CodeDraining:
-		return fmt.Errorf("montsys: remote: %s: %w", msg, errs.ErrDraining)
-	case CodeProtocol:
-		return fmt.Errorf("montsys: remote: %s: %w", msg, errs.ErrProtocol)
-	case CodeBackendDown:
-		return fmt.Errorf("montsys: remote: %s: %w", msg, errs.ErrBackendDown)
-	case CodeIntegrity:
-		return fmt.Errorf("montsys: remote: %s: %w", msg, errs.ErrIntegrity)
-	case CodeBadKey:
-		return fmt.Errorf("montsys: remote: %s: %w", msg, errs.ErrBadKey)
-	case CodeRateLimited:
+	if code == CodeRateLimited {
 		// Reconstruct the structured error so errors.As recovers the
 		// retry-after hint on the client side of the hop.
 		if rl, ok := errs.ParseRateLimited(msg); ok {
 			return fmt.Errorf("montsys: remote: %w", rl)
 		}
-		return fmt.Errorf("montsys: remote: %s: %w", msg, errs.ErrRateLimited)
-	case CodeDeadline:
-		return fmt.Errorf("montsys: remote: %s: %w", msg, context.DeadlineExceeded)
-	case CodeCanceled:
-		return fmt.Errorf("montsys: remote: %s: %w", msg, context.Canceled)
-	default:
-		return fmt.Errorf("montsys: remote: internal: %s", msg)
 	}
+	for _, e := range codeTable {
+		if e.code == code && e.err != nil {
+			return fmt.Errorf("montsys: remote: %s: %w", msg, e.err)
+		}
+	}
+	return fmt.Errorf("montsys: remote: internal: %s", msg)
 }
 
 // triple is one (N, A, B) operand set: modulus plus the two op-specific

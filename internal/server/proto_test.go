@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -154,33 +153,42 @@ func TestProtocolErrors(t *testing.T) {
 	}
 }
 
-// Every sentinel survives the code mapping round trip, and context
-// errors map both ways too.
+// Every row of the code table round-trips: its sentinel maps to its
+// code, the code's error wraps the sentinel back and maps to the same
+// code again, and every row has its own name.
 func TestCodeErrorMapping(t *testing.T) {
-	for _, sentinel := range []error{
-		errs.ErrEvenModulus, errs.ErrModulusTooSmall, errs.ErrOperandRange,
-		errs.ErrEngineClosed, errs.ErrOverloaded, errs.ErrDraining,
-		errs.ErrProtocol, errs.ErrBackendDown, errs.ErrIntegrity,
-		context.DeadlineExceeded, context.Canceled,
-	} {
-		code := codeFor(sentinel)
-		if code == CodeOK || code == CodeInternal {
-			t.Fatalf("%v mapped to %v", sentinel, code)
+	names := map[string]Code{}
+	for _, e := range codeTable {
+		if prev, dup := names[e.name]; dup {
+			t.Errorf("codes %d and %d share the name %q", prev, e.code, e.name)
 		}
-		back := errFor(code, "boom")
-		if !errors.Is(back, sentinel) {
-			t.Errorf("%v -> %v -> %v loses errors.Is", sentinel, code, back)
+		names[e.name] = e.code
+		if e.code.String() != e.name {
+			t.Errorf("Code(%d).String() = %q, want %q", e.code, e.code.String(), e.name)
+		}
+		if e.err == nil {
+			continue
+		}
+		if code := CodeOf(e.err); code != e.code {
+			t.Errorf("CodeOf(%v) = %v, want %v", e.err, code, e.code)
+		}
+		back := errFor(e.code, "boom")
+		if !errors.Is(back, e.err) {
+			t.Errorf("%v -> %v loses errors.Is(%v)", e.code, back, e.err)
+		}
+		if code := CodeOf(back); code != e.code {
+			t.Errorf("CodeOf(errFor(%v)) = %v", e.code, code)
 		}
 	}
 	// Wrapped sentinels classify identically — the shape the engine
 	// actually emits (fmt.Errorf("...: %w", errs.ErrIntegrity)).
-	if codeFor(fmt.Errorf("worker 2: residue check: %w", errs.ErrIntegrity)) != CodeIntegrity {
+	if CodeOf(fmt.Errorf("worker 2: residue check: %w", errs.ErrIntegrity)) != CodeIntegrity {
 		t.Error("wrapped ErrIntegrity should map to CodeIntegrity")
 	}
-	if codeFor(nil) != CodeOK || errFor(CodeOK, "") != nil {
+	if CodeOf(nil) != CodeOK || errFor(CodeOK, "") != nil {
 		t.Error("nil/OK mapping broken")
 	}
-	if codeFor(errors.New("wat")) != CodeInternal {
+	if CodeOf(errors.New("wat")) != CodeInternal {
 		t.Error("unknown error should map to internal")
 	}
 }

@@ -154,8 +154,8 @@ func TestQoSBlockLimits(t *testing.T) {
 // through errors.As — across the hop, not just in process.
 func TestRateLimitedCodeMapping(t *testing.T) {
 	src := &errs.RateLimited{Tenant: "acme", RetryAfter: 40 * time.Millisecond}
-	if c := codeFor(src); c != CodeRateLimited {
-		t.Fatalf("codeFor(RateLimited) = %v, want CodeRateLimited", c)
+	if c := CodeOf(src); c != CodeRateLimited {
+		t.Fatalf("CodeOf(RateLimited) = %v, want CodeRateLimited", c)
 	}
 	if CodeRateLimited.String() != "rate_limited" {
 		t.Fatalf("CodeRateLimited.String() = %q", CodeRateLimited.String())
@@ -195,10 +195,11 @@ func TestRetryDecisionTable(t *testing.T) {
 		CodeRateLimited:     retryAfterHint,
 		CodeInternal:        retryNo,
 	}
-	if len(want) != len(wireCodes) {
-		t.Fatalf("decision table covers %d codes, wire has %d — extend the table", len(want), len(wireCodes))
+	if len(want) != len(codeTable) {
+		t.Fatalf("decision table covers %d codes, wire has %d — extend the table", len(want), len(codeTable))
 	}
-	for _, c := range wireCodes {
+	for _, e := range codeTable {
+		c := e.code
 		w, ok := want[c]
 		if !ok {
 			t.Errorf("wire code %v missing from decision table", c)

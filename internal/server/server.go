@@ -31,7 +31,6 @@ type config struct {
 	maxFrame     int
 	registry     *obs.Registry
 	tracer       *obs.Tracer
-	wide         *obs.WideWriter
 	signSvc      *cryptosvc.Service
 	qos          *qos.Plane
 }
@@ -65,13 +64,10 @@ func WithRegistry(r *obs.Registry) Option { return func(c *config) { c.registry 
 
 // WithTracer records one server span per sampled request (traced wire
 // ops) into t — share the engine collector's tracer and /trace shows
-// the server span parenting the engine's job spans. Untraced requests
-// never touch the tracer.
+// the server span parenting the engine's job spans, and the tracer's
+// wide-event writer logs the server line. Untraced requests never touch
+// the tracer.
 func WithTracer(t *obs.Tracer) Option { return func(c *config) { c.tracer = t } }
-
-// WithWideEvents emits one wide JSON log line (layer "server") per
-// sampled request. A nil writer leaves it off.
-func WithWideEvents(w *obs.WideWriter) Option { return func(c *config) { c.wide = w } }
 
 // WithQoS puts a per-tenant QoS plane in front of admission: each
 // non-ping request is charged against its tenant's token bucket and
@@ -604,8 +600,8 @@ func drainingResponse() *response {
 	return &response{code: CodeDraining, msg: "server draining"}
 }
 
-// reply records a finished request — metrics, and the span and wide
-// event when sampled — and queues its response.
+// reply records a finished request — metrics, and the span when
+// sampled — and queues its response.
 func (c *sconn) reply(req *request, resp *response, spanID obs.SpanID, start time.Time) {
 	s := c.srv
 	elapsed := time.Since(start)
@@ -658,44 +654,37 @@ func (c *sconn) serveReq(req *request, start time.Time, release func(time.Durati
 	c.reply(req, resp, spanID, start)
 }
 
-// observeRequest records the server span and wide event for a sampled
-// request; untraced requests return on the first branch. A zero spanID
+// observeRequest records the server span for a sampled request;
+// untraced requests return on the first branch. A zero spanID
 // (inline drain/overload rejections, which never opened a handler
 // context) gets one minted here so the rejection still shows in the
 // trace tree.
 func (s *Server) observeRequest(req *request, spanID obs.SpanID, code Code,
 	start time.Time, elapsed time.Duration) {
-	if !req.tc.Sampled || (s.cfg.tracer == nil && s.cfg.wide == nil) {
+	if !req.tc.Sampled || s.cfg.tracer == nil {
 		return
 	}
 	if spanID.IsZero() {
 		spanID = obs.NewSpanID()
 	}
-	if s.cfg.tracer != nil {
-		s.cfg.tracer.Record(obs.Span{
-			Name: "server/" + req.op.String(), Track: "server",
-			Outcome: code.String(), Start: start, Exec: elapsed,
-			TraceID: req.tc.TraceID, SpanID: spanID, Parent: req.tc.SpanID,
-		})
+	span := obs.Span{
+		Name: "server/" + req.op.String(), Track: "server",
+		Outcome: code.String(), Start: start, Exec: elapsed,
+		TraceID: req.tc.TraceID, SpanID: spanID, Parent: req.tc.SpanID,
 	}
-	if s.cfg.wide != nil {
-		ev := &obs.WideEvent{
-			Layer: "server", Op: req.op.String(),
-			TraceID: req.tc.TraceID, SpanID: spanID, Parent: req.tc.SpanID,
-			Outcome: code.String(), Dur: elapsed,
+	if req.tenant != "" {
+		span.Attrs = []obs.Attr{
+			{Key: "tenant", Val: req.tenant},
+			{Key: "class", Val: req.class.String()},
 		}
-		if req.tenant != "" {
-			ev.Tenant = req.tenant
-			ev.Class = req.class.String()
-		}
-		if len(req.jobs) > 0 && req.jobs[0].n != nil {
-			ev.Bits = req.jobs[0].n.BitLen()
-		}
-		if opTable[req.op].values == perItem {
-			ev.Batch = req.items()
-		}
-		s.cfg.wide.Emit(ev)
 	}
+	if len(req.jobs) > 0 && req.jobs[0].n != nil {
+		span.Bits = req.jobs[0].n.BitLen()
+	}
+	if opTable[req.op].values == perItem {
+		span.Batch = req.items()
+	}
+	s.cfg.tracer.Record(span)
 }
 
 // execute runs the request's handler call from its op row, or answers
@@ -714,7 +703,7 @@ func (s *Server) execute(ctx context.Context, req *request) *response {
 
 // failure answers a failed handler call with the error's wire code.
 func failure(err error) *response {
-	return &response{code: codeFor(err), msg: err.Error()}
+	return &response{code: CodeOf(err), msg: err.Error()}
 }
 
 // result answers a handler call with OK values, or its error.
@@ -743,7 +732,7 @@ func perItemResult(n, want int, err error, item func(i int) (*big.Int, error)) *
 	}
 	for i := range resp.codes {
 		v, err := item(i)
-		resp.codes[i] = codeFor(err)
+		resp.codes[i] = CodeOf(err)
 		if err != nil {
 			resp.msgs[i] = err.Error()
 		} else {

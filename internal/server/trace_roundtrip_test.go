@@ -146,15 +146,16 @@ func TestRateZeroClientPropagatesAmbientTrace(t *testing.T) {
 	}
 }
 
-// TestServerWideEvents: with a wide writer attached, one server-layer
-// line per sampled request lands in the log carrying the trace id.
+// TestServerWideEvents: with a wide writer on the tracer the server
+// and engine share, one sampled request writes a server line and an
+// engine line on the same trace id, each rendered from its layer's span.
 func TestServerWideEvents(t *testing.T) {
 	var buf bytes.Buffer
-	wide := obs.NewWideWriter(&buf)
 	col := obs.NewCollector(obs.WithTracing(64))
+	col.Tracer().SetWideEvents(obs.NewWideWriter(&buf))
 	_, _, addr := startServer(t,
 		[]engine.Option{engine.WithWorkers(1), engine.WithObserver(col)},
-		[]Option{WithRegistry(col.Registry()), WithTracer(col.Tracer()), WithWideEvents(wide)})
+		[]Option{WithRegistry(col.Registry()), WithTracer(col.Tracer())})
 
 	clientTracer := obs.NewTracer(64)
 	c := Dial(addr, WithClientTracing(clientTracer, 1))
@@ -166,20 +167,24 @@ func TestServerWideEvents(t *testing.T) {
 	}
 
 	call := clientTracer.Spans()[0]
-	var sawServerLine bool
+	lines := map[string]map[string]any{}
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
 		var ev map[string]any
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatalf("wide line not JSON: %v\n%s", err, line)
 		}
-		if ev["layer"] == "server" && ev["trace_id"] == call.TraceID.String() {
-			sawServerLine = true
-			if ev["op"] != "modexp" || ev["outcome"] != "ok" {
-				t.Errorf("server wide event payload: %v", ev)
-			}
+		if ev["trace_id"] == call.TraceID.String() {
+			lines[ev["layer"].(string)] = ev
 		}
 	}
-	if !sawServerLine {
-		t.Fatalf("no server wide event for trace %s:\n%s", call.TraceID, buf.String())
+	srv, eng := lines["server"], lines["engine"]
+	if srv == nil || eng == nil {
+		t.Fatalf("want server and engine lines for trace %s:\n%s", call.TraceID, buf.String())
+	}
+	if srv["op"] != "modexp" || srv["outcome"] != "ok" || srv["modulus_bits"] != float64(n.BitLen()) {
+		t.Errorf("server wide line payload: %v", srv)
+	}
+	if eng["op"] != "modexp" || eng["parent_id"] != srv["span_id"] {
+		t.Errorf("engine wide line not the server span's child: %v", eng)
 	}
 }
