@@ -37,9 +37,10 @@ test:
 	$(GO) test ./...
 
 # The word kernel on a 32-bit GOARCH, where big.Word is 32 bits and the
-# kernel runs its portable row operation instead of math/big's assembly.
+# kernel runs its portable row operation instead of math/big's assembly;
+# and the gate-level simulator, whose net slots are int32 indices.
 test-386:
-	GOARCH=386 $(GO) test ./internal/highradix/... ./internal/mont/...
+	GOARCH=386 $(GO) test ./internal/highradix/... ./internal/mont/... ./internal/logic/... ./internal/mmmc/...
 
 race:
 	$(GO) test -race ./internal/engine/... ./internal/core/... ./internal/obs/... ./internal/server/... ./internal/cluster/... ./internal/faults/... ./internal/integrity/... ./internal/highradix/... ./internal/kits/... ./internal/cryptosvc/... ./internal/sca/... ./internal/qos/...

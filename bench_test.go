@@ -436,27 +436,87 @@ func BenchmarkHostMultipliers(b *testing.B) {
 }
 
 // BenchmarkGateLevelSim measures the raw gate-level simulation
-// throughput (clock edges per second at l=64) — the substrate cost of
-// the reproduction itself.
+// throughput at l=64 — the substrate cost of the reproduction itself —
+// as ns per clock edge over back-to-back START→DONE products with seeded
+// random operands, so the array is busy on every edge it clocks.
 func BenchmarkGateLevelSim(b *testing.B) {
-	const l = 64
-	nl := logic.New()
-	p, err := mmmc.BuildNetlist(nl, l, systolic.Guarded)
-	if err != nil {
-		b.Fatal(err)
-	}
+	nl, p := gateBenchNetlist(b)
 	sim, err := logic.Compile(nl)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sim.Set(p.Start, 1)
-	sim.Step()
-	sim.Set(p.Start, 0)
+	benchGateProducts(b, sim, p)
+	b.ReportMetric(float64(nl.NumGates()), "gates")
+}
+
+// gateBenchNetlist builds the l=64 Guarded MMMC the gate-level
+// simulator benchmarks clock.
+func gateBenchNetlist(b *testing.B) (*logic.Netlist, *mmmc.NetPorts) {
+	nl := logic.New()
+	p, err := mmmc.BuildNetlist(nl, 64, systolic.Guarded)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return nl, p
+}
+
+// gateSim is what benchGateProducts drives: both logic.Sim and
+// logic.EventSim.
+type gateSim interface {
+	SetMany(ins []logic.Signal, vs []bits.Bit)
+	Set(in logic.Signal, v bits.Bit)
+	Step()
+	Get(sig logic.Signal) bits.Bit
+	GetVec(sigs []logic.Signal) bits.Vec
+}
+
+// benchGateProducts runs b.N START→DONE Montgomery products on a
+// gate-level MMMC, the way an external master drives it, cycling through
+// seeded random operands below 2N. It checks the first product against
+// math/big before timing and reports ns/cycle over every clock edge.
+func benchGateProducts(b *testing.B, sim gateSim, p *mmmc.NetPorts) {
+	l := p.L
+	rng := rand.New(rand.NewSource(12))
+	n := benchRandOdd(rng, l)
+	n2 := new(big.Int).Lsh(n, 1)
+	nv := bits.FromBig(n, l)
+	const operands = 16
+	var xs, ys [operands]*big.Int
+	for i := range xs {
+		xs[i], ys[i] = new(big.Int).Rand(rng, n2), new(big.Int).Rand(rng, n2)
+	}
+	product := func(i int) (cycles int) {
+		sim.SetMany(p.XBus, bits.FromBig(xs[i%operands], l+1))
+		sim.SetMany(p.YBus, bits.FromBig(ys[i%operands], l+1))
+		sim.SetMany(p.NBus, nv)
+		sim.Set(p.Start, 1)
+		sim.Step()
+		sim.Set(p.Start, 0)
+		for cycles = 1; sim.Get(p.Done) == 0; cycles++ {
+			if cycles > 4*l+16 {
+				b.Fatal("gate-level DONE never asserted")
+			}
+			sim.Step()
+		}
+		return cycles
+	}
+
+	if got := product(0); got != 3*l+5 {
+		b.Fatalf("product took %d clock edges, want 3l+4 after the load edge", got-1)
+	}
+	ctx, err := mont.NewCtx(n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if got := sim.GetVec(p.Result).Big(); got.Cmp(ctx.Mul(xs[0], ys[0])) != 0 {
+		b.Fatalf("gate-level product %d, want %d", got, ctx.Mul(xs[0], ys[0]))
+	}
+	cycles := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.Step()
+		cycles += product(i)
 	}
-	b.ReportMetric(float64(nl.NumGates()), "gates")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
 }
 
 // BenchmarkArray2DThroughput contrasts the folded linear array (one
@@ -621,43 +681,23 @@ func BenchmarkExpoNetlist(b *testing.B) {
 }
 
 // BenchmarkSimEngines compares the two gate-level simulation engines on
-// the l=64 MMMC: levelized full evaluation vs event-driven propagation.
+// the l=64 MMMC running back-to-back products: levelized full evaluation
+// vs event-driven propagation.
 func BenchmarkSimEngines(b *testing.B) {
-	const l = 64
-	build := func() (*logic.Netlist, *mmmc.NetPorts) {
-		nl := logic.New()
-		p, err := mmmc.BuildNetlist(nl, l, systolic.Guarded)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return nl, p
-	}
 	b.Run("levelized", func(b *testing.B) {
-		nl, p := build()
+		nl, p := gateBenchNetlist(b)
 		sim, err := logic.Compile(nl)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sim.Set(p.Start, 1)
-		sim.Step()
-		sim.Set(p.Start, 0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sim.Step()
-		}
+		benchGateProducts(b, sim, p)
 	})
 	b.Run("event-driven", func(b *testing.B) {
-		nl, p := build()
+		nl, p := gateBenchNetlist(b)
 		sim, err := logic.NewEventSim(nl)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sim.Set(p.Start, 1)
-		sim.Step()
-		sim.Set(p.Start, 0)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sim.Step()
-		}
+		benchGateProducts(b, sim, p)
 	})
 }

@@ -38,29 +38,14 @@ func NewEventSim(n *Netlist) (*EventSim, error) {
 	if err != nil {
 		return nil, err
 	}
+	level, maxLevel := gateLevels(n, order)
 	s := &EventSim{
-		n:      n,
-		vals:   make([]bits.Bit, n.numSignals),
-		level:  make([]int32, len(n.gates)),
-		fanout: make([][]int32, n.numSignals),
-		ffNext: make([]bits.Bit, len(n.dffs)),
-	}
-	// Levels: longest path from sources, so a gate is evaluated only
-	// after all its same-pass predecessors.
-	netLevel := make([]int32, n.numSignals)
-	for _, gi := range order {
-		g := n.gates[gi]
-		lv := int32(0)
-		for _, in := range gateInputs(g) {
-			if netLevel[in] > lv {
-				lv = netLevel[in]
-			}
-		}
-		s.level[gi] = lv
-		netLevel[g.Out] = lv + 1
-		if lv > s.maxLevel {
-			s.maxLevel = lv
-		}
+		n:        n,
+		vals:     make([]bits.Bit, n.numSignals),
+		level:    level,
+		maxLevel: maxLevel,
+		fanout:   make([][]int32, n.numSignals),
+		ffNext:   make([]bits.Bit, len(n.dffs)),
 	}
 	for gi, g := range n.gates {
 		for _, in := range gateInputs(g) {

@@ -15,11 +15,28 @@ func randomNetlist(rng *rand.Rand, nInputs, nGates, nFFs int) (*Netlist, []Signa
 	ins := n.InputVec("in", nInputs)
 	pool = append(pool, ins...)
 
-	// Flip-flops first (feedback allowed: their D binds later).
+	// Flip-flops first (feedback allowed: their D binds later). Each
+	// one's clock enable and clear are the constants (always load, never
+	// clear) or random existing nets, and sometimes the previous
+	// flip-flop's, so both engines hold, clear and load, alone and in
+	// groups sharing their control nets.
 	ffQ := make([]Signal, nFFs)
 	ffSet := make([]func(Signal), nFFs)
+	ce, clr := Const1, Const0
 	for i := 0; i < nFFs; i++ {
-		ffQ[i], ffSet[i] = n.FeedbackFF(Const0, bits.Bit(rng.Intn(2)), "")
+		if i == 0 || rng.Intn(3) > 0 {
+			ce, clr = Const1, Const0
+			if rng.Intn(2) == 0 {
+				ce = pool[rng.Intn(len(pool))]
+			}
+			if rng.Intn(2) == 0 {
+				clr = pool[rng.Intn(len(pool))]
+			}
+		}
+		d := n.BufGate(Const0)
+		gi := n.NumGates() - 1
+		ffQ[i] = n.AddDFFFull(d, ce, clr, bits.Bit(rng.Intn(2)), "")
+		ffSet[i] = func(s Signal) { n.PatchGateInput(gi, s) }
 		pool = append(pool, ffQ[i])
 	}
 	for i := 0; i < nGates; i++ {

@@ -2,6 +2,7 @@ package logic
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bits"
 )
@@ -41,8 +42,9 @@ func AllStuckAtFaults(n *Netlist) []Fault {
 }
 
 // Force pins a net to a constant until Unforce: the simulator applies
-// the override after every settle pass and every clock edge, so all
-// fanout sees the faulty value. Forcing Const0/Const1 is rejected.
+// the override within every settle pass, as soon as the net's own value
+// is computed, and re-applies it after every clock edge, so all fanout
+// sees the faulty value. Forcing Const0/Const1 is rejected.
 func (s *Sim) Force(sig Signal, v bits.Bit) {
 	if v > 1 {
 		panic(fmt.Sprintf("logic: invalid forced value %d", v))
@@ -51,23 +53,35 @@ func (s *Sim) Force(sig Signal, v bits.Bit) {
 	if sig == Const0 || sig == Const1 {
 		panic("logic: cannot force a constant net")
 	}
-	if s.force == nil {
-		s.force = map[Signal]bits.Bit{}
+	f := forcedSlot{slot: s.slot[sig], v: v}
+	if i, ok := s.findForce(f.slot); ok {
+		s.forced[i] = f
+	} else {
+		s.forced = slices.Insert(s.forced, i, f)
 	}
-	s.force[sig] = v
 	s.settle()
 }
 
 // Unforce removes a pin override.
 func (s *Sim) Unforce(sig Signal) {
-	delete(s.force, sig)
+	s.n.checkSignal(sig)
+	if i, ok := s.findForce(s.slot[sig]); ok {
+		s.forced = slices.Delete(s.forced, i, i+1)
+	}
 	s.settle()
 }
 
 // ClearForces removes all overrides.
 func (s *Sim) ClearForces() {
-	s.force = nil
+	s.forced = s.forced[:0]
 	s.settle()
+}
+
+// findForce returns where slot's override is, or would go, in s.forced.
+func (s *Sim) findForce(slot int32) (int, bool) {
+	return slices.BinarySearchFunc(s.forced, slot, func(f forcedSlot, slot int32) int {
+		return int(f.slot) - int(slot)
+	})
 }
 
 // FaultReport summarizes a fault campaign.

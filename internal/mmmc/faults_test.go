@@ -3,6 +3,7 @@ package mmmc
 import (
 	"math/big"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/bits"
@@ -70,5 +71,16 @@ func TestMMMCFaultCampaign(t *testing.T) {
 	// The campaign must include a healthy fault population.
 	if rep.Total < 400 {
 		t.Errorf("only %d fault sites enumerated", rep.Total)
+	}
+	// The exact grade is pinned, so a change to the simulator's force
+	// path cannot move it silently. big.Int.Rand draws whole machine
+	// words, so the operands, and with them the grade, depend on the word
+	// size.
+	want := 382
+	if strconv.IntSize == 32 {
+		want = 375
+	}
+	if rep.Detected != want || rep.Total != 452 {
+		t.Errorf("campaign detected %d/%d faults, want exactly %d/452", rep.Detected, rep.Total, want)
 	}
 }

@@ -1,6 +1,7 @@
 package mmmc
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -269,5 +270,72 @@ func TestNetlistFaithfulHazardBitExact(t *testing.T) {
 	}
 	if !sawWrong {
 		t.Error("expected at least one hazard-corrupted product at N = 2^l - 1")
+	}
+}
+
+// Exhaustive gate-level check at the widths a scalar simulator affords:
+// for the Guarded variant, every odd l-bit modulus N with its top bit set
+// and every x, y in [0, 2N), the netlist's RESULT must equal the
+// behavioural model's bit for bit, and DONE must rise exactly 3l+4 clock
+// edges after the load edge. l = 2…5 always, l = 6 unless -short. Each
+// modulus is a parallel subtest with its own simulator and model.
+func TestNetlistExhaustiveSmallL(t *testing.T) {
+	maxL := 6
+	if testing.Short() {
+		maxL = 5
+	}
+	for l := 2; l <= maxL; l++ {
+		nl := logic.New()
+		p, err := BuildNetlist(nl, l, systolic.Guarded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := uint64(1)<<(l-1) | 1; n < 1<<l; n += 2 {
+			t.Run(fmt.Sprintf("l=%d,N=%d", l, n), func(t *testing.T) {
+				t.Parallel()
+				exhaustModulus(t, nl, p, n)
+			})
+		}
+	}
+}
+
+// exhaustModulus runs every product x·y with x, y in [0, 2N) on a fresh
+// simulator of nl and checks it against the behavioural model.
+func exhaustModulus(t *testing.T, nl *logic.Netlist, p *NetPorts, n uint64) {
+	l := p.L
+	sim, err := logic.Compile(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	beh, err := New(l, systolic.Guarded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nv := bits.FromUint64(n, l)
+	sim.SetMany(p.NBus, nv)
+	for x := uint64(0); x < 2*n; x++ {
+		xv := bits.FromUint64(x, l+1)
+		sim.SetMany(p.XBus, xv)
+		for y := uint64(0); y < 2*n; y++ {
+			yv := bits.FromUint64(y, l+1)
+			want, _, err := beh.Run(xv, yv, nv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim.SetMany(p.YBus, yv)
+			sim.Set(p.Start, 1)
+			sim.Step()
+			sim.Set(p.Start, 0)
+			for c := 1; c <= 3*l+4; c++ {
+				sim.Step()
+				if done := sim.Get(p.Done) == 1; done != (c == 3*l+4) {
+					t.Fatalf("x=%d y=%d: DONE=%v after %d clock edges, want it to rise after exactly 3l+4 = %d",
+						x, y, done, c, 3*l+4)
+				}
+			}
+			if got := sim.GetVec(p.Result); !bits.Equal(got, want) {
+				t.Fatalf("x=%d y=%d: netlist RESULT %d, behavioural %d", x, y, got.Uint64(), want.Uint64())
+			}
+		}
 	}
 }
