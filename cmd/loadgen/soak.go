@@ -45,9 +45,10 @@ import (
 const soakWindow = 2 * time.Second
 
 // soakCliffMax bounds max(windowed p99) / median(windowed p99) for the
-// interactive tenant. Handover keeps moved moduli on their warm old
-// home while new homes pre-warm, so even a mid-run join/leave/kill
-// must not multiply the interactive tail beyond this.
+// interactive tenant. A moved modulus pays one context build on its
+// new home — about one F4 exponentiation on the CIOS kit — so even a
+// mid-run join/leave/kill must not multiply the interactive tail
+// beyond this.
 const soakCliffMax = 10.0
 
 // soakTenant is one synthetic tenant of the soak mix.
@@ -98,7 +99,8 @@ func runSoak(ctx context.Context, cfg sweepConfig, bits []int) error {
 
 	// Shared Zipf-skewed workload ring: hot moduli contend across
 	// tenants, exercising affinity, the context caches, and — mid-churn —
-	// the handover dual-routing of exactly the keys that matter most.
+	// the inline context builds of exactly the keys that matter most
+	// when their home moves.
 	rng := rand.New(rand.NewSource(cfg.seed))
 	moduli := make([]*big.Int, 0, len(bits)*cfg.keys)
 	for _, l := range bits {

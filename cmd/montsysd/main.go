@@ -272,9 +272,9 @@ func startRegistrar(rc regConfig, lnAddr net.Addr) (*registrar, error) {
 
 // goodbye deregisters from every balancer (best effort, bounded) and
 // stops the announce loops. Called at the start of a drain, BEFORE the
-// server stops answering: the balancers pull this daemon out of new
-// routing while its in-flight work completes, and its warm contexts
-// hand over through the balancers' handover window.
+// server stops answering: each balancer retires this daemon at once,
+// failing over what it had in flight here, so no new work arrives
+// while the drain completes the rest.
 func (r *registrar) goodbye() {
 	if r == nil {
 		return

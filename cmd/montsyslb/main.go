@@ -13,8 +13,7 @@
 //	          [-wide-events stderr|stdout|PATH]
 //	          [-slo-latency 500ms] [-slo-target 0.999]
 //	          [-qos SPEC|@FILE] [-frame-timeout 10s]
-//	          [-zone Z] [-handover 30s] [-handover-warm 256]
-//	          [-max-members 64] [-backends-watch 2s]
+//	          [-zone Z] [-max-members 64] [-backends-watch 2s]
 //
 // Membership is dynamic. -backends seeds the pool — inline
 // "addr[=zone]" entries, or "@path" to load the same grammar from a
@@ -27,15 +26,12 @@
 // table. A joined backend enters rotation only after its first
 // successful health probe, so a bogus registration costs nothing.
 //
-// Membership changes rebalance gradually, not instantly: a modulus
-// whose rendezvous home moves keeps being served by its OLD home — the
-// one holding its warm Montgomery context — for the -handover window,
-// while the balancer warms the NEW home with at most -handover-warm
-// background duplicates of live traffic. When the window closes,
-// routing flips to the settled assignment: no cold-cache latency cliff
-// on join/leave. montsys_cluster_handover_* series measure every piece
-// (dual-routed requests, warm-ups = context churn, suppressed
-// warm-ups).
+// Membership changes take effect at once. Rendezvous hashing moves
+// only the moduli whose home changed, and each of those pays one
+// inline Montgomery-context build on its new home — about one F4
+// exponentiation on the CIOS kit. A departing backend is retired on
+// the spot: its montsys_cluster_backend_up series reads 0 and requests
+// in flight on it fail over for free.
 //
 // -zone names this balancer's failure domain: ties in least-loaded
 // routing prefer same-zone backends (labeled via "addr=zone" or the
@@ -58,8 +54,10 @@
 // rendezvous-hash home of their modulus so repeat-modulus traffic hits
 // warm per-modulus context caches on the backends (-affinity=false
 // falls back to least-inflight everywhere); backends are health-probed
-// with the wire Ping op, ejected on failure or drain and reinstated
-// with jittered backoff; slow requests are hedged onto a second
+// with the wire Ping op, and failed probes and live transport failures
+// feed one streak per backend that ejects it (as does one draining
+// answer), while only a probe reinstates it, with jittered backoff;
+// slow requests are hedged onto a second
 // backend after a p99-derived delay; draining/dead backends fail over,
 // with a global retry budget capping amplification. Integrity answers
 // (a backend admitting its compute was corrupted) fail over for free
@@ -79,7 +77,7 @@
 // code, finish what's admitted (bounded by -drain), exit 0.
 //
 // With -metrics, /metrics serves the cluster series (backend_up,
-// picks_total{backend,reason}, hedges_total, breaker_state,
+// picks_total{backend,reason}, hedges_total, ejections_total,
 // affinity_hits_total, ...) and the proxy's own server series on one
 // page; scraped next to the backends' pages the whole path client →
 // balancer → backend → engine → systolic core is visible. The same
@@ -131,16 +129,13 @@ func main() {
 	qosSpec := flag.String("qos", "", "per-tenant QoS spec \"tenant:rate=R,burst=B,weight=W,class=C;...\" or @file (empty disables)")
 	frameTimeout := flag.Duration("frame-timeout", 10*time.Second, "per-frame arrival budget once the first byte lands — slow-loris guard (0 disables)")
 	zone := flag.String("zone", "", "this balancer's failure-domain label (zone-aware routing)")
-	handover := flag.Duration("handover", 30*time.Second, "dual-routing window after a membership change (0 = instantaneous)")
-	handoverWarm := flag.Int("handover-warm", 256, "max background warm-up calls per membership change")
 	maxMembers := flag.Int("max-members", 64, "member-table bound for runtime joins")
 	backendsWatch := flag.Duration("backends-watch", 2*time.Second, "poll interval for -backends @file changes (0 disables)")
 	flag.Parse()
 
 	oc := obsConfig{metricsAddr: *metricsAddr, traceCap: *traceCap, wideDest: *wideDest,
 		sloLatency: *sloLatency, sloTarget: *sloTarget}
-	mc := memConfig{zone: *zone, handover: *handover, handoverWarm: *handoverWarm,
-		maxMembers: *maxMembers, watch: *backendsWatch}
+	mc := memConfig{zone: *zone, maxMembers: *maxMembers, watch: *backendsWatch}
 	if err := run(*listen, *backends, *inflight, *idle, *drain, *probe, *frameTimeout,
 		*affinity, *hedge, *budget, *burst, *integrityEject, *qosSpec, oc, mc); err != nil {
 		fmt.Fprintln(os.Stderr, "montsyslb:", err)
@@ -150,11 +145,9 @@ func main() {
 
 // memConfig carries the membership flags into run.
 type memConfig struct {
-	zone         string
-	handover     time.Duration
-	handoverWarm int
-	maxMembers   int
-	watch        time.Duration
+	zone       string
+	maxMembers int
+	watch      time.Duration
 }
 
 // obsConfig carries the observability flags into run.
@@ -193,8 +186,7 @@ func memberStrings(ms []cluster.Member) []string {
 
 // watchMemberFile polls a -backends @file and reconciles the live pool
 // against it: entries added to the file join (entering rotation after
-// their first probe), entries removed say goodbye (draining through the
-// handover window). The reconciler only manages members it sourced from
+// their first probe), entries removed say goodbye (retired at once). The reconciler only manages members it sourced from
 // the file — a backend that arrived through OpJoin self-registration is
 // never goodbyed just because the file doesn't mention it, so the two
 // control planes compose instead of fighting. Join/goodbye are
@@ -286,7 +278,6 @@ func run(listen, backends string, inflight int, idle, drain, probe, frameTimeout
 		cluster.WithIntegrityEjectThreshold(integrityEject),
 		cluster.WithTracer(tracer),
 		cluster.WithZone(mc.zone),
-		cluster.WithHandover(mc.handover, mc.handoverWarm),
 		cluster.WithMaxMembers(mc.maxMembers),
 	}
 	if qosSpec != "" {

@@ -2,37 +2,40 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/errs"
 	"repro/internal/server"
 )
 
 // backend is one montsysd instance as the cluster sees it: the wire
 // client, the cluster-side in-flight count (the load signal for
-// least-inflight and spill decisions), the health flag the probe loop
-// owns, and the request-driven circuit breaker.
+// least-inflight and spill decisions), the health flag, and the two
+// failure streaks that clear it.
 type backend struct {
 	addr string
 	zone string
 	cl   *server.Client
 
-	// gone is closed when the backend is retired from the pool (a
-	// settled departure or cluster Close), stopping its probe loop.
+	// gone is closed when the backend is retired from the pool,
+	// stopping its probe loop.
 	gone chan struct{}
 
 	inflight atomic.Int64
 	upFlag   atomic.Bool
+
+	// transportStreak counts consecutive transport failures — failed
+	// probes and live ErrBackendDown answers alike; any success from
+	// either source resets it, and reaching failThreshold ejects the
+	// backend (see Cluster.transportFailed).
+	transportStreak atomic.Int64
 
 	// integrityStreak counts consecutive ErrIntegrity answers from
 	// live traffic; any success resets it, and reaching the configured
 	// threshold ejects the backend (see Cluster.observe).
 	integrityStreak atomic.Int64
 
-	br  *breaker
 	met *backendMetrics
 }
 
@@ -58,18 +61,15 @@ func (b *backend) release() {
 }
 
 // probeLoop health-checks one backend until the cluster closes or the
-// backend is retired from the pool. While the backend is up, probes run
-// every probeInterval; failThreshold consecutive failures (or a single
-// draining answer — the backend itself said it is going away) eject it.
-// While down, probes back off exponentially up to reinstateMax, and the
-// first success reinstates the backend and resets its breaker. Every
+// backend is retired from the pool, applying each outcome through
+// probed. While the backend is up, probes run every probeInterval;
+// while down, they back off exponentially up to reinstateMax. Every
 // wait is jittered to 50–150% so a fleet of balancers neither probes
 // nor reinstates in lockstep. initial delays the first probe: seeds
 // stagger across a jittered probe interval, while a runtime Join probes
 // immediately so the new member enters rotation after one RTT.
 func (c *Cluster) probeLoop(b *backend, initial time.Duration) {
 	defer c.wg.Done()
-	fails := 0
 	backoff := c.cfg.reinstateBase
 	timer := time.NewTimer(initial)
 	defer timer.Stop()
@@ -78,6 +78,7 @@ func (c *Cluster) probeLoop(b *backend, initial time.Duration) {
 		case <-c.stop:
 			return
 		case <-b.gone:
+			b.setUp(false) // a probe that raced retire must not leave it up
 			return
 		case <-timer.C:
 		}
@@ -85,32 +86,34 @@ func (c *Cluster) probeLoop(b *backend, initial time.Duration) {
 		_, err := b.cl.Ping(ctx)
 		cancel()
 
+		c.probed(b, err)
+
 		next := c.cfg.probeInterval
 		if err == nil {
-			fails = 0
 			backoff = c.cfg.reinstateBase
-			if !b.up() {
-				b.br.Reset()
-				b.integrityStreak.Store(0)
-				b.setUp(true)
-				b.met.reinstatements.Inc()
-			}
-		} else {
-			fails++
-			b.met.probeFailures.Inc()
-			if b.up() && (fails >= c.cfg.failThreshold || errors.Is(err, errs.ErrDraining)) {
-				b.setUp(false)
-				b.met.ejections.Inc()
-			}
-			if !b.up() {
-				next = backoff
-				backoff *= 2
-				if backoff > c.cfg.reinstateMax {
-					backoff = c.cfg.reinstateMax
-				}
-			}
+		} else if !b.up() {
+			next = backoff
+			backoff = min(2*backoff, c.cfg.reinstateMax)
 		}
 		timer.Reset(jitter(next))
+	}
+}
+
+// probed applies one probe outcome. A success resets the transport
+// streak and reinstates an ejected backend — the only way back into
+// rotation; live traffic never reinstates. A failure adds to the
+// streak that live ErrBackendDown answers feed too.
+func (c *Cluster) probed(b *backend, err error) {
+	if err != nil {
+		b.met.probeFailures.Inc()
+		c.transportFailed(b, err)
+		return
+	}
+	b.transportStreak.Store(0)
+	if !b.up() {
+		b.integrityStreak.Store(0)
+		b.setUp(true)
+		b.met.reinstatements.Inc()
 	}
 }
 

@@ -5,15 +5,16 @@
 // exponentiator when it replicates and pipelines MMM arrays (§5,
 // Fig. 5), lifted one level up.
 //
-// The router is built from four cooperating mechanisms:
+// The router is built from five cooperating mechanisms:
 //
-//   - A health-checked backend pool. Every backend is probed with the
-//     wire protocol's Ping op; consecutive failures (or a draining
-//     answer) eject it, and probes with jittered exponential backoff
-//     reinstate it when it recovers. A per-backend circuit breaker
-//     catches what probes miss between rounds: transport failures on
-//     live traffic trip it, a cooldown later one trial request may
-//     close it again.
+//   - A health-checked backend pool with one transport-health path
+//     per backend. Every backend is probed with the wire protocol's
+//     Ping op, and failed probes and live ErrBackendDown answers feed
+//     one consecutive-failure streak: reaching WithFailThreshold (or
+//     one draining answer from either source) ejects the backend, and
+//     any success from either source resets the streak. Only a
+//     successful probe reinstates an ejected backend; probes back off
+//     with jitter while it is out.
 //
 //   - Modulus-affinity routing. The engine behind each backend keeps a
 //     per-modulus Montgomery context LRU; a request for modulus N is
@@ -23,7 +24,9 @@
 //     the pool changes; repeat-modulus traffic therefore lands on warm
 //     caches. A home that is overloaded (relative to the least-loaded
 //     backend) is spilled away from; requests with no affinity key use
-//     least-inflight selection.
+//     least-inflight selection. Membership changes take effect at once:
+//     a modulus whose home moves pays one inline context build on its
+//     new home, about the cost of one F4 exponentiation on the CIOS kit.
 //
 //   - Tail-latency hedging. After a delay derived from the cluster's
 //     own p99 latency, a slow request is raced against a second
@@ -41,13 +44,13 @@
 //     fail immediately: they are deterministic.
 //
 //   - Integrity ejection. A backend answering ErrIntegrity is
-//     corrupting compute, not failing transport, so the breaker and
-//     the health probe both consider it fine. Consecutive integrity
-//     answers (WithIntegrityEjectThreshold) therefore eject it
-//     directly, the same lever the probe loop uses; the next clean
-//     health probe reinstates it, so a persistently corrupting
-//     backend duty-cycles mostly-out-of-rotation instead of serving
-//     poison at full rate.
+//     corrupting compute, not failing transport, so the transport
+//     streak and the health probe both consider it fine. Consecutive
+//     integrity answers (WithIntegrityEjectThreshold) therefore feed a
+//     separate streak that ejects it through the same eject helper;
+//     the next clean health probe reinstates it, so a persistently
+//     corrupting backend duty-cycles mostly-out-of-rotation instead of
+//     serving poison at full rate.
 //
 // All of it is observable: montsys_cluster_* metrics register into the
 // same obs.Registry as everything else, so one /metrics page spans
@@ -73,16 +76,10 @@ import (
 // Option configures New.
 type Option func(*config)
 
-// Fixed routing constants. A backend's circuit breaker opens after
-// breakerThreshold consecutive transport failures and admits one trial
-// request after breakerCooldown. An affinity home keeps its requests
-// while its in-flight count ≤ 2×(least in-flight)+spillSlack; past
-// that they spill to the least-loaded backend.
-const (
-	breakerThreshold = 5
-	breakerCooldown  = 2 * time.Second
-	spillSlack       = 8
-)
+// An affinity home keeps its requests while its in-flight count ≤
+// 2×(least in-flight)+spillSlack; past that they spill to the
+// least-loaded backend.
+const spillSlack = 8
 
 type config struct {
 	registry *obs.Registry
@@ -104,11 +101,8 @@ type config struct {
 
 	integrityEject int
 
-	zone            string
-	handoverWindow  time.Duration
-	handoverMaxWarm int
-	maxMembers      int
-	clock           func() time.Time
+	zone       string
+	maxMembers int
 
 	tracer *obs.Tracer
 
@@ -129,8 +123,10 @@ func WithProbeInterval(d time.Duration) Option { return func(c *config) { c.prob
 // WithProbeTimeout bounds each Ping probe (default 1s).
 func WithProbeTimeout(d time.Duration) Option { return func(c *config) { c.probeTimeout = d } }
 
-// WithFailThreshold sets how many consecutive probe failures eject a
-// backend (default 3). A draining answer ejects immediately regardless.
+// WithFailThreshold sets how many consecutive transport failures —
+// failed probes and live ErrBackendDown answers, counted together —
+// eject a backend (default 3). A draining answer from either source
+// ejects immediately regardless.
 func WithFailThreshold(n int) Option { return func(c *config) { c.failThreshold = n } }
 
 // WithReinstateBackoff sets the probe backoff envelope for ejected
@@ -208,24 +204,10 @@ func WithClientOptions(opts ...server.ClientOption) Option {
 // default) disables both preferences.
 func WithZone(zone string) Option { return func(c *config) { c.zone = zone } }
 
-// WithHandover tunes gradual membership handover: window is how long
-// moved moduli stay dual-routed after a join/leave (default 30s; 0
-// makes membership changes instantaneous), and maxWarm caps the
-// background warm-up calls — equivalently the mont.Ctx entries built at
-// new homes — per membership change (default 256; suppressed warm-ups
-// past the cap are counted, not silently dropped).
-func WithHandover(window time.Duration, maxWarm int) Option {
-	return func(c *config) { c.handoverWindow, c.handoverMaxWarm = window, maxWarm }
-}
-
 // WithMaxMembers bounds the member table (default 64). Runtime Joins
 // beyond the bound answer ErrOverloaded — the lever that keeps a
 // hostile registration loop from growing the table without limit.
 func WithMaxMembers(n int) Option { return func(c *config) { c.maxMembers = n } }
-
-// withClock substitutes the cluster's time source — virtual-clock
-// membership tests only.
-func withClock(now func() time.Time) Option { return func(c *config) { c.clock = now } }
 
 // Cluster routes montsys requests over a pool of montsysd backends.
 // It implements the same call surface as server.Client (ModExp, Mont,
@@ -243,13 +225,6 @@ type Cluster struct {
 	// changes serialize on memMu (see membership.go).
 	pool  atomic.Pointer[membership]
 	memMu sync.Mutex
-
-	now  func() time.Time
-	warm warmState
-
-	// baseCtx parents handover warm-up calls, so Close cancels them.
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
 
 	clOpts []server.ClientOption // resolved backend-client options
 
@@ -289,22 +264,19 @@ func New(addrs []string, opts ...Option) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: no backend addresses")
 	}
 	cfg := config{
-		probeInterval:   time.Second,
-		probeTimeout:    time.Second,
-		failThreshold:   3,
-		reinstateBase:   500 * time.Millisecond,
-		reinstateMax:    30 * time.Second,
-		affinity:        true,
-		hedge:           true,
-		hedgeMin:        time.Millisecond,
-		hedgeMax:        250 * time.Millisecond,
-		budgetRatio:     0.1,
-		budgetBurst:     16,
-		integrityEject:  3,
-		handoverWindow:  30 * time.Second,
-		handoverMaxWarm: 256,
-		maxMembers:      64,
-		clock:           time.Now,
+		probeInterval:  time.Second,
+		probeTimeout:   time.Second,
+		failThreshold:  3,
+		reinstateBase:  500 * time.Millisecond,
+		reinstateMax:   30 * time.Second,
+		affinity:       true,
+		hedge:          true,
+		hedgeMin:       time.Millisecond,
+		hedgeMax:       250 * time.Millisecond,
+		budgetRatio:    0.1,
+		budgetBurst:    16,
+		integrityEject: 3,
+		maxMembers:     64,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -318,22 +290,15 @@ func New(addrs []string, opts ...Option) (*Cluster, error) {
 	if cfg.hedgeMax < cfg.hedgeMin {
 		cfg.hedgeMax = cfg.hedgeMin
 	}
-	if cfg.handoverMaxWarm < 0 {
-		cfg.handoverMaxWarm = 0
-	}
 	if cfg.maxMembers < len(seeds) {
 		cfg.maxMembers = len(seeds)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
 	c := &Cluster{
-		cfg:        cfg,
-		met:        newMetrics(cfg.registry, seeds, cfg.tenants),
-		budget:     newRetryBudget(cfg.budgetRatio, cfg.budgetBurst),
-		now:        cfg.clock,
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		stop:       make(chan struct{}),
+		cfg:    cfg,
+		met:    newMetrics(cfg.registry, seeds, cfg.tenants),
+		budget: newRetryBudget(cfg.budgetRatio, cfg.budgetBurst),
+		stop:   make(chan struct{}),
 	}
 	clOpts := []server.ClientOption{server.WithMaxRetries(0)}
 	if cfg.tracer != nil {
@@ -357,27 +322,24 @@ func New(addrs []string, opts ...Option) (*Cluster, error) {
 	return c, nil
 }
 
-// newBackend builds one pool entry with its client, breaker and metric
-// block. Dynamically joined backends start down (up=false) until their
-// first probe succeeds; seeds start up.
+// newBackend builds one pool entry with its client and metric block.
+// Dynamically joined backends start down (up=false) until their first
+// probe succeeds; seeds start up.
 func (c *Cluster) newBackend(addr, zone string, up bool) *backend {
-	bm := c.met.backend(addr)
 	b := &backend{
 		addr: addr,
 		zone: zone,
 		cl:   server.Dial(addr, c.clOpts...),
-		met:  bm,
+		met:  c.met.backend(addr),
 		gone: make(chan struct{}),
 	}
-	b.br = newBreaker(breakerThreshold, breakerCooldown,
-		func(s int) { bm.breakerState.Set(int64(s)) })
 	b.setUp(up)
 	return b
 }
 
-// Close stops the health probes, cancels in-flight warm-ups, and
-// closes every backend client. In-flight calls fail; further calls
-// return ErrEngineClosed-wrapped errors.
+// Close stops the health probes and closes every backend client.
+// In-flight calls fail; further calls return ErrEngineClosed-wrapped
+// errors.
 func (c *Cluster) Close() error {
 	c.memMu.Lock()
 	already := c.closed.Swap(true)
@@ -385,18 +347,9 @@ func (c *Cluster) Close() error {
 	if already {
 		return nil
 	}
-	// Barrier: any maybeWarm holding warm.mu before this either sees
-	// closed or has already registered in wg; none can start after.
-	c.warm.mu.Lock()
-	c.warm.mu.Unlock() //nolint:staticcheck // empty critical section is the point
-	c.baseCancel()
 	close(c.stop)
 	c.wg.Wait()
-	p := c.pool.Load()
-	for _, b := range p.backends {
-		b.cl.Close()
-	}
-	for _, b := range p.departed {
+	for _, b := range c.pool.Load().backends {
 		b.cl.Close()
 	}
 	return nil
@@ -407,7 +360,7 @@ func (c *Cluster) Registry() *obs.Registry { return c.cfg.registry }
 
 // Addrs lists the routable backend addresses in pool order.
 func (c *Cluster) Addrs() []string {
-	p := c.snapshot()
+	p := c.pool.Load()
 	out := make([]string, len(p.backends))
 	for i, b := range p.backends {
 		out[i] = b.addr
@@ -419,14 +372,13 @@ func (c *Cluster) Addrs() []string {
 type BackendStatus struct {
 	Addr     string
 	Zone     string // failure-domain label ("" when unlabeled)
-	Up       bool   // in rotation (health probes)
+	Up       bool   // in rotation
 	Inflight int64  // cluster-side requests currently on it
-	Breaker  string // "closed" | "half-open" | "open"
 }
 
 // Status snapshots every routable backend, in pool order.
 func (c *Cluster) Status() []BackendStatus {
-	p := c.snapshot()
+	p := c.pool.Load()
 	out := make([]BackendStatus, len(p.backends))
 	for i, b := range p.backends {
 		out[i] = BackendStatus{
@@ -434,7 +386,6 @@ func (c *Cluster) Status() []BackendStatus {
 			Zone:     b.zone,
 			Up:       b.up(),
 			Inflight: b.inflight.Load(),
-			Breaker:  breakerStateName(b.br.State()),
 		}
 	}
 	return out
@@ -500,10 +451,8 @@ func failoverable(err error) bool {
 // returns a slice while the single ops return a value.
 //
 // The membership snapshot is taken once per call: a concurrent
-// join/leave never changes routing mid-request. During a handover
-// window the first pick may dual-route — serve from the modulus's old
-// (warm) home while maybeWarm duplicates the call onto the new home in
-// the background.
+// join/leave never changes routing mid-request, and a backend retired
+// since then is out of rotation, so the snapshot skips it.
 func doCall[T any](c *Cluster, ctx context.Context, op server.Op, key []byte,
 	call func(context.Context, *backend) (T, error)) (T, error) {
 	var zero T
@@ -511,27 +460,19 @@ func doCall[T any](c *Cluster, ctx context.Context, op server.Op, key []byte,
 		return zero, fmt.Errorf("cluster: closed: %w", errs.ErrEngineClosed)
 	}
 	c.budget.credit()
-	p := c.snapshot()
-	tried := make(map[*backend]bool, len(p.backends)+1)
+	p := c.pool.Load()
+	tried := make(map[*backend]bool, len(p.backends))
 	var lastErr error
 	budgeted := false // did retry budget fund the upcoming attempt?
-	// One extra iteration: a handover primary can live outside
-	// p.backends (a departed-but-warm old home).
-	for i := 0; i <= len(p.backends); i++ {
-		b, reason, warmTarget := c.pick(p, key, tried, false)
+	for i := 0; i < len(p.backends); i++ {
+		b, reason := c.choose(p, key, tried, false)
 		if b == nil {
 			break
 		}
 		if i > 0 {
-			reason, warmTarget = "failover", nil
+			reason = "failover"
 		}
 		tried[b] = true
-		if reason == "handover" {
-			c.met.handoverDualRouted.Inc()
-		}
-		if warmTarget != nil {
-			maybeWarm(c, p, warmTarget, key, call)
-		}
 		v, err := attempt(c, ctx, op, p, b, key, tried, reason, budgeted, call)
 		if err == nil {
 			return v, nil
@@ -634,7 +575,7 @@ func attempt[T any](c *Cluster, ctx context.Context, op server.Op, p *membership
 			lastErr = r.err
 		case <-hedgeC:
 			hedgeC = nil
-			h, _, _ := c.pick(p, key, tried, true)
+			h, _ := c.choose(p, key, tried, true)
 			if h == nil {
 				continue
 			}
@@ -694,34 +635,50 @@ func (c *Cluster) recordAttempt(tc obs.TraceContext, span obs.SpanID, op server.
 	c.cfg.tracer.Record(s)
 }
 
-// observe feeds one finished backend call into the breaker, the
-// latency histogram and the integrity streak. Only transport failures
-// trip the breaker: an application error or an explicit
-// overload/drain answer proves the transport works, and a
-// cancellation says nothing either way. Integrity answers prove the
-// transport works too — the backend is corrupting, not unreachable —
-// so they feed their own ejection streak instead of the breaker.
+// observe feeds one finished backend call into the latency histogram
+// and the backend's two streaks. Only transport failures add to the
+// transport streak, and a draining answer ejects at once: the backend
+// itself said it is going away. An application error or an explicit
+// overload answer proves the transport works, and a cancellation says
+// nothing either way. Integrity answers prove the transport works too
+// — the backend is corrupting, not unreachable — so they feed their
+// own ejection streak instead.
 func (c *Cluster) observe(b *backend, err error, elapsed time.Duration) {
 	switch {
 	case err == nil:
-		b.br.Success()
 		b.integrityStreak.Store(0)
 		c.met.latency.ObserveDuration(elapsed)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		// no signal
-	case errors.Is(err, errs.ErrBackendDown):
-		b.br.Failure()
+		return // no signal
+	case errors.Is(err, errs.ErrBackendDown) || errors.Is(err, errs.ErrDraining):
+		c.transportFailed(b, err)
+		return
 	case errors.Is(err, errs.ErrIntegrity):
-		b.br.Success()
 		b.met.integrityFailures.Inc()
-		streak := b.integrityStreak.Add(1)
-		if c.cfg.integrityEject > 0 && streak >= int64(c.cfg.integrityEject) && b.up() {
-			b.setUp(false)
+		if n := c.cfg.integrityEject; n > 0 && b.integrityStreak.Add(1) >= int64(n) {
 			b.integrityStreak.Store(0)
-			b.met.ejections.Inc()
+			c.eject(b)
 		}
-	default:
-		b.br.Success()
+	}
+	b.transportStreak.Store(0)
+}
+
+// transportFailed records one failed probe or live ErrBackendDown
+// answer: failThreshold consecutive ones eject the backend, and so
+// does a single draining answer.
+func (c *Cluster) transportFailed(b *backend, err error) {
+	if b.transportStreak.Add(1) >= int64(c.cfg.failThreshold) || errors.Is(err, errs.ErrDraining) {
+		c.eject(b)
+	}
+}
+
+// eject takes b out of rotation — the one writer of the ejections
+// counter, for transport and integrity ejections alike. A no-op if b is
+// already out. Only a successful probe puts it back (see probeLoop).
+func (c *Cluster) eject(b *backend) {
+	if b.upFlag.CompareAndSwap(true, false) {
+		b.met.up.Set(0)
+		b.met.ejections.Inc()
 	}
 }
 
@@ -743,31 +700,13 @@ func (c *Cluster) hedgeDelay() time.Duration {
 	return d
 }
 
-// pick chooses the next backend: among in-rotation, not-yet-tried
-// backends whose breaker admits a request, the modulus's HRW home
-// unless it is overloaded (then the least-inflight backend), or plain
-// least-inflight when there is no affinity key. Returns nil when no
-// backend qualifies. Backends whose breaker denies the request are
-// marked tried, so callers naturally move past them. During a handover
-// window the pick may be the modulus's old home, in which case
-// warmTarget names the new home for maybeWarm; forHedge picks skip the
-// handover path and known-bad zones.
-func (c *Cluster) pick(p *membership, key []byte, tried map[*backend]bool,
-	forHedge bool) (b *backend, reason string, warmTarget *backend) {
-	for {
-		b, reason, warmTarget := c.choose(p, key, tried, forHedge)
-		if b == nil {
-			return nil, "", nil
-		}
-		if b.br.Allow() {
-			return b, reason, warmTarget
-		}
-		tried[b] = true
-	}
-}
-
+// choose picks the next backend among in-rotation, not-yet-tried ones:
+// the modulus's HRW home unless it is overloaded (then the
+// least-inflight backend), or plain least-inflight when there is no
+// affinity key. Returns nil when no backend qualifies. forHedge picks
+// also skip known-bad zones.
 func (c *Cluster) choose(p *membership, key []byte, excluded map[*backend]bool,
-	forHedge bool) (pick *backend, reason string, warmTarget *backend) {
+	forHedge bool) (pick *backend, reason string) {
 	cands := make([]*backend, 0, len(p.backends))
 	for _, b := range p.backends {
 		if !b.up() || excluded[b] {
@@ -784,7 +723,7 @@ func (c *Cluster) choose(p *membership, key []byte, excluded map[*backend]bool,
 		cands = append(cands, b)
 	}
 	if len(cands) == 0 {
-		return nil, "", nil
+		return nil, ""
 	}
 
 	// Least-inflight with a rotating tie-break, so equal backends share
@@ -819,38 +758,10 @@ func (c *Cluster) choose(p *membership, key []byte, excluded map[*backend]bool,
 
 	if c.cfg.affinity && len(key) > 0 {
 		home := hrwBest(key, cands)
-		if !forHedge && c.handoverActive(p) {
-			// Dual-route a moved modulus: its old home still holds the
-			// warm mont.Ctx, so it serves the request (no cold-cache
-			// cliff) while the new home is warmed in the background. Old
-			// homes are resolved over the previous routable set — which
-			// may include a departed backend that is still up and
-			// answering; one that stopped answering probes has dropped
-			// out of up() and the modulus routes to its new home at once.
-			old := c.oldHome(p, key, excluded)
-			if old != nil && old != home &&
-				old.inflight.Load() <= 2*min+spillSlack {
-				return old, "handover", home
-			}
-		}
 		if home.inflight.Load() <= 2*min+spillSlack {
-			return home, "affinity", nil
+			return home, "affinity"
 		}
-		return least, "spill", nil
+		return least, "spill"
 	}
-	return least, "least_inflight", nil
-}
-
-// oldHome resolves a key's HRW home over the pre-change routable set.
-func (c *Cluster) oldHome(p *membership, key []byte, excluded map[*backend]bool) *backend {
-	old := make([]*backend, 0, len(p.prev))
-	for _, b := range p.prev {
-		if b.up() && !excluded[b] {
-			old = append(old, b)
-		}
-	}
-	if len(old) == 0 {
-		return nil
-	}
-	return hrwBest(key, old)
+	return least, "least_inflight"
 }

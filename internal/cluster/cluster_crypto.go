@@ -2,7 +2,7 @@ package cluster
 
 // Signing-service routing. The cluster implements server.SignHandler by
 // forwarding each op through the same doCall loop as the compute ops,
-// so signing inherits failover, hedging, breakers and the retry budget
+// so signing inherits failover, hedging, ejection and the retry budget
 // unchanged. Routing reuses the HRW affinity plane: instead of the raw
 // modulus, signing ops hash a *key handle* (cryptosvc.RSAKeyHandle /
 // ECDSAKeyHandle), which pins every request for one private key to one

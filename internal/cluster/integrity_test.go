@@ -60,7 +60,7 @@ func TestClusterIntegrityFailover(t *testing.T) {
 	}
 
 	var fb *backend
-	for _, b := range c.snapshot().backends {
+	for _, b := range c.pool.Load().backends {
 		if b.addr == faulty {
 			fb = b
 		}
@@ -131,7 +131,7 @@ func TestClusterIntegrityStreakReset(t *testing.T) {
 	if !sawIntegrity {
 		t.Fatal("one-shot fault never surfaced")
 	}
-	b := c.snapshot().backends[0]
+	b := c.pool.Load().backends[0]
 	if b.met.ejections.Value() != 0 {
 		t.Fatal("a single integrity failure ejected the backend despite threshold 2")
 	}

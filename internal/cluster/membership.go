@@ -3,17 +3,13 @@ package cluster
 // Dynamic membership: the pool of backends is an immutable snapshot
 // swapped atomically on every join/leave, the way the engine swaps
 // mont.Ctx generations — readers never lock, writers serialize on
-// memMu. A membership change does not cut traffic over instantly:
-// HRW affinity means most moduli keep their home, and the ones that
-// move enter a bounded handover window during which the old home keeps
-// answering (its mont.Ctx cache is warm) while the router warms the
-// new home with background duplicates of live traffic. When the window
-// closes, routing settles on the new assignment and departed backends
-// are retired. This is the paper's Fig. 5 replicated-array scaling
-// made elastic: arrays can be added or removed while the conveyor
-// keeps moving, and the warm-up cost of the move is measured
-// (montsys_cluster_handover_warmups_total) and capped
-// (WithHandover's maxWarm).
+// memMu. A change takes effect at once: HRW affinity means most moduli
+// keep their home, and a modulus that moves pays one inline context
+// build on its new home — about one F4 exponentiation on the CIOS kit
+// (kits.ctx_build_us.2048 in bench/). A departing backend is retired
+// on the spot: out of rotation, probe loop stopped, client closed.
+// This is the paper's Fig. 5 replicated-array scaling made elastic:
+// arrays can be added or removed while the conveyor keeps moving.
 
 import (
 	"context"
@@ -21,8 +17,6 @@ import (
 	"net"
 	"os"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/errs"
 )
@@ -31,98 +25,29 @@ import (
 // so a Join accepted here is always encodable.
 const maxMemberField = 256
 
-// membership is one immutable snapshot of the pool. backends is the
-// routable set; during a handover window (now < until) prev holds the
-// routable set from before the change so moved moduli can keep
-// resolving their old home, and departed holds former members that
-// stay alive — still probed, still answering — until the window ends
-// and settle retires them.
+// membership is one immutable snapshot of the routable pool.
 type membership struct {
-	epoch    uint64
 	backends []*backend
-	prev     []*backend
-	until    time.Time
-	departed []*backend
 }
 
-// handoverActive reports whether p is inside its handover window.
-func (c *Cluster) handoverActive(p *membership) bool {
-	return p.prev != nil && c.now().Before(p.until)
-}
-
-// snapshot returns the current membership, lazily settling an expired
-// handover window first so no background timer is needed: the first
-// request (or probe, or status read) past the deadline completes the
-// handover.
-func (c *Cluster) snapshot() *membership {
-	p := c.pool.Load()
-	if p.prev != nil && !c.now().Before(p.until) {
-		c.settle(p)
-		p = c.pool.Load()
-	}
-	return p
-}
-
-// settle completes an expired handover window: install the pruned
-// snapshot and retire the departed backends. No-op if the pool moved
-// under us (another settle, or a newer membership change that opened a
-// fresh window).
-func (c *Cluster) settle(old *membership) {
-	c.memMu.Lock()
-	defer c.memMu.Unlock()
-	p := c.pool.Load()
-	if p != old || p.prev == nil || c.now().Before(p.until) {
-		return
-	}
-	c.pool.Store(&membership{epoch: p.epoch + 1, backends: p.backends})
-	for _, b := range p.departed {
-		c.retire(b)
-	}
-}
-
-// retire stops a departed backend's probe loop and closes its client.
-// Called exactly once per backend, always under memMu.
+// retire takes a departed backend out of rotation, stops its probe
+// loop and closes its client. A request still holding an older
+// snapshot then skips it. Called exactly once per backend, always
+// under memMu.
 func (c *Cluster) retire(b *backend) {
+	b.setUp(false)
 	close(b.gone)
 	b.cl.Close()
 }
 
-// install swaps in a new routable set under memMu. When a handover
-// window is configured the outgoing routable set is kept as prev (so
-// moved moduli dual-route) and departing backends stay alive in
-// departed; otherwise departures retire immediately. Back-to-back
-// changes chain: the window restarts and already-departed backends ride
-// along until the latest window closes.
-func (c *Cluster) installLocked(p *membership, next []*backend, departing []*backend) {
-	dep := make([]*backend, 0, len(p.departed)+len(departing))
-	dep = append(dep, p.departed...)
-	dep = append(dep, departing...)
-	m := &membership{epoch: p.epoch + 1, backends: next}
-	if c.cfg.handoverWindow > 0 && len(p.backends) > 0 {
-		m.prev = p.backends
-		m.until = c.now().Add(c.cfg.handoverWindow)
-		m.departed = dep
-	} else {
-		for _, b := range dep {
-			c.retire(b)
-		}
+// installLocked swaps in a new routable set under memMu and retires
+// the departing backend, if any.
+func (c *Cluster) installLocked(next []*backend, departing *backend) {
+	c.pool.Store(&membership{backends: next})
+	if departing != nil {
+		c.retire(departing)
 	}
-	c.pool.Store(m)
 	c.met.members.Set(int64(len(next)))
-}
-
-// settleLocked is snapshot's settle pass for callers already holding
-// memMu (Join/Goodbye), so a change lands on a settled base.
-func (c *Cluster) settleLocked() *membership {
-	p := c.pool.Load()
-	if p.prev != nil && !c.now().Before(p.until) {
-		c.pool.Store(&membership{epoch: p.epoch + 1, backends: p.backends})
-		for _, b := range p.departed {
-			c.retire(b)
-		}
-		p = c.pool.Load()
-	}
-	return p
 }
 
 // checkMember validates a join's fields against the same caps the wire
@@ -165,7 +90,7 @@ func (c *Cluster) Join(ctx context.Context, addr, zone string) (int, error) {
 	if c.closed.Load() {
 		return 0, fmt.Errorf("cluster: closed: %w", errs.ErrEngineClosed)
 	}
-	p := c.settleLocked()
+	p := c.pool.Load()
 
 	var relabeled *backend
 	next := make([]*backend, 0, len(p.backends)+1)
@@ -174,8 +99,8 @@ func (c *Cluster) Join(ctx context.Context, addr, zone string) (int, error) {
 			if b.zone == zone {
 				return len(p.backends), nil
 			}
-			// Zone change: the old entry departs (staying warm through
-			// the window) and a fresh entry joins under the new label.
+			// Zone change: the old entry departs and a fresh entry
+			// joins under the new label.
 			relabeled = b
 			continue
 		}
@@ -188,11 +113,7 @@ func (c *Cluster) Join(ctx context.Context, addr, zone string) (int, error) {
 	nb := c.newBackend(addr, zone, false)
 	next = append(next, nb)
 
-	var departing []*backend
-	if relabeled != nil {
-		departing = []*backend{relabeled}
-	}
-	c.installLocked(p, next, departing)
+	c.installLocked(next, relabeled)
 	c.met.joins.Inc()
 	c.wg.Add(1)
 	go c.probeLoop(nb, 0) // immediate first probe: join latency = one RTT
@@ -202,12 +123,9 @@ func (c *Cluster) Join(ctx context.Context, addr, zone string) (int, error) {
 // Goodbye removes a backend from the pool at runtime, implementing the
 // wire protocol's OpGoodbye. Idempotent: an address that is not a
 // member answers the current count unchanged. The departing backend
-// leaves the routable set immediately — no new affinity assignments —
-// but while it still answers probes it remains eligible as the OLD
-// home of moved moduli for the handover window, so a graceful
-// departure hands its warm contexts over instead of cliffing them. A
-// backend that says goodbye because it is draining stops answering
-// probes within one round and drops out of the window early.
+// is retired at once; its moduli move to their next HRW home, which
+// builds each context inline on first use, and requests in flight on
+// it fail over for free.
 func (c *Cluster) Goodbye(ctx context.Context, addr string) (int, error) {
 	if err := checkMember(addr, ""); err != nil {
 		return 0, err
@@ -217,7 +135,7 @@ func (c *Cluster) Goodbye(ctx context.Context, addr string) (int, error) {
 	if c.closed.Load() {
 		return 0, fmt.Errorf("cluster: closed: %w", errs.ErrEngineClosed)
 	}
-	p := c.settleLocked()
+	p := c.pool.Load()
 
 	var leaving *backend
 	next := make([]*backend, 0, len(p.backends))
@@ -231,7 +149,7 @@ func (c *Cluster) Goodbye(ctx context.Context, addr string) (int, error) {
 	if leaving == nil {
 		return len(p.backends), nil
 	}
-	c.installLocked(p, next, []*backend{leaving})
+	c.installLocked(next, leaving)
 	c.met.leaves.Inc()
 	return len(next), nil
 }
@@ -245,7 +163,7 @@ type Member struct {
 // Members lists the current routable members in pool order — the diff
 // base for montsyslb's -backends @file watch loop.
 func (c *Cluster) Members() []Member {
-	p := c.snapshot()
+	p := c.pool.Load()
 	out := make([]Member, len(p.backends))
 	for i, b := range p.backends {
 		out[i] = Member{Addr: b.addr, Zone: b.zone}
@@ -304,66 +222,6 @@ func parseMember(f string) (Member, error) {
 	}
 	return Member{Addr: addr, Zone: zone}, nil
 }
-
-// warmState dedupes handover warm-ups: one background duplicate per
-// moved modulus per membership epoch, at most maxWarm per epoch. The
-// counter doubles as the measured context-cache churn of the change —
-// each warm-up is exactly one mont.Ctx the new home builds that it did
-// not have.
-type warmState struct {
-	mu    sync.Mutex
-	epoch uint64
-	seen  map[string]bool
-	n     int
-}
-
-// maybeWarm launches one background duplicate of a dual-routed request
-// against the modulus's new home, so its mont.Ctx LRU is warm before
-// the handover window closes and routing flips. The result is
-// discarded — correctness never depends on it — and the launch is
-// deduped per modulus and capped per epoch (suppressions are counted,
-// so an over-cap churn event is visible, not silent).
-func maybeWarm[T any](c *Cluster, p *membership, target *backend, key []byte,
-	call func(context.Context, *backend) (T, error)) {
-	c.warm.mu.Lock()
-	if c.closed.Load() {
-		c.warm.mu.Unlock()
-		return
-	}
-	if c.warm.epoch != p.epoch {
-		c.warm.epoch, c.warm.seen, c.warm.n = p.epoch, make(map[string]bool, 64), 0
-	}
-	k := string(key)
-	if c.warm.seen[k] {
-		c.warm.mu.Unlock()
-		return
-	}
-	if c.warm.n >= c.cfg.handoverMaxWarm {
-		c.warm.mu.Unlock()
-		c.met.warmSuppressed.Inc()
-		return
-	}
-	c.warm.seen[k] = true
-	c.warm.n++
-	c.wg.Add(1)
-	c.warm.mu.Unlock()
-
-	c.met.handoverWarmups.Inc()
-	c.met.pick(target, "warmup")
-	target.acquire()
-	go func() {
-		defer c.wg.Done()
-		defer target.release()
-		ctx, cancel := context.WithTimeout(c.baseCtx, warmTimeout)
-		defer cancel()
-		call(ctx, target)
-	}()
-}
-
-// warmTimeout bounds one handover warm-up call; building a mont.Ctx
-// and answering one op is milliseconds, so a warm-up that takes longer
-// is stuck behind an unhealthy backend and not worth waiting for.
-const warmTimeout = 3 * time.Second
 
 // zoneBad reports whether a zone is failing wholesale: at least two
 // members and at least half of them out of rotation. Hedges never

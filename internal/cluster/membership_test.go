@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"net"
 	"os"
 	"path/filepath"
 	"sync"
@@ -16,34 +15,9 @@ import (
 	"repro/internal/errs"
 )
 
-// vclock is a manually-advanced time source for handover-window tests:
-// the window "expires" exactly when the test says so, never because the
-// test ran slowly.
-type vclock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newVClock() *vclock { return &vclock{t: time.Unix(1_700_000_000, 0)} }
-
-func (v *vclock) now() time.Time {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.t
-}
-
-func (v *vclock) advance(d time.Duration) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.t = v.t.Add(d)
-}
-
 // modulusHomedOn scans odd moduli until it finds one whose HRW home
-// over addrs is want — and, when requires is non-nil, that also
-// satisfies the extra predicate (e.g. "its home over the pre-join set
-// was a specific other backend").
-func modulusHomedOn(t *testing.T, addrs []string, want string,
-	requires func(n *big.Int) bool) *big.Int {
+// over addrs is want.
+func modulusHomedOn(t *testing.T, addrs []string, want string) *big.Int {
 	t.Helper()
 	for i := int64(0); i < 1_000_000; i++ {
 		n := big.NewInt(1<<16 + 2*i + 1)
@@ -54,15 +28,11 @@ func modulusHomedOn(t *testing.T, addrs []string, want string,
 				best, bestScore = a, s
 			}
 		}
-		if best != want {
-			continue
+		if best == want {
+			return n
 		}
-		if requires != nil && !requires(n) {
-			continue
-		}
-		return n
 	}
-	t.Fatal("no modulus found with the required HRW homes")
+	t.Fatal("no modulus found with the required HRW home")
 	return nil
 }
 
@@ -89,7 +59,6 @@ func TestJoinMidFlight(t *testing.T) {
 	_, _, a2 := startBackend(t, []engine.Option{engine.WithWorkers(1)}, nil)
 	c, err := New([]string{a1},
 		WithHedging(false),
-		WithHandover(0, 0), // instantaneous membership for this test
 		WithProbeInterval(time.Hour))
 	if err != nil {
 		t.Fatal(err)
@@ -99,17 +68,12 @@ func TestJoinMidFlight(t *testing.T) {
 	defer cancel()
 
 	// A dead address joins, is probed, and never comes up.
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := dead.Addr().String()
-	dead.Close()
-	if n, err := c.Join(ctx, deadAddr, ""); err != nil || n != 2 {
+	dead := deadAddr(t)
+	if n, err := c.Join(ctx, dead, ""); err != nil || n != 2 {
 		t.Fatalf("Join(dead) = (%d, %v), want (2, nil)", n, err)
 	}
 	for _, st := range c.Status() {
-		if st.Addr == deadAddr && st.Up {
+		if st.Addr == dead && st.Up {
 			t.Fatal("a runtime join entered rotation before proving itself")
 		}
 	}
@@ -121,7 +85,7 @@ func TestJoinMidFlight(t *testing.T) {
 	waitBackendUp(t, c, a2, true)
 
 	// Traffic for a modulus homed on the joined backend lands there.
-	n := modulusHomedOn(t, []string{a1, a2}, a2, nil)
+	n := modulusHomedOn(t, []string{a1, a2}, a2)
 	got, err := c.ModExp(ctx, n, big.NewInt(2), big.NewInt(10))
 	if err != nil {
 		t.Fatalf("ModExp after join: %v", err)
@@ -144,7 +108,6 @@ func TestJoinMidFlight(t *testing.T) {
 func TestJoinIdempotentAndBounded(t *testing.T) {
 	_, _, a1 := startBackend(t, []engine.Option{engine.WithWorkers(1)}, nil)
 	c, err := New([]string{a1},
-		WithHandover(0, 0),
 		WithMaxMembers(2),
 		WithProbeInterval(time.Hour))
 	if err != nil {
@@ -190,21 +153,18 @@ func TestJoinIdempotentAndBounded(t *testing.T) {
 	}
 }
 
-// TestHandoverDualRouting is the churn-tolerance core on a virtual
-// clock: a join moves a modulus's HRW home, and during the handover
-// window the OLD home keeps serving it (its mont.Ctx is warm) while
-// exactly one background duplicate warms the NEW home. When the window
-// expires, routing flips to the new home and the pool settles.
-func TestHandoverDualRouting(t *testing.T) {
+// TestGoodbyeRetiresBackend: a graceful leave retires the departed
+// backend at once — client closed, probe loop exited, backend_up series
+// at 0 — and its moduli move to the remaining member.
+func TestGoodbyeRetiresBackend(t *testing.T) {
 	_, _, a1 := startBackend(t, []engine.Option{engine.WithWorkers(1)}, nil)
 	_, _, a2 := startBackend(t, []engine.Option{engine.WithWorkers(1)}, nil)
-	_, _, a3 := startBackend(t, []engine.Option{engine.WithWorkers(1)}, nil)
-	vc := newVClock()
+	// Fast probes: a probe loop that outlived retirement would count a
+	// failed probe against the closed client every few milliseconds.
 	c, err := New([]string{a1, a2},
 		WithHedging(false),
-		WithHandover(30*time.Second, 256),
-		WithProbeInterval(time.Hour),
-		withClock(vc.now))
+		WithProbeInterval(5*time.Millisecond),
+		WithReinstateBackoff(5*time.Millisecond, 5*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,143 +172,9 @@ func TestHandoverDualRouting(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
-	// A modulus homed on a1 pre-join whose home moves to a3 post-join.
-	n := modulusHomedOn(t, []string{a1, a2, a3}, a3, func(n *big.Int) bool {
-		return hrwScore(n.Bytes(), a1) > hrwScore(n.Bytes(), a2)
-	})
-
-	// Warm the old home.
-	if _, err := c.ModExp(ctx, n, big.NewInt(2), big.NewInt(10)); err != nil {
-		t.Fatal(err)
-	}
-	oldHomeAff := c.met.backend(a1).picks["affinity"].Value()
-	if oldHomeAff < 1 {
-		t.Fatal("pre-join request did not route to its affinity home")
-	}
-
-	if _, err := c.Join(ctx, a3, ""); err != nil {
-		t.Fatal(err)
-	}
-	waitBackendUp(t, c, a3, true)
-
-	// Inside the window: the old home answers, the new home warms once.
-	for i := 0; i < 5; i++ {
-		got, err := c.ModExp(ctx, n, big.NewInt(2), big.NewInt(int64(10+i)))
-		if err != nil {
-			t.Fatalf("ModExp during handover: %v", err)
-		}
-		if got.Cmp(wantModExp(n, big.NewInt(2), big.NewInt(int64(10+i)))) != 0 {
-			t.Fatal("wrong result during handover")
-		}
-	}
-	if got := c.met.handoverDualRouted.Value(); got != 5 {
-		t.Errorf("dual-routed = %d, want 5 (every in-window request)", got)
-	}
-	if got := c.met.backend(a1).picks["handover"].Value(); got != 5 {
-		t.Errorf("old home handover picks = %d, want 5", got)
-	}
-	if got := c.met.handoverWarmups.Value(); got != 1 {
-		t.Errorf("warmups = %d, want exactly 1 (deduped per modulus)", got)
-	}
-	if c.handoverActive(c.pool.Load()) != true {
-		t.Fatal("window not active under the virtual clock")
-	}
-
-	// Window expires: routing flips to the new home, the pool settles.
-	vc.advance(31 * time.Second)
-	got, err := c.ModExp(ctx, n, big.NewInt(2), big.NewInt(99))
-	if err != nil {
-		t.Fatalf("ModExp after handover: %v", err)
-	}
-	if got.Cmp(wantModExp(n, big.NewInt(2), big.NewInt(99))) != 0 {
-		t.Fatal("wrong result after handover")
-	}
-	if c.met.backend(a3).picks["affinity"].Value() < 1 {
-		t.Error("routing never flipped to the new home after the window")
-	}
-	if p := c.pool.Load(); p.prev != nil {
-		t.Error("pool did not settle after the window expired")
-	}
-}
-
-// TestHandoverWarmCap: the per-epoch warm-up cap bounds context-cache
-// churn — moved moduli past the cap are dual-routed but not warmed, and
-// the suppression is counted rather than silent.
-func TestHandoverWarmCap(t *testing.T) {
-	_, _, a1 := startBackend(t, []engine.Option{engine.WithWorkers(1)}, nil)
-	_, _, a2 := startBackend(t, []engine.Option{engine.WithWorkers(1)}, nil)
-	_, _, a3 := startBackend(t, []engine.Option{engine.WithWorkers(1)}, nil)
-	vc := newVClock()
-	c, err := New([]string{a1, a2},
-		WithHedging(false),
-		WithHandover(30*time.Second, 1), // at most ONE warm-up per change
-		WithProbeInterval(time.Hour),
-		withClock(vc.now))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	// Two distinct moduli that both move home to a3 on join.
-	movesToA3 := func(prevHome string) func(*big.Int) bool {
-		return func(n *big.Int) bool {
-			return hrwScore(n.Bytes(), prevHome) > hrwScore(n.Bytes(), otherOf(prevHome, a1, a2))
-		}
-	}
-	n1 := modulusHomedOn(t, []string{a1, a2, a3}, a3, movesToA3(a1))
-	n2 := modulusHomedOn(t, []string{a1, a2, a3}, a3, func(n *big.Int) bool {
-		return n.Cmp(n1) != 0 && movesToA3(a1)(n)
-	})
-
-	if _, err := c.Join(ctx, a3, ""); err != nil {
-		t.Fatal(err)
-	}
-	waitBackendUp(t, c, a3, true)
-
-	for _, n := range []*big.Int{n1, n2} {
-		if _, err := c.ModExp(ctx, n, big.NewInt(2), big.NewInt(10)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := c.met.handoverWarmups.Value(); got != 1 {
-		t.Errorf("warmups = %d, want 1 (capped)", got)
-	}
-	if got := c.met.warmSuppressed.Value(); got != 1 {
-		t.Errorf("suppressed = %d, want 1 (the over-cap modulus, counted)", got)
-	}
-}
-
-func otherOf(x, a, b string) string {
-	if x == a {
-		return b
-	}
-	return a
-}
-
-// TestGoodbyeHandoverAndRetirement: a graceful leave keeps the departed
-// backend serving its warm moduli through the window, then retires it —
-// probe loop stopped, client closed — when the window settles.
-func TestGoodbyeHandoverAndRetirement(t *testing.T) {
-	_, _, a1 := startBackend(t, []engine.Option{engine.WithWorkers(1)}, nil)
-	_, _, a2 := startBackend(t, []engine.Option{engine.WithWorkers(1)}, nil)
-	vc := newVClock()
-	c, err := New([]string{a1, a2},
-		WithHedging(false),
-		WithHandover(30*time.Second, 256),
-		WithProbeInterval(time.Hour),
-		withClock(vc.now))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	n := modulusHomedOn(t, []string{a1, a2}, a1, nil)
+	n := modulusHomedOn(t, []string{a1, a2}, a1)
 	var departing *backend
-	for _, b := range c.snapshot().backends {
+	for _, b := range c.pool.Load().backends {
 		if b.addr == a1 {
 			departing = b
 		}
@@ -364,28 +190,33 @@ func TestGoodbyeHandoverAndRetirement(t *testing.T) {
 		t.Fatalf("Members after goodbye = %v, want just %s", ms, a2)
 	}
 
-	// In-window: the departed-but-alive old home still serves its warm
-	// modulus.
-	if _, err := c.ModExp(ctx, n, big.NewInt(2), big.NewInt(11)); err != nil {
-		t.Fatalf("ModExp during leave handover: %v", err)
+	bm := c.met.backend(a1)
+	if v := bm.up.Value(); v != 0 || departing.up() {
+		t.Errorf("departed backend_up = %d (up=%v), want 0", v, departing.up())
 	}
-	if got := c.met.backend(a1).picks["handover"].Value(); got < 1 {
-		t.Errorf("departed backend handover picks = %d, want ≥ 1", got)
+	if _, err := departing.cl.Ping(ctx); !errors.Is(err, errs.ErrEngineClosed) {
+		t.Errorf("departed backend's client still open: Ping = %v", err)
+	}
+	time.Sleep(100 * time.Millisecond) // let a probe that raced the goodbye finish
+	before := bm.probeFailures.Value()
+	time.Sleep(100 * time.Millisecond)
+	if d := bm.probeFailures.Value() - before; d != 0 {
+		t.Errorf("departed backend's probe loop still running: %d probes in 100ms", d)
+	}
+	if v := bm.up.Value(); v != 0 {
+		t.Errorf("departed backend_up = %d after its probe loop exited, want 0", v)
 	}
 
-	// Window settles: the departed backend is retired for real.
-	vc.advance(31 * time.Second)
+	// The moved modulus is served by its new home.
 	got, err := c.ModExp(ctx, n, big.NewInt(2), big.NewInt(12))
 	if err != nil {
-		t.Fatalf("ModExp after leave settled: %v", err)
+		t.Fatalf("ModExp after goodbye: %v", err)
 	}
 	if got.Cmp(wantModExp(n, big.NewInt(2), big.NewInt(12))) != 0 {
-		t.Fatal("wrong result after leave settled")
+		t.Fatal("wrong result after goodbye")
 	}
-	select {
-	case <-departing.gone:
-	default:
-		t.Error("departed backend not retired after the window settled")
+	if c.met.backend(a2).picks["affinity"].Value() < 1 {
+		t.Error("moved modulus did not route to its new home")
 	}
 	if c.met.leaves.Value() != 1 {
 		t.Errorf("leaves = %d, want 1", c.met.leaves.Value())
@@ -394,7 +225,7 @@ func TestGoodbyeHandoverAndRetirement(t *testing.T) {
 
 // TestGoodbyeUnderLoad: a graceful leave in the middle of concurrent
 // traffic produces zero client-visible errors and zero wrong answers —
-// the departing backend's warm contexts hand over instead of cliffing.
+// requests in flight on the retired backend fail over for free.
 func TestGoodbyeUnderLoad(t *testing.T) {
 	_, _, a1 := startBackend(t, []engine.Option{engine.WithWorkers(2)}, nil)
 	_, _, a2 := startBackend(t, []engine.Option{engine.WithWorkers(2)}, nil)
@@ -454,13 +285,7 @@ func TestGoodbyeUnderLoad(t *testing.T) {
 func TestZonePreferenceAndBadZoneHedge(t *testing.T) {
 	// A dead seed keeps New() happy; routing below uses a synthetic
 	// membership, never the pool.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed := ln.Addr().String()
-	ln.Close()
-	c, err := New([]string{seed},
+	c, err := New([]string{deadAddr(t)},
 		WithZone("z1"),
 		WithAffinity(false),
 		WithProbeInterval(time.Hour))
@@ -481,14 +306,14 @@ func TestZonePreferenceAndBadZoneHedge(t *testing.T) {
 	// Tie on inflight: the local backend wins every rotation.
 	p := &membership{backends: []*backend{remote, local}}
 	for i := 0; i < 8; i++ {
-		b, reason, _ := c.choose(p, nil, map[*backend]bool{}, false)
+		b, reason := c.choose(p, nil, map[*backend]bool{}, false)
 		if b != local || reason != "least_inflight" {
 			t.Fatalf("tie pick %d = (%s, %s), want local z1 least_inflight", i, b.addr, reason)
 		}
 	}
 	// A strictly-less-loaded remote beats zone preference.
 	local.inflight.Store(5)
-	if b, _, _ := c.choose(p, nil, map[*backend]bool{}, false); b != remote {
+	if b, _ := c.choose(p, nil, map[*backend]bool{}, false); b != remote {
 		t.Fatalf("loaded-local pick = %s, want remote", b.addr)
 	}
 	local.inflight.Store(0)
@@ -499,18 +324,18 @@ func TestZonePreferenceAndBadZoneHedge(t *testing.T) {
 		t.Fatal("z2 with 1 of 2 down not considered bad")
 	}
 	before := c.met.hedgeZoneSkips.Value()
-	if b, _, _ := c.choose(pBad, nil, map[*backend]bool{}, true); b != local {
+	if b, _ := c.choose(pBad, nil, map[*backend]bool{}, true); b != local {
 		t.Fatalf("hedge pick = %v, want the z1 backend", b)
 	}
 	if c.met.hedgeZoneSkips.Value() <= before {
 		t.Error("hedge zone skip not counted")
 	}
 	// ...even when that leaves nothing to hedge onto...
-	if b, _, _ := c.choose(pBad, nil, map[*backend]bool{local: true}, true); b != nil {
+	if b, _ := c.choose(pBad, nil, map[*backend]bool{local: true}, true); b != nil {
 		t.Fatalf("hedge into a bad zone: picked %s", b.addr)
 	}
 	// ...while primary routing still uses it (slow beats unavailable).
-	if b, _, _ := c.choose(pBad, nil, map[*backend]bool{local: true}, false); b != remote {
+	if b, _ := c.choose(pBad, nil, map[*backend]bool{local: true}, false); b != remote {
 		t.Fatalf("primary pick with only bad-zone capacity = %v, want remote", b)
 	}
 }

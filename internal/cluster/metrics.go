@@ -14,12 +14,7 @@ import (
 //	least_inflight  no affinity key (or affinity disabled)
 //	failover        previous backend failed; next choice
 //	hedge           tail-latency hedge fired on a second backend
-//	handover        old HRW home serving a moved modulus during the window
-//	warmup          background duplicate warming a modulus's new home
-var pickReasons = []string{
-	"affinity", "spill", "least_inflight", "failover", "hedge",
-	"handover", "warmup",
-}
+var pickReasons = []string{"affinity", "spill", "least_inflight", "failover", "hedge"}
 
 // metrics is the cluster's instrument block, pre-registered so the
 // request hot path never touches the registry lock. Registered into
@@ -27,9 +22,8 @@ var pickReasons = []string{
 // to the backends' pages) it completes the client → balancer → backend
 // → engine → systolic-core metrics story:
 //
-//	montsys_cluster_backend_up{backend}          1 = in rotation (gauge)
+//	montsys_cluster_backend_up{backend}          1 = in rotation, 0 = ejected or retired
 //	montsys_cluster_backend_inflight{backend}    cluster-side in-flight (gauge)
-//	montsys_cluster_breaker_state{backend}       0 closed, 1 half-open, 2 open
 //	montsys_cluster_picks_total{backend,reason}  routing decisions (counter)
 //	montsys_cluster_affinity_hits_total          requests routed to their HRW home
 //	montsys_cluster_affinity_spills_total        affinity home overloaded, spilled
@@ -39,7 +33,7 @@ var pickReasons = []string{
 //	montsys_cluster_failovers_total              attempts moved to another backend
 //	montsys_cluster_retry_budget_denied_total    hedges/retries the budget refused
 //	montsys_cluster_probe_failures_total{backend}
-//	montsys_cluster_ejections_total{backend}     health + integrity ejections
+//	montsys_cluster_ejections_total{backend}     transport + integrity ejections
 //	montsys_cluster_reinstatements_total{backend}
 //	montsys_cluster_integrity_failures_total{backend}  ErrIntegrity answers
 //	montsys_cluster_request_seconds              end-to-end latency histogram
@@ -48,13 +42,6 @@ var pickReasons = []string{
 //	                                             or overloaded, by tenant
 //	montsys_cluster_members                      routable member count (gauge)
 //	montsys_cluster_membership_changes_total{kind}  joins and leaves
-//	montsys_cluster_handover_dual_routed_total   requests served by a moved
-//	                                             modulus's old home
-//	montsys_cluster_handover_warmups_total       background duplicates sent to
-//	                                             warm a new home (= measured
-//	                                             context-cache churn)
-//	montsys_cluster_handover_warm_suppressed_total  warm-ups dropped by the
-//	                                             per-epoch cap
 //	montsys_cluster_hedge_zone_skips_total       hedge candidates skipped for
 //	                                             living in a known-bad zone
 //
@@ -65,23 +52,20 @@ var pickReasons = []string{
 // first sight for runtime joins (obs.Registry registration is
 // idempotent, so a re-join reuses the existing series).
 type metrics struct {
-	latency            *obs.Histogram
-	hedges             *obs.Counter
-	hedgeWins          *obs.Counter
-	affinityHits       *obs.Counter
-	affinitySpills     *obs.Counter
-	keyhandleReqs      *obs.Counter
-	failovers          *obs.Counter
-	budgetDenied       *obs.Counter
-	members            *obs.Gauge
-	joins              *obs.Counter
-	leaves             *obs.Counter
-	handoverDualRouted *obs.Counter
-	handoverWarmups    *obs.Counter
-	warmSuppressed     *obs.Counter
-	hedgeZoneSkips     *obs.Counter
-	tenantPicks        map[string]*obs.Counter
-	tenantSheds        map[string]*obs.Counter
+	latency        *obs.Histogram
+	hedges         *obs.Counter
+	hedgeWins      *obs.Counter
+	affinityHits   *obs.Counter
+	affinitySpills *obs.Counter
+	keyhandleReqs  *obs.Counter
+	failovers      *obs.Counter
+	budgetDenied   *obs.Counter
+	members        *obs.Gauge
+	joins          *obs.Counter
+	leaves         *obs.Counter
+	hedgeZoneSkips *obs.Counter
+	tenantPicks    map[string]*obs.Counter
+	tenantSheds    map[string]*obs.Counter
 
 	reg        *obs.Registry
 	mu         sync.Mutex // guards perBackend after construction
@@ -91,7 +75,6 @@ type metrics struct {
 type backendMetrics struct {
 	up                *obs.Gauge
 	inflight          *obs.Gauge
-	breakerState      *obs.Gauge
 	picks             map[string]*obs.Counter
 	probeFailures     *obs.Counter
 	ejections         *obs.Counter
@@ -138,12 +121,6 @@ func newMetrics(reg *obs.Registry, seeds []Member, tenants []string) *metrics {
 		"Membership changes applied, by kind.", obs.Label("kind", "join"))
 	m.leaves = reg.CounterLabeled("montsys_cluster_membership_changes_total",
 		"Membership changes applied, by kind.", obs.Label("kind", "leave"))
-	m.handoverDualRouted = reg.Counter("montsys_cluster_handover_dual_routed_total",
-		"Requests served by a moved modulus's old home during a handover window.")
-	m.handoverWarmups = reg.Counter("montsys_cluster_handover_warmups_total",
-		"Background duplicates sent to warm a moved modulus's new home.")
-	m.warmSuppressed = reg.Counter("montsys_cluster_handover_warm_suppressed_total",
-		"Handover warm-ups suppressed by the per-epoch cap.")
 	m.hedgeZoneSkips = reg.Counter("montsys_cluster_hedge_zone_skips_total",
 		"Hedge candidates skipped because their zone is absorbing failures.")
 	for _, s := range seeds {
@@ -169,8 +146,6 @@ func (m *metrics) backend(addr string) *backendMetrics {
 			"1 while the backend is in rotation, 0 while ejected.", bl),
 		inflight: reg.GaugeLabeled("montsys_cluster_backend_inflight",
 			"Requests the cluster currently has in flight on the backend.", bl),
-		breakerState: reg.GaugeLabeled("montsys_cluster_breaker_state",
-			"Circuit breaker state: 0 closed, 1 half-open, 2 open.", bl),
 		picks: make(map[string]*obs.Counter, len(pickReasons)),
 		probeFailures: reg.CounterLabeled("montsys_cluster_probe_failures_total",
 			"Health probes that failed or answered draining.", bl),

@@ -218,7 +218,7 @@ func TestHedgeAttemptWideLines(t *testing.T) {
 	tc := obs.TraceContext{TraceID: obs.NewTraceID(), SpanID: obs.NewSpanID(), Sampled: true}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	n := modulusHomedOn(t, addrs, stuck, nil)
+	n := modulusHomedOn(t, addrs, stuck)
 	if _, err := c.ModExp(obs.ContextWithTrace(ctx, tc), n, big.NewInt(2), big.NewInt(10)); err != nil {
 		t.Fatalf("hedged ModExp: %v", err)
 	}

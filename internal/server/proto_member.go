@@ -49,7 +49,7 @@ type memberBody struct {
 
 // MembershipHandler is the optional handler surface behind the
 // membership ops. The cluster balancer implements it (runtime
-// join/leave with gradual handover); servers whose handler does not —
+// join/leave, effective at once); servers whose handler does not —
 // montsysd's engine handler — answer membership frames with
 // CodeProtocol. Implementations must be safe for concurrent use and
 // idempotent: Join of a present member and Goodbye of an absent one
