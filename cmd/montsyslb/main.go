@@ -64,12 +64,15 @@
 // and, after -integrity-eject consecutive ones from the same backend,
 // take that backend out of rotation until a probe clears it.
 //
-// The signing ops route through the proxy unchanged: the cluster
-// implements the signing handler surface itself, forwarding RSA
-// keygen/sign/verify and ECDSA sign/batch-verify to backends with the
-// same failover/hedging machinery, routed on the affinity plane by
-// *key handle* (a fingerprint of the key, never raw private material)
-// so repeat traffic for one key lands on one warm backend
+// Every op routes through the proxy the same way: its front door
+// decodes the request (rejecting a malformed one before it can reach a
+// backend connection), forwards the body bytes unchanged with the
+// failover/hedging machinery above, and passes the backend's answer
+// back undecoded, so application errors reach the client exactly as
+// the backend wrote them. The signing ops — RSA keygen/sign/verify and
+// ECDSA sign/batch-verify — route on the affinity plane by *key
+// handle* (a fingerprint of the key, never raw private material) so
+// repeat traffic for one key lands on one warm backend
 // (montsys_cluster_keyhandle_requests_total counts these).
 //
 // On SIGTERM/SIGINT the proxy itself drains gracefully, exactly like
@@ -308,7 +311,7 @@ func run(listen, backends string, inflight int, idle, drain, probe, frameTimeout
 		srvOpts = append(srvOpts, server.WithQoS(plane))
 		quotaz = plane
 	}
-	srv, err := server.NewHandlerServer(cl, srvOpts...)
+	srv, err := server.NewForwardingServer(cl, srvOpts...)
 	if err != nil {
 		return err
 	}

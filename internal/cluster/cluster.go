@@ -3,7 +3,11 @@
 // montsys wire protocol and makes them behave like a single, larger,
 // more reliable engine — the same move the paper makes inside one
 // exponentiator when it replicates and pipelines MMM arrays (§5,
-// Fig. 5), lifted one level up.
+// Fig. 5), lifted one level up. Like a cell of the paper's systolic
+// array passing on the words it does not need to interpret, the
+// cluster forwards each request's body to a backend as bytes, routed by
+// the key its op-table row declares, and hands the backend's answer
+// back undecoded; it has no per-op code.
 //
 // The router is built from five cooperating mechanisms:
 //
@@ -22,11 +26,13 @@
 //     Rendezvous (HRW) hashing on the modulus gives every N a stable
 //     "home" backend with no shared state and minimal movement when
 //     the pool changes; repeat-modulus traffic therefore lands on warm
-//     caches. A home that is overloaded (relative to the least-loaded
-//     backend) is spilled away from; requests with no affinity key use
-//     least-inflight selection. Membership changes take effect at once:
-//     a modulus whose home moves pays one inline context build on its
-//     new home, about the cost of one F4 exponentiation on the CIOS kit.
+//     caches. Signing requests hash a key handle instead, so every
+//     request for one key meets the same warm contexts. A home that is
+//     overloaded (relative to the least-loaded backend) is spilled away
+//     from; requests with no routing key use least-inflight selection.
+//     Membership changes take effect at once: a modulus whose home
+//     moves pays one inline context build on its new home, about the
+//     cost of one F4 exponentiation on the CIOS kit.
 //
 //   - Tail-latency hedging. After a delay derived from the cluster's
 //     own p99 latency, a slow request is raced against a second
@@ -61,12 +67,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/big"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/errs"
 	"repro/internal/obs"
 	"repro/internal/qos"
@@ -210,12 +214,11 @@ func WithZone(zone string) Option { return func(c *config) { c.zone = zone } }
 func WithMaxMembers(n int) Option { return func(c *config) { c.maxMembers = n } }
 
 // Cluster routes montsys requests over a pool of montsysd backends.
-// It implements the same call surface as server.Client (ModExp, Mont,
-// ModExpBatch) and satisfies server.Handler, so it can sit behind a
-// wire server of its own — that composition is the montsyslb proxy —
-// and server.MembershipHandler, so that wire server accepts runtime
-// join/goodbye (see membership.go). A Cluster is safe for concurrent
-// use by multiple goroutines.
+// It is a server.Forwarder: behind server.NewForwardingServer — that
+// composition is the montsyslb proxy — it hands each request's body to
+// a backend unchanged and the backend's answer back undecoded (Forward),
+// and executes runtime join/goodbye itself (see membership.go). A
+// Cluster is safe for concurrent use by multiple goroutines.
 type Cluster struct {
 	cfg    config
 	met    *metrics
@@ -234,8 +237,8 @@ type Cluster struct {
 	closed atomic.Bool
 }
 
-// Cluster is the balancer's membership surface behind OpJoin/OpGoodbye.
-var _ server.MembershipHandler = (*Cluster)(nil)
+// Cluster is what montsyslb's wire server forwards to.
+var _ server.Forwarder = (*Cluster)(nil)
 
 // New builds a cluster over the seed members and starts their health
 // probes. Each entry is "host:port" or "host:port=zone". Seed members
@@ -391,48 +394,6 @@ func (c *Cluster) Status() []BackendStatus {
 	return out
 }
 
-// ModExp computes Base^Exp mod N on the cluster, routing by N's
-// affinity home and hedging the tail.
-func (c *Cluster) ModExp(ctx context.Context, n, base, exp *big.Int) (*big.Int, error) {
-	return doCall(c, ctx, server.OpModExp, affinityKey(n),
-		func(ctx context.Context, b *backend) (*big.Int, error) {
-			return b.cl.ModExp(ctx, n, base, exp)
-		})
-}
-
-// Mont computes the raw Montgomery product X·Y·R⁻¹ mod 2N on the
-// cluster.
-func (c *Cluster) Mont(ctx context.Context, n, x, y *big.Int) (*big.Int, error) {
-	return doCall(c, ctx, server.OpMont, affinityKey(n),
-		func(ctx context.Context, b *backend) (*big.Int, error) {
-			return b.cl.Mont(ctx, n, x, y)
-		})
-}
-
-// ModExpBatch runs an order-preserving batch on one backend, routed by
-// the first job's modulus (batches overwhelmingly share one). Batches
-// fail over as a unit but are not hedged — racing a large batch doubles
-// real work, not just tail risk.
-func (c *Cluster) ModExpBatch(ctx context.Context, jobs []engine.ModExpJob) ([]engine.ModExpResult, error) {
-	var key []byte
-	if len(jobs) > 0 {
-		key = affinityKey(jobs[0].N)
-	}
-	return doCall(c, ctx, server.OpBatchModExp, key,
-		func(ctx context.Context, b *backend) ([]engine.ModExpResult, error) {
-			return b.cl.ModExpBatch(ctx, jobs)
-		})
-}
-
-// affinityKey is the HRW key of a modulus (nil for a nil modulus — the
-// request then routes by least-inflight and the backend rejects it).
-func affinityKey(n *big.Int) []byte {
-	if n == nil {
-		return nil
-	}
-	return n.Bytes()
-}
-
 // failoverable reports whether an error from one backend justifies
 // trying another: instance-local conditions yes, deterministic
 // application errors no.
@@ -444,28 +405,32 @@ func failoverable(err error) bool {
 		errors.Is(err, errs.ErrIntegrity)
 }
 
-// doCall is the routing loop shared by every cluster operation: pick a
-// backend, attempt (hedging unless op answers per item), and on a failoverable
+// Forward routes one request and returns its backend's answer
+// undecoded: pick a backend by the request's routing key, attempt
+// (hedging unless the op answers per item), and on a failoverable
 // error move to the next backend — draining/down moves are free,
-// overload moves spend retry budget. Generic because ModExpBatch
-// returns a slice while the single ops return a value.
+// overload moves spend retry budget. The reply of the last backend to
+// answer is returned whatever its code, so an application error
+// reaches the caller exactly as that backend encoded it.
 //
 // The membership snapshot is taken once per call: a concurrent
 // join/leave never changes routing mid-request, and a backend retired
 // since then is out of rotation, so the snapshot skips it.
-func doCall[T any](c *Cluster, ctx context.Context, op server.Op, key []byte,
-	call func(context.Context, *backend) (T, error)) (T, error) {
-	var zero T
+func (c *Cluster) Forward(ctx context.Context, r server.Routed) (*server.Reply, error) {
+	if r.KeyHandle {
+		c.met.keyhandleReqs.Inc()
+	}
 	if c.closed.Load() {
-		return zero, fmt.Errorf("cluster: closed: %w", errs.ErrEngineClosed)
+		return nil, fmt.Errorf("cluster: closed: %w", errs.ErrEngineClosed)
 	}
 	c.budget.credit()
 	p := c.pool.Load()
 	tried := make(map[*backend]bool, len(p.backends))
+	var lastRep *server.Reply
 	var lastErr error
 	budgeted := false // did retry budget fund the upcoming attempt?
 	for i := 0; i < len(p.backends); i++ {
-		b, reason := c.choose(p, key, tried, false)
+		b, reason := c.choose(p, r.Key, tried, false)
 		if b == nil {
 			break
 		}
@@ -473,25 +438,21 @@ func doCall[T any](c *Cluster, ctx context.Context, op server.Op, key []byte,
 			reason = "failover"
 		}
 		tried[b] = true
-		v, err := attempt(c, ctx, op, p, b, key, tried, reason, budgeted, call)
-		if err == nil {
-			return v, nil
+		lastRep, lastErr = c.attempt(ctx, r, p, b, tried, reason, budgeted)
+		if lastErr == nil || ctx.Err() != nil || !failoverable(lastErr) {
+			return lastRep, lastErr
 		}
-		lastErr = err
-		if ctx.Err() != nil || !failoverable(err) {
-			return zero, err
-		}
-		budgeted = errors.Is(err, errs.ErrOverloaded)
+		budgeted = errors.Is(lastErr, errs.ErrOverloaded)
 		if budgeted && !c.budget.spend() {
 			c.met.budgetDenied.Inc()
-			return zero, err
+			return lastRep, lastErr
 		}
 		c.met.failovers.Inc()
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("cluster: no backend in rotation: %w", errs.ErrBackendDown)
 	}
-	return zero, lastErr
+	return lastRep, lastErr
 }
 
 // attempt runs one routed request on primary, hedging onto a second
@@ -504,11 +465,9 @@ func doCall[T any](c *Cluster, ctx context.Context, op server.Op, key []byte,
 // so its call span (and the remote server's spans) nest under the
 // route attempt that carried them. A lock-free won marker decides
 // which copy of a hedged race answered first; the loser's span says so.
-func attempt[T any](c *Cluster, ctx context.Context, op server.Op, p *membership,
-	primary *backend, key []byte,
-	tried map[*backend]bool, reason string, budgeted bool,
-	call func(context.Context, *backend) (T, error)) (T, error) {
-	var zero T
+func (c *Cluster) attempt(ctx context.Context, r server.Routed, p *membership,
+	primary *backend, tried map[*backend]bool, reason string,
+	budgeted bool) (*server.Reply, error) {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -517,7 +476,7 @@ func attempt[T any](c *Cluster, ctx context.Context, op server.Op, p *membership
 	var won atomic.Bool // first successful copy takes it; losers record hedge_lost
 
 	type result struct {
-		v      T
+		rep    *server.Reply
 		err    error
 		hedged bool
 	}
@@ -532,7 +491,7 @@ func attempt[T any](c *Cluster, ctx context.Context, op server.Op, p *membership
 				actx = obs.ContextWithTrace(actx, tc.Child(span))
 			}
 			t0 := time.Now()
-			v, err := call(actx, b)
+			rep, err := b.cl.Forward(actx, r.Op, r.Body)
 			b.release()
 			elapsed := time.Since(t0)
 			c.observe(b, err, elapsed)
@@ -540,8 +499,8 @@ func attempt[T any](c *Cluster, ctx context.Context, op server.Op, p *membership
 				c.met.tenantShed(tenant)
 			}
 			first := err == nil && won.CompareAndSwap(false, true)
-			c.recordAttempt(tc, span, op, b, reason, t0, elapsed, err, hedged, spent, first)
-			ch <- result{v, err, hedged}
+			c.recordAttempt(tc, span, r.Op, b, reason, t0, elapsed, err, hedged, spent, first)
+			ch <- result{rep, err, hedged}
 		}()
 	}
 	c.met.pick(primary, reason)
@@ -552,7 +511,7 @@ func attempt[T any](c *Cluster, ctx context.Context, op server.Op, p *membership
 	// Best-effort traffic is exempt from hedging: a hedge spends fleet
 	// capacity (and retry budget) to shave tail latency, and best-effort
 	// is by definition the class whose tail nobody is paying for.
-	if !op.PerItem() && c.cfg.hedge && len(p.backends) > 1 &&
+	if !r.Op.PerItem() && c.cfg.hedge && len(p.backends) > 1 &&
 		qos.FromContext(ctx).Class != qos.BestEffort {
 		t := time.NewTimer(c.hedgeDelay())
 		defer t.Stop()
@@ -560,22 +519,22 @@ func attempt[T any](c *Cluster, ctx context.Context, op server.Op, p *membership
 	}
 
 	outstanding := 1
-	var lastErr error
+	var last result
 	for outstanding > 0 {
 		select {
-		case r := <-ch:
+		case res := <-ch:
 			outstanding--
-			if r.err == nil {
-				if r.hedged {
+			if res.err == nil {
+				if res.hedged {
 					c.met.hedgeWins.Inc()
 				}
 				cancel() // the slower copy unwinds into the buffered channel
-				return r.v, nil
+				return res.rep, nil
 			}
-			lastErr = r.err
+			last = res
 		case <-hedgeC:
 			hedgeC = nil
-			h, _ := c.choose(p, key, tried, true)
+			h, _ := c.choose(p, r.Key, tried, true)
 			if h == nil {
 				continue
 			}
@@ -591,7 +550,7 @@ func attempt[T any](c *Cluster, ctx context.Context, op server.Op, p *membership
 			outstanding++
 		}
 	}
-	return zero, lastErr
+	return last.rep, last.err
 }
 
 // recordAttempt records the route-attempt span for one finished

@@ -14,9 +14,9 @@ func signingBackendOpts() []engine.Option {
 	return []engine.Option{engine.WithWorkers(2), engine.WithKit(kits.CIOS)}
 }
 
-// A two-backend cluster serves the full signing surface: keygen over
-// the wire, RSA sign/verify, ECDSA sign and batch verify — all with the
-// cluster acting as the SignHandler a montsyslb would front with.
+// A two-backend cluster serves the full signing surface through its
+// forwarding front: keygen over the wire, RSA sign/verify, ECDSA sign
+// and batch verify, every request but keygen routed by key handle.
 func TestClusterSigningRoundTrip(t *testing.T) {
 	_, _, a1 := startBackend(t, signingBackendOpts(), nil)
 	_, _, a2 := startBackend(t, signingBackendOpts(), nil)
@@ -25,9 +25,10 @@ func TestClusterSigningRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	cl := front(t, c)
 	ctx := context.Background()
 
-	key, err := c.KeygenRSA(ctx, 256, 42)
+	key, err := cl.KeygenRSA(ctx, 256, 42)
 	if err != nil {
 		t.Fatalf("KeygenRSA: %v", err)
 	}
@@ -36,14 +37,14 @@ func TestClusterSigningRoundTrip(t *testing.T) {
 	}
 
 	digest := big.NewInt(0xCAFEBABE)
-	sig, err := c.SignRSA(ctx, key, digest)
+	sig, err := cl.SignRSA(ctx, key, digest)
 	if err != nil {
 		t.Fatalf("SignRSA: %v", err)
 	}
 	if got := new(big.Int).Exp(sig, key.E, key.N); got.Cmp(digest) != 0 {
 		t.Fatalf("signature does not verify: sig^e = %v, want %v", got, digest)
 	}
-	ok, err := c.VerifyRSA(ctx, key.N, key.E, digest, sig)
+	ok, err := cl.VerifyRSA(ctx, key.N, key.E, digest, sig)
 	if err != nil || !ok {
 		t.Fatalf("VerifyRSA = %v, %v; want true, nil", ok, err)
 	}
@@ -61,11 +62,11 @@ func TestClusterSigningRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("public point at infinity")
 	}
-	r, s, err := c.SignECDSA(ctx, cryptosvc.CurveP256, d, digest, 7)
+	r, s, err := cl.SignECDSA(ctx, cryptosvc.CurveP256, d, digest, 7)
 	if err != nil {
 		t.Fatalf("SignECDSA: %v", err)
 	}
-	res, err := c.VerifyECDSABatch(ctx, cryptosvc.CurveP256, []cryptosvc.ECDSAVerifyItem{
+	res, err := cl.VerifyECDSABatch(ctx, cryptosvc.CurveP256, []cryptosvc.ECDSAVerifyItem{
 		{Qx: qx, Qy: qy, R: r, S: s, Digest: digest},
 		{Qx: qx, Qy: qy, R: r, S: s, Digest: big.NewInt(999)}, // wrong digest
 	})
@@ -79,8 +80,8 @@ func TestClusterSigningRoundTrip(t *testing.T) {
 		t.Errorf("item 1 = %+v, want clean false", res[1])
 	}
 
-	if got := c.met.keyhandleReqs.Value(); got < 4 {
-		t.Errorf("keyhandle_requests_total = %d, want >= 4 (sign, verify, ecdsa sign, batch)", got)
+	if got := c.met.keyhandleReqs.Value(); got != 4 {
+		t.Errorf("keyhandle_requests_total = %d, want exactly 4 (sign, verify, ecdsa sign, batch; keygen has no key)", got)
 	}
 }
 
@@ -95,16 +96,17 @@ func TestClusterSignKeyHandleAffinity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	cl := front(t, c)
 	ctx := context.Background()
 
-	key, err := c.KeygenRSA(ctx, 256, 99)
+	key, err := cl.KeygenRSA(ctx, 256, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := c.met.affinityHits.Value()
 	const signs = 6
 	for i := 0; i < signs; i++ {
-		if _, err := c.SignRSA(ctx, key, big.NewInt(int64(1000+i))); err != nil {
+		if _, err := cl.SignRSA(ctx, key, big.NewInt(int64(1000+i))); err != nil {
 			t.Fatalf("sign %d: %v", i, err)
 		}
 	}
@@ -132,9 +134,10 @@ func TestClusterSignFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	cl := front(t, c)
 	ctx := context.Background()
 
-	key, err := c.KeygenRSA(ctx, 256, 7)
+	key, err := cl.KeygenRSA(ctx, 256, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +147,7 @@ func TestClusterSignFailover(t *testing.T) {
 
 	for i := 0; i < 8; i++ {
 		digest := big.NewInt(int64(0xD000 + i))
-		sig, err := c.SignRSA(ctx, key, digest)
+		sig, err := cl.SignRSA(ctx, key, digest)
 		if err != nil {
 			t.Fatalf("sign %d after drain: %v", i, err)
 		}

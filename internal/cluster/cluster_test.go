@@ -55,6 +55,29 @@ func startBackend(t *testing.T, engOpts []engine.Option, srvOpts []server.Option
 	return srv, eng, ln.Addr().String()
 }
 
+// front stands c up behind a forwarding wire server on loopback, the
+// composition montsyslb runs, and returns a client of it. The client
+// makes no retries of its own, so every failover and ejection a test
+// sees is the cluster's.
+func front(t *testing.T, c *Cluster, srvOpts ...server.Option) *server.Client {
+	t.Helper()
+	srv, err := server.NewForwardingServer(c, srvOpts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	cl := server.Dial(ln.Addr().String(), server.WithMaxRetries(0))
+	t.Cleanup(func() {
+		cl.Close()
+		srv.Close()
+	})
+	return cl
+}
+
 // testModulus returns a random odd l-bit modulus.
 func testModulus(t *testing.T, l int) *big.Int {
 	t.Helper()
@@ -78,6 +101,7 @@ func TestClusterModExpAndBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	cl := front(t, c)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -85,7 +109,7 @@ func TestClusterModExpAndBatch(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		base := big.NewInt(int64(1000 + i))
 		exp := big.NewInt(int64(65537 + i))
-		got, err := c.ModExp(ctx, n, base, exp)
+		got, err := cl.ModExp(ctx, n, base, exp)
 		if err != nil {
 			t.Fatalf("ModExp: %v", err)
 		}
@@ -98,7 +122,7 @@ func TestClusterModExpAndBatch(t *testing.T) {
 	for i := range jobs {
 		jobs[i] = engine.ModExpJob{N: n, Base: big.NewInt(int64(7 + i)), Exp: big.NewInt(int64(101 + i))}
 	}
-	res, err := c.ModExpBatch(ctx, jobs)
+	res, err := cl.ModExpBatch(ctx, jobs)
 	if err != nil {
 		t.Fatalf("ModExpBatch: %v", err)
 	}
@@ -137,6 +161,7 @@ func TestClusterAffinityPartitionsCtxCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	cl := front(t, c)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -151,7 +176,7 @@ func TestClusterAffinityPartitionsCtxCache(t *testing.T) {
 	for pass := 0; pass < 3; pass++ {
 		for i, n := range ns {
 			base, exp := big.NewInt(int64(2+i)), big.NewInt(int64(65537+pass))
-			got, err := c.ModExp(ctx, n, base, exp)
+			got, err := cl.ModExp(ctx, n, base, exp)
 			if err != nil {
 				t.Fatalf("ModExp: %v", err)
 			}
@@ -194,6 +219,7 @@ func TestClusterDrainFailoverZeroErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	cl := front(t, c)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -209,7 +235,7 @@ func TestClusterDrainFailoverZeroErrors(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				base := big.NewInt(int64(w*1000 + i + 2))
 				exp := big.NewInt(int64(65537 + i))
-				got, err := c.ModExp(ctx, n, base, exp)
+				got, err := cl.ModExp(ctx, n, base, exp)
 				if err != nil {
 					errc <- fmt.Errorf("worker %d req %d: %w", w, i, err)
 					return
@@ -264,10 +290,11 @@ func TestClusterAllBackendsDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	cl := front(t, c)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	_, err = c.ModExp(ctx, big.NewInt(13), big.NewInt(2), big.NewInt(5))
+	_, err = cl.ModExp(ctx, big.NewInt(13), big.NewInt(2), big.NewInt(5))
 	if !errors.Is(err, errs.ErrBackendDown) {
 		t.Fatalf("error does not wrap ErrBackendDown: %v", err)
 	}
@@ -301,6 +328,7 @@ func TestClusterEjectAndReinstate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	cl := front(t, c)
 
 	waitUp := func(want bool, what string) {
 		t.Helper()
@@ -350,7 +378,7 @@ func TestClusterEjectAndReinstate(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	n := testModulus(t, 128)
-	got, err := c.ModExp(ctx, n, big.NewInt(3), big.NewInt(19))
+	got, err := cl.ModExp(ctx, n, big.NewInt(3), big.NewInt(19))
 	if err != nil {
 		t.Fatalf("ModExp after reinstatement: %v", err)
 	}
@@ -395,6 +423,7 @@ func TestClusterHedgesPastStuckBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	cl := front(t, c)
 
 	// A modulus whose affinity home is the stuck backend: the primary
 	// pick is guaranteed to hang and only the hedge can win.
@@ -402,7 +431,7 @@ func TestClusterHedgesPastStuckBackend(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	got, err := c.ModExp(ctx, n, big.NewInt(2), big.NewInt(10))
+	got, err := cl.ModExp(ctx, n, big.NewInt(2), big.NewInt(10))
 	if err != nil {
 		t.Fatalf("hedged ModExp: %v", err)
 	}
@@ -434,11 +463,11 @@ func TestClusterHedgesPastStuckBackend(t *testing.T) {
 		call func(context.Context) error
 	}{
 		{"batch_modexp", func(ctx context.Context) error {
-			_, err := c.ModExpBatch(ctx, []engine.ModExpJob{{N: n, Base: big.NewInt(2), Exp: big.NewInt(10)}})
+			_, err := cl.ModExpBatch(ctx, []engine.ModExpJob{{N: n, Base: big.NewInt(2), Exp: big.NewInt(10)}})
 			return err
 		}},
 		{"verify_ecdsa_batch", func(ctx context.Context) error {
-			_, err := c.VerifyECDSABatch(ctx, cryptosvc.CurveP256, []cryptosvc.ECDSAVerifyItem{item})
+			_, err := cl.VerifyECDSABatch(ctx, cryptosvc.CurveP256, []cryptosvc.ECDSAVerifyItem{item})
 			return err
 		}},
 	} {
@@ -462,9 +491,10 @@ func TestClusterClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cl := front(t, c)
 	c.Close()
 	c.Close() // idempotent
-	_, err = c.ModExp(context.Background(), big.NewInt(13), big.NewInt(2), big.NewInt(5))
+	_, err = cl.ModExp(context.Background(), big.NewInt(13), big.NewInt(2), big.NewInt(5))
 	if !errors.Is(err, errs.ErrEngineClosed) {
 		t.Fatalf("post-Close error = %v, want ErrEngineClosed", err)
 	}

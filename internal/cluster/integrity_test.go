@@ -40,6 +40,7 @@ func TestClusterIntegrityFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	cl := front(t, c)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -50,7 +51,7 @@ func TestClusterIntegrityFailover(t *testing.T) {
 		n := testModulus(t, 128)
 		base := big.NewInt(int64(100 + i))
 		exp := big.NewInt(65537)
-		got, err := c.ModExp(ctx, n, base, exp)
+		got, err := cl.ModExp(ctx, n, base, exp)
 		if err != nil {
 			t.Fatalf("ModExp %d: %v", i, err)
 		}
@@ -82,7 +83,7 @@ func TestClusterIntegrityFailover(t *testing.T) {
 	// Ejected-and-benched: further traffic lands on the healthy backend
 	// and keeps being correct.
 	n := testModulus(t, 128)
-	got, err := c.ModExp(ctx, n, big.NewInt(3), big.NewInt(1001))
+	got, err := cl.ModExp(ctx, n, big.NewInt(3), big.NewInt(1001))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,6 +114,7 @@ func TestClusterIntegrityStreakReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	cl := front(t, c)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -123,7 +125,7 @@ func TestClusterIntegrityStreakReset(t *testing.T) {
 	// about the streak, not the failover.
 	sawIntegrity := false
 	for i := 0; i < 8; i++ {
-		_, err := c.ModExp(ctx, n, big.NewInt(int64(5+i)), big.NewInt(65537))
+		_, err := cl.ModExp(ctx, n, big.NewInt(int64(5+i)), big.NewInt(65537))
 		if err != nil {
 			sawIntegrity = true
 		}

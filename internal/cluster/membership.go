@@ -72,8 +72,8 @@ func checkMember(addr, zone string) error {
 
 // Join adds a backend to the pool at runtime, or relabels its zone if
 // the address is already a member. It implements the wire protocol's
-// OpJoin (the Cluster is a server.MembershipHandler, so montsyslb's
-// front door accepts self-registration). Idempotent: a re-join with
+// OpJoin (a server.Forwarder method, so montsyslb's front door accepts
+// self-registration). Idempotent: a re-join with
 // the same zone is a no-op answering the current member count.
 //
 // A joined backend starts OUT of rotation and is probed immediately:

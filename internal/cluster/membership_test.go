@@ -64,6 +64,7 @@ func TestJoinMidFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	cl := front(t, c)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -86,7 +87,7 @@ func TestJoinMidFlight(t *testing.T) {
 
 	// Traffic for a modulus homed on the joined backend lands there.
 	n := modulusHomedOn(t, []string{a1, a2}, a2)
-	got, err := c.ModExp(ctx, n, big.NewInt(2), big.NewInt(10))
+	got, err := cl.ModExp(ctx, n, big.NewInt(2), big.NewInt(10))
 	if err != nil {
 		t.Fatalf("ModExp after join: %v", err)
 	}
@@ -169,6 +170,7 @@ func TestGoodbyeRetiresBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	cl := front(t, c)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -180,7 +182,7 @@ func TestGoodbyeRetiresBackend(t *testing.T) {
 		}
 	}
 
-	if _, err := c.ModExp(ctx, n, big.NewInt(2), big.NewInt(10)); err != nil {
+	if _, err := cl.ModExp(ctx, n, big.NewInt(2), big.NewInt(10)); err != nil {
 		t.Fatal(err)
 	}
 	if cnt, err := c.Goodbye(ctx, a1); err != nil || cnt != 1 {
@@ -208,7 +210,7 @@ func TestGoodbyeRetiresBackend(t *testing.T) {
 	}
 
 	// The moved modulus is served by its new home.
-	got, err := c.ModExp(ctx, n, big.NewInt(2), big.NewInt(12))
+	got, err := cl.ModExp(ctx, n, big.NewInt(2), big.NewInt(12))
 	if err != nil {
 		t.Fatalf("ModExp after goodbye: %v", err)
 	}
@@ -236,6 +238,7 @@ func TestGoodbyeUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	cl := front(t, c)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -250,7 +253,7 @@ func TestGoodbyeUnderLoad(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				base := big.NewInt(int64(w*1000 + i + 2))
 				exp := big.NewInt(int64(65537 + i))
-				got, err := c.ModExp(ctx, n, base, exp)
+				got, err := cl.ModExp(ctx, n, base, exp)
 				if err != nil {
 					errc <- fmt.Errorf("worker %d req %d: %w", w, i, err)
 					return

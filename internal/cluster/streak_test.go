@@ -29,9 +29,9 @@ func deadAddr(t *testing.T) string {
 // streakCluster is a two-backend cluster, one live and one dead, whose
 // probes never run on their own: every probe outcome in these tests is
 // applied by hand through probed, the same function the probe loop
-// calls. It returns the dead backend and a modulus homed on it, so
-// every request tries the dead backend first.
-func streakCluster(t *testing.T) (*Cluster, *backend, *big.Int) {
+// calls. It returns a client of its front, the dead backend and a
+// modulus homed on it, so every request tries the dead backend first.
+func streakCluster(t *testing.T) (*Cluster, *server.Client, *backend, *big.Int) {
 	t.Helper()
 	_, _, live := startBackend(t, []engine.Option{engine.WithWorkers(1)}, nil)
 	dead := deadAddr(t)
@@ -50,16 +50,16 @@ func streakCluster(t *testing.T) (*Cluster, *backend, *big.Int) {
 			db = b
 		}
 	}
-	return c, db, modulusHomedOn(t, []string{dead, live}, dead)
+	return c, front(t, c), db, modulusHomedOn(t, []string{dead, live}, dead)
 }
 
 // modExpOK runs one request and fails the test on any client-visible
 // error or wrong answer.
-func modExpOK(t *testing.T, c *Cluster, n *big.Int, e int64) {
+func modExpOK(t *testing.T, cl *server.Client, n *big.Int, e int64) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	got, err := c.ModExp(ctx, n, big.NewInt(3), big.NewInt(e))
+	got, err := cl.ModExp(ctx, n, big.NewInt(3), big.NewInt(e))
 	if err != nil {
 		t.Fatalf("ModExp: client saw %v, want free failover", err)
 	}
@@ -71,9 +71,9 @@ func modExpOK(t *testing.T, c *Cluster, n *big.Int, e int64) {
 // Exactly failThreshold live ErrBackendDown answers eject a dead
 // backend, and the client never sees one of them.
 func TestStreakLiveFailuresEjectAtThreshold(t *testing.T) {
-	c, db, n := streakCluster(t)
+	c, cl, db, n := streakCluster(t)
 	for i := 1; i <= 3; i++ {
-		modExpOK(t, c, n, int64(i))
+		modExpOK(t, cl, n, int64(i))
 		if got := db.transportStreak.Load(); got != int64(i) {
 			t.Fatalf("after %d live failures streak = %d", i, got)
 		}
@@ -89,7 +89,7 @@ func TestStreakLiveFailuresEjectAtThreshold(t *testing.T) {
 	}
 	// Out of rotation: the next request goes straight to the live backend.
 	picks := db.met.picks["affinity"].Value()
-	modExpOK(t, c, n, 4)
+	modExpOK(t, cl, n, 4)
 	if db.met.picks["affinity"].Value() != picks {
 		t.Fatal("ejected backend still picked")
 	}
@@ -98,21 +98,21 @@ func TestStreakLiveFailuresEjectAtThreshold(t *testing.T) {
 // A success in between — live or probe — resets the streak, so
 // non-consecutive failures never eject.
 func TestStreakSuccessResets(t *testing.T) {
-	c, db, n := streakCluster(t)
-	modExpOK(t, c, n, 1)
-	modExpOK(t, c, n, 2)
+	c, cl, db, n := streakCluster(t)
+	modExpOK(t, cl, n, 1)
+	modExpOK(t, cl, n, 2)
 	c.observe(db, nil, time.Millisecond) // a live success
 	if got := db.transportStreak.Load(); got != 0 {
 		t.Fatalf("streak after a live success = %d, want 0", got)
 	}
-	modExpOK(t, c, n, 3)
-	modExpOK(t, c, n, 4)
+	modExpOK(t, cl, n, 3)
+	modExpOK(t, cl, n, 4)
 	c.probed(db, nil) // a probe success
 	if got := db.transportStreak.Load(); got != 0 {
 		t.Fatalf("streak after a probe success = %d, want 0", got)
 	}
-	modExpOK(t, c, n, 5)
-	modExpOK(t, c, n, 6)
+	modExpOK(t, cl, n, 5)
+	modExpOK(t, cl, n, 6)
 	if !db.up() || db.met.ejections.Value() != 0 {
 		t.Fatal("non-consecutive failures ejected the backend")
 	}
@@ -120,7 +120,7 @@ func TestStreakSuccessResets(t *testing.T) {
 
 // A failed probe and a live failure add to the same count.
 func TestStreakProbeAndLiveShareCount(t *testing.T) {
-	c, db, n := streakCluster(t)
+	c, cl, db, n := streakCluster(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	probe := func() {
@@ -131,7 +131,7 @@ func TestStreakProbeAndLiveShareCount(t *testing.T) {
 		c.probed(db, err)
 	}
 	probe()
-	modExpOK(t, c, n, 1)
+	modExpOK(t, cl, n, 1)
 	if !db.up() {
 		t.Fatal("ejected after 2 of 3 failures")
 	}
@@ -150,9 +150,9 @@ func TestStreakProbeAndLiveShareCount(t *testing.T) {
 // Live traffic never reinstates an ejected backend; only a successful
 // probe does. One draining answer ejects at once.
 func TestStreakOnlyProbeReinstates(t *testing.T) {
-	c, db, n := streakCluster(t)
+	c, cl, db, n := streakCluster(t)
 	for i := 1; i <= 3; i++ {
-		modExpOK(t, c, n, int64(i))
+		modExpOK(t, cl, n, int64(i))
 	}
 	if db.up() {
 		t.Fatal("not ejected at threshold")

@@ -13,12 +13,14 @@ import (
 	"repro/internal/cryptosvc"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/server"
 )
 
 // TestRouteSpansRecorded: a sampled request through the balancer layer
 // produces one route-attempt span carrying the chosen backend and pick
-// reason, parented on the ambient span, plus the backend call span the
-// cluster's own client pool records — all on the request's trace id.
+// reason, parented on the front door's server span, plus the backend
+// call span the cluster's own client pool records — all on the
+// request's trace id.
 func TestRouteSpansRecorded(t *testing.T) {
 	_, _, a1 := startBackend(t, []engine.Option{engine.WithWorkers(1)}, nil)
 	_, _, a2 := startBackend(t, []engine.Option{engine.WithWorkers(1)}, nil)
@@ -31,6 +33,7 @@ func TestRouteSpansRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	cl := front(t, c, server.WithTracer(tracer))
 
 	tc := obs.TraceContext{TraceID: obs.NewTraceID(), SpanID: obs.NewSpanID(), Sampled: true}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -38,7 +41,7 @@ func TestRouteSpansRecorded(t *testing.T) {
 	ctx = obs.ContextWithTrace(ctx, tc)
 
 	n := testModulus(t, 128)
-	got, err := c.ModExp(ctx, n, big.NewInt(7), big.NewInt(65537))
+	got, err := cl.ModExp(ctx, n, big.NewInt(7), big.NewInt(65537))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,21 +49,23 @@ func TestRouteSpansRecorded(t *testing.T) {
 		t.Fatal("wrong answer")
 	}
 
-	var route, call obs.Span
-	var haveRoute, haveCall bool
+	var srv, route, call obs.Span
+	var haveSrv, haveRoute, haveCall bool
 	for _, s := range tracer.Spans() {
 		switch {
+		case s.Name == "server/modexp":
+			srv, haveSrv = s, true
 		case s.Name == "route/modexp":
 			route, haveRoute = s, true
 		case s.Name == "call/modexp":
 			call, haveCall = s, true
 		}
 	}
-	if !haveRoute {
-		t.Fatalf("no route span recorded: %+v", tracer.Spans())
+	if !haveSrv || !haveRoute {
+		t.Fatalf("no server or route span recorded: %+v", tracer.Spans())
 	}
-	if route.TraceID != tc.TraceID || route.Parent != tc.SpanID {
-		t.Fatalf("route span not joined to the ambient trace: %+v", route)
+	if srv.TraceID != tc.TraceID || route.TraceID != tc.TraceID || route.Parent != srv.SpanID {
+		t.Fatalf("route span not joined under the front door's server span: %+v, %+v", route, srv)
 	}
 	attrs := map[string]string{}
 	for _, a := range route.Attrs {
@@ -107,30 +112,30 @@ func TestRouteSpansRecorded(t *testing.T) {
 
 	// Every routed op names its route span and its route wide event
 	// after its wire op.
-	if _, err := c.Mont(ctx, n, big.NewInt(3), big.NewInt(5)); err != nil {
+	if _, err := cl.Mont(ctx, n, big.NewInt(3), big.NewInt(5)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ModExpBatch(ctx, []engine.ModExpJob{{N: n, Base: big.NewInt(2), Exp: big.NewInt(9)}}); err != nil {
+	if _, err := cl.ModExpBatch(ctx, []engine.ModExpJob{{N: n, Base: big.NewInt(2), Exp: big.NewInt(9)}}); err != nil {
 		t.Fatal(err)
 	}
-	key, err := c.KeygenRSA(ctx, 256, 42)
+	key, err := cl.KeygenRSA(ctx, 256, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	digest := big.NewInt(0xCAFE)
-	sig, err := c.SignRSA(ctx, key, digest)
+	sig, err := cl.SignRSA(ctx, key, digest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.VerifyRSA(ctx, key.N, key.E, digest, sig); err != nil {
+	if _, err := cl.VerifyRSA(ctx, key.N, key.E, digest, sig); err != nil {
 		t.Fatal(err)
 	}
-	r, s, err := c.SignECDSA(ctx, cryptosvc.CurveP256, big.NewInt(0x1337), digest, 7)
+	r, s, err := cl.SignECDSA(ctx, cryptosvc.CurveP256, big.NewInt(0x1337), digest, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	item := cryptosvc.ECDSAVerifyItem{Qx: big.NewInt(1), Qy: big.NewInt(2), R: r, S: s, Digest: digest}
-	if _, err := c.VerifyECDSABatch(ctx, cryptosvc.CurveP256, []cryptosvc.ECDSAVerifyItem{item}); err != nil {
+	if _, err := cl.VerifyECDSABatch(ctx, cryptosvc.CurveP256, []cryptosvc.ECDSAVerifyItem{item}); err != nil {
 		t.Fatal(err)
 	}
 	spanOps, wideOps := map[string]bool{}, map[string]bool{}
@@ -214,12 +219,13 @@ func TestHedgeAttemptWideLines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	cl := front(t, c)
 
 	tc := obs.TraceContext{TraceID: obs.NewTraceID(), SpanID: obs.NewSpanID(), Sampled: true}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	n := modulusHomedOn(t, addrs, stuck)
-	if _, err := c.ModExp(obs.ContextWithTrace(ctx, tc), n, big.NewInt(2), big.NewInt(10)); err != nil {
+	if _, err := cl.ModExp(obs.ContextWithTrace(ctx, tc), n, big.NewInt(2), big.NewInt(10)); err != nil {
 		t.Fatalf("hedged ModExp: %v", err)
 	}
 
@@ -254,16 +260,17 @@ func TestUnsampledRequestsRecordNoRouteSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	cl := front(t, c)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	n := testModulus(t, 128)
-	if _, err := c.ModExp(ctx, n, big.NewInt(7), big.NewInt(65537)); err != nil {
+	if _, err := cl.ModExp(ctx, n, big.NewInt(7), big.NewInt(65537)); err != nil {
 		t.Fatal(err)
 	}
 	// Unsampled ambient context: ids propagate, nothing is recorded.
 	tc := obs.TraceContext{TraceID: obs.NewTraceID(), Sampled: false}
-	if _, err := c.ModExp(obs.ContextWithTrace(ctx, tc), n, big.NewInt(9), big.NewInt(65537)); err != nil {
+	if _, err := cl.ModExp(obs.ContextWithTrace(ctx, tc), n, big.NewInt(9), big.NewInt(65537)); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range tracer.Spans() {
@@ -292,6 +299,7 @@ func TestFailoverAttemptsShareTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	cl := front(t, c)
 
 	// Drain backend 1 so requests homed there answer draining and fail
 	// over to backend 2.
@@ -310,7 +318,7 @@ func TestFailoverAttemptsShareTrace(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		tc := obs.TraceContext{TraceID: obs.NewTraceID(), SpanID: obs.NewSpanID(), Sampled: true}
 		traced = append(traced, tc.TraceID)
-		if _, err := c.ModExp(obs.ContextWithTrace(ctx, tc), testModulus(t, 128),
+		if _, err := cl.ModExp(obs.ContextWithTrace(ctx, tc), testModulus(t, 128),
 			big.NewInt(int64(100+i)), big.NewInt(65537)); err != nil {
 			t.Fatalf("ModExp %d: %v", i, err)
 		}

@@ -339,12 +339,13 @@ func (c *Client) traceContext(ctx context.Context, op Op) (obs.TraceContext, boo
 // refused, or the connection died and could not be re-established), the
 // returned error wraps errs.ErrBackendDown around the underlying
 // transport error so failover layers can classify it with errors.Is.
-// attempts, when non-nil, counts tryOnce invocations for the caller's
-// span.
+// A failure that was an answer returns that answer too, which
+// Client.Forward hands on verbatim. attempts, when non-nil, counts
+// tryOnce invocations for the caller's span.
 func (c *Client) callRetry(ctx context.Context, req *request, tc obs.TraceContext,
 	attempts *int) (*response, error) {
 	var lastErr error
-	var lastNetwork bool
+	var lastResp *response // the last failure's answer; nil after a network failure
 	for attempt := 0; ; attempt++ {
 		if attempts != nil {
 			*attempts = attempt + 1
@@ -354,20 +355,19 @@ func (c *Client) callRetry(ctx context.Context, req *request, tc obs.TraceContex
 		case err == nil && resp.code == CodeOK:
 			return resp, nil
 		case err == nil:
-			lastErr = errFor(resp.code, resp.msg)
-			lastNetwork = false
+			lastResp, lastErr = resp, errFor(resp.code, resp.msg)
 			switch retryDecision(resp.code) {
 			case retryNo:
-				return nil, lastErr
+				return resp, lastErr
 			case retryAfterHint:
 				var rl *errs.RateLimited
 				if attempt >= c.cfg.maxRetries || !errors.As(lastErr, &rl) {
-					return nil, lastErr
+					return resp, lastErr
 				}
 				if dl, ok := ctx.Deadline(); ok && time.Until(dl) < rl.RetryAfter {
 					// The bucket refills after the call would already be
 					// dead — don't burn the remaining budget waiting.
-					return nil, lastErr
+					return resp, lastErr
 				}
 				if err := sleepCtx(ctx, rl.RetryAfter); err != nil {
 					return nil, err
@@ -381,15 +381,14 @@ func (c *Client) callRetry(ctx context.Context, req *request, tc obs.TraceContex
 		default:
 			// A network-level failure, possibly after the request was
 			// written: every op is idempotent, so it retries either way.
-			lastErr = err
-			lastNetwork = true
+			lastResp, lastErr = nil, err
 		}
 		if attempt >= c.cfg.maxRetries {
-			if lastNetwork && !errors.Is(lastErr, errs.ErrBackendDown) {
+			if lastResp == nil && !errors.Is(lastErr, errs.ErrBackendDown) {
 				return nil, fmt.Errorf("server: %s unreachable after %d attempts: %w (%w)",
 					c.addr, attempt+1, errs.ErrBackendDown, lastErr)
 			}
-			return nil, fmt.Errorf("server: giving up after %d attempts: %w", attempt+1, lastErr)
+			return lastResp, fmt.Errorf("server: giving up after %d attempts: %w", attempt+1, lastErr)
 		}
 		if err := c.sleep(ctx, attempt); err != nil {
 			return nil, err
@@ -443,7 +442,7 @@ func (c *Client) tryOnce(ctx context.Context, tmpl *request, tc obs.TraceContext
 		return nil, err
 	}
 	id := c.nextID.Add(1)
-	ca := &call{op: tmpl.op, done: make(chan struct{})}
+	ca := &call{op: tmpl.op, forwarded: tmpl.body != nil, done: make(chan struct{})}
 	if err := cc.register(id, ca); err != nil {
 		c.drop(cc)
 		return nil, err
@@ -461,7 +460,13 @@ func (c *Client) tryOnce(ctx context.Context, tmpl *request, tc obs.TraceContext
 	if dl, ok := ctx.Deadline(); ok {
 		req.deadline = dl
 	}
-	if err := cc.write(ctx, encodeRequest(&req)); err != nil {
+	var payload []byte
+	if ca.forwarded {
+		payload = append(encodeHeader(&req), req.body...)
+	} else {
+		payload = encodeRequest(&req)
+	}
+	if err := cc.write(ctx, payload); err != nil {
 		cc.unregister(id)
 		c.drop(cc)
 		return nil, err
@@ -540,12 +545,14 @@ func (c *Client) drop(cc *cconn) {
 	c.mu.Unlock()
 }
 
-// call is one in-flight request on a connection.
+// call is one in-flight request on a connection. A forwarded call's
+// answer keeps its body undecoded.
 type call struct {
-	op   Op
-	resp *response
-	err  error
-	done chan struct{}
+	op        Op
+	forwarded bool
+	resp      *response
+	err       error
+	done      chan struct{}
 }
 
 // cconn is one pooled client connection: a write mutex serializing
@@ -635,7 +642,12 @@ func (cc *cconn) readLoop() {
 		if !ok {
 			continue // response to an abandoned (ctx-expired) call
 		}
-		resp, err := decodeResponse(ca.op, payload)
+		var resp *response
+		if ca.forwarded {
+			resp, err = forwardedResponse(payload)
+		} else {
+			resp, err = decodeResponse(ca.op, payload)
+		}
 		if err != nil {
 			ca.err = err
 			close(ca.done)

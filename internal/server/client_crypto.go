@@ -1,8 +1,8 @@
 package server
 
 // Client-side signing-service calls. The method set mirrors
-// SignHandler, so a *Client is itself a SignHandler — which is exactly
-// how the cluster balancer forwards signing ops to backends.
+// cryptosvc.Service, so code written against the in-process service
+// moves to a remote one by swapping the receiver.
 
 import (
 	"context"
@@ -13,9 +13,6 @@ import (
 	"repro/internal/errs"
 	"repro/internal/rsa"
 )
-
-// Client implements SignHandler (and the balancer routes through it).
-var _ SignHandler = (*Client)(nil)
 
 // KeygenRSA generates a deterministic RSA key of the given modulus size
 // on the remote server. The same (bits, seed) always yields the same

@@ -89,9 +89,10 @@ func TestMemberDecodeRejectsBadFields(t *testing.T) {
 }
 
 // TestMemberOpsAreControlPlane pins the control-plane exemptions in
-// the op table: membership ops take no QoS tag, have no traced variant,
-// are answered inline (no admission slot) and need a MembershipHandler.
-// Ping shares the tag, trace and inline exemptions. (Every op's
+// the op table: membership ops take no QoS tag, have no traced variant
+// and are answered inline (no admission slot), so a forwarding server
+// runs them itself instead of forwarding them. Ping shares all three
+// exemptions. (Every op's
 // ambiguous-drop retry, which registrars rely on, is pinned by
 // TestClientRedialsAfterAmbiguousDrop.)
 func TestMemberOpsAreControlPlane(t *testing.T) {
@@ -110,18 +111,13 @@ func TestMemberOpsAreControlPlane(t *testing.T) {
 			t.Errorf("tagged %s byte %d decodes as %+v", op, op+OpQoSOffset, w)
 		}
 	}
-	for _, op := range []Op{OpJoin, OpGoodbye} {
-		if opTable[op].needs != needMember {
-			t.Errorf("%s does not require a MembershipHandler", op)
-		}
-	}
 	c := Dial("unused:0")
 	if _, traced := c.traceContext(context.Background(), OpJoin); traced {
 		t.Error("join resolved a trace context; control-plane ops must not")
 	}
 }
 
-// TestJoinUnsupportedAnswersProtocol: montsysd's engine handler has no
+// TestJoinUnsupportedAnswersProtocol: montsysd's engine server has no
 // membership surface, so a Join against it must answer ErrProtocol —
 // not hang, not misparse.
 func TestJoinUnsupportedAnswersProtocol(t *testing.T) {
@@ -138,33 +134,28 @@ func TestJoinUnsupportedAnswersProtocol(t *testing.T) {
 	}
 }
 
-// memberStubHandler implements Handler + MembershipHandler with an
-// in-memory member set, standing in for the balancer. When montStarted
-// and montRelease are set, Mont signals admission and blocks — a way
-// for tests to hold a drain open.
-type memberStubHandler struct {
+// memberStubForwarder is a Forwarder with an in-memory member set,
+// standing in for the balancer. Every forwarded request answers
+// backend-down; when fwdStarted and fwdRelease are set, Forward
+// signals admission and blocks first — a way for tests to hold a
+// drain open.
+type memberStubForwarder struct {
 	mu      sync.Mutex
 	members map[string]string
 	joinErr error
 
-	montStarted chan struct{}
-	montRelease chan struct{}
+	fwdStarted chan struct{}
+	fwdRelease chan struct{}
 }
 
-func (h *memberStubHandler) Mont(ctx context.Context, n, x, y *big.Int) (*big.Int, error) {
-	if h.montStarted != nil {
-		close(h.montStarted)
-		<-h.montRelease
+func (h *memberStubForwarder) Forward(ctx context.Context, r Routed) (*Reply, error) {
+	if h.fwdStarted != nil {
+		close(h.fwdStarted)
+		<-h.fwdRelease
 	}
 	return nil, fmt.Errorf("stub: %w", errs.ErrBackendDown)
 }
-func (h *memberStubHandler) ModExp(ctx context.Context, n, base, exp *big.Int) (*big.Int, error) {
-	return nil, fmt.Errorf("stub: %w", errs.ErrBackendDown)
-}
-func (h *memberStubHandler) ModExpBatch(ctx context.Context, jobs []engine.ModExpJob) ([]engine.ModExpResult, error) {
-	return nil, fmt.Errorf("stub: %w", errs.ErrBackendDown)
-}
-func (h *memberStubHandler) Join(ctx context.Context, addr, zone string) (int, error) {
+func (h *memberStubForwarder) Join(ctx context.Context, addr, zone string) (int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.joinErr != nil {
@@ -176,7 +167,7 @@ func (h *memberStubHandler) Join(ctx context.Context, addr, zone string) (int, e
 	h.members[addr] = zone
 	return len(h.members), nil
 }
-func (h *memberStubHandler) Goodbye(ctx context.Context, addr string) (int, error) {
+func (h *memberStubForwarder) Goodbye(ctx context.Context, addr string) (int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	delete(h.members, addr)
@@ -184,11 +175,11 @@ func (h *memberStubHandler) Goodbye(ctx context.Context, addr string) (int, erro
 }
 
 // TestJoinGoodbyeOverWire exercises the full wire path against a
-// membership-aware handler: join twice (idempotent), goodbye, counts
+// forwarding server: join twice (idempotent), goodbye, counts
 // come back through the standard single-value response body.
 func TestJoinGoodbyeOverWire(t *testing.T) {
-	h := &memberStubHandler{}
-	srv, err := NewHandlerServer(h)
+	h := &memberStubForwarder{}
+	srv, err := NewForwardingServer(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +211,7 @@ func TestJoinGoodbyeOverWire(t *testing.T) {
 		t.Fatalf("idempotent Goodbye = (%d, %v), want (1, nil)", n, err)
 	}
 
-	// Handler errors map through the standard code table.
+	// Forwarder errors map through the standard code table.
 	h.mu.Lock()
 	h.joinErr = fmt.Errorf("member table full: %w", errs.ErrOverloaded)
 	h.mu.Unlock()
@@ -235,14 +226,15 @@ func TestJoinGoodbyeOverWire(t *testing.T) {
 
 // TestMemberOpsDrainingAnswered: a draining server answers membership
 // ops with CodeDraining inline — the registrar moves on to the next
-// balancer instead of timing out. A blocked Mont holds the drain's
-// phase 1 open so the connection survives long enough to observe it.
+// balancer instead of timing out. A blocked forwarded Mont holds the
+// drain's phase 1 open so the connection survives long enough to
+// observe it.
 func TestMemberOpsDrainingAnswered(t *testing.T) {
-	h := &memberStubHandler{
-		montStarted: make(chan struct{}),
-		montRelease: make(chan struct{}),
+	h := &memberStubForwarder{
+		fwdStarted: make(chan struct{}),
+		fwdRelease: make(chan struct{}),
 	}
-	srv, err := NewHandlerServer(h)
+	srv, err := NewForwardingServer(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +255,7 @@ func TestMemberOpsDrainingAnswered(t *testing.T) {
 		defer close(montDone)
 		cl.Mont(ctx, big.NewInt(7), big.NewInt(1), big.NewInt(1))
 	}()
-	<-h.montStarted // Mont admitted: drain phase 1 will block on it
+	<-h.fwdStarted // Mont admitted: drain phase 1 will block on it
 
 	drainDone := make(chan struct{})
 	go func() { defer close(drainDone); srv.Shutdown(context.Background()) }()
@@ -271,7 +263,7 @@ func TestMemberOpsDrainingAnswered(t *testing.T) {
 	if _, err := cl.Join(ctx, "b2:9", ""); !errors.Is(err, errs.ErrDraining) {
 		t.Fatalf("Join while draining: err = %v, want ErrDraining", err)
 	}
-	close(h.montRelease)
+	close(h.fwdRelease)
 	<-montDone
 	<-drainDone
 }

@@ -77,9 +77,8 @@ func sloBad(c Code) bool {
 }
 
 // RegisterSLOs registers this server's objectives on t. Per service op
-// — every op that goes through admission and that this server's handler
-// supports; pings and membership ops are probes and control plane, not
-// service — it adds one availability objective (fraction of requests
+// — every op that goes through admission; pings and membership ops are
+// probes and control plane, not service — it adds one availability objective (fraction of requests
 // answering without a server-owned failure code, see sloBad) and one
 // latency objective (fraction of requests answering within
 // latencyObjective; the bound effectively rounds up to the histogram's
@@ -90,7 +89,7 @@ func (s *Server) RegisterSLOs(t *obs.SLOTracker, latencyObjective time.Duration,
 	m := s.met
 	for i := range opTable {
 		d := &opTable[i]
-		if d.name == "" || d.inline || !s.supports(d) {
+		if d.name == "" || d.inline {
 			continue
 		}
 		op := Op(i)

@@ -46,30 +46,21 @@ const (
 // 70). Bytes 20–63 stay free for future base and traced ops.
 const OpQoSOffset Op = 64
 
-// need names the handler surface an op runs on.
-type need uint8
-
-const (
-	needHandler need = iota // Handler: every server has it
-	needSign                // SignHandler
-	needMember              // MembershipHandler
-)
-
 // perItem marks an OK response body that answers per item: uint32 count
 // ‖ count × (code ‖ big on OK, message else), so one bad item does not
 // poison its batch.
 const perItem = -1
 
-// opDesc is one row of the op table: everything the codec, the server
-// and the client need to know about a base op.
+// opDesc is one row of the op table: everything the codec, the server,
+// the client and a forwarding server need to know about a base op.
 type opDesc struct {
 	name   string    // metric label; "" marks a byte that is no base op
 	traced Op        // wire byte of the traced variant, 0 = none
 	tagged bool      // every variant has a tenant-tagged twin at +OpQoSOffset
 	inline bool      // answered on the read loop: no admission slot, no QoS charge
-	needs  need      // handler surface the op runs on
 	body   bodyCodec // request body after the header blocks
 	values int       // OK response: this many bigs, or perItem
+	route  routeKey  // HRW routing key a forwarding server hands on; nil = none
 	serve  func(*Server, context.Context, *request) *response
 }
 
@@ -85,36 +76,41 @@ type opDesc struct {
 // inline so they keep working exactly when the data plane is saturated
 // or every tenant is throttled.
 //
+// An engine server runs a request through its row's serve function. A
+// forwarding server (forward.go) runs only the inline rows' and hands
+// every other request's body on unchanged, routed by the row's route
+// key, so an op added here needs no code in the balancer.
+//
 // Every op is idempotent, and every new row must keep it so: the
 // compute ops and verifies are pure, keygen and ECDSA signing are
 // deterministic under their seeds, RSA blinds never change the
 // signature, and join/goodbye are idempotent by contract (see
-// MembershipHandler). The client relies on it to retry an ambiguous
+// Forwarder). The client relies on it to retry an ambiguous
 // failure — request written, answer lost — like any other.
 var opTable = [...]opDesc{
 	OpMont: {name: "mont", traced: 5, tagged: true,
-		body: tripleBody, values: 1, serve: (*Server).mont},
+		body: tripleBody, values: 1, route: modulusKey, serve: (*Server).mont},
 	OpModExp: {name: "modexp", traced: 6, tagged: true,
-		body: tripleBody, values: 1, serve: (*Server).modExp},
+		body: tripleBody, values: 1, route: modulusKey, serve: (*Server).modExp},
 	OpBatchModExp: {name: "batch_modexp", traced: 7, tagged: true,
-		body: tripleBatchBody, values: perItem, serve: (*Server).batchModExp},
+		body: tripleBatchBody, values: perItem, route: modulusKey, serve: (*Server).batchModExp},
 	OpPing: {name: "ping", inline: true,
 		body: noBody, values: 1, serve: (*Server).ping},
 
-	OpKeygenRSA: {name: "keygen_rsa", traced: 13, tagged: true, needs: needSign,
+	OpKeygenRSA: {name: "keygen_rsa", traced: 13, tagged: true,
 		body: keygenRSABody, values: 8, serve: (*Server).keygenRSA},
-	OpSignRSA: {name: "sign_rsa", traced: 14, tagged: true, needs: needSign,
-		body: signRSABody, values: 1, serve: (*Server).signRSA},
-	OpVerifyRSA: {name: "verify_rsa", traced: 15, tagged: true, needs: needSign,
-		body: verifyRSABody, values: 1, serve: (*Server).verifyRSA},
-	OpSignECDSA: {name: "sign_ecdsa", traced: 16, tagged: true, needs: needSign,
-		body: signECDSABody, values: 2, serve: (*Server).signECDSA},
-	OpVerifyECDSABatch: {name: "verify_ecdsa_batch", traced: 17, tagged: true, needs: needSign,
-		body: verifyECDSABatchBody, values: perItem, serve: (*Server).verifyECDSABatch},
+	OpSignRSA: {name: "sign_rsa", traced: 14, tagged: true,
+		body: signRSABody, values: 1, route: signRSAKey, serve: (*Server).signRSA},
+	OpVerifyRSA: {name: "verify_rsa", traced: 15, tagged: true,
+		body: verifyRSABody, values: 1, route: verifyRSAKey, serve: (*Server).verifyRSA},
+	OpSignECDSA: {name: "sign_ecdsa", traced: 16, tagged: true,
+		body: signECDSABody, values: 2, route: signECDSAKey, serve: (*Server).signECDSA},
+	OpVerifyECDSABatch: {name: "verify_ecdsa_batch", traced: 17, tagged: true,
+		body: verifyECDSABatchBody, values: perItem, route: verifyECDSAKey, serve: (*Server).verifyECDSABatch},
 
-	OpJoin: {name: "join", inline: true, needs: needMember,
+	OpJoin: {name: "join", inline: true,
 		body: joinBody, values: 1, serve: (*Server).join},
-	OpGoodbye: {name: "goodbye", inline: true, needs: needMember,
+	OpGoodbye: {name: "goodbye", inline: true,
 		body: goodbyeBody, values: 1, serve: (*Server).goodbye},
 }
 
@@ -172,16 +168,4 @@ func (o Op) String() string {
 func (o Op) PerItem() bool {
 	w := wireOps[o]
 	return w.base != 0 && opTable[w.base].values == perItem
-}
-
-// supports reports whether the server's handler has the surface d runs
-// on.
-func (s *Server) supports(d *opDesc) bool {
-	switch d.needs {
-	case needSign:
-		return s.sign != nil
-	case needMember:
-		return s.member != nil
-	}
-	return true
 }

@@ -35,9 +35,9 @@
 // matches responses to calls by id. Batch responses carry one code per
 // item, so a single invalid modulus doesn't poison its batch.
 //
-// Every op's wire bytes, body codec, response shape, handler call,
-// admission path and retry policy come from one row of opTable; adding
-// an op is one row plus one body codec.
+// Every op's wire bytes, body codec, response shape, engine call,
+// routing key, admission path and retry policy come from one row of
+// opTable; adding an op is one row plus one body codec.
 package server
 
 import (
@@ -192,6 +192,12 @@ type request struct {
 	jobs     []triple    // len 1 for Mont/ModExp; empty for signing ops
 	crypto   *cryptoBody // signing ops only
 	member   *memberBody // membership ops only
+
+	// body is the encoded body after the header blocks: set by decode
+	// (a slice of the frame, which a forwarding server hands on), and
+	// on a Client.Forward request the bytes sent in place of the
+	// codec's. The codec's encode never reads it.
+	body []byte
 }
 
 // items is the request's batch size: its signatures to verify, or its
@@ -205,7 +211,9 @@ func (r *request) items() int {
 
 // response is one decoded response frame. values holds an OK body's
 // bigs; for per-item ops codes/msgs/values run parallel to the request's
-// items. msg is only set when code != CodeOK.
+// items. msg is only set when code != CodeOK. body, when non-nil, is a
+// forwarded answer's body after the code byte, encoded verbatim in
+// place of msg or values.
 type response struct {
 	id     uint64
 	code   Code
@@ -213,6 +221,7 @@ type response struct {
 	codes  []Code
 	msgs   []string
 	values []*big.Int
+	body   []byte
 }
 
 // --- primitive encoders -------------------------------------------------
@@ -449,9 +458,15 @@ var tripleBatchBody = bodyCodec{
 	},
 }
 
-// encodeRequest renders a request payload (no frame header), picking
-// the traced and tagged variant byte when the op's row declares one.
+// encodeRequest renders a request payload (no frame header) with the
+// body from the op's codec.
 func encodeRequest(req *request) []byte {
+	return opTable[req.op].body.enc(encodeHeader(req), req)
+}
+
+// encodeHeader renders a request payload up to its body, picking the
+// traced and tagged variant byte when the op's row declares one.
+func encodeHeader(req *request) []byte {
 	desc := &opTable[req.op]
 	wireOp := req.op
 	traced := req.tc.Sampled && desc.traced != 0
@@ -462,7 +477,7 @@ func encodeRequest(req *request) []byte {
 	if tagged {
 		wireOp += OpQoSOffset
 	}
-	b := make([]byte, 0, 64)
+	b := make([]byte, 0, 64+len(req.body))
 	b = append(b, ProtoVersion, byte(wireOp))
 	b = appendUint64(b, req.id)
 	var dl int64
@@ -478,7 +493,7 @@ func encodeRequest(req *request) []byte {
 		b = append(b, req.tc.SpanID[:]...)
 		b = append(b, traceFlagSampled)
 	}
-	return desc.body.enc(b, req)
+	return b
 }
 
 // maxBatch bounds a batch's item count; combined with the frame size
@@ -532,6 +547,7 @@ func decodeRequest(payload []byte) (*request, error) {
 		copy(req.tc.SpanID[:], blk[16:24])
 		req.tc.Sampled = blk[24]&traceFlagSampled != 0
 	}
+	req.body = d.b
 	if err := opTable[w.base].body.dec(d.b, req); err != nil {
 		return nil, err
 	}
@@ -544,10 +560,13 @@ func decodeRequest(payload []byte) (*request, error) {
 // picks the OK body's shape from its row; it is not itself encoded —
 // the client knows it from the id.
 func encodeResponse(op Op, resp *response) []byte {
-	b := make([]byte, 0, 64)
+	b := make([]byte, 0, 64+len(resp.body))
 	b = append(b, ProtoVersion)
 	b = appendUint64(b, resp.id)
 	b = append(b, byte(resp.code))
+	if resp.body != nil {
+		return append(b, resp.body...)
+	}
 	if resp.code != CodeOK {
 		return appendString(b, resp.msg)
 	}
@@ -570,29 +589,9 @@ func encodeResponse(op Op, resp *response) []byte {
 // decodeResponse parses a response payload; op must be the op of the
 // request the id belongs to.
 func decodeResponse(op Op, payload []byte) (*response, error) {
-	d := decoder{payload}
-	ver, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	if ver != ProtoVersion {
-		return nil, fmt.Errorf("server: response version %d (want %d): %w",
-			ver, ProtoVersion, errs.ErrProtocol)
-	}
-	resp := &response{}
-	if resp.id, err = d.uint64(); err != nil {
-		return nil, err
-	}
-	cb, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	resp.code = Code(cb)
-	if resp.code != CodeOK {
-		if resp.msg, err = d.string(); err != nil {
-			return nil, err
-		}
-		return resp, d.done()
+	resp, d, err := decodeResponseHead(payload)
+	if err != nil || resp.code != CodeOK {
+		return resp, err
 	}
 	n := opTable[op].values
 	if n != perItem {
@@ -626,4 +625,49 @@ func decodeResponse(op Op, payload []byte) (*response, error) {
 		}
 	}
 	return resp, d.done()
+}
+
+// forwardedResponse parses the answer to a Client.Forward request: the
+// header, and an error's message for the retry loop to classify. The
+// body stays as encoded, for the forwarding server to pass on.
+func forwardedResponse(payload []byte) (*response, error) {
+	resp, _, err := decodeResponseHead(payload)
+	if err != nil {
+		return nil, err
+	}
+	resp.body = payload[1+8+1:] // after version, id and code
+	return resp, nil
+}
+
+// decodeResponseHead parses a response payload's version, id and code.
+// An error response is parsed whole, message included; an OK one
+// returns the decoder at its body.
+func decodeResponseHead(payload []byte) (*response, decoder, error) {
+	d := decoder{payload}
+	ver, err := d.byte()
+	if err != nil {
+		return nil, d, err
+	}
+	if ver != ProtoVersion {
+		return nil, d, fmt.Errorf("server: response version %d (want %d): %w",
+			ver, ProtoVersion, errs.ErrProtocol)
+	}
+	resp := &response{}
+	if resp.id, err = d.uint64(); err != nil {
+		return nil, d, err
+	}
+	cb, err := d.byte()
+	if err != nil {
+		return nil, d, err
+	}
+	resp.code = Code(cb)
+	if resp.code != CodeOK {
+		if resp.msg, err = d.string(); err != nil {
+			return nil, d, err
+		}
+		if err := d.done(); err != nil {
+			return nil, d, err
+		}
+	}
+	return resp, d, nil
 }

@@ -22,9 +22,9 @@ package server
 // The ops are control plane, not service traffic: their opTable rows
 // declare no QoS tag (they must keep working while tenants are
 // throttled) and no trace block, and mark them inline — answered on the
-// read loop without an admission slot. A server whose handler does not
-// implement MembershipHandler — montsysd itself, or an old balancer —
-// answers CodeProtocol.
+// read loop without an admission slot. Only a forwarding server runs
+// them, on its Forwarder's Join and Goodbye; an engine server —
+// montsysd itself — answers CodeProtocol, as does an old balancer.
 
 import (
 	"context"
@@ -45,22 +45,6 @@ const maxMemberField = 256
 type memberBody struct {
 	addr string
 	zone string
-}
-
-// MembershipHandler is the optional handler surface behind the
-// membership ops. The cluster balancer implements it (runtime
-// join/leave, effective at once); servers whose handler does not —
-// montsysd's engine handler — answer membership frames with
-// CodeProtocol. Implementations must be safe for concurrent use and
-// idempotent: Join of a present member and Goodbye of an absent one
-// succeed without effect.
-type MembershipHandler interface {
-	// Join adds (or re-labels) a backend and returns the member count
-	// after the change.
-	Join(ctx context.Context, addr, zone string) (members int, err error)
-	// Goodbye removes a backend and returns the member count after the
-	// change.
-	Goodbye(ctx context.Context, addr string) (members int, err error)
 }
 
 // memberAddr decodes a membership address, enforcing the field cap.
@@ -114,14 +98,20 @@ var goodbyeBody = bodyCodec{
 	},
 }
 
-// join and goodbye are the membership rows' handler calls; both answer
-// the member count after the change.
+// join and goodbye are the membership rows' Forwarder calls; both
+// answer the member count after the change.
 func (s *Server) join(ctx context.Context, req *request) *response {
-	n, err := s.member.Join(ctx, req.member.addr, req.member.zone)
+	if s.fwd == nil {
+		return unsupported(req.op)
+	}
+	n, err := s.fwd.Join(ctx, req.member.addr, req.member.zone)
 	return result(big.NewInt(int64(n)), err)
 }
 
 func (s *Server) goodbye(ctx context.Context, req *request) *response {
-	n, err := s.member.Goodbye(ctx, req.member.addr)
+	if s.fwd == nil {
+		return unsupported(req.op)
+	}
+	n, err := s.fwd.Goodbye(ctx, req.member.addr)
 	return result(big.NewInt(int64(n)), err)
 }

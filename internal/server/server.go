@@ -78,29 +78,10 @@ func WithTracer(t *obs.Tracer) Option { return func(c *config) { c.tracer = t } 
 // working under the default quota. A nil plane leaves QoS off.
 func WithQoS(p *qos.Plane) Option { return func(c *config) { c.qos = p } }
 
-// Handler executes decoded requests on behalf of the server. The
-// multi-core engine is the canonical implementation (via NewServer's
-// adapter); the cluster tier's balancer is another — montsyslb serves
-// the same wire protocol with a Handler that routes to remote backends
-// instead of local cores. Implementations must be safe for concurrent
-// use; per-request deadlines arrive on the context.
-type Handler interface {
-	// Mont computes the raw Montgomery product X·Y·R⁻¹ mod 2N.
-	Mont(ctx context.Context, n, x, y *big.Int) (*big.Int, error)
-	// ModExp computes Base^Exp mod N.
-	ModExp(ctx context.Context, n, base, exp *big.Int) (*big.Int, error)
-	// ModExpBatch answers jobs order-preservingly with per-item errors.
-	ModExpBatch(ctx context.Context, jobs []engine.ModExpJob) ([]engine.ModExpResult, error)
-}
-
-// DefaultHandlerInflight is NewHandlerServer's admission bound when the
-// handler has no worker count to derive one from (engines get 4×workers).
-const DefaultHandlerInflight = 256
-
-// Server is the TCP front door of a Handler — usually an engine.Engine,
-// but any Handler (e.g. the cluster balancer) plugs in. It multiplexes
-// many client connections onto the handler, speaking the length-
-// prefixed binary protocol of this package. Each connection gets a
+// Server is the TCP front door of an engine.Engine (NewServer), or of a
+// Forwarder that hands requests on to other servers (NewForwardingServer:
+// the cluster balancer). It multiplexes many client connections onto
+// either, speaking the length-prefixed binary protocol of this package. Each connection gets a
 // dedicated read goroutine and a dedicated write goroutine; each
 // admitted request runs on its own goroutine so responses return in
 // completion order (pipelining). Admission control bounds in-flight
@@ -110,11 +91,11 @@ const DefaultHandlerInflight = 256
 // Shutdown drains gracefully: stop accepting, answer new requests with
 // ErrDraining, finish everything already admitted, flush, then close.
 type Server struct {
-	h      Handler
-	sign   SignHandler       // nil when the handler cannot execute signing ops
-	member MembershipHandler // nil when the handler cannot execute membership ops
-	cfg    config
-	met    *metrics
+	eng *engine.Engine     // executes every op; nil on a forwarding server
+	svc *cryptosvc.Service // the signing ops' service over eng
+	fwd Forwarder          // non-nil on a forwarding server
+	cfg config
+	met *metrics
 
 	inflight chan struct{}
 
@@ -129,59 +110,6 @@ type Server struct {
 	connWG   sync.WaitGroup // connection handlers
 }
 
-// engineHandler adapts an engine.Engine to the SignHandler interface,
-// propagating the context's deadline into the engine's per-job deadline
-// fields (the engine enforces it even while a job waits in queue).
-// Signing ops delegate to svc (see server_crypto.go).
-type engineHandler struct {
-	eng *engine.Engine
-	svc *cryptosvc.Service
-}
-
-func (h engineHandler) Mont(ctx context.Context, n, x, y *big.Int) (*big.Int, error) {
-	dl, _ := ctx.Deadline()
-	res, err := h.eng.MontBatch(ctx, []engine.MontJob{{N: n, X: x, Y: y, Deadline: dl}})
-	if err == nil {
-		err = res[0].Err
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res[0].Value, nil
-}
-
-func (h engineHandler) ModExp(ctx context.Context, n, base, exp *big.Int) (*big.Int, error) {
-	dl, _ := ctx.Deadline()
-	res, err := h.eng.ModExpBatch(ctx, []engine.ModExpJob{{N: n, Base: base, Exp: exp, Deadline: dl}})
-	if err == nil {
-		err = res[0].Err
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res[0].Value, nil
-}
-
-func (h engineHandler) ModExpBatch(ctx context.Context, jobs []engine.ModExpJob) ([]engine.ModExpResult, error) {
-	if dl, ok := ctx.Deadline(); ok {
-		stamped := make([]engine.ModExpJob, len(jobs))
-		copy(stamped, jobs)
-		for i := range stamped {
-			if stamped[i].Deadline.IsZero() || dl.Before(stamped[i].Deadline) {
-				stamped[i].Deadline = dl
-			}
-		}
-		jobs = stamped
-	}
-	res, err := h.eng.ModExpBatch(ctx, jobs)
-	if len(res) == len(jobs) {
-		// Every item is answered (possibly with its own error); let the
-		// per-item codes carry the story rather than failing the batch.
-		return res, nil
-	}
-	return res, err
-}
-
 // NewServer wraps an engine. The engine stays caller-owned: Shutdown
 // and Close never close it, so one engine can outlive several servers
 // (or serve in-process callers at the same time).
@@ -189,30 +117,19 @@ func NewServer(eng *engine.Engine, opts ...Option) (*Server, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("server: nil engine")
 	}
-	// The handler needs the parsed options (WithSignService) before it
-	// exists, so peek at the config first; newServer re-parses.
-	var peek config
-	for _, o := range opts {
-		o(&peek)
+	s, err := newServer(&Server{eng: eng}, 4*eng.Workers(), opts)
+	if err != nil {
+		return nil, err
 	}
-	svc := peek.signSvc
-	if svc == nil {
-		svc = cryptosvc.New(eng)
+	if s.svc = s.cfg.signSvc; s.svc == nil {
+		s.svc = cryptosvc.New(eng)
 	}
-	return newServer(engineHandler{eng, svc}, 4*eng.Workers(), opts)
+	return s, nil
 }
 
-// NewHandlerServer wraps an arbitrary Handler — the balancer's way of
-// speaking the same wire protocol as montsysd. The default admission
-// bound is DefaultHandlerInflight; tune it with WithMaxInflight.
-func NewHandlerServer(h Handler, opts ...Option) (*Server, error) {
-	if h == nil {
-		return nil, fmt.Errorf("server: nil handler")
-	}
-	return newServer(h, DefaultHandlerInflight, opts)
-}
-
-func newServer(h Handler, defaultInflight int, opts []Option) (*Server, error) {
+// newServer completes s — an engine or forwarding server — from the
+// options.
+func newServer(s *Server, defaultInflight int, opts []Option) (*Server, error) {
 	cfg := config{
 		maxInflight:  defaultInflight,
 		idleTimeout:  2 * time.Minute,
@@ -231,20 +148,12 @@ func newServer(h Handler, defaultInflight int, opts []Option) (*Server, error) {
 	if cfg.registry == nil {
 		cfg.registry = obs.NewRegistry()
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	sign, _ := h.(SignHandler)
-	member, _ := h.(MembershipHandler)
-	return &Server{
-		h:          h,
-		sign:       sign,
-		member:     member,
-		cfg:        cfg,
-		met:        newMetrics(cfg.registry),
-		inflight:   make(chan struct{}, cfg.maxInflight),
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		conns:      make(map[*sconn]struct{}),
-	}, nil
+	s.cfg = cfg
+	s.met = newMetrics(cfg.registry)
+	s.inflight = make(chan struct{}, cfg.maxInflight)
+	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
+	s.conns = make(map[*sconn]struct{})
+	return s, nil
 }
 
 // Registry returns the registry the server's metrics live in.
@@ -536,7 +445,7 @@ func (c *sconn) send(payload []byte) {
 // join, goodbye) are answered right here on the read loop, without an
 // admission slot or a QoS charge: health checks and control plane must
 // keep answering exactly when the data plane is saturated or every
-// tenant is throttled, and their handler calls are in-memory and
+// tenant is throttled, and their calls are in-memory and
 // bounded, so they cannot stall the connection. Drain and overload
 // rejections answer inline too (fast fail — no goroutine, no queue);
 // admitted requests get a goroutine and a slot in the in-flight bound.
@@ -611,8 +520,8 @@ func (c *sconn) reply(req *request, resp *response, spanID obs.SpanID, start tim
 	c.send(encodeResponse(req.op, resp))
 }
 
-// requestContext derives a request's handler context from the server's
-// base context and the wire deadline.
+// requestContext derives a request's execution context from the
+// server's base context and the wire deadline.
 func (s *Server) requestContext(req *request) (context.Context, context.CancelFunc) {
 	if req.deadline.IsZero() {
 		return s.baseCtx, func() {}
@@ -620,9 +529,10 @@ func (s *Server) requestContext(req *request) (context.Context, context.CancelFu
 	return context.WithDeadline(s.baseCtx, req.deadline)
 }
 
-// serveReq executes one admitted request against the handler and queues
-// its response. release, when non-nil, returns the request's QoS
-// concurrency-share slot and records its per-tenant latency.
+// serveReq executes one admitted request — on the engine, or handed to
+// the Forwarder — and queues its response. release, when non-nil,
+// returns the request's QoS concurrency-share slot and records its
+// per-tenant latency.
 func (c *sconn) serveReq(req *request, start time.Time, release func(time.Duration)) {
 	s := c.srv
 	defer func() {
@@ -642,7 +552,7 @@ func (c *sconn) serveReq(req *request, start time.Time, release func(time.Durati
 	var spanID obs.SpanID
 	if req.tc.Sampled {
 		// Open the server span and re-parent the context's trace under
-		// it, so the handler's spans (engine jobs locally, route
+		// it, so the execution's spans (engine jobs locally, route
 		// attempts in the balancer) become its children.
 		spanID = obs.NewSpanID()
 		ctx = obs.ContextWithTrace(ctx, req.tc.Child(spanID))
@@ -656,7 +566,7 @@ func (c *sconn) serveReq(req *request, start time.Time, release func(time.Durati
 
 // observeRequest records the server span for a sampled request;
 // untraced requests return on the first branch. A zero spanID
-// (inline drain/overload rejections, which never opened a handler
+// (inline drain/overload rejections, which never opened an execution
 // context) gets one minted here so the rejection still shows in the
 // trace tree.
 func (s *Server) observeRequest(req *request, spanID obs.SpanID, code Code,
@@ -687,26 +597,31 @@ func (s *Server) observeRequest(req *request, spanID obs.SpanID, code Code,
 	s.cfg.tracer.Record(span)
 }
 
-// execute runs the request's handler call from its op row, or answers
-// CodeProtocol when this server's handler lacks the surface the op
-// needs. The wire deadline is already on ctx; the engine adapter
-// additionally folds it into per-job deadline fields so queued jobs
-// expire on time.
+// execute answers a request from its op row: a forwarding server hands
+// every op but the inline ones to its Forwarder, and otherwise the
+// row's serve function runs. The wire deadline is already on ctx; the
+// engine calls additionally fold it into per-job deadline fields so
+// queued jobs expire on time.
 func (s *Server) execute(ctx context.Context, req *request) *response {
 	desc := &opTable[req.op]
-	if !s.supports(desc) {
-		return &response{code: CodeProtocol,
-			msg: fmt.Sprintf("op %s unsupported by this server", req.op)}
+	if s.fwd != nil && !desc.inline {
+		return s.forward(ctx, req)
 	}
 	return desc.serve(s, ctx, req)
 }
 
-// failure answers a failed handler call with the error's wire code.
+// unsupported answers an op this server has no surface for: the
+// membership ops on an engine server.
+func unsupported(op Op) *response {
+	return &response{code: CodeProtocol, msg: fmt.Sprintf("op %s unsupported by this server", op)}
+}
+
+// failure answers a failed call with the error's wire code.
 func failure(err error) *response {
 	return &response{code: CodeOf(err), msg: err.Error()}
 }
 
-// result answers a handler call with OK values, or its error.
+// result answers a call with one OK value, or its error.
 func result(v *big.Int, err error) *response {
 	if err != nil {
 		return failure(err)
@@ -714,12 +629,12 @@ func result(v *big.Int, err error) *response {
 	return &response{code: CodeOK, values: []*big.Int{v}}
 }
 
-// perItemResult answers a batch handler call: n item results for want
-// items, item(i) yielding item i's value or error. A handler error, or
-// an answer that does not cover every item, fails the whole batch.
+// perItemResult answers a batch call: n item results for want items,
+// item(i) yielding item i's value or error. A call error, or an answer
+// that does not cover every item, fails the whole batch.
 func perItemResult(n, want int, err error, item func(i int) (*big.Int, error)) *response {
 	if err == nil && n != want {
-		err = fmt.Errorf("server: handler answered %d of %d items: %w", n, want, errs.ErrProtocol)
+		err = fmt.Errorf("server: answered %d of %d items: %w", n, want, errs.ErrProtocol)
 	}
 	if err != nil {
 		return failure(err)
@@ -742,24 +657,45 @@ func perItemResult(n, want int, err error, item func(i int) (*big.Int, error)) *
 	return resp
 }
 
-// Handler calls of the compute and health-check rows.
+// Engine calls of the compute rows. ctxDeadline stamps the wire
+// deadline on each job, so the engine expires it even while it waits
+// in queue.
+
+func ctxDeadline(ctx context.Context) time.Time {
+	dl, _ := ctx.Deadline()
+	return dl
+}
 
 func (s *Server) mont(ctx context.Context, req *request) *response {
 	j := req.jobs[0]
-	return result(s.h.Mont(ctx, j.n, j.a, j.b))
+	res, err := s.eng.MontBatch(ctx, []engine.MontJob{{N: j.n, X: j.a, Y: j.b, Deadline: ctxDeadline(ctx)}})
+	if err != nil {
+		return failure(err)
+	}
+	return result(res[0].Value, res[0].Err)
 }
 
 func (s *Server) modExp(ctx context.Context, req *request) *response {
 	j := req.jobs[0]
-	return result(s.h.ModExp(ctx, j.n, j.a, j.b))
+	res, err := s.eng.ModExpBatch(ctx, []engine.ModExpJob{{N: j.n, Base: j.a, Exp: j.b, Deadline: ctxDeadline(ctx)}})
+	if err != nil {
+		return failure(err)
+	}
+	return result(res[0].Value, res[0].Err)
 }
 
 func (s *Server) batchModExp(ctx context.Context, req *request) *response {
+	dl := ctxDeadline(ctx)
 	jobs := make([]engine.ModExpJob, len(req.jobs))
 	for i, j := range req.jobs {
-		jobs[i] = engine.ModExpJob{N: j.n, Base: j.a, Exp: j.b}
+		jobs[i] = engine.ModExpJob{N: j.n, Base: j.a, Exp: j.b, Deadline: dl}
 	}
-	res, err := s.h.ModExpBatch(ctx, jobs)
+	res, err := s.eng.ModExpBatch(ctx, jobs)
+	if len(res) == len(jobs) {
+		// Every item is answered (possibly with its own error); let the
+		// per-item codes carry the story rather than failing the batch.
+		err = nil
+	}
 	return perItemResult(len(res), len(jobs), err, func(i int) (*big.Int, error) {
 		return res[i].Value, res[i].Err
 	})

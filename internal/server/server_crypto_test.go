@@ -5,9 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"math/big"
-	"net"
 	"testing"
-	"time"
 
 	"repro/internal/cryptosvc"
 	"repro/internal/ecc"
@@ -198,66 +196,6 @@ func TestCryptoBatchVerifyPerItemCodes(t *testing.T) {
 	}
 	if res[3].OK || res[3].Err != nil {
 		t.Fatalf("item 3 (r=0): %+v, want OK=false Err=nil", res[3])
-	}
-}
-
-// plainHandler is a pre-signing Handler: the compute ops only, the way
-// an old montsyslb would front an old fleet.
-type plainHandler struct{ eng *engine.Engine }
-
-func (h plainHandler) Mont(ctx context.Context, n, x, y *big.Int) (*big.Int, error) {
-	return h.eng.Mont(ctx, n, x, y)
-}
-func (h plainHandler) ModExp(ctx context.Context, n, base, exp *big.Int) (*big.Int, error) {
-	v, _, err := h.eng.ModExp(ctx, n, base, exp)
-	return v, err
-}
-func (h plainHandler) ModExpBatch(ctx context.Context, jobs []engine.ModExpJob) ([]engine.ModExpResult, error) {
-	return h.eng.ModExpBatch(ctx, jobs)
-}
-
-// TestMixedVersionFleet pins the append-only degradation story in both
-// directions. A new client against a server whose handler predates the
-// signing ops gets a clean CodeProtocol error (not a misparse, not a
-// hang); the compute ops keep working on the same connection. And an
-// old client's frames — ops ≤ 7 — are answered by the new server
-// byte-compatibly (covered by the golden-frame test below plus every
-// pre-existing round-trip test in this package).
-func TestMixedVersionFleet(t *testing.T) {
-	eng, err := engine.New(engine.WithWorkers(1), engine.WithKit(kits.CIOS))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { eng.Close() })
-	srv, err := NewHandlerServer(plainHandler{eng})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	})
-	cl := Dial(ln.Addr().String())
-	t.Cleanup(func() { cl.Close() })
-
-	ctx := context.Background()
-	if _, err := cl.KeygenRSA(ctx, 128, 1); !errors.Is(err, errs.ErrProtocol) {
-		t.Fatalf("signing op on old server: got %v, want ErrProtocol", err)
-	}
-	// The connection is still healthy for old ops.
-	n, base, exp := big.NewInt(0xF1), big.NewInt(7), big.NewInt(5)
-	got, err := cl.ModExp(ctx, n, base, exp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := new(big.Int).Exp(base, exp, n); got.Cmp(want) != 0 {
-		t.Fatalf("modexp after rejected signing op: got %v want %v", got, want)
 	}
 }
 
