@@ -43,7 +43,7 @@ test-386:
 	GOARCH=386 $(GO) test ./internal/highradix/... ./internal/mont/... ./internal/logic/... ./internal/mmmc/...
 
 race:
-	$(GO) test -race ./internal/engine/... ./internal/core/... ./internal/obs/... ./internal/server/... ./internal/cluster/... ./internal/faults/... ./internal/integrity/... ./internal/highradix/... ./internal/kits/... ./internal/cryptosvc/... ./internal/sca/... ./internal/qos/...
+	$(GO) test -race ./internal/engine/... ./internal/core/... ./internal/obs/... ./internal/server/... ./internal/cluster/... ./internal/faults/... ./internal/integrity/... ./internal/highradix/... ./internal/kits/... ./internal/cryptosvc/... ./internal/sca/... ./internal/qos/... ./cmd/loadgen/...
 
 # CI installs staticcheck; locally the gate is skipped when the binary
 # is absent rather than failing the whole ci target.

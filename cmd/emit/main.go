@@ -36,14 +36,9 @@ func main() {
 }
 
 func run(l int, unit, variantName, out, dot string) error {
-	var variant systolic.Variant
-	switch variantName {
-	case "guarded":
-		variant = systolic.Guarded
-	case "faithful":
-		variant = systolic.Faithful
-	default:
-		return fmt.Errorf("unknown variant %q", variantName)
+	variant, err := systolic.ParseVariant(variantName)
+	if err != nil {
+		return err
 	}
 
 	nl := logic.New()

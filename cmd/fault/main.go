@@ -37,14 +37,9 @@ func main() {
 }
 
 func run(l, vectors int, variantName string, seed int64, list bool) error {
-	var variant systolic.Variant
-	switch variantName {
-	case "guarded":
-		variant = systolic.Guarded
-	case "faithful":
-		variant = systolic.Faithful
-	default:
-		return fmt.Errorf("unknown variant %q", variantName)
+	variant, err := systolic.ParseVariant(variantName)
+	if err != nil {
+		return err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	n := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(l-1)))

@@ -16,31 +16,13 @@
 //	        [-scenario modexp|sign|tenants|soak]
 //	        [-duration 60s] [-adversaries 4]
 //
-// -scenario soak is the composed robustness run (remote only): mixed
-// tenants hammer the fleet closed-loop for -duration with Zipf-skewed
-// moduli while -adversaries hostile connections attack the same front
-// door — slow-loris byte dribblers and malformed-frame senders. The
-// scenario is built to run while the fleet churns underneath it
-// (backends joining, leaving, being killed -9; see scripts/soak.sh):
-// the verdict line demands zero wrong answers from anyone, zero
-// client-visible errors for the well-behaved interactive tenant, and
-// no windowed-p99 cliff across membership changes. See soak.go.
-//
-// -scenario tenants runs the multi-tenant isolation experiment (remote
-// only): three tenants — a well-behaved interactive one, a hostile one
-// flooding at 10× its quota, and best-effort bulk — share the fleet
-// through the servers' QoS plane, moduli drawn Zipf-skewed so hot keys
-// contend. The run prints per-tenant goodput, p99, and rejection
-// counts, and fails if the well-behaved tenant's error rate exceeds
-// its budget — the isolation assertion CI runs live. See tenants.go.
-//
-// -scenario sign drives the signing service instead of raw modexp
-// (remote only — signing is a wire surface): RSA keys are generated
-// over the wire (deterministic seeds), every job is a blinded RSA-CRT
-// sign whose signature is verified client-side with math/big — a wrong
-// signature is always fatal, like a wrong modexp answer — and every
-// eighth job adds an ECDSA sign whose signature joins a final
-// batch-verify call that must answer all-OK. See sign.go.
+// -scenario sign, tenants and soak drive a fleet, so they need
+// -connect. sign drives the signing service: wire keygen, blinded
+// RSA-CRT signs checked with math/big, and an ECDSA batch verify (see
+// sign.go). tenants is the multi-tenant QoS isolation experiment (see
+// tenants.go). soak is the composed robustness run under fleet churn
+// and hostile connections (see soak.go). Each file's header states the
+// scenario's verdict.
 //
 // -kit takes a comma-separated compute-kit list (model | sim | cios |
 // big; default cios, the radix-2^64 fast path the daemons serve on) and
@@ -48,21 +30,25 @@
 // paper-faithful radix-2 path (model) against the radix-2^64 CIOS fast
 // path and the math/big oracle side by side. Rows are labelled per kit.
 //
-// Each sweep point drives the engine closed-loop from 2×workers
-// submitter goroutines, measuring every job's submit→finish latency.
+// Every scenario is one per-job closure run by one driver (drive):
+// N submitter goroutines, closed-loop, for a fixed job count or until
+// the run's deadline. Each sweep point drives the engine from
+// 2×workers submitters, measuring every job's submit→finish latency.
 // Every result is self-checked against math/big; the run aborts on any
 // mismatch — a wrong answer is always fatal, no flag can tolerate it.
 // Ctrl-C (or SIGTERM) cancels the root context, which interrupts a
 // sweep mid-flight and reports the partial point's error instead of
 // hanging.
 //
-// Server-side errors are classified (integrity, overloaded, draining,
-// backend_down, protocol, ...) and counted per class. By default any
-// error aborts the run; -tolerate takes a comma-separated class list
-// whose members are counted and skipped instead, and the per-class
-// tally is printed at the end — chaos runs drive a faulty fleet with
-// `-tolerate integrity` and then assert the integrity count (and every
-// self-check) says zero wrong answers reached the client.
+// Errors are counted under their wire-code names, the ones the
+// server's /metrics page uses (integrity, overloaded, rate_limited,
+// draining, backend_down, protocol, engine_closed, deadline, canceled,
+// internal, ...). By default any error aborts the run; -tolerate takes
+// a comma-separated list of those names whose errors are counted and
+// skipped instead, and the per-code tally is printed at the end —
+// chaos runs drive a faulty fleet with `-tolerate integrity` and then
+// assert the integrity count (and every self-check) says zero wrong
+// answers reached the client.
 //
 // In local (in-process) mode, -fault-rate/-fault-seed/-fault-cores
 // wire the deterministic fault injector into the sweep engines and
@@ -98,7 +84,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"math/big"
@@ -111,11 +96,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/errs"
 	"repro/internal/faults"
 	"repro/internal/kits"
 	"repro/internal/obs"
@@ -218,9 +203,9 @@ type sweepConfig struct {
 	// layer they touch, local or remote.
 	traceSample float64
 
-	// tolerate maps error classes (see classify) to "count and keep
-	// going instead of aborting". Self-check mismatches are never
-	// tolerated.
+	// tolerate holds the wire-code names (server.Code.String) whose
+	// errors are counted instead of aborting the run. Self-check
+	// mismatches are never tolerated.
 	tolerate map[string]bool
 
 	// Local-mode chaos/integrity knobs.
@@ -243,33 +228,7 @@ func parseTolerate(s string) map[string]bool {
 	return m
 }
 
-// classify buckets a call error into the class names -tolerate uses.
-// The classes mirror the wire protocol's error codes, so a chaos run
-// can speak the same vocabulary as the server's /metrics page.
-func classify(err error) string {
-	switch {
-	case errors.Is(err, errs.ErrIntegrity):
-		return "integrity"
-	case errors.Is(err, errs.ErrRateLimited):
-		return "rate_limited"
-	case errors.Is(err, errs.ErrOverloaded):
-		return "overloaded"
-	case errors.Is(err, errs.ErrDraining):
-		return "draining"
-	case errors.Is(err, errs.ErrBackendDown):
-		return "backend_down"
-	case errors.Is(err, errs.ErrProtocol):
-		return "protocol"
-	case errors.Is(err, errs.ErrEngineClosed):
-		return "closed"
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return "canceled"
-	default:
-		return "other"
-	}
-}
-
-// errorTally counts tolerated errors per class across submitters.
+// errorTally counts errors per wire-code name across submitters.
 type errorTally struct {
 	mu sync.Mutex
 	n  map[string]int
@@ -277,10 +236,20 @@ type errorTally struct {
 
 func newErrorTally() *errorTally { return &errorTally{n: make(map[string]int)} }
 
-func (t *errorTally) add(class string) {
+// add counts err under its wire-code name and returns the name.
+func (t *errorTally) add(err error) string {
+	code := server.CodeOf(err).String()
 	t.mu.Lock()
-	t.n[class]++
+	t.n[code]++
 	t.mu.Unlock()
+	return code
+}
+
+// count reads one code's tally.
+func (t *errorTally) count(code string) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.n[code]
 }
 
 func (t *errorTally) total() int {
@@ -293,23 +262,72 @@ func (t *errorTally) total() int {
 	return sum
 }
 
-// String renders "class=N" pairs in stable order, "none" when empty.
+// String renders "code=N" pairs in stable order, "none" when empty.
 func (t *errorTally) String() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.n) == 0 {
 		return "none"
 	}
-	classes := make([]string, 0, len(t.n))
+	codes := make([]string, 0, len(t.n))
 	for c := range t.n {
-		classes = append(classes, c)
+		codes = append(codes, c)
 	}
-	sort.Strings(classes)
-	parts := make([]string, 0, len(classes))
-	for _, c := range classes {
+	sort.Strings(codes)
+	parts := make([]string, 0, len(codes))
+	for _, c := range codes {
 		parts = append(parts, fmt.Sprintf("%s=%d", c, t.n[c]))
 	}
 	return strings.Join(parts, " ")
+}
+
+// drive is the one load driver every scenario runs on: job(ctx, s, i)
+// on submitters closed-loop goroutines, s being the submitter's number,
+// for i = 0 … jobs-1 when jobs ≥ 0, or i = 0, 1, 2, … until ctx ends
+// when jobs < 0. The first job error stops the pool and is returned; a
+// fixed-count run that ctx cuts short returns ctx's error.
+func drive(ctx context.Context, jobs, submitters int, job func(ctx context.Context, s, i int) error) error {
+	if jobs >= 0 {
+		submitters = min(submitters, jobs)
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		next  atomic.Int64
+		once  sync.Once
+		first error
+		wg    sync.WaitGroup
+	)
+	for s := 0; s < max(submitters, 1); s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if jobs >= 0 && i >= jobs {
+					return
+				}
+				if err := job(ctx, s, i); err != nil {
+					once.Do(func() { first = err; cancel() })
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if first == nil && jobs >= 0 && next.Load() < int64(jobs) {
+		return ctx.Err()
+	}
+	return first
+}
+
+// deadline applies -timeout: the overall deadline of one sweep point,
+// which for a -connect scenario is the whole run.
+func (cfg sweepConfig) deadline(ctx context.Context) (context.Context, context.CancelFunc) {
+	if cfg.timeout > 0 {
+		return context.WithTimeout(ctx, cfg.timeout)
+	}
+	return context.WithCancel(ctx)
 }
 
 // traceJob mints a root trace context for one job when -trace-sample is
@@ -323,10 +341,240 @@ func (cfg sweepConfig) traceJob(ctx context.Context) (context.Context, obs.Trace
 	return obs.ContextWithTrace(ctx, tc), tc
 }
 
-// faultOptions translates the local-mode chaos flags into engine
-// options (mirrors montsysd's flag wiring).
-func (cfg sweepConfig) faultOptions() ([]engine.Option, error) {
-	var opts []engine.Option
+// addrs is the -connect address list.
+func (cfg sweepConfig) addrs() []string {
+	var out []string
+	for _, a := range strings.Split(cfg.connect, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// clientSet holds one pooled, pipelined wire client per -connect
+// address; job i goes to address i mod len, so a backend fleet can be
+// driven directly as well as through montsyslb.
+type clientSet []*server.Client
+
+// dial opens the -connect clients with -clients pool slots and
+// -retries retries each, then opts.
+func (cfg sweepConfig) dial(opts ...server.ClientOption) (clientSet, error) {
+	base := []server.ClientOption{server.WithPoolSize(cfg.clients), server.WithMaxRetries(cfg.retries)}
+	if cfg.collector != nil && cfg.collector.Tracer() != nil {
+		// Client-layer spans of sampled jobs record into loadgen's own
+		// /trace ring (rate 0: roots are minted per job by traceJob, so
+		// the sampling decision stays in one place).
+		base = append(base, server.WithClientTracing(cfg.collector.Tracer(), 0))
+	}
+	var cs clientSet
+	for _, a := range cfg.addrs() {
+		cs = append(cs, server.Dial(a, append(base, opts...)...))
+	}
+	if len(cs) == 0 {
+		return nil, fmt.Errorf("no address in -connect %q", cfg.connect)
+	}
+	return cs, nil
+}
+
+func (cs clientSet) pick(i int) *server.Client { return cs[i%len(cs)] }
+
+func (cs clientSet) Close() {
+	for _, c := range cs {
+		c.Close()
+	}
+}
+
+// moduli draws keys odd, full-length moduli per bit length from rng:
+// the fixed key set of every modexp-shaped scenario, so reruns and
+// every backend of a fleet see the same moduli.
+func moduli(rng *rand.Rand, bits []int, keys int) []*big.Int {
+	out := make([]*big.Int, 0, len(bits)*keys)
+	for _, l := range bits {
+		for k := 0; k < keys; k++ {
+			n := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(l-1)))
+			n.SetBit(n, l-1, 1)
+			n.SetBit(n, 0, 1)
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+func run(ctx context.Context, workersList, bitsList, kitList, variantName string, cfg sweepConfig) error {
+	var sweepKits []kits.Kit
+	for _, p := range strings.Split(kitList, ",") {
+		k, err := kits.Parse(p)
+		if err != nil {
+			return err
+		}
+		sweepKits = append(sweepKits, k)
+	}
+	variant, err := systolic.ParseVariant(variantName)
+	if err != nil {
+		return err
+	}
+	bits, err := splitInts(bitsList)
+	if err != nil {
+		return err
+	}
+
+	var scenario func(context.Context, sweepConfig, []int) error
+	switch cfg.scenario {
+	case "", "modexp":
+		if cfg.connect == "" {
+			workers, err := splitInts(workersList)
+			if err != nil {
+				return err
+			}
+			return runLocal(ctx, cfg, bits, workers, sweepKits, variant)
+		}
+		scenario = runRemote
+	case "sign":
+		scenario = runSign
+	case "tenants":
+		scenario = runTenants
+	case "soak":
+		scenario = runSoak
+	default:
+		return fmt.Errorf("unknown scenario %q", cfg.scenario)
+	}
+	if cfg.connect == "" {
+		return fmt.Errorf("-scenario %s requires -connect: it drives the wire front door", cfg.scenario)
+	}
+	ctx, cancel := cfg.deadline(ctx)
+	defer cancel()
+	return scenario(ctx, cfg, bits)
+}
+
+// modexpBatch is the modexp workload: one fixed batch, reused across
+// every sweep point so the rows are comparable. It also returns the
+// number of distinct moduli.
+func (cfg sweepConfig) modexpBatch(bits []int) ([]engine.ModExpJob, int, error) {
+	rng := rand.New(rand.NewSource(cfg.seed))
+	mods := moduli(rng, bits, cfg.keys)
+	batch := make([]engine.ModExpJob, cfg.jobs)
+	for i := range batch {
+		n := mods[i%len(mods)]
+		base := new(big.Int).Rand(rng, n)
+		var exp *big.Int
+		switch cfg.expKind {
+		case "full":
+			exp = new(big.Int).Rand(rng, n)
+			exp.SetBit(exp, 0, 1)
+		case "f4":
+			exp = big.NewInt(65537)
+		default:
+			return nil, 0, fmt.Errorf("unknown exponent shape %q", cfg.expKind)
+		}
+		batch[i] = engine.ModExpJob{N: n, Base: base, Exp: exp}
+	}
+	return batch, len(mods), nil
+}
+
+// modexpPoint drives batch through call from submitters closed-loop,
+// self-checking every answer against math/big — the one job closure of
+// the local sweep and the remote run, which differ only in call. It
+// returns the wall time, the sorted latencies of the answered jobs and
+// the tally of tolerated errors; any other error, or a wrong answer,
+// ends the point.
+func (cfg sweepConfig) modexpPoint(ctx context.Context, batch []engine.ModExpJob, submitters int,
+	call func(ctx context.Context, i int, j engine.ModExpJob) (*big.Int, error)) (time.Duration, []time.Duration, *errorTally, error) {
+	lats := make([]time.Duration, len(batch))
+	tally := newErrorTally()
+	start := time.Now()
+	err := drive(ctx, len(batch), submitters, func(ctx context.Context, _, i int) error {
+		j := batch[i]
+		callCtx, tc := cfg.traceJob(ctx)
+		t0 := time.Now()
+		v, err := call(callCtx, i, j)
+		lats[i] = time.Since(t0)
+		if err != nil {
+			if tc.Sampled {
+				// The id greps into every layer's wide-event log and
+				// /trace export.
+				fmt.Printf("job %d failed: trace_id=%s err=%v\n", i, tc.TraceID, err)
+			}
+			if cfg.tolerate[tally.add(err)] {
+				lats[i] = -1
+				return nil
+			}
+			return fmt.Errorf("job %d: %w", i, err)
+		}
+		// A wrong answer is always fatal — no -tolerate name covers it.
+		// Zero of these is the chaos-run contract.
+		if want := new(big.Int).Exp(j.Base, j.Exp, j.N); v.Cmp(want) != 0 {
+			return fmt.Errorf("job %d: self-check failed (WRONG ANSWER)", i)
+		}
+		return nil
+	})
+	return time.Since(start), okLats(lats), tally, err
+}
+
+// runLocal sweeps every (kit, workers) point over an in-process engine
+// from 2×workers submitters, printing one row per point.
+func runLocal(ctx context.Context, cfg sweepConfig, bits, workers []int, sweepKits []kits.Kit, variant systolic.Variant) error {
+	batch, nmod, err := cfg.modexpBatch(bits)
+	if err != nil {
+		return err
+	}
+	kitNames := make([]string, len(sweepKits))
+	for i, k := range sweepKits {
+		kitNames[i] = k.String()
+	}
+	fmt.Printf("loadgen: %d jobs, bits=%v, %d moduli, kits=%s, exp=%s\n\n",
+		cfg.jobs, bits, nmod, strings.Join(kitNames, ","), cfg.expKind)
+	fmt.Printf("%-6s %-8s %12s %12s %10s %10s %10s %10s\n",
+		"kit", "workers", "wall", "jobs/s", "p50", "p95", "p99", "speedup")
+
+	for _, kit := range sweepKits {
+		// The speedup column resets per kit: it shows worker scaling
+		// within a kit, not cross-kit ratios (read jobs/s for those).
+		var base float64
+		for _, w := range workers {
+			eng, err := cfg.engine(w, kit, variant)
+			if err != nil {
+				return fmt.Errorf("kit=%s w=%d: %w", kit, w, err)
+			}
+			pctx, cancel := cfg.deadline(ctx)
+			wall, lats, tally, err := cfg.modexpPoint(pctx, batch, 2*w,
+				func(ctx context.Context, _ int, j engine.ModExpJob) (*big.Int, error) {
+					v, _, err := eng.ModExp(ctx, j.N, j.Base, j.Exp)
+					return v, err
+				})
+			cancel()
+			st := eng.Stats()
+			eng.Close()
+			if err != nil {
+				return fmt.Errorf("kit=%s w=%d: %w", kit, w, err)
+			}
+			if tally.total() > 0 {
+				fmt.Printf("         errors: %s\n", tally)
+			}
+			tput := float64(len(batch)) / wall.Seconds()
+			if base == 0 {
+				base = tput
+			}
+			fmt.Printf("%-6s %-8d %12s %12.1f %10s %10s %10s %9.2fx\n",
+				kit, w, wall.Round(time.Millisecond), tput,
+				pct(lats, 50), pct(lats, 95), pct(lats, 99), tput/base)
+			fmt.Printf("                stats: %s\n", st)
+		}
+	}
+	return nil
+}
+
+// engine builds one sweep point's engine: w workers on kit, with the
+// local-mode chaos flags wired in as montsysd wires its own.
+func (cfg sweepConfig) engine(w int, kit kits.Kit, variant systolic.Variant) (*engine.Engine, error) {
+	opts := []engine.Option{
+		engine.WithWorkers(w),
+		engine.WithKit(kit),
+		engine.WithArrayVariant(variant),
+	}
+	if cfg.queue > 0 {
+		opts = append(opts, engine.WithQueueDepth(cfg.queue))
+	}
 	if cfg.faultRate > 0 {
 		fOpts := []faults.Option{
 			faults.WithRate(cfg.faultRate),
@@ -346,215 +594,35 @@ func (cfg sweepConfig) faultOptions() ([]engine.Option, error) {
 			engine.WithIntegrityCheck(cfg.integritySample),
 			engine.WithIntegrityRecompute(cfg.integrityRecompute))
 	}
-	return opts, nil
+	if cfg.collector != nil {
+		opts = append(opts, engine.WithObserver(cfg.collector))
+		cfg.collector.SetEngineInfo(w, kit.String(), fmt.Sprint(variant))
+	}
+	return engine.New(opts...)
 }
 
-func run(ctx context.Context, workersList, bitsList, kitList, variantName string, cfg sweepConfig) error {
-	var sweepKits []kits.Kit
-	for _, p := range strings.Split(kitList, ",") {
-		k, err := kits.Parse(p)
-		if err != nil {
-			return err
-		}
-		sweepKits = append(sweepKits, k)
-	}
-	var variant systolic.Variant
-	switch variantName {
-	case "guarded":
-		variant = systolic.Guarded
-	case "faithful":
-		variant = systolic.Faithful
-	default:
-		return fmt.Errorf("unknown variant %q", variantName)
-	}
-	bits, err := splitInts(bitsList)
+// runRemote fires the modexp workload at the -connect addresses from
+// -clients submitters; the table reports the round-trip
+// (client→network→engine→core) latency distribution.
+func runRemote(ctx context.Context, cfg sweepConfig, bits []int) error {
+	batch, _, err := cfg.modexpBatch(bits)
 	if err != nil {
 		return err
 	}
-
-	switch cfg.scenario {
-	case "", "modexp":
-	case "sign":
-		return runSign(ctx, cfg, bits)
-	case "tenants":
-		return runTenants(ctx, cfg, bits)
-	case "soak":
-		return runSoak(ctx, cfg, bits)
-	default:
-		return fmt.Errorf("unknown scenario %q", cfg.scenario)
-	}
-
-	// One fixed workload, reused across every sweep point so the rows
-	// are comparable.
-	rng := rand.New(rand.NewSource(cfg.seed))
-	moduli := make([]*big.Int, 0, len(bits)*cfg.keys)
-	for _, l := range bits {
-		for k := 0; k < cfg.keys; k++ {
-			n := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(l-1)))
-			n.SetBit(n, l-1, 1)
-			n.SetBit(n, 0, 1)
-			moduli = append(moduli, n)
-		}
-	}
-	batch := make([]engine.ModExpJob, cfg.jobs)
-	for i := range batch {
-		n := moduli[i%len(moduli)]
-		base := new(big.Int).Rand(rng, n)
-		var exp *big.Int
-		switch cfg.expKind {
-		case "full":
-			exp = new(big.Int).Rand(rng, n)
-			exp.SetBit(exp, 0, 1)
-		case "f4":
-			exp = big.NewInt(65537)
-		default:
-			return fmt.Errorf("unknown exponent shape %q", cfg.expKind)
-		}
-		batch[i] = engine.ModExpJob{N: n, Base: base, Exp: exp}
-	}
-
-	if cfg.connect != "" {
-		return runRemote(ctx, cfg, bits, batch)
-	}
-
-	workers, err := splitInts(workersList)
+	cls, err := cfg.dial()
 	if err != nil {
 		return err
 	}
-	kitNames := make([]string, len(sweepKits))
-	for i, k := range sweepKits {
-		kitNames[i] = k.String()
-	}
-	fmt.Printf("loadgen: %d jobs, bits=%v, %d moduli, kits=%s, exp=%s\n\n",
-		cfg.jobs, bits, len(moduli), strings.Join(kitNames, ","), cfg.expKind)
-	fmt.Printf("%-6s %-8s %12s %12s %10s %10s %10s %10s\n",
-		"kit", "workers", "wall", "jobs/s", "p50", "p95", "p99", "speedup")
-
-	for _, kit := range sweepKits {
-		// The speedup column resets per kit: it shows worker scaling
-		// within a kit, not cross-kit ratios (read jobs/s for those).
-		var base float64
-		for _, w := range workers {
-			wall, lats, st, err := sweep(ctx, w, kit, variant, cfg, batch)
-			if err != nil {
-				return fmt.Errorf("kit=%s w=%d: %w", kit, w, err)
-			}
-			tput := float64(len(batch)) / wall.Seconds()
-			if base == 0 {
-				base = tput
-			}
-			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-			fmt.Printf("%-6s %-8d %12s %12.1f %10s %10s %10s %9.2fx\n",
-				kit, w, wall.Round(time.Millisecond), tput,
-				pct(lats, 50), pct(lats, 95), pct(lats, 99), tput/base)
-			fmt.Printf("                stats: %s\n", st)
-		}
-	}
-	return nil
-}
-
-// runRemote drives one or more montsysd/montsyslb instances instead of
-// an in-process engine: the same workload, submitted by cfg.clients
-// concurrent goroutines over pooled pipelined clients — one per
-// -connect address, jobs spread round-robin — each result self-checked
-// against math/big.
-func runRemote(ctx context.Context, cfg sweepConfig, bits []int, batch []engine.ModExpJob) error {
-	addrs := strings.Split(cfg.connect, ",")
-	clients := make([]*server.Client, 0, len(addrs))
-	for _, a := range addrs {
-		a = strings.TrimSpace(a)
-		if a == "" {
-			continue
-		}
-		clOpts := []server.ClientOption{
-			server.WithPoolSize(cfg.clients),
-			server.WithMaxRetries(cfg.retries),
-		}
-		if cfg.collector != nil && cfg.collector.Tracer() != nil {
-			// Client-layer spans of sampled jobs record into loadgen's
-			// own /trace ring (rate 0: roots are minted per job below,
-			// so the sampling decision stays in one place).
-			clOpts = append(clOpts, server.WithClientTracing(cfg.collector.Tracer(), 0))
-		}
-		cl := server.Dial(a, clOpts...)
-		defer cl.Close()
-		clients = append(clients, cl)
-	}
-	if len(clients) == 0 {
-		return fmt.Errorf("no address in -connect %q", cfg.connect)
-	}
+	defer cls.Close()
 	fmt.Printf("loadgen: %d jobs, bits=%v, %d remote(s) %s, %d clients, %d retries\n\n",
-		cfg.jobs, bits, len(clients), cfg.connect, cfg.clients, cfg.retries)
-
-	if cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
-		defer cancel()
-	}
-
-	submitters := cfg.clients
-	if submitters < 1 {
-		submitters = 1
-	}
-	if submitters > len(batch) {
-		submitters = len(batch)
-	}
-	lats := make([]time.Duration, len(batch))
-	idx := make(chan int, len(batch))
-	for i := range batch {
-		idx <- i
-	}
-	close(idx)
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, submitters)
-	tally := newErrorTally()
-	start := time.Now()
-	for s := 0; s < submitters; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					errCh <- ctx.Err()
-					return
-				}
-				j := batch[i]
-				callCtx, tc := cfg.traceJob(ctx)
-				t0 := time.Now()
-				v, err := clients[i%len(clients)].ModExp(callCtx, j.N, j.Base, j.Exp)
-				lats[i] = time.Since(t0)
-				if err != nil {
-					if tc.Sampled {
-						// The id greps into every layer's wide-event log
-						// and /trace export.
-						fmt.Printf("job %d failed: trace_id=%s err=%v\n", i, tc.TraceID, err)
-					}
-					if class := classify(err); cfg.tolerate[class] {
-						tally.add(class)
-						lats[i] = -1
-						continue
-					}
-					errCh <- fmt.Errorf("job %d: %w", i, err)
-					return
-				}
-				// A wrong answer is always fatal — no -tolerate class
-				// covers it. Zero of these is the chaos-run contract.
-				if want := new(big.Int).Exp(j.Base, j.Exp, j.N); v.Cmp(want) != 0 {
-					errCh <- fmt.Errorf("job %d: self-check failed (WRONG ANSWER)", i)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	select {
-	case err := <-errCh:
+		cfg.jobs, bits, len(cls), cfg.connect, cfg.clients, cfg.retries)
+	wall, lats, tally, err := cfg.modexpPoint(ctx, batch, cfg.clients,
+		func(ctx context.Context, i int, j engine.ModExpJob) (*big.Int, error) {
+			return cls.pick(i).ModExp(ctx, j.N, j.Base, j.Exp)
+		})
+	if err != nil {
 		return err
-	default:
 	}
-	lats = okLats(lats)
 	fmt.Printf("%-8s %12s %12s %10s %10s %10s\n",
 		"clients", "wall", "jobs/s", "p50", "p95", "p99")
 	fmt.Printf("%-8d %12s %12.1f %10s %10s %10s\n",
@@ -565,7 +633,7 @@ func runRemote(ctx context.Context, cfg sweepConfig, bits []int, batch []engine.
 	return nil
 }
 
-// okLats drops the -1 markers of tolerated-error jobs and sorts what
+// okLats drops the -1 markers of jobs that got no answer and sorts what
 // remains, so percentiles describe only answered requests.
 func okLats(lats []time.Duration) []time.Duration {
 	out := lats[:0]
@@ -576,100 +644,6 @@ func okLats(lats []time.Duration) []time.Duration {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// sweep drives one worker count: 2×workers closed-loop submitters, each
-// job's latency measured around the engine call and its result
-// self-checked against math/big. The caller's context flows into every
-// engine call, so a signal interrupts the sweep promptly.
-func sweep(ctx context.Context, w int, kit kits.Kit, variant systolic.Variant, cfg sweepConfig, batch []engine.ModExpJob) (time.Duration, []time.Duration, engine.Stats, error) {
-	opts := []engine.Option{
-		engine.WithWorkers(w),
-		engine.WithKit(kit),
-		engine.WithArrayVariant(variant),
-	}
-	if cfg.queue > 0 {
-		opts = append(opts, engine.WithQueueDepth(cfg.queue))
-	}
-	chaosOpts, err := cfg.faultOptions()
-	if err != nil {
-		return 0, nil, engine.Stats{}, err
-	}
-	opts = append(opts, chaosOpts...)
-	if cfg.collector != nil {
-		opts = append(opts, engine.WithObserver(cfg.collector))
-		cfg.collector.SetEngineInfo(w, kit.String(), fmt.Sprint(variant))
-	}
-	eng, err := engine.New(opts...)
-	if err != nil {
-		return 0, nil, engine.Stats{}, err
-	}
-	defer eng.Close()
-
-	if cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
-		defer cancel()
-	}
-
-	submitters := 2 * w
-	if submitters > len(batch) {
-		submitters = len(batch)
-	}
-	lats := make([]time.Duration, len(batch))
-	idx := make(chan int, len(batch))
-	for i := range batch {
-		idx <- i
-	}
-	close(idx)
-
-	var wg sync.WaitGroup
-	errCh := make(chan error, submitters)
-	tally := newErrorTally()
-	start := time.Now()
-	for s := 0; s < submitters; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				j := batch[i]
-				callCtx, tc := cfg.traceJob(ctx)
-				t0 := time.Now()
-				v, _, err := eng.ModExp(callCtx, j.N, j.Base, j.Exp)
-				lats[i] = time.Since(t0)
-				if err != nil {
-					if tc.Sampled {
-						fmt.Printf("job %d failed: trace_id=%s err=%v\n", i, tc.TraceID, err)
-					}
-					if class := classify(err); cfg.tolerate[class] {
-						tally.add(class)
-						lats[i] = -1
-						continue
-					}
-					errCh <- fmt.Errorf("job %d: %w", i, err)
-					return
-				}
-				// Always fatal, regardless of -tolerate: a wrong answer
-				// escaped every integrity net.
-				if want := new(big.Int).Exp(j.Base, j.Exp, j.N); v.Cmp(want) != 0 {
-					errCh <- fmt.Errorf("job %d: self-check failed (WRONG ANSWER)", i)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	st := eng.Stats()
-	select {
-	case err := <-errCh:
-		return 0, nil, st, err
-	default:
-	}
-	if tally.total() > 0 {
-		fmt.Printf("         errors: %s\n", tally)
-	}
-	return wall, okLats(lats), st, nil
 }
 
 // pct returns the p-th percentile of sorted latencies.

@@ -4,7 +4,7 @@ package main
 // (montsysd directly or through montsyslb) and verify every signature
 // client-side. This is the integration harness CI runs against a fleet
 // with one backend killed mid-run — the contract is the same as the
-// modexp chaos runs: tolerated error classes are counted, a wrong
+// modexp chaos runs: tolerated error codes are counted, a wrong
 // signature is always fatal.
 
 import (
@@ -12,14 +12,11 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/cryptosvc"
 	"repro/internal/rsa"
-	"repro/internal/server"
 )
 
 // ecdsaEvery makes every n-th job add an ECDSA sign to the RSA stream;
@@ -31,28 +28,11 @@ const ecdsaEvery = 8
 // signs across the keys and the -connect addresses, checking sig^e ≡
 // digest (mod n) with math/big on every answer.
 func runSign(ctx context.Context, cfg sweepConfig, bits []int) error {
-	if cfg.connect == "" {
-		return fmt.Errorf("-scenario sign requires -connect: signing is a wire surface")
+	cls, err := cfg.dial()
+	if err != nil {
+		return err
 	}
-	var clients []*server.Client
-	for _, a := range strings.Split(cfg.connect, ",") {
-		if a = strings.TrimSpace(a); a == "" {
-			continue
-		}
-		cl := server.Dial(a,
-			server.WithPoolSize(cfg.clients),
-			server.WithMaxRetries(cfg.retries))
-		defer cl.Close()
-		clients = append(clients, cl)
-	}
-	if len(clients) == 0 {
-		return fmt.Errorf("no address in -connect %q", cfg.connect)
-	}
-	if cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
-		defer cancel()
-	}
+	defer cls.Close()
 
 	// Setup (untimed): -keys RSA keys per bit length, generated on the
 	// remote side. Keygen seeds derive from -seed, so reruns and every
@@ -61,7 +41,7 @@ func runSign(ctx context.Context, cfg sweepConfig, bits []int) error {
 	kseed := cfg.seed
 	for _, l := range bits {
 		for k := 0; k < cfg.keys; k++ {
-			key, err := clients[len(keys)%len(clients)].KeygenRSA(ctx, l, kseed)
+			key, err := cls.pick(len(keys)).KeygenRSA(ctx, l, kseed)
 			if err != nil {
 				return fmt.Errorf("keygen %d bits (seed %d): %w", l, kseed, err)
 			}
@@ -100,92 +80,58 @@ func runSign(ctx context.Context, cfg sweepConfig, bits []int) error {
 	}
 
 	fmt.Printf("loadgen: sign scenario, %d signs, bits=%v, %d RSA keys, %d remote(s) %s, %d clients\n\n",
-		cfg.jobs, bits, len(keys), len(clients), cfg.connect, cfg.clients)
+		cfg.jobs, bits, len(keys), len(cls), cfg.connect, cfg.clients)
 
-	submitters := cfg.clients
-	if submitters < 1 {
-		submitters = 1
-	}
-	if submitters > cfg.jobs {
-		submitters = cfg.jobs
-	}
 	lats := make([]time.Duration, cfg.jobs)
-	idx := make(chan int, cfg.jobs)
-	for i := 0; i < cfg.jobs; i++ {
-		idx <- i
-	}
-	close(idx)
-
 	var (
-		wg      sync.WaitGroup
 		itemsMu sync.Mutex
 		items   []cryptosvc.ECDSAVerifyItem
 	)
-	errCh := make(chan error, submitters)
 	tally := newErrorTally()
 	start := time.Now()
-	for s := 0; s < submitters; s++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if ctx.Err() != nil {
-					errCh <- ctx.Err()
-					return
-				}
-				key := keys[i%len(keys)]
-				cl := clients[i%len(clients)]
-				t0 := time.Now()
-				sig, err := cl.SignRSA(ctx, key, rsaDigests[i])
-				lats[i] = time.Since(t0)
-				if err != nil {
-					if class := classify(err); cfg.tolerate[class] {
-						tally.add(class)
-						lats[i] = -1
-						continue
-					}
-					errCh <- fmt.Errorf("sign %d: %w", i, err)
-					return
-				}
-				// Client-side verification with math/big — independent of
-				// everything the service computed. Always fatal.
-				if got := new(big.Int).Exp(sig, key.E, key.N); got.Cmp(rsaDigests[i]) != 0 {
-					errCh <- fmt.Errorf("sign %d: WRONG SIGNATURE (sig^e != digest mod n)", i)
-					return
-				}
-				if ecDigests[i] != nil {
-					r, sv, err := cl.SignECDSA(ctx, cryptosvc.CurveP256, ecd, ecDigests[i], cfg.seed+int64(i))
-					if err != nil {
-						if class := classify(err); cfg.tolerate[class] {
-							tally.add(class)
-							continue
-						}
-						errCh <- fmt.Errorf("ecdsa sign %d: %w", i, err)
-						return
-					}
-					itemsMu.Lock()
-					items = append(items, cryptosvc.ECDSAVerifyItem{
-						Qx: qx, Qy: qy, R: r, S: sv, Digest: ecDigests[i]})
-					itemsMu.Unlock()
-				}
+	err = drive(ctx, cfg.jobs, cfg.clients, func(ctx context.Context, _, i int) error {
+		key := keys[i%len(keys)]
+		cl := cls.pick(i)
+		t0 := time.Now()
+		sig, err := cl.SignRSA(ctx, key, rsaDigests[i])
+		lats[i] = time.Since(t0)
+		if err != nil {
+			if cfg.tolerate[tally.add(err)] {
+				lats[i] = -1
+				return nil
 			}
-		}()
-	}
-	wg.Wait()
+			return fmt.Errorf("sign %d: %w", i, err)
+		}
+		// Client-side verification with math/big — independent of
+		// everything the service computed. Always fatal.
+		if got := new(big.Int).Exp(sig, key.E, key.N); got.Cmp(rsaDigests[i]) != 0 {
+			return fmt.Errorf("sign %d: WRONG SIGNATURE (sig^e != digest mod n)", i)
+		}
+		if ecDigests[i] == nil {
+			return nil
+		}
+		r, sv, err := cl.SignECDSA(ctx, cryptosvc.CurveP256, ecd, ecDigests[i], cfg.seed+int64(i))
+		if err != nil {
+			if cfg.tolerate[tally.add(err)] {
+				return nil
+			}
+			return fmt.Errorf("ecdsa sign %d: %w", i, err)
+		}
+		itemsMu.Lock()
+		items = append(items, cryptosvc.ECDSAVerifyItem{
+			Qx: qx, Qy: qy, R: r, S: sv, Digest: ecDigests[i]})
+		itemsMu.Unlock()
+		return nil
+	})
 	wall := time.Since(start)
-	select {
-	case err := <-errCh:
+	if err != nil {
 		return err
-	default:
 	}
 
 	// Every collected ECDSA signature must batch-verify over the wire.
 	for off := 0; off < len(items); off += 32 {
-		end := off + 32
-		if end > len(items) {
-			end = len(items)
-		}
-		res, err := clients[0].VerifyECDSABatch(ctx, cryptosvc.CurveP256, items[off:end])
+		end := min(off+32, len(items))
+		res, err := cls.pick(0).VerifyECDSABatch(ctx, cryptosvc.CurveP256, items[off:end])
 		if err != nil {
 			return fmt.Errorf("batch verify [%d:%d]: %w", off, end, err)
 		}
@@ -197,7 +143,6 @@ func runSign(ctx context.Context, cfg sweepConfig, bits []int) error {
 	}
 
 	okl := okLats(lats)
-	sort.Slice(okl, func(i, j int) bool { return okl[i] < okl[j] })
 	fmt.Printf("%-8s %12s %12s %10s %10s %10s\n",
 		"clients", "wall", "signs/s", "p50", "p95", "p99")
 	fmt.Printf("%-8d %12s %12.1f %10s %10s %10s\n",

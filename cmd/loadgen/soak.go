@@ -66,33 +66,35 @@ type soakCounts struct {
 	tally *errorTally
 }
 
-// runSoak drives the composed soak against the -connect addresses.
+// runSoak drives the composed soak against the -connect addresses:
+// the tenants' closed-loop workers and the adversaries are all
+// submitters of one until-the-deadline drive.
 func runSoak(ctx context.Context, cfg sweepConfig, bits []int) error {
-	if cfg.connect == "" {
-		return fmt.Errorf("-scenario soak requires -connect: the point is the wire front door")
-	}
-	addrs := make([]string, 0, 2)
-	for _, a := range strings.Split(cfg.connect, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
-	if len(addrs) == 0 {
-		return fmt.Errorf("no address in -connect %q", cfg.connect)
-	}
-	workers := cfg.clients
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(cfg.clients, 1)
 	tenants := []soakTenant{
 		{name: "acme", class: qos.Interactive, workers: workers, retries: cfg.retries, strict: true},
 		{name: "bulk", class: qos.Batch, workers: (workers + 1) / 2, retries: 1},
 		{name: "free", class: qos.BestEffort, workers: (workers + 1) / 2, retries: 0},
 	}
-	total := 0
-	for _, tn := range tenants {
-		total += tn.workers
+	// Submitter s works for tenant owner[s]; the adversaries are the
+	// submitters after the last tenant's.
+	var owner []int
+	clients := make([]clientSet, len(tenants))
+	counts := make([]*soakCounts, len(tenants))
+	for ti, tn := range tenants {
+		for w := 0; w < tn.workers; w++ {
+			owner = append(owner, ti)
+		}
+		cls, err := cfg.dial(server.WithPoolSize(tn.workers), server.WithMaxRetries(tn.retries),
+			server.WithClientTenant(tn.name), server.WithClientClass(tn.class))
+		if err != nil {
+			return err
+		}
+		defer cls.Close()
+		clients[ti] = cls
+		counts[ti] = &soakCounts{tally: newErrorTally()}
 	}
+	total := len(owner)
 	fmt.Printf("loadgen: soak %s, %d workers (%d acme / %d bulk / %d free), %d adversaries, remotes %s\n",
 		cfg.duration, total, tenants[0].workers, tenants[1].workers, tenants[2].workers,
 		cfg.adversaries, cfg.connect)
@@ -102,24 +104,28 @@ func runSoak(ctx context.Context, cfg sweepConfig, bits []int) error {
 	// the inline context builds of exactly the keys that matter most
 	// when their home moves.
 	rng := rand.New(rand.NewSource(cfg.seed))
-	moduli := make([]*big.Int, 0, len(bits)*cfg.keys)
-	for _, l := range bits {
-		for k := 0; k < cfg.keys; k++ {
-			n := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(l-1)))
-			n.SetBit(n, l-1, 1)
-			n.SetBit(n, 0, 1)
-			moduli = append(moduli, n)
-		}
-	}
+	mods := moduli(rng, bits, cfg.keys)
 	const ring = 8192
-	zipf := rand.NewZipf(rng, 1.3, 1, uint64(len(moduli)-1))
+	zipf := rand.NewZipf(rng, 1.3, 1, uint64(len(mods)-1))
 	ringN := make([]*big.Int, ring)
 	ringBase := make([]*big.Int, ring)
 	for i := range ringN {
-		ringN[i] = moduli[int(zipf.Uint64())]
+		ringN[i] = mods[int(zipf.Uint64())]
 		ringBase[i] = new(big.Int).Rand(rng, ringN[i])
 	}
 	exp := big.NewInt(65537)
+
+	// The adversaries: even ones dribble bytes to trip the slow-loris
+	// guard, odd ones throw malformed frames at the decoder. Each job
+	// is one connection; the drive reconnects them for the whole run —
+	// every cut connection is the server defending itself, counted, and
+	// the real assertion is that the well-behaved traffic never notices.
+	addrs := cfg.addrs()
+	advRng := make([]*rand.Rand, cfg.adversaries)
+	for a := range advRng {
+		advRng[a] = rand.New(rand.NewSource(cfg.seed + int64(a)))
+	}
+	var loris, malformed soakAdversaryStats
 
 	runCtx, cancel := context.WithTimeout(ctx, cfg.duration)
 	defer cancel()
@@ -131,92 +137,56 @@ func runSoak(ctx context.Context, cfg sweepConfig, bits []int) error {
 	winMu := make([]sync.Mutex, nWindows)
 	winLats := make([][]time.Duration, nWindows)
 
-	counts := make([]*soakCounts, len(tenants))
-	fatal := make(chan error, total)
-	var wg sync.WaitGroup
-	var jobSeq atomic.Int64
-	for ti, tn := range tenants {
-		sc := &soakCounts{tally: newErrorTally()}
-		counts[ti] = sc
-		cls := make([]*server.Client, len(addrs))
-		for i, a := range addrs {
-			cls[i] = server.Dial(a,
-				server.WithPoolSize(tn.workers),
-				server.WithMaxRetries(tn.retries),
-				server.WithClientTenant(tn.name),
-				server.WithClientClass(tn.class))
-			defer cls[i].Close()
+	err := drive(runCtx, -1, total+cfg.adversaries, func(ctx context.Context, s, i int) error {
+		if a := s - total; a >= 0 {
+			if target := addrs[a%len(addrs)]; a%2 == 0 {
+				soakSlowLoris(ctx, target, &loris)
+			} else {
+				soakMalformed(ctx, target, advRng[a], &malformed)
+			}
+			return nil
 		}
-		for w := 0; w < tn.workers; w++ {
-			wg.Add(1)
-			go func(tn soakTenant, w int) {
-				defer wg.Done()
-				for runCtx.Err() == nil {
-					i := int(jobSeq.Add(1)) % ring
-					n, base := ringN[i], ringBase[i]
-					t0 := time.Now()
-					v, err := cls[w%len(cls)].ModExp(runCtx, n, base, exp)
-					if err != nil {
-						// The run's own deadline/interrupt is the end of the
-						// soak, not a served error. The deadline is read off
-						// the clock too: a dial or write fails against it the
-						// moment it passes, as a timeout or, through the
-						// balancer, as backend_down, before the context's
-						// timer fires and sets Err — and a worker spinning on
-						// such instant failures would count each one.
-						if !time.Now().Before(end) || runCtx.Err() != nil &&
-							(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-							return
-						}
-						sc.tally.add(classify(err))
-						continue
-					}
-					sc.ok.Add(1)
-					if tn.strict {
-						if wi := int(t0.Sub(start) / soakWindow); wi >= 0 && wi < nWindows {
-							winMu[wi].Lock()
-							winLats[wi] = append(winLats[wi], time.Since(t0))
-							winMu[wi].Unlock()
-						}
-					}
-					// A wrong answer is always fatal, for every tenant:
-					// churn may shed load, never corrupt it.
-					if want := new(big.Int).Exp(base, exp, n); v.Cmp(want) != 0 {
-						fatal <- fmt.Errorf("tenant %s worker %d: self-check failed (WRONG ANSWER) for ring job %d", tn.name, w, i)
-						cancel()
-						return
-					}
-				}
-			}(tn, w)
+		tn, sc := tenants[owner[s]], counts[owner[s]]
+		r := i % ring
+		n, base := ringN[r], ringBase[r]
+		t0 := time.Now()
+		v, err := clients[owner[s]].pick(s).ModExp(ctx, n, base, exp)
+		if err != nil {
+			// The run's own deadline/interrupt is the end of the soak,
+			// not a served error. The deadline is read off the clock too:
+			// a dial or write fails against it the moment it passes, as a
+			// timeout or, through the balancer, as backend_down, before
+			// the context's timer fires and sets Err — and a worker
+			// spinning on such instant failures would count each one.
+			if !time.Now().Before(end) || ctx.Err() != nil &&
+				(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+				cancel()
+				return nil
+			}
+			sc.tally.add(err)
+			return nil
 		}
-	}
-
-	// The adversaries: half dribble bytes to trip the slow-loris guard,
-	// half throw malformed frames at the decoder. Both loop reconnecting
-	// for the whole run — every cut connection is the server defending
-	// itself, counted, and the real assertion is that the well-behaved
-	// traffic above never notices.
-	var loris, malformed soakAdversaryStats
-	for i := 0; i < cfg.adversaries; i++ {
-		wg.Add(1)
-		target := addrs[i%len(addrs)]
-		if i%2 == 0 {
-			go func() { defer wg.Done(); soakSlowLoris(runCtx, target, &loris) }()
-		} else {
-			seed := cfg.seed + int64(i)
-			go func() { defer wg.Done(); soakMalformed(runCtx, target, seed, &malformed) }()
+		sc.ok.Add(1)
+		if tn.strict {
+			if wi := int(t0.Sub(start) / soakWindow); wi >= 0 && wi < nWindows {
+				winMu[wi].Lock()
+				winLats[wi] = append(winLats[wi], time.Since(t0))
+				winMu[wi].Unlock()
+			}
 		}
-	}
-
-	wg.Wait()
+		// A wrong answer is always fatal, for every tenant: churn may
+		// shed load, never corrupt it.
+		if want := new(big.Int).Exp(base, exp, n); v.Cmp(want) != 0 {
+			return fmt.Errorf("tenant %s worker %d: self-check failed (WRONG ANSWER) for ring job %d", tn.name, s, r)
+		}
+		return nil
+	})
 	wall := time.Since(start)
-	select {
-	case err := <-fatal:
+	if err != nil {
 		return err
-	default:
 	}
 	if err := ctx.Err(); err != nil {
-		return err // interrupted by signal before the soak window ended
+		return err // interrupted before the soak window ended
 	}
 
 	// Report.
@@ -287,103 +257,100 @@ type soakAdversaryStats struct {
 }
 
 // soakSlowLoris connects and dribbles a never-finishing frame one byte
-// at a time until the server's frame-progress deadline cuts it, then
-// reconnects. A server without the guard would accumulate one parked
-// read-loop goroutine per cycle, forever.
+// at a time until the server's frame-progress deadline cuts it. A
+// server without the guard would accumulate one parked read-loop
+// goroutine per connection, forever.
 func soakSlowLoris(ctx context.Context, addr string, st *soakAdversaryStats) {
+	nc, ok := soakDial(ctx, addr, st)
+	if !ok {
+		return
+	}
+	defer nc.Close()
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], 1<<16) // promise 64 KiB, deliver a trickle
+	if _, err := nc.Write(hdr[:]); err != nil {
+		return
+	}
 	for ctx.Err() == nil {
-		d := net.Dialer{Timeout: 2 * time.Second}
-		nc, err := d.DialContext(ctx, "tcp", addr)
-		if err != nil {
-			soakPause(ctx, 500*time.Millisecond)
-			continue
+		// The server never answers an unfinished frame; a failed write or
+		// a read error is it hanging up on us mid-dribble: the guard fired.
+		if _, err := nc.Write([]byte{0x17}); err != nil || soakHungUp(nc, make([]byte, 1)) {
+			st.cuts.Add(1)
+			return
 		}
-		st.conns.Add(1)
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], 1<<16) // promise 64 KiB, deliver a trickle
-		if _, err := nc.Write(hdr[:]); err == nil {
-			for ctx.Err() == nil {
-				if _, err := nc.Write([]byte{0x17}); err != nil {
-					st.cuts.Add(1) // the guard fired
-					break
-				}
-				// The server never answers an unfinished frame; a read
-				// error is it hanging up on us mid-dribble.
-				nc.SetReadDeadline(time.Now().Add(250 * time.Millisecond))
-				if _, err := nc.Read(make([]byte, 1)); err != nil {
-					if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
-						st.cuts.Add(1)
-						break
-					}
-				}
-			}
-		}
-		nc.Close()
 	}
 }
 
 // soakMalformed throws garbage frames — random bytes, truncated
 // headers, hostile length claims, near-valid prefixes — at the wire
-// decoder. Every frame must be answered with a typed protocol error or
-// a hangup; the soak's real assertion is that none of them ever panics
-// a server or corrupts a neighbor's answer.
-func soakMalformed(ctx context.Context, addr string, seed int64, st *soakAdversaryStats) {
-	rng := rand.New(rand.NewSource(seed))
-	for ctx.Err() == nil {
-		d := net.Dialer{Timeout: 2 * time.Second}
-		nc, err := d.DialContext(ctx, "tcp", addr)
-		if err != nil {
-			soakPause(ctx, 500*time.Millisecond)
-			continue
+// decoder over one connection. Every frame must be answered with a
+// typed protocol error or a hangup; the soak's real assertion is that
+// none of them ever panics a server or corrupts a neighbor's answer.
+func soakMalformed(ctx context.Context, addr string, rng *rand.Rand, st *soakAdversaryStats) {
+	nc, ok := soakDial(ctx, addr, st)
+	if !ok {
+		return
+	}
+	defer nc.Close()
+	buf := make([]byte, 512)
+	for f := 0; f < 16 && ctx.Err() == nil; f++ {
+		var frame []byte
+		switch rng.Intn(4) {
+		case 0: // random payload under a truthful header
+			payload := make([]byte, rng.Intn(256))
+			rng.Read(payload)
+			frame = make([]byte, 4+len(payload))
+			binary.BigEndian.PutUint32(frame, uint32(len(payload)))
+			copy(frame[4:], payload)
+		case 1: // near-valid: right version byte, then noise
+			payload := make([]byte, 2+rng.Intn(64))
+			rng.Read(payload)
+			payload[0] = 0x01 // wire protocol version
+			frame = make([]byte, 4+len(payload))
+			binary.BigEndian.PutUint32(frame, uint32(len(payload)))
+			copy(frame[4:], payload)
+		case 2: // hostile length claim with nothing behind it
+			frame = make([]byte, 4)
+			binary.BigEndian.PutUint32(frame, 1<<30)
+		default: // truncated header
+			frame = make([]byte, 1+rng.Intn(3))
+			rng.Read(frame)
 		}
-		st.conns.Add(1)
-		for f := 0; f < 16 && ctx.Err() == nil; f++ {
-			var frame []byte
-			switch rng.Intn(4) {
-			case 0: // random payload under a truthful header
-				payload := make([]byte, rng.Intn(256))
-				rng.Read(payload)
-				frame = make([]byte, 4+len(payload))
-				binary.BigEndian.PutUint32(frame, uint32(len(payload)))
-				copy(frame[4:], payload)
-			case 1: // near-valid: right version byte, then noise
-				payload := make([]byte, 2+rng.Intn(64))
-				rng.Read(payload)
-				payload[0] = 0x01 // wire protocol version
-				frame = make([]byte, 4+len(payload))
-				binary.BigEndian.PutUint32(frame, uint32(len(payload)))
-				copy(frame[4:], payload)
-			case 2: // hostile length claim with nothing behind it
-				frame = make([]byte, 4)
-				binary.BigEndian.PutUint32(frame, 1<<30)
-			default: // truncated header
-				frame = make([]byte, 1+rng.Intn(3))
-				rng.Read(frame)
-			}
-			if _, err := nc.Write(frame); err != nil {
-				st.cuts.Add(1)
-				break
-			}
-			st.frames.Add(1)
-			// Drain whatever typed rejection comes back; a hangup ends
-			// the cycle.
-			nc.SetReadDeadline(time.Now().Add(250 * time.Millisecond))
-			buf := make([]byte, 512)
-			if _, err := nc.Read(buf); err != nil {
-				if ne, ok := err.(net.Error); !ok || !ne.Timeout() {
-					st.cuts.Add(1)
-					break
-				}
-			}
+		if _, err := nc.Write(frame); err != nil {
+			st.cuts.Add(1)
+			return
 		}
-		nc.Close()
+		st.frames.Add(1)
+		// Drain whatever typed rejection comes back; a hangup ends the
+		// connection.
+		if soakHungUp(nc, buf) {
+			st.cuts.Add(1)
+			return
+		}
 	}
 }
 
-// soakPause sleeps without outliving the run.
-func soakPause(ctx context.Context, d time.Duration) {
-	select {
-	case <-ctx.Done():
-	case <-time.After(d):
+// soakDial opens one adversarial connection; when the server is
+// unreachable it pauses instead, without outliving the run.
+func soakDial(ctx context.Context, addr string, st *soakAdversaryStats) (net.Conn, bool) {
+	d := net.Dialer{Timeout: 2 * time.Second}
+	nc, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		select {
+		case <-ctx.Done():
+		case <-time.After(500 * time.Millisecond):
+		}
+		return nil, false
 	}
+	st.conns.Add(1)
+	return nc, true
+}
+
+// soakHungUp waits briefly for the server's answer and reports whether
+// it hung up; a read timeout means it is still listening.
+func soakHungUp(nc net.Conn, buf []byte) bool {
+	nc.SetReadDeadline(time.Now().Add(250 * time.Millisecond))
+	_, err := nc.Read(buf)
+	ne, ok := err.(net.Error)
+	return err != nil && !(ok && ne.Timeout())
 }

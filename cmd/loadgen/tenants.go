@@ -17,11 +17,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/big"
 	"math/rand"
+	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,15 +55,16 @@ type tenantLoad struct {
 // tenantResult accumulates one tenant's outcome across submitters.
 type tenantResult struct {
 	sent  atomic.Int64
-	lats  []time.Duration
+	lats  []time.Duration // -1 until the job is answered
 	tally *errorTally
 }
 
-// count reads one class's tally (helper for the per-tenant report).
-func (t *errorTally) count(class string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n[class]
+// tenantJob is one entry of the merged open-loop schedule: tenant t's
+// job k, due at start+due.
+type tenantJob struct {
+	t, k    int
+	due     time.Duration
+	n, base *big.Int
 }
 
 // runTenants drives the three-tenant isolation experiment against the
@@ -72,142 +74,88 @@ func (t *errorTally) count(class string) int {
 // moduli exercise the per-modulus caches and the balancer's affinity
 // plane under multi-tenant contention.
 func runTenants(ctx context.Context, cfg sweepConfig, bits []int) error {
-	if cfg.connect == "" {
-		return fmt.Errorf("-scenario tenants requires -connect: QoS admission is a wire surface")
-	}
 	loads := []tenantLoad{
 		{name: "acme", class: qos.Interactive, rate: 100, retries: cfg.retries, budget: 0.02},
 		{name: "hog", class: qos.Batch, rate: 500, retries: 0, budget: -1},
 		{name: "bulk", class: qos.BestEffort, rate: 150, retries: 0, budget: -1},
 	}
-	window := time.Duration(float64(cfg.jobs) / 100 * float64(time.Second))
-	if window < time.Second {
-		window = time.Second
-	}
-	if cfg.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
-		defer cancel()
-	}
-
-	// Shared fixed key set, same construction as the modexp scenario so
-	// every rerun (and every backend of a fleet) sees the same moduli.
-	rng := rand.New(rand.NewSource(cfg.seed))
-	moduli := make([]*big.Int, 0, len(bits)*cfg.keys)
-	for _, l := range bits {
-		for k := 0; k < cfg.keys; k++ {
-			n := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(l-1)))
-			n.SetBit(n, l-1, 1)
-			n.SetBit(n, 0, 1)
-			moduli = append(moduli, n)
-		}
-	}
+	window := max(time.Duration(float64(cfg.jobs)/100*float64(time.Second)), time.Second)
+	mods := moduli(rand.New(rand.NewSource(cfg.seed)), bits, cfg.keys)
 	exp := big.NewInt(65537) // F4: cheap per call, so rates stay the story
 
-	addrs := strings.Split(cfg.connect, ",")
 	fmt.Printf("loadgen: tenants scenario, %s window, %d moduli (Zipf), remotes %s\n",
-		window, len(moduli), cfg.connect)
+		window, len(mods), cfg.connect)
 	fmt.Printf("loadgen: servers should enforce -qos %q\n\n", tenantsQoSSpec)
 
 	results := make([]*tenantResult, len(loads))
-	errCh := make(chan error, len(loads)*cfg.clients)
-	var wg sync.WaitGroup
-	start := time.Now()
+	clients := make([]clientSet, len(loads))
+	var sched []tenantJob
 	for ti, l := range loads {
-		jobs := int(l.rate * window.Seconds())
-		res := &tenantResult{lats: make([]time.Duration, jobs), tally: newErrorTally()}
-		results[ti] = res
-
 		// Per-tenant clients: identity is a client default here (the
 		// ambient-context path is exercised by the unit tests), and the
 		// hostile tenant gets zero retries — an abuser doesn't politely
 		// honor retry-after hints.
-		var cls []*server.Client
-		for _, a := range addrs {
-			if a = strings.TrimSpace(a); a == "" {
-				continue
-			}
-			cl := server.Dial(a,
-				server.WithPoolSize(cfg.clients),
-				server.WithMaxRetries(l.retries),
-				server.WithClientTenant(l.name),
-				server.WithClientClass(l.class))
-			defer cl.Close()
-			cls = append(cls, cl)
+		cls, err := cfg.dial(server.WithMaxRetries(l.retries),
+			server.WithClientTenant(l.name), server.WithClientClass(l.class))
+		if err != nil {
+			return err
 		}
-		if len(cls) == 0 {
-			return fmt.Errorf("no address in -connect %q", cfg.connect)
-		}
+		defer cls.Close()
+		clients[ti] = cls
 
-		// Deterministic per-tenant workload: Zipf-skewed modulus indices
-		// and bases drawn up front, so submitters share no rng.
+		// Deterministic per-tenant workload: Zipf-skewed moduli and
+		// bases drawn up front, so submitters share no rng.
+		jobs := int(l.rate * window.Seconds())
+		res := &tenantResult{lats: make([]time.Duration, jobs), tally: newErrorTally()}
+		results[ti] = res
 		trng := rand.New(rand.NewSource(cfg.seed + int64(ti+1)))
-		zipf := rand.NewZipf(trng, 1.3, 1, uint64(len(moduli)-1))
-		midx := make([]int, jobs)
-		bases := make([]*big.Int, jobs)
-		for i := range midx {
-			midx[i] = int(zipf.Uint64())
-			bases[i] = new(big.Int).Rand(trng, moduli[midx[i]])
+		zipf := rand.NewZipf(trng, 1.3, 1, uint64(len(mods)-1))
+		for k := range res.lats {
+			res.lats[k] = -1
+			n := mods[zipf.Uint64()]
+			due := time.Duration(float64(k) / l.rate * float64(time.Second))
+			sched = append(sched, tenantJob{t: ti, k: k, due: due, n: n, base: new(big.Int).Rand(trng, n)})
 		}
+	}
+	// Open-loop pacing: job k of a tenant is due at k/rate, regardless of
+	// how earlier jobs fared — a throttled tenant does not slow its own
+	// offered load. The schedules merge in due order, so the submitters
+	// take jobs as they fall due.
+	sort.SliceStable(sched, func(a, b int) bool { return sched[a].due < sched[b].due })
 
-		idx := make(chan int, jobs)
-		for i := 0; i < jobs; i++ {
-			idx <- i
+	start := time.Now()
+	err := drive(ctx, len(sched), len(loads)*cfg.clients, func(ctx context.Context, _, i int) error {
+		j := sched[i]
+		if d := time.Until(start.Add(j.due)); d > 0 {
+			select {
+			case <-time.After(d):
+			case <-ctx.Done():
+			}
 		}
-		close(idx)
-		submitters := cfg.clients
-		if submitters < 1 {
-			submitters = 1
+		if ctx.Err() != nil {
+			return nil
 		}
-		rate := l.rate
-		for s := 0; s < submitters; s++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					// Open-loop pacing: job i is due at start + i/rate,
-					// regardless of how earlier jobs fared — a throttled
-					// tenant does not slow its own offered load.
-					due := start.Add(time.Duration(float64(i) / rate * float64(time.Second)))
-					if d := time.Until(due); d > 0 {
-						select {
-						case <-time.After(d):
-						case <-ctx.Done():
-							return
-						}
-					}
-					if ctx.Err() != nil {
-						return
-					}
-					n := moduli[midx[i]]
-					res.sent.Add(1)
-					t0 := time.Now()
-					v, err := cls[i%len(cls)].ModExp(ctx, n, bases[i], exp)
-					res.lats[i] = time.Since(t0)
-					if err != nil {
-						res.tally.add(classify(err))
-						res.lats[i] = -1
-						continue
-					}
-					// A wrong answer is always fatal — QoS pressure is
-					// allowed to reject work, never to corrupt it.
-					if want := new(big.Int).Exp(bases[i], exp, n); v.Cmp(want) != 0 {
-						errCh <- fmt.Errorf("tenant %s job %d: self-check failed (WRONG ANSWER)", loads[ti].name, i)
-						return
-					}
-				}
-			}()
+		res := results[j.t]
+		res.sent.Add(1)
+		t0 := time.Now()
+		v, err := clients[j.t].pick(j.k).ModExp(ctx, j.n, j.base, exp)
+		if err != nil {
+			res.tally.add(err)
+			return nil
 		}
-	}
-	wg.Wait()
+		res.lats[j.k] = time.Since(t0)
+		// A wrong answer is always fatal — QoS pressure is allowed to
+		// reject work, never to corrupt it.
+		if want := new(big.Int).Exp(j.base, exp, j.n); v.Cmp(want) != 0 {
+			return fmt.Errorf("tenant %s job %d: self-check failed (WRONG ANSWER)", loads[j.t].name, j.k)
+		}
+		return nil
+	})
 	wall := time.Since(start)
-	select {
-	case err := <-errCh:
+	// Running into the -timeout cap ends the window early and is
+	// reported; an interrupt or a wrong answer is not.
+	if err != nil && !(cfg.timeout > 0 && errors.Is(err, context.DeadlineExceeded)) {
 		return err
-	default:
-	}
-	if err := ctx.Err(); err != nil && cfg.timeout == 0 {
-		return err // interrupted by signal, not by the -timeout cap
 	}
 
 	fmt.Printf("%-6s %-12s %6s %6s %8s %6s %6s %10s %9s %9s\n",
@@ -216,7 +164,7 @@ func runTenants(ctx context.Context, cfg sweepConfig, bits []int) error {
 	for ti, l := range loads {
 		res := results[ti]
 		sent := int(res.sent.Load())
-		okl := okLats(res.lats[:])
+		okl := okLats(res.lats)
 		ratelim := res.tally.count("rate_limited")
 		shed := res.tally.count("overloaded")
 		other := res.tally.total() - ratelim - shed

@@ -55,14 +55,9 @@ func run(nHex, xHex, yHex, variantName string, gate bool, vcdPath string) error 
 	if !ok {
 		return fmt.Errorf("invalid y %q", yHex)
 	}
-	var variant systolic.Variant
-	switch variantName {
-	case "guarded":
-		variant = systolic.Guarded
-	case "faithful":
-		variant = systolic.Faithful
-	default:
-		return fmt.Errorf("unknown variant %q", variantName)
+	variant, err := systolic.ParseVariant(variantName)
+	if err != nil {
+		return err
 	}
 
 	ctx, err := mont.NewCtx(n)

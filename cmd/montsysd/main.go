@@ -298,14 +298,9 @@ func run(listen string, workers int, kitName, variantName string, queue, cache,
 	if err != nil {
 		return err
 	}
-	var variant systolic.Variant
-	switch variantName {
-	case "guarded":
-		variant = systolic.Guarded
-	case "faithful":
-		variant = systolic.Faithful
-	default:
-		return fmt.Errorf("unknown variant %q", variantName)
+	variant, err := systolic.ParseVariant(variantName)
+	if err != nil {
+		return err
 	}
 
 	wide, wideFile, err := obs.OpenWideEvents(oc.wideDest)

@@ -429,19 +429,19 @@ func (c *Cluster) Forward(ctx context.Context, r server.Routed) (*server.Reply, 
 	var lastRep *server.Reply
 	var lastErr error
 	budgeted := false // did retry budget fund the upcoming attempt?
-	for i := 0; i < len(p.backends); i++ {
-		b, reason := c.choose(p, r.Key, tried, false)
-		if b == nil {
-			break
-		}
-		if i > 0 {
-			reason = "failover"
-		}
+	b, reason := c.choose(p, r.Key, tried, false)
+	for b != nil {
 		tried[b] = true
 		lastRep, lastErr = c.attempt(ctx, r, p, b, tried, reason, budgeted)
 		if lastErr == nil || ctx.Err() != nil || !failoverable(lastErr) {
 			return lastRep, lastErr
 		}
+		// Only a backend left to take the request makes this a
+		// failover: count it and fund it once one is picked.
+		if b, _ = c.choose(p, r.Key, tried, false); b == nil {
+			break
+		}
+		reason = "failover"
 		budgeted = errors.Is(lastErr, errs.ErrOverloaded)
 		if budgeted && !c.budget.spend() {
 			c.met.budgetDenied.Inc()

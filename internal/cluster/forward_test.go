@@ -201,9 +201,11 @@ func TestBalancerOwnAnswersKeepCodes(t *testing.T) {
 		t.Errorf("no backend in rotation: err = %v, want ErrBackendDown", err)
 	}
 
-	// Both backends overloaded and no budget for the failover.
+	// Every backend overloaded: the budget's one token funds the first
+	// failover and denies the second.
 	over := fmt.Errorf("stub: %w", errs.ErrOverloaded)
-	c2, err := New([]string{startStubBackend(t, over), startStubBackend(t, over)},
+	c2, err := New([]string{startStubBackend(t, over), startStubBackend(t, over),
+		startStubBackend(t, over)},
 		WithProbeInterval(time.Hour), WithRetryBudget(0, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -228,5 +230,51 @@ func TestBalancerOwnAnswersKeepCodes(t *testing.T) {
 	}
 	if c3.met.failovers.Value() == 0 {
 		t.Error("the unreachable primary did not fail over")
+	}
+}
+
+// TestForwardCountsOnlyRealFailovers calls Forward directly, so no
+// client retry sits between the balancer's attempts. A failover is
+// counted, and an overload failover funded, only when another backend
+// is left to take the request: two dead backends read one failover,
+// and a lone overloaded backend leaves the retry budget untouched.
+func TestForwardCountsOnlyRealFailovers(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	n := big.NewInt(0xF1)
+	req := server.Routed{Op: server.OpModExp, Key: n.Bytes(),
+		Body: wireBody(n, big.NewInt(2), big.NewInt(3))}
+
+	dead, err := New([]string{deadAddr(t), deadAddr(t)}, WithProbeInterval(time.Hour),
+		WithHedging(false), WithClientOptions(server.WithDialTimeout(time.Second)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dead.Close()
+	if _, err := dead.Forward(ctx, req); !errors.Is(err, errs.ErrBackendDown) {
+		t.Errorf("two dead backends: err = %v, want ErrBackendDown", err)
+	}
+	if got := dead.met.failovers.Value(); got != 1 {
+		t.Errorf("two dead backends: failovers_total = %d, want 1", got)
+	}
+
+	over, err := New([]string{startStubBackend(t, fmt.Errorf("stub: %w", errs.ErrOverloaded))},
+		WithProbeInterval(time.Hour), WithHedging(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer over.Close()
+	full := over.budget.tokens.Load()
+	if _, err := over.Forward(ctx, req); !errors.Is(err, errs.ErrOverloaded) {
+		t.Errorf("one overloaded backend: err = %v, want ErrOverloaded", err)
+	}
+	if got := over.budget.tokens.Load(); got != full {
+		t.Errorf("one overloaded backend: budget %d millitokens, want untouched %d", got, full)
+	}
+	if got := over.met.budgetDenied.Value(); got != 0 {
+		t.Errorf("one overloaded backend: budget denials = %d, want 0", got)
+	}
+	if got := over.met.failovers.Value(); got != 0 {
+		t.Errorf("one overloaded backend: failovers_total = %d, want 0", got)
 	}
 }

@@ -159,9 +159,6 @@ func New(eng *engine.Engine, opts ...Option) *Service {
 	return s
 }
 
-// Blinding reports whether the private-key paths blind.
-func (s *Service) Blinding() bool { return s.blinding }
-
 // randInt draws a uniform value in [0, bound) from the service's
 // blinding source: crypto/rand by default, the (locked) seeded rand
 // only when WithBlindSeed installed one.

@@ -16,7 +16,6 @@ import (
 	"math/big"
 	"sync"
 
-	"repro/internal/bits"
 	"repro/internal/errs"
 )
 
@@ -176,19 +175,6 @@ func (c *Ctx) checkOperand(name string, v *big.Int) {
 	if v.Sign() < 0 || v.Cmp(c.N2) >= 0 {
 		panic(fmt.Sprintf("mont: operand %s = %s outside [0, 2N-1]", name, v))
 	}
-}
-
-// MulVec is Mul specialized to the bit-vector types the hardware models
-// use. x and y must be at most l+1 bits (values < 2N); the result has
-// l+1 bits. The loop mirrors the systolic array's digit recurrences and
-// is the intermediate oracle between big.Int arithmetic and the cell
-// equations.
-func (c *Ctx) MulVec(x, y bits.Vec) bits.Vec {
-	xb, yb := x.Big(), y.Big()
-	c.checkOperand("x", xb)
-	c.checkOperand("y", yb)
-	t := c.Mul(xb, yb)
-	return bits.FromBig(t, c.L+1)
 }
 
 // Algorithm1 is the paper's Algorithm 1: Montgomery multiplication in

@@ -146,13 +146,6 @@ func (p *Plane) state(tenant string) *tenantState {
 	return p.other
 }
 
-// Lookup returns the effective config for a tenant (its own entry or
-// the default policy) — the class a request falls into when the frame
-// does not name one.
-func (p *Plane) Lookup(tenant string) TenantConfig {
-	return p.state(tenant).cfg
-}
-
 // Admit runs per-tenant admission for one request at time now. On
 // success it returns a release closure that must be called exactly
 // once when the request finishes (it frees the concurrency slot and

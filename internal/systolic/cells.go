@@ -228,3 +228,15 @@ func (v Variant) String() string {
 		return fmt.Sprintf("Variant(%d)", int(v))
 	}
 }
+
+// ParseVariant is the inverse of String for the two variants the
+// command-line tools accept: "guarded" and "faithful".
+func ParseVariant(s string) (Variant, error) {
+	switch s {
+	case "guarded":
+		return Guarded, nil
+	case "faithful":
+		return Faithful, nil
+	}
+	return Guarded, fmt.Errorf("unknown variant %q", s)
+}

@@ -251,3 +251,15 @@ func TestVariantString(t *testing.T) {
 		t.Error("unknown variant name empty")
 	}
 }
+
+func TestParseVariant(t *testing.T) {
+	for _, v := range []Variant{Faithful, Guarded} {
+		got, err := ParseVariant(v.String())
+		if err != nil || got != v {
+			t.Errorf("ParseVariant(%q) = %v, %v; want %v", v.String(), got, err, v)
+		}
+	}
+	if _, err := ParseVariant("Guarded"); err == nil || err.Error() != `unknown variant "Guarded"` {
+		t.Errorf("ParseVariant(\"Guarded\") error = %v", err)
+	}
+}
