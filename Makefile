@@ -75,7 +75,8 @@ qos:
 # frame decoders (both directions), the request codec's
 # encode∘decode fixpoint, the response-id fast path, and the
 # QoS spec parser — plus the word-level Montgomery kernel's witness
-# identity. The committed corpus under testdata/fuzz/ replays as plain
+# identity, and the paper's Algorithm 2 and the Hensel inverse n'
+# behind it. The committed corpus under testdata/fuzz/ replays as plain
 # tests on every `go test`; this target mines for NEW inputs.
 # Go's fuzzer takes one -fuzz target per invocation, hence the list.
 FUZZTIME ?= 20s
@@ -86,6 +87,8 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzResponseID$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run xxx -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/qos/
 	$(GO) test -run xxx -fuzz '^FuzzWordWitness$$' -fuzztime $(FUZZTIME) ./internal/highradix/
+	$(GO) test -run xxx -fuzz '^FuzzAlgorithm2$$' -fuzztime $(FUZZTIME) ./internal/mont/
+	$(GO) test -run xxx -fuzz '^FuzzNPrime$$' -fuzztime $(FUZZTIME) ./internal/mont/
 
 # The composed soak: a live fleet (montsyslb + three montsysd) that
 # changes shape mid-run — file-watch join, kill -9, registrar goodbye —

@@ -2,6 +2,7 @@ package cryptosvc
 
 import (
 	"context"
+	"crypto/sha256"
 	"math/big"
 	"testing"
 
@@ -69,7 +70,8 @@ func BenchmarkSignECDSAP256(b *testing.B) {
 	eng := benchEngine(b)
 	svc := New(eng, WithBlindSeed(1))
 	d := big.NewInt(0x1337_c0de_cafe)
-	digest := new(big.Int).SetBytes([]byte("benchmark digest benchmark digest"))
+	h := sha256.Sum256([]byte("benchmark digest")) // no longer than the order
+	digest := new(big.Int).SetBytes(h[:])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := svc.SignECDSA(context.Background(), CurveP256, d, digest, int64(i)); err != nil {

@@ -90,8 +90,8 @@ func CurveByID(id uint8) (*ecc.Curve, error) {
 }
 
 // ECDSAVerifyItem is one signature to check in a batch: the public
-// point, the (R, S) pair and the digest (as an integer, reduced mod
-// the group order).
+// point, the (R, S) pair and the digest as an integer (see
+// checkDigest).
 type ECDSAVerifyItem struct {
 	Qx, Qy *big.Int
 	R, S   *big.Int
@@ -506,6 +506,21 @@ func writeLenPrefixed(w io.Writer, v *big.Int) {
 	w.Write(b)
 }
 
+// checkDigest rejects an ECDSA digest longer than the group order.
+// FIPS 186-4 (and crypto/ecdsa) keep a longer hash's leftmost
+// order-length bits, which depends on the hash's byte length; an
+// integer digest has lost that length, so such a digest has no
+// standard signature here. The caller truncates the hash first. A
+// digest no longer than the order is used reduced mod the order, as
+// the standard does.
+func checkDigest(digest, order *big.Int) error {
+	if digest.BitLen() > order.BitLen() {
+		return fmt.Errorf("cryptosvc: ECDSA digest of %d bits exceeds the %d-bit group order (truncate the hash): %w",
+			digest.BitLen(), order.BitLen(), errs.ErrOperandRange)
+	}
+	return nil
+}
+
 // SignECDSA signs a digest with the private scalar d on the identified
 // curve, deriving the nonce deterministically from seed. The
 // scalar-field inversion runs through the engine (Fermat), blinded: a
@@ -525,6 +540,9 @@ func (s *Service) SignECDSA(ctx context.Context, curveID uint8, d, digest *big.I
 	}
 	if digest == nil || digest.Sign() < 0 {
 		return nil, nil, fmt.Errorf("cryptosvc: bad ECDSA digest: %w", errs.ErrOperandRange)
+	}
+	if err := checkDigest(digest, n); err != nil {
+		return nil, nil, err
 	}
 	e := new(big.Int).Mod(digest, n)
 	nm2 := new(big.Int).Sub(n, big.NewInt(2))
@@ -610,6 +628,8 @@ func (s *Service) VerifyECDSABatch(ctx context.Context, curveID uint8, items []E
 		switch {
 		case it.Qx == nil || it.Qy == nil || it.R == nil || it.S == nil || it.Digest == nil:
 			out[i] = VerifyResult{Err: fmt.Errorf("cryptosvc: item %d: missing field: %w", i, errs.ErrOperandRange)}
+		case it.Digest.BitLen() > n.BitLen():
+			out[i] = VerifyResult{Err: fmt.Errorf("cryptosvc: item %d: %w", i, checkDigest(it.Digest, n))}
 		case !curve.IsOnCurve(it.Qx, it.Qy):
 			out[i] = VerifyResult{Err: fmt.Errorf("cryptosvc: item %d: public point not on curve: %w", i, errs.ErrBadKey)}
 		case it.R.Sign() <= 0 || it.R.Cmp(n) >= 0 || it.S.Sign() <= 0 || it.S.Cmp(n) >= 0:

@@ -65,3 +65,41 @@ func TestEngineCIOSIntegrity(t *testing.T) {
 		t.Errorf("kit accounting: kit_cios=%d, want %d", st.KitJobs[kits.CIOS], 2*count)
 	}
 }
+
+// TestWorkerCacheKeyAllocs: a warm lookup in a worker's exponentiator
+// cache allocates nothing. The modulus bytes go into the kit's scratch
+// and the map is indexed by string(scratch); only a miss allocates its
+// key. Moduli of different lengths must not collide through the
+// scratch.
+func TestWorkerCacheKeyAllocs(t *testing.T) {
+	eng, err := New(WithWorkers(1), WithKit(kits.CIOS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	w := newWorker(eng, 1)
+	rng := rand.New(rand.NewSource(3))
+	n1, n2 := randOdd(rng, 2048), randOdd(rng, 1024)
+	ex1, err := w.exponentiatorIn(w.kit, n1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex2, err := w.exponentiatorIn(w.kit, n2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex1 == ex2 {
+		t.Fatal("two moduli share one exponentiator")
+	}
+	var got1, got2 exponentiator
+	allocs := testing.AllocsPerRun(100, func() {
+		got1, _ = w.exponentiatorIn(w.kit, n1)
+		got2, _ = w.exponentiatorIn(w.kit, n2)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm cache lookups: %v allocs, want 0", allocs)
+	}
+	if got1 != ex1 || got2 != ex2 {
+		t.Fatal("warm lookup did not return the cached exponentiator")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/errs"
@@ -35,6 +36,7 @@ type exponentiator interface {
 // mutable state.
 type kit struct {
 	exps    map[string]exponentiator
+	key     []byte // scratch for an exps lookup's modulus bytes
 	fcore   *faults.Core
 	sampler *integrity.Sampler
 }
@@ -420,17 +422,18 @@ func (w *worker) recomputeInline(j *job, failed jobResult) jobResult {
 	return failed
 }
 
-// cacheKey keys the worker-local core cache by modulus.
-func cacheKey(n *big.Int) string { return string(n.Bytes()) }
-
 // exponentiatorIn returns the kit's exclusive exponentiator for
 // modulus n on the engine's compute kit, building it over the shared
 // LRU-cached context on first use and wrapping it with the fault
 // injector when one is configured. ModExp jobs, Mont jobs and the
 // health probe all compute through it.
 func (w *worker) exponentiatorIn(k *kit, n *big.Int) (exponentiator, error) {
-	key := cacheKey(n)
-	if ex, ok := k.exps[key]; ok {
+	// The cache is keyed by the modulus' big-endian bytes. They are
+	// filled into the kit's scratch, and a map index by string(bytes)
+	// does not allocate, so only a miss allocates its key.
+	size := (n.BitLen() + 7) / 8
+	k.key = n.FillBytes(slices.Grow(k.key[:0], size)[:size])
+	if ex, ok := k.exps[string(k.key)]; ok {
 		return ex, nil
 	}
 	ctx, err := w.eng.modCtx(n)
@@ -452,6 +455,6 @@ func (w *worker) exponentiatorIn(k *kit, n *big.Int) (exponentiator, error) {
 	if len(k.exps) >= maxLocal {
 		k.exps = make(map[string]exponentiator)
 	}
-	k.exps[key] = ex
+	k.exps[string(k.key)] = ex
 	return ex, nil
 }

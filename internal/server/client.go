@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -160,7 +161,7 @@ func (c *Client) Close() error {
 
 // ModExp computes Base^Exp mod N on the remote engine.
 func (c *Client) ModExp(ctx context.Context, n, base, exp *big.Int) (*big.Int, error) {
-	resp, err := c.call(ctx, &request{op: OpModExp, jobs: []triple{{n: n, a: base, b: exp}}})
+	resp, err := c.call(ctx, tripleRequest(OpModExp, n, base, exp))
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +170,7 @@ func (c *Client) ModExp(ctx context.Context, n, base, exp *big.Int) (*big.Int, e
 
 // Mont computes the raw Montgomery product X·Y·R⁻¹ mod 2N remotely.
 func (c *Client) Mont(ctx context.Context, n, x, y *big.Int) (*big.Int, error) {
-	resp, err := c.call(ctx, &request{op: OpMont, jobs: []triple{{n: n, a: x, b: y}}})
+	resp, err := c.call(ctx, tripleRequest(OpMont, n, x, y))
 	if err != nil {
 		return nil, err
 	}
@@ -460,13 +461,7 @@ func (c *Client) tryOnce(ctx context.Context, tmpl *request, tc obs.TraceContext
 	if dl, ok := ctx.Deadline(); ok {
 		req.deadline = dl
 	}
-	var payload []byte
-	if ca.forwarded {
-		payload = append(encodeHeader(&req), req.body...)
-	} else {
-		payload = encodeRequest(&req)
-	}
-	if err := cc.write(ctx, payload); err != nil {
+	if err := cc.write(ctx, &req, ca.forwarded); err != nil {
 		cc.unregister(id)
 		c.drop(cc)
 		return nil, err
@@ -561,7 +556,8 @@ type cconn struct {
 	cl *Client
 	nc net.Conn
 
-	wmu sync.Mutex // serializes writes
+	wmu  sync.Mutex // serializes writes
+	wbuf []byte     // the frame being written, kept for the next
 
 	mu      sync.Mutex
 	pending map[uint64]*call
@@ -590,8 +586,10 @@ func (cc *cconn) unregister(id uint64) {
 	cc.mu.Unlock()
 }
 
-// write sends one frame, honoring the context's deadline.
-func (cc *cconn) write(ctx context.Context, payload []byte) error {
+// write sends req as one frame in one write, honoring the context's
+// deadline. A forwarded request carries its body bytes in place of
+// the codec's.
+func (cc *cconn) write(ctx context.Context, req *request, forwarded bool) error {
 	cc.wmu.Lock()
 	defer cc.wmu.Unlock()
 	if dl, ok := ctx.Deadline(); ok {
@@ -599,7 +597,18 @@ func (cc *cconn) write(ctx context.Context, payload []byte) error {
 	} else {
 		cc.nc.SetWriteDeadline(time.Time{})
 	}
-	return writeFrame(cc.nc, payload)
+	b := append(cc.wbuf[:0], 0, 0, 0, 0)
+	if forwarded {
+		b = append(appendHeader(b, req), req.body...)
+	} else {
+		b = appendRequest(b, req)
+	}
+	cc.wbuf = sealFrame(b)
+	_, err := cc.nc.Write(cc.wbuf)
+	if cap(cc.wbuf) > maxKeptWriteBuf {
+		cc.wbuf = nil
+	}
+	return err
 }
 
 // fail marks the connection broken, fails every pending call, and
@@ -620,43 +629,54 @@ func (cc *cconn) fail(err error) {
 }
 
 // readLoop matches response frames to pending calls by request id.
+// A decoded answer copies what it keeps out of the frame, so the frame
+// is recycled; a forwarded answer keeps a copy of its body.
 func (cc *cconn) readLoop() {
 	br := bufio.NewReader(cc.nc)
 	for {
-		payload, err := readFrame(br, DefaultMaxFrame)
+		frame, err := readPooledFrame(br, DefaultMaxFrame)
 		if err != nil {
 			cc.fail(fmt.Errorf("server: connection lost: %w", err))
 			return
 		}
-		id, err := responseID(payload)
+		err = cc.deliver(*frame)
+		putFrame(frame)
 		if err != nil {
 			cc.fail(err)
 			return
 		}
-		cc.mu.Lock()
-		ca, ok := cc.pending[id]
-		if ok {
-			delete(cc.pending, id)
-		}
-		cc.mu.Unlock()
-		if !ok {
-			continue // response to an abandoned (ctx-expired) call
-		}
-		var resp *response
-		if ca.forwarded {
-			resp, err = forwardedResponse(payload)
-		} else {
-			resp, err = decodeResponse(ca.op, payload)
-		}
-		if err != nil {
-			ca.err = err
-			close(ca.done)
-			cc.fail(err)
-			return
-		}
-		ca.resp = resp
-		close(ca.done)
 	}
+}
+
+// deliver answers the pending call a response payload belongs to.
+func (cc *cconn) deliver(payload []byte) error {
+	id, err := responseID(payload)
+	if err != nil {
+		return err
+	}
+	cc.mu.Lock()
+	ca, ok := cc.pending[id]
+	if ok {
+		delete(cc.pending, id)
+	}
+	cc.mu.Unlock()
+	if !ok {
+		return nil // response to an abandoned (ctx-expired) call
+	}
+	var resp *response
+	if ca.forwarded {
+		resp, err = forwardedResponse(bytes.Clone(payload))
+	} else {
+		resp, err = decodeResponse(ca.op, payload)
+	}
+	if err != nil {
+		ca.err = err
+		close(ca.done)
+		return err
+	}
+	ca.resp = resp
+	close(ca.done)
+	return nil
 }
 
 // responseID extracts the request id from a response payload without

@@ -13,8 +13,9 @@ import (
 )
 
 var (
-	ReadFrame  = readFrame
-	WriteFrame = writeFrame
+	ReadFrame          = readFrame
+	WriteFrame         = writeFrame
+	PipelineMixedSizes = pipelineMixedSizes
 )
 
 // ForwardedFrame is one op × variant sample request of an op that a

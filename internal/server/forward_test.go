@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/engine"
 	"repro/internal/server"
 )
 
@@ -142,4 +143,50 @@ func TestForwardedFramesByteIdentical(t *testing.T) {
 	if len(frames) < 8*4 {
 		t.Fatalf("only %d frames: want every forwarded op in all four variants", len(frames))
 	}
+}
+
+// TestForwardingPipelinedMixedSizes is TestPipelinedMixedSizes through
+// a forwarding server: a cluster front over two engine backends, with
+// hedges launched after a microsecond, so a hedged race's losing copy
+// is still on its way to a backend when the answer is written.
+func TestForwardingPipelinedMixedSizes(t *testing.T) {
+	var backends []string
+	for i := 0; i < 2; i++ {
+		eng, err := engine.New(engine.WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		// Room for every call and its hedge: the test is about answers,
+		// not about shedding.
+		srv, err := server.NewServer(eng, server.WithMaxInflight(64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		defer srv.Close()
+		backends = append(backends, ln.Addr().String())
+	}
+	c, err := cluster.New(backends, cluster.WithProbeInterval(time.Hour),
+		cluster.WithHedgeDelayBounds(time.Microsecond, time.Microsecond),
+		cluster.WithRetryBudget(1, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	front, err := server.NewForwardingServer(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go front.Serve(ln)
+	defer front.Close()
+	server.PipelineMixedSizes(t, ln.Addr().String())
 }

@@ -41,12 +41,16 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/errs"
@@ -193,11 +197,25 @@ type request struct {
 	crypto   *cryptoBody // signing ops only
 	member   *memberBody // membership ops only
 
+	// one backs jobs for a single-triple request (mont, modexp), and
+	// ints the bigs tripleBody decodes into it, so the hot ops need no
+	// slice and no big.Int allocation of their own.
+	one  [1]triple
+	ints [3]big.Int
+
 	// body is the encoded body after the header blocks: set by decode
 	// (a slice of the frame, which a forwarding server hands on), and
 	// on a Client.Forward request the bytes sent in place of the
 	// codec's. The codec's encode never reads it.
 	body []byte
+}
+
+// tripleRequest is a single-triple request: mont or modexp.
+func tripleRequest(op Op, n, a, b *big.Int) *request {
+	req := &request{op: op}
+	req.one[0] = triple{n: n, a: a, b: b}
+	req.jobs = req.one[:]
+	return req
 }
 
 // items is the request's batch size: its signatures to verify, or its
@@ -222,6 +240,8 @@ type response struct {
 	msgs   []string
 	values []*big.Int
 	body   []byte
+
+	one [1]*big.Int // backs values for a one-value answer
 }
 
 // --- primitive encoders -------------------------------------------------
@@ -234,16 +254,19 @@ func appendUint64(b []byte, v uint64) []byte {
 	return binary.BigEndian.AppendUint64(b, v)
 }
 
-// appendBig encodes a big.Int as uint32 length ‖ big-endian magnitude.
-// Only non-negative values cross the wire; negatives are a caller bug
-// and are clamped at decode by construction (magnitude only).
+// appendBig encodes a big.Int as uint32 length ‖ big-endian magnitude,
+// filled in place at the end of b. Only non-negative values cross the
+// wire; negatives are a caller bug and are clamped at decode by
+// construction (magnitude only).
 func appendBig(b []byte, v *big.Int) []byte {
 	if v == nil {
 		return appendUint32(b, 0)
 	}
-	raw := v.Bytes()
-	b = appendUint32(b, uint32(len(raw)))
-	return append(b, raw...)
+	n := (v.BitLen() + 7) / 8
+	b = appendUint32(b, uint32(n))
+	b = slices.Grow(b, n)[:len(b)+n]
+	v.FillBytes(b[len(b)-n:])
+	return b
 }
 
 // appendBigs encodes vs in order.
@@ -300,15 +323,25 @@ func (d *decoder) uint64() (uint64, error) {
 }
 
 func (d *decoder) big() (*big.Int, error) {
+	v := new(big.Int)
+	if err := d.bigInto(v); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// bigInto decodes a big into v.
+func (d *decoder) bigInto(v *big.Int) error {
 	n, err := d.uint32()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	raw, err := d.take(int(n))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return new(big.Int).SetBytes(raw), nil
+	v.SetBytes(raw)
+	return nil
 }
 
 func (d *decoder) string() (string, error) {
@@ -364,34 +397,92 @@ func (d *decoder) done() error {
 
 // --- frame I/O ----------------------------------------------------------
 
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+// sealFrame fills in the length prefix of a frame whose payload was
+// appended to b after four reserved bytes, so the whole frame goes out
+// in one write.
+func sealFrame(b []byte) []byte {
+	binary.BigEndian.PutUint32(b, uint32(len(b)-4))
+	return b
 }
 
-// readFrame reads one length-prefixed frame, rejecting payloads above
-// maxFrame before allocating for them.
-func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if int(n) > maxFrame {
-		return nil, fmt.Errorf("server: frame of %d bytes exceeds limit %d: %w",
+// frameLen parses a frame header, rejecting payloads above maxFrame.
+func frameLen(hdr []byte, maxFrame int) (int, error) {
+	n := binary.BigEndian.Uint32(hdr)
+	if int64(n) > int64(maxFrame) {
+		return 0, fmt.Errorf("server: frame of %d bytes exceeds limit %d: %w",
 			n, maxFrame, errs.ErrProtocol)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	return int(n), nil
+}
+
+// Frame buffers. Both ends read each frame into a buffer from
+// framePools, bucketed by power-of-two capacity. A server returns a
+// request's frame once the answer is written, since a decoded request's
+// body aliases its frame (the bigs and strings it decodes do not); a
+// client returns a response's once it is decoded. Frames above the
+// largest bucket are allocated and left to the collector.
+const (
+	minFrameShift = 8  // smallest bucket: 256 bytes
+	maxFrameShift = 20 // largest bucket: DefaultMaxFrame
+)
+
+var framePools [maxFrameShift - minFrameShift + 1]sync.Pool
+
+// frameBucket is the pool index whose buffers hold n bytes, or -1 when
+// n is above the largest bucket.
+func frameBucket(n int) int {
+	i := bits.Len(uint(n-1)) - minFrameShift
+	if n <= 1<<minFrameShift {
+		i = 0
+	}
+	if i >= len(framePools) {
+		return -1
+	}
+	return i
+}
+
+// getFrame returns a buffer of length n.
+func getFrame(n int) *[]byte {
+	i := frameBucket(n)
+	if i < 0 {
+		b := make([]byte, n)
+		return &b
+	}
+	if p, ok := framePools[i].Get().(*[]byte); ok {
+		*p = (*p)[:n]
+		return p
+	}
+	b := make([]byte, n, 1<<(i+minFrameShift))
+	return &b
+}
+
+// putFrame recycles a buffer getFrame returned; nothing may reference
+// its bytes afterwards.
+func putFrame(p *[]byte) {
+	if i := frameBucket(cap(*p)); i >= 0 && cap(*p) == 1<<(i+minFrameShift) {
+		framePools[i].Put(p)
+	}
+}
+
+// readPooledFrame reads one length-prefixed frame into a buffer from
+// getFrame. The header is read through the reader's buffer, so a frame
+// already buffered costs no allocation and no read.
+func readPooledFrame(br *bufio.Reader, maxFrame int) (*[]byte, error) {
+	hdr, err := br.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	return payload, nil
+	n, err := frameLen(hdr, maxFrame)
+	if err != nil {
+		return nil, err
+	}
+	br.Discard(4)
+	p := getFrame(n)
+	if _, err := io.ReadFull(br, *p); err != nil {
+		putFrame(p)
+		return nil, err
+	}
+	return p, nil
 }
 
 // --- request codec ------------------------------------------------------
@@ -423,10 +514,13 @@ var tripleBody = bodyCodec{
 	},
 	dec: func(b []byte, req *request) error {
 		d := decoder{b}
-		req.jobs = make([]triple, 1)
-		j := &req.jobs[0]
-		if err := d.bigs(&j.n, &j.a, &j.b); err != nil {
-			return err
+		req.jobs = req.one[:]
+		j := &req.one[0]
+		j.n, j.a, j.b = &req.ints[0], &req.ints[1], &req.ints[2]
+		for i := range req.ints {
+			if err := d.bigInto(&req.ints[i]); err != nil {
+				return err
+			}
 		}
 		return d.done()
 	},
@@ -458,15 +552,15 @@ var tripleBatchBody = bodyCodec{
 	},
 }
 
-// encodeRequest renders a request payload (no frame header) with the
-// body from the op's codec.
-func encodeRequest(req *request) []byte {
-	return opTable[req.op].body.enc(encodeHeader(req), req)
+// appendRequest appends a request payload with the body from the op's
+// codec.
+func appendRequest(b []byte, req *request) []byte {
+	return opTable[req.op].body.enc(appendHeader(b, req), req)
 }
 
-// encodeHeader renders a request payload up to its body, picking the
+// appendHeader appends a request payload up to its body, picking the
 // traced and tagged variant byte when the op's row declares one.
-func encodeHeader(req *request) []byte {
+func appendHeader(b []byte, req *request) []byte {
 	desc := &opTable[req.op]
 	wireOp := req.op
 	traced := req.tc.Sampled && desc.traced != 0
@@ -477,7 +571,6 @@ func encodeHeader(req *request) []byte {
 	if tagged {
 		wireOp += OpQoSOffset
 	}
-	b := make([]byte, 0, 64+len(req.body))
 	b = append(b, ProtoVersion, byte(wireOp))
 	b = appendUint64(b, req.id)
 	var dl int64
@@ -556,11 +649,10 @@ func decodeRequest(payload []byte) (*request, error) {
 
 // --- response codec -----------------------------------------------------
 
-// encodeResponse renders a response payload (no frame header). The op
-// picks the OK body's shape from its row; it is not itself encoded —
-// the client knows it from the id.
-func encodeResponse(op Op, resp *response) []byte {
-	b := make([]byte, 0, 64+len(resp.body))
+// appendResponse appends a response payload to b. The op picks the OK
+// body's shape from its row; it is not itself encoded — the client
+// knows it from the id.
+func appendResponse(b []byte, op Op, resp *response) []byte {
 	b = append(b, ProtoVersion)
 	b = appendUint64(b, resp.id)
 	b = append(b, byte(resp.code))
@@ -595,7 +687,10 @@ func decodeResponse(op Op, payload []byte) (*response, error) {
 	}
 	n := opTable[op].values
 	if n != perItem {
-		resp.values = make([]*big.Int, n)
+		resp.values = resp.one[:]
+		if n != 1 {
+			resp.values = make([]*big.Int, n)
+		}
 		for i := range resp.values {
 			if resp.values[i], err = d.big(); err != nil {
 				return nil, err

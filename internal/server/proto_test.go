@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"math/big"
 	"strings"
 	"testing"
@@ -12,6 +14,37 @@ import (
 
 	"repro/internal/errs"
 )
+
+// Whole-payload encoders and plain frame I/O, for tests and stub peers
+// that handle one frame at a time.
+
+func encodeRequest(req *request) []byte { return appendRequest(nil, req) }
+
+func encodeResponse(op Op, resp *response) []byte { return appendResponse(nil, op, resp) }
+
+// writeFrame writes one length-prefixed frame.
+func writeFrame(w io.Writer, payload []byte) error {
+	_, err := w.Write(sealFrame(append([]byte{0, 0, 0, 0}, payload...)))
+	return err
+}
+
+// readFrame reads one length-prefixed frame, rejecting payloads above
+// maxFrame before allocating for them.
+func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, err
+	}
+	n, err := frameLen(hdr[:], maxFrame)
+	if err != nil {
+		return nil, err
+	}
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, err
+	}
+	return payload, nil
+}
 
 // Request frames survive an encode→frame→decode round trip for every
 // op, including deadlines and empty (zero) operands.
@@ -148,7 +181,7 @@ func TestProtocolErrors(t *testing.T) {
 	if err := writeFrame(&buf, make([]byte, 128)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrame(&buf, 64); !errors.Is(err, errs.ErrProtocol) {
+	if _, err := readPooledFrame(bufio.NewReader(&buf), 64); !errors.Is(err, errs.ErrProtocol) {
 		t.Errorf("oversized frame: %v", err)
 	}
 }
@@ -190,5 +223,51 @@ func TestCodeErrorMapping(t *testing.T) {
 	}
 	if CodeOf(errors.New("wat")) != CodeInternal {
 		t.Error("unknown error should map to internal")
+	}
+}
+
+// Pooled frames: every length reads back whole through readPooledFrame,
+// including lengths at and around the bucket edges and above the
+// largest bucket; a pooled buffer's capacity is its bucket's, and
+// frameBuffered tells a wholly buffered frame from a partial one.
+func TestPooledFrames(t *testing.T) {
+	for _, n := range []int{0, 1, 255, 256, 257, 4095, 4096, 4097, 1 << maxFrameShift, 1<<maxFrameShift + 1} {
+		payload := bytes.Repeat([]byte{byte(n)}, n)
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, payload); err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReaderSize(&buf, 2<<maxFrameShift)
+		if _, err := br.Peek(1); err != nil {
+			t.Fatal(err)
+		}
+		if !frameBuffered(br) {
+			t.Errorf("%d-byte frame: not seen as buffered", n)
+		}
+		p, err := readPooledFrame(br, 2<<maxFrameShift)
+		if err != nil {
+			t.Fatalf("%d-byte frame: %v", n, err)
+		}
+		if !bytes.Equal(*p, payload) {
+			t.Errorf("%d-byte frame read back changed", n)
+		}
+		if i := frameBucket(n); i >= 0 && cap(*p) != 1<<(i+minFrameShift) {
+			t.Errorf("%d-byte frame: capacity %d, want bucket %d's", n, cap(*p), i)
+		} else if i < 0 && n <= 1<<maxFrameShift {
+			t.Errorf("%d-byte frame: no bucket", n)
+		}
+		putFrame(p)
+	}
+
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, make([]byte, 100)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(io.LimitReader(&buf, 50))
+	if _, err := br.Peek(1); err != nil {
+		t.Fatal(err)
+	}
+	if frameBuffered(br) {
+		t.Error("a partial frame is seen as buffered")
 	}
 }

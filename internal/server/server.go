@@ -3,11 +3,13 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cryptosvc"
@@ -21,8 +23,12 @@ import (
 type Option func(*config)
 
 // writeTimeout bounds each response write, so a stalled client cannot
-// pin a writer goroutine forever.
+// pin the goroutine writing to it forever.
 const writeTimeout = time.Minute
+
+// maxKeptWriteBuf bounds the response buffer a connection keeps between
+// writes; a larger answer's buffer is left to the collector.
+const maxKeptWriteBuf = 64 << 10
 
 type config struct {
 	maxInflight  int
@@ -82,14 +88,17 @@ func WithQoS(p *qos.Plane) Option { return func(c *config) { c.qos = p } }
 // Forwarder that hands requests on to other servers (NewForwardingServer:
 // the cluster balancer). It multiplexes many client connections onto
 // either, speaking the length-prefixed binary protocol of this package. Each connection gets a
-// dedicated read goroutine and a dedicated write goroutine; each
-// admitted request runs on its own goroutine so responses return in
-// completion order (pipelining). Admission control bounds in-flight
-// requests across all connections and fast-fails the excess with
-// ErrOverloaded. Ping requests are answered inline on the read loop —
-// no admission slot, so health checks still answer under overload.
-// Shutdown drains gracefully: stop accepting, answer new requests with
-// ErrDraining, finish everything already admitted, flush, then close.
+// dedicated read goroutine. Each admitted request runs on a request
+// goroutine of the server's own, reused from one request to the next,
+// and that goroutine writes its response itself under the
+// connection's write mutex, so responses return in completion order
+// (pipelining). Admission control bounds in-flight requests across all
+// connections, and with them the request goroutines, and fast-fails the
+// excess with ErrOverloaded. Ping requests are answered inline on the
+// read loop — no admission slot, so health checks still answer under
+// overload. Shutdown drains gracefully: stop accepting, answer new
+// requests with ErrDraining, finish and write everything already
+// admitted, then close.
 type Server struct {
 	eng *engine.Engine     // executes every op; nil on a forwarding server
 	svc *cryptosvc.Service // the signing ops' service over eng
@@ -98,6 +107,13 @@ type Server struct {
 	met *metrics
 
 	inflight chan struct{}
+
+	// tasks hands an admitted request to an idle request goroutine;
+	// reqGoroutines counts the request goroutines alive, at most
+	// cap(inflight), and loopWG waits for them once baseCtx ends.
+	tasks         chan task
+	reqGoroutines atomic.Int64
+	loopWG        sync.WaitGroup
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -151,6 +167,7 @@ func newServer(s *Server, defaultInflight int, opts []Option) (*Server, error) {
 	s.cfg = cfg
 	s.met = newMetrics(cfg.registry)
 	s.inflight = make(chan struct{}, cfg.maxInflight)
+	s.tasks = make(chan task)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.conns = make(map[*sconn]struct{})
 	return s, nil
@@ -251,9 +268,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-drained      // engine jobs unwind promptly once cancelled
 	}
 
-	// Phase 2: unblock every reader so writers flush what's queued and
-	// handlers exit; then wait for them (bounded by ctx on the slow
-	// path: hard-close if it fires).
+	// Phase 2: every admitted response is written; unblock every
+	// reader so the handlers exit, then wait for them (bounded by ctx
+	// on the slow path: hard-close if it fires).
 	s.mu.Lock()
 	for c := range s.conns {
 		c.softClose()
@@ -278,6 +295,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-done
 	}
 	s.baseCancel()
+	s.loopWG.Wait()
 	return err
 }
 
@@ -301,31 +319,36 @@ func (s *Server) Close() error {
 		c.hardClose()
 	}
 	s.connWG.Wait()
+	s.loopWG.Wait()
 	if alreadyDraining {
 		return fmt.Errorf("server: Close after shutdown: %w", errs.ErrDraining)
 	}
 	return nil
 }
 
-// sconn is one server-side connection: a reader (run), a writer
-// (writeLoop), and a bounded handoff channel between request
-// goroutines and the writer.
+// sconn is one server-side connection: a reader (run), and the
+// response buffer and write mutex that every goroutine answering one of
+// its requests writes through.
 type sconn struct {
 	srv *Server
 	nc  net.Conn
 
-	writeCh chan []byte
+	wmu  sync.Mutex
+	wbuf []byte // the frame being written, kept for the next
+	werr error  // the first write error; later frames are dropped
+
 	pending sync.WaitGroup // requests admitted on this connection
 
 	closeOnce sync.Once
 }
 
 func newSconn(s *Server, nc net.Conn) *sconn {
-	return &sconn{srv: s, nc: nc, writeCh: make(chan []byte, 16)}
+	return &sconn{srv: s, nc: nc}
 }
 
 // softClose unblocks the reader without cutting the socket, letting
-// queued responses flush before the writer closes it.
+// admitted requests finish and write their responses before the reader
+// closes it.
 func (c *sconn) softClose() {
 	c.nc.SetReadDeadline(time.Now())
 }
@@ -336,13 +359,10 @@ func (c *sconn) hardClose() {
 }
 
 // run is the connection's read loop. On exit it waits for the
-// connection's admitted requests, closes the write channel so the
-// writer can flush and close the socket, and deregisters.
+// connection's admitted requests, whose responses are then written,
+// closes the socket, and deregisters.
 func (c *sconn) run() {
 	s := c.srv
-	writerDone := make(chan struct{})
-	go c.writeLoop(writerDone)
-
 	br := bufio.NewReader(c.nc)
 	for {
 		// Once draining, never re-arm a read deadline: Shutdown's
@@ -362,25 +382,25 @@ func (c *sconn) run() {
 			// a frame that has started and then dribbles one byte per
 			// idle-period is a slow-loris holding this reader goroutine
 			// and its partial-frame buffer — the absolute deadline cannot
-			// be extended by trickling bytes.
+			// be extended by trickling bytes. A frame already wholly
+			// buffered is read without touching the socket, so it needs
+			// no deadline.
 			if _, err := br.Peek(1); err != nil {
 				break // EOF, idle timeout, soft close, or peer reset
 			}
-			if !s.isDraining() {
+			if !frameBuffered(br) && !s.isDraining() {
 				c.nc.SetReadDeadline(time.Now().Add(s.cfg.frameTimeout))
 				framed = true
 			}
 		}
-		payload, err := readFrame(br, s.cfg.maxFrame)
+		frame, err := readPooledFrame(br, s.cfg.maxFrame)
 		if err != nil {
 			if errors.Is(err, errs.ErrProtocol) {
 				// Oversize frame: the header parsed, so answer with a
 				// typed rejection before hanging up instead of leaving
 				// the client to diagnose a bare reset.
 				s.met.oversizeFrames.Inc()
-				c.send(encodeResponse(OpModExp, &response{
-					id: 0, code: CodeProtocol, msg: err.Error(),
-				}))
+				c.write(OpModExp, &response{code: CodeProtocol, msg: err.Error()})
 				s.met.finish(OpModExp, CodeProtocol, 0)
 			} else if ne, ok := err.(net.Error); ok && ne.Timeout() && framed {
 				// The frame started but missed its progress deadline —
@@ -390,22 +410,20 @@ func (c *sconn) run() {
 			}
 			break
 		}
-		req, derr := decodeRequest(payload)
+		req, derr := decodeRequest(*frame)
 		if derr != nil {
 			// The stream is unframed from here on; answer id 0 with the
 			// protocol code and hang up.
-			c.send(encodeResponse(OpModExp, &response{
-				id: 0, code: CodeProtocol, msg: derr.Error(),
-			}))
+			c.write(OpModExp, &response{code: CodeProtocol, msg: derr.Error()})
 			s.met.finish(OpModExp, CodeProtocol, 0)
+			putFrame(frame)
 			break
 		}
-		c.dispatch(req)
+		c.dispatch(task{c: c, req: req, frame: frame, start: time.Now()})
 	}
 
 	c.pending.Wait()
-	close(c.writeCh)
-	<-writerDone
+	c.hardClose()
 
 	s.mu.Lock()
 	delete(s.conns, c)
@@ -414,31 +432,43 @@ func (c *sconn) run() {
 	s.connWG.Done()
 }
 
-// writeLoop serializes response frames onto the socket. After a write
-// error it keeps draining the channel (dropping frames) so request
-// goroutines never block on a dead connection, and closes the socket
-// when the channel closes.
-func (c *sconn) writeLoop(done chan<- struct{}) {
-	defer close(done)
-	bw := bufio.NewWriter(c.nc)
-	var werr error
-	for payload := range c.writeCh {
-		if werr != nil {
-			continue
-		}
-		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if werr = writeFrame(bw, payload); werr == nil {
-			werr = bw.Flush()
-		}
+// frameBuffered reports whether br already holds a whole frame, header
+// and payload, so reading it cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
 	}
-	c.hardClose()
+	hdr, _ := br.Peek(4)
+	return uint64(br.Buffered()-4) >= uint64(binary.BigEndian.Uint32(hdr))
 }
 
-// send hands one encoded response to the writer. It is only called
-// from the read loop or from request goroutines registered in
-// c.pending, both of which happen-before the channel close.
-func (c *sconn) send(payload []byte) {
-	c.writeCh <- payload
+// write renders one response frame into the connection's buffer and
+// writes it, under the write mutex, on the calling goroutine: the read
+// loop for inline answers, a request goroutine for admitted ones. After
+// a write error it drops every later frame, so no request goroutine
+// waits on a dead connection; the read loop closes the socket when it
+// exits.
+func (c *sconn) write(op Op, resp *response) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.werr != nil {
+		return
+	}
+	c.wbuf = sealFrame(appendResponse(append(c.wbuf[:0], 0, 0, 0, 0), op, resp))
+	c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
+	_, c.werr = c.nc.Write(c.wbuf)
+	if cap(c.wbuf) > maxKeptWriteBuf {
+		c.wbuf = nil
+	}
+}
+
+// task is one decoded request from its read to its answer.
+type task struct {
+	c       *sconn
+	req     *request
+	frame   *[]byte // the request's frame buffer, recycled once answered
+	start   time.Time
+	release func(time.Duration) // returns the QoS share slot; nil without QoS
 }
 
 // dispatch admits one decoded request. Ops whose row is inline (ping,
@@ -448,13 +478,13 @@ func (c *sconn) send(payload []byte) {
 // tenant is throttled, and their calls are in-memory and
 // bounded, so they cannot stall the connection. Drain and overload
 // rejections answer inline too (fast fail — no goroutine, no queue);
-// admitted requests get a goroutine and a slot in the in-flight bound.
-// With a QoS plane configured, the tenant's token bucket and
+// admitted requests get a slot in the in-flight bound and a request
+// goroutine. With a QoS plane configured, the tenant's token bucket and
 // concurrency share are checked first — a tenant over its own quota is
 // rejected before it can contend for the shared in-flight bound.
-func (c *sconn) dispatch(req *request) {
+func (c *sconn) dispatch(t task) {
 	s := c.srv
-	start := time.Now()
+	req := t.req
 
 	if opTable[req.op].inline {
 		var resp *response
@@ -465,23 +495,22 @@ func (c *sconn) dispatch(req *request) {
 			resp = s.execute(ctx, req)
 			cancel()
 		}
-		c.reply(req, resp, obs.SpanID{}, start)
+		c.reply(&t, resp, obs.SpanID{})
 		return
 	}
 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		c.reply(req, drainingResponse(), obs.SpanID{}, start)
+		c.reply(&t, drainingResponse(), obs.SpanID{})
 		return
 	}
-	var release func(time.Duration)
 	if s.cfg.qos != nil {
 		var qerr error
-		release, qerr = s.cfg.qos.Admit(req.tenant, start)
+		t.release, qerr = s.cfg.qos.Admit(req.tenant, t.start)
 		if qerr != nil {
 			s.mu.Unlock()
-			c.reply(req, failure(qerr), obs.SpanID{}, start)
+			c.reply(&t, failure(qerr), obs.SpanID{})
 			return
 		}
 	}
@@ -489,10 +518,10 @@ func (c *sconn) dispatch(req *request) {
 	case s.inflight <- struct{}{}:
 	default:
 		s.mu.Unlock()
-		if release != nil {
-			release(0)
+		if t.release != nil {
+			t.release(0)
 		}
-		c.reply(req, &response{code: CodeOverloaded, msg: "in-flight limit reached"}, obs.SpanID{}, start)
+		c.reply(&t, &response{code: CodeOverloaded, msg: "in-flight limit reached"}, obs.SpanID{})
 		return
 	}
 	s.reqWG.Add(1)
@@ -500,7 +529,51 @@ func (c *sconn) dispatch(req *request) {
 	s.mu.Unlock()
 	s.met.inflight.Add(1)
 
-	go c.serveReq(req, start, release)
+	s.startRequest(t)
+}
+
+// startRequest hands an admitted request to an idle request goroutine,
+// or starts one while fewer than the in-flight bound exist. Request
+// goroutines serve any connection's requests and live until the base
+// context ends, so a request costs neither a goroutine start nor the
+// growth of a fresh stack.
+func (s *Server) startRequest(t task) {
+	select {
+	case s.tasks <- t:
+		return
+	default:
+	}
+	if s.reqGoroutines.Add(1) <= int64(cap(s.inflight)) {
+		s.loopWG.Add(1)
+		go s.requestLoop(t)
+		return
+	}
+	s.reqGoroutines.Add(-1)
+	// Every request goroutine exists, and t holds one of the in-flight
+	// slots, so at least one of them has given its slot back and is on
+	// its way to idle — unless the base context has ended and they are
+	// exiting, when t gets a goroutine of its own.
+	select {
+	case s.tasks <- t:
+	case <-s.baseCtx.Done():
+		go t.c.serve(t)
+	}
+}
+
+// requestLoop is one request goroutine: it serves t, then every request
+// handed to it, until the base context ends.
+func (s *Server) requestLoop(t task) {
+	defer s.loopWG.Done()
+	defer s.reqGoroutines.Add(-1)
+	for {
+		t.c.serve(t)
+		t = task{} // hold no connection or request while idle
+		select {
+		case t = <-s.tasks:
+		case <-s.baseCtx.Done():
+			return
+		}
+	}
 }
 
 // drainingResponse answers every request that arrives once a graceful
@@ -510,14 +583,20 @@ func drainingResponse() *response {
 }
 
 // reply records a finished request — metrics, and the span when
-// sampled — and queues its response.
-func (c *sconn) reply(req *request, resp *response, spanID obs.SpanID, start time.Time) {
+// sampled — writes its response, and recycles its frame. A forwarding
+// server's frames are not recycled: its Forwarder may still read a
+// request's body after the answer (a hedged race's losing copy).
+func (c *sconn) reply(t *task, resp *response, spanID obs.SpanID) {
 	s := c.srv
-	elapsed := time.Since(start)
+	req := t.req
+	elapsed := time.Since(t.start)
 	s.met.finish(req.op, resp.code, elapsed)
-	s.observeRequest(req, spanID, resp.code, start, elapsed)
+	s.observeRequest(req, spanID, resp.code, t.start, elapsed)
 	resp.id = req.id
-	c.send(encodeResponse(req.op, resp))
+	c.write(req.op, resp)
+	if s.fwd == nil {
+		putFrame(t.frame)
+	}
 }
 
 // requestContext derives a request's execution context from the
@@ -529,12 +608,13 @@ func (s *Server) requestContext(req *request) (context.Context, context.CancelFu
 	return context.WithDeadline(s.baseCtx, req.deadline)
 }
 
-// serveReq executes one admitted request — on the engine, or handed to
-// the Forwarder — and queues its response. release, when non-nil,
+// serve executes one admitted request — on the engine, or handed to
+// the Forwarder — and writes its response. t.release, when non-nil,
 // returns the request's QoS concurrency-share slot and records its
 // per-tenant latency.
-func (c *sconn) serveReq(req *request, start time.Time, release func(time.Duration)) {
+func (c *sconn) serve(t task) {
 	s := c.srv
+	req := t.req
 	defer func() {
 		<-s.inflight
 		s.met.inflight.Add(-1)
@@ -558,10 +638,10 @@ func (c *sconn) serveReq(req *request, start time.Time, release func(time.Durati
 		ctx = obs.ContextWithTrace(ctx, req.tc.Child(spanID))
 	}
 	resp := s.execute(ctx, req)
-	if release != nil {
-		release(time.Since(start))
+	if t.release != nil {
+		t.release(time.Since(t.start))
 	}
-	c.reply(req, resp, spanID, start)
+	c.reply(&t, resp, spanID)
 }
 
 // observeRequest records the server span for a sampled request;
@@ -626,7 +706,10 @@ func result(v *big.Int, err error) *response {
 	if err != nil {
 		return failure(err)
 	}
-	return &response{code: CodeOK, values: []*big.Int{v}}
+	resp := &response{code: CodeOK}
+	resp.one[0] = v
+	resp.values = resp.one[:]
+	return resp
 }
 
 // perItemResult answers a batch call: n item results for want items,

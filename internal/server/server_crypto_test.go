@@ -147,6 +147,11 @@ func TestCryptoErrorCodesSurviveWire(t *testing.T) {
 	if _, _, err := cl.SignECDSA(ctx, 99, big.NewInt(5), big.NewInt(7), 1); !errors.Is(err, errs.ErrBadKey) {
 		t.Fatalf("unknown curve: got %v, want ErrBadKey", err)
 	}
+	// An ECDSA digest longer than the group order → ErrOperandRange.
+	long := new(big.Int).Lsh(big.NewInt(1), 300)
+	if _, _, err := cl.SignECDSA(ctx, cryptosvc.CurveP256, big.NewInt(5), long, 1); !errors.Is(err, errs.ErrOperandRange) {
+		t.Fatalf("301-bit digest on P-256: got %v, want ErrOperandRange", err)
+	}
 	// Bad keygen parameters → ErrOperandRange.
 	if _, err := cl.KeygenRSA(ctx, 15, 1); !errors.Is(err, errs.ErrOperandRange) {
 		t.Fatalf("odd bits: got %v, want ErrOperandRange", err)

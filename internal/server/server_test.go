@@ -17,7 +17,7 @@ import (
 )
 
 // testModulus returns a deterministic odd l-bit modulus.
-func testModulus(t *testing.T, rng *rand.Rand, l int) *big.Int {
+func testModulus(t testing.TB, rng *rand.Rand, l int) *big.Int {
 	t.Helper()
 	n := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(l-1)))
 	n.SetBit(n, l-1, 1)
@@ -28,7 +28,7 @@ func testModulus(t *testing.T, rng *rand.Rand, l int) *big.Int {
 // startServer boots an engine and a server on a loopback port and
 // registers cleanup. The engine is returned so tests can also call it
 // directly for equivalence checks.
-func startServer(t *testing.T, engOpts []engine.Option, srvOpts []Option) (*Server, *engine.Engine, string) {
+func startServer(t testing.TB, engOpts []engine.Option, srvOpts []Option) (*Server, *engine.Engine, string) {
 	t.Helper()
 	eng, err := engine.New(engOpts...)
 	if err != nil {
