@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt build vet bench-vet bench-test dead-options test test-386 race staticcheck cover sca-gate qos fuzz soak
+.PHONY: ci fmt build vet bench-vet bench-test dead-options dead-exports test test-386 race staticcheck cover sca-gate qos fuzz soak
 
 ci: fmt vet bench-vet bench-test staticcheck dead-options build test test-386 race
 
@@ -32,6 +32,12 @@ bench-test:
 # has no reference anywhere in the repo besides its own declaration.
 dead-options:
 	bash scripts/lint-dead-options.sh
+
+# Dead-export report, not part of ci: lists exported funcs under
+# internal/ (the paper-reproduction packages aside) that nothing outside
+# tests calls. Leads for deletion, not a gate; always exits 0.
+dead-exports:
+	bash scripts/lint-dead-exports.sh
 
 test:
 	$(GO) test ./...

@@ -598,44 +598,6 @@ func BenchmarkDualField(b *testing.B) {
 	b.ReportMetric(float64(fd.Iterations()), "iterations")
 }
 
-// BenchmarkLadderVsBinary compares Algorithm 3 with the Montgomery
-// powering ladder and the 4-bit window method at RSA-512 scale under the
-// paper's cycle accounting. Metric: cycles per exponentiation.
-func BenchmarkLadderVsBinary(b *testing.B) {
-	const l = 512
-	rng := rand.New(rand.NewSource(10))
-	n := benchRandOdd(rng, l)
-	ex, err := expo.NewKit(n, kits.Model)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := new(big.Int).Rand(rng, n)
-	e := new(big.Int).Rand(rng, n)
-	e.SetBit(e, l-1, 1)
-
-	b.Run("algorithm3", func(b *testing.B) {
-		var rep expo.Report
-		for i := 0; i < b.N; i++ {
-			_, rep, _ = ex.ModExp(m, e)
-		}
-		b.ReportMetric(float64(rep.TotalCycles), "cycles")
-	})
-	b.Run("ladder", func(b *testing.B) {
-		var rep expo.Report
-		for i := 0; i < b.N; i++ {
-			_, rep, _ = ex.ModExpLadder(m, e)
-		}
-		b.ReportMetric(float64(rep.TotalCycles), "cycles")
-	})
-	b.Run("window4", func(b *testing.B) {
-		var rep expo.Report
-		for i := 0; i < b.N; i++ {
-			_, rep, _ = ex.ModExpWindow(m, e, 4)
-		}
-		b.ReportMetric(float64(rep.TotalCycles), "cycles")
-	})
-}
-
 // BenchmarkExpoNetlist runs a complete exponentiation on the gate-level
 // exponentiator (the paper's full deliverable in gates) and reports the
 // measured cycle count including control overhead.

@@ -8,11 +8,13 @@
 //	rsatool [-bits 128] [-msg <hex>] [-seed 1] [-kit model|sim|cios|big] [-crt] [-sign]
 //
 // The -kit flag selects the compute kit every exponentiation runs on
-// (see internal/kits); -simulate remains as a deprecated alias for
-// -kit sim.
+// (see internal/kits); -kit sim is cycle-accurate and slow, so keep
+// -bits small with it.
 package main
 
 import (
+	"crypto/sha256"
+	"errors"
 	"flag"
 	"fmt"
 	"math/big"
@@ -29,18 +31,14 @@ func main() {
 	msgHex := flag.String("msg", "48656c6c6f", "message (hex, < N)")
 	seed := flag.Int64("seed", 1, "deterministic key-generation seed")
 	kitFlag := flag.String("kit", "model", "compute kit: model|sim|cios|big")
-	simulate := flag.Bool("simulate", false, "deprecated alias for -kit sim (slow; use small -bits)")
 	crt := flag.Bool("crt", true, "decrypt with CRT")
-	sign := flag.Bool("sign", true, "also sign the message (SHA-256 digest, CRT when available) and verify")
+	sign := flag.Bool("sign", true, "also sign the message (SHA-256 digest, via CRT) and verify")
 	flag.Parse()
 
 	k, err := kits.Parse(*kitFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rsatool:", err)
 		os.Exit(1)
-	}
-	if *simulate {
-		k = kits.Sim
 	}
 	if err := run(*bitsFlag, *msgHex, *seed, k, *crt, *sign); err != nil {
 		fmt.Fprintln(os.Stderr, "rsatool:", err)
@@ -101,22 +99,39 @@ func run(bits int, msgHex string, seed int64, k kits.Kit, crt, sign bool) error 
 	fmt.Println("\nround trip: OK")
 
 	if sign {
-		msgBytes := m.Bytes()
-		sig, repS, err := key.SignSHA256(msgBytes, k)
+		sig, repS, err := signMessage(key, m.Bytes(), k)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("\nsign (SHA-256): s = H(M)^D mod N = %s\n", sig.Text(16))
 		fmt.Printf("         %d squares + %d multiplies, %d cycles (paper model)\n",
 			repS.Squares, repS.Multiplies, repS.TotalCycles)
-		okSig, err := key.PublicKey.VerifySHA256(msgBytes, sig, k)
-		if err != nil {
-			return err
-		}
-		if !okSig {
-			return fmt.Errorf("signature verification FAILED")
-		}
 		fmt.Println("signature verify: OK")
 	}
 	return nil
+}
+
+// signMessage signs msg textbook-style, s = h^D mod N for
+// h = SHA-256(msg) mod N, through the CRT private-key operation, and
+// checks s^E ≡ h (mod N) on the same kit before returning s with the
+// CRT report. Unpadded, like the rest of this demo: no PSS or PKCS#1.
+func signMessage(key *rsa.PrivateKey, msg []byte, k kits.Kit) (*big.Int, expo.Report, error) {
+	digest := sha256.Sum256(msg)
+	h := new(big.Int).SetBytes(digest[:])
+	h.Mod(h, key.N)
+	if h.Sign() == 0 {
+		return nil, expo.Report{}, errors.New("degenerate digest (SHA-256 ≡ 0 mod N)")
+	}
+	sig, rep, err := key.DecryptCRT(h, k)
+	if err != nil {
+		return nil, expo.Report{}, err
+	}
+	back, _, err := key.Encrypt(sig, k)
+	if err != nil {
+		return nil, expo.Report{}, err
+	}
+	if back.Cmp(h) != 0 {
+		return nil, expo.Report{}, errors.New("signature verification FAILED")
+	}
+	return sig, rep, nil
 }

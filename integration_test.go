@@ -5,37 +5,53 @@ package montsys
 // downstream user would compose them.
 
 import (
+	"context"
+	"crypto/sha256"
 	"math/big"
 	"math/rand"
 	"testing"
 
-	"repro/internal/ecc"
-	"repro/internal/ecdsa"
+	"repro/internal/cryptosvc"
+	"repro/internal/engine"
 	"repro/internal/kits"
 	"repro/internal/rsa"
 	"repro/internal/sca"
 )
 
 // A hybrid protocol exchange: RSA-encrypt a session value, ECDSA-sign
-// the ciphertext, verify and decrypt on the other side — every modular
-// operation across both cryptosystems running on the reproduced
-// Montgomery core (the paper's "device dealing with both types of PKC").
+// the ciphertext's SHA-256 digest with the signing service, verify and
+// decrypt on the other side — every modular operation across both
+// cryptosystems running on the reproduced Montgomery core (the paper's
+// "device dealing with both types of PKC").
 func TestHybridProtocolScenario(t *testing.T) {
 	rng := rand.New(rand.NewSource(251))
+	eng, err := engine.New(engine.WithKit(kits.Model))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	svc := cryptosvc.New(eng)
+	ctx := context.Background()
 
 	// Receiver: RSA key.
 	rsaKey, err := rsa.GenerateKey(128, nil, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sender: ECDSA key on P-256.
-	curve, err := ecc.P256()
+	// Sender: ECDSA key on P-256, Q = d·G derived locally.
+	curve, err := cryptosvc.CurveByID(cryptosvc.CurveP256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sigKey, err := ecdsa.GenerateKey(curve, rng)
+	d := new(big.Int).Rand(rng, new(big.Int).Sub(curve.Order, big.NewInt(1)))
+	d.Add(d, big.NewInt(1))
+	q, err := curve.ScalarBaseMult(d)
 	if err != nil {
 		t.Fatal(err)
+	}
+	qx, qy, ok := curve.Affine(q)
+	if !ok {
+		t.Fatal("public point at infinity")
 	}
 
 	// Sender side.
@@ -44,14 +60,22 @@ func TestHybridProtocolScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, s, err := ecdsa.Sign(sigKey, ct.Bytes(), rng)
+	hash := sha256.Sum256(ct.Bytes())
+	digest := new(big.Int).SetBytes(hash[:])
+	r, s, err := svc.SignECDSA(ctx, cryptosvc.CurveP256, d, digest, 251)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Receiver side.
-	if !ecdsa.Verify(&sigKey.PublicKey, ct.Bytes(), r, s) {
-		t.Fatal("signature rejected")
+	res, err := svc.VerifyECDSABatch(ctx, cryptosvc.CurveP256, []cryptosvc.ECDSAVerifyItem{
+		{Qx: qx, Qy: qy, R: r, S: s, Digest: digest},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Err != nil || !res[0].OK {
+		t.Fatalf("signature rejected: ok=%v err=%v", res[0].OK, res[0].Err)
 	}
 	back, _, err := rsaKey.DecryptCRT(ct, kits.Model)
 	if err != nil {

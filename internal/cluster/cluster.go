@@ -361,16 +361,6 @@ func (c *Cluster) Close() error {
 // Registry returns the registry the cluster's metrics live in.
 func (c *Cluster) Registry() *obs.Registry { return c.cfg.registry }
 
-// Addrs lists the routable backend addresses in pool order.
-func (c *Cluster) Addrs() []string {
-	p := c.pool.Load()
-	out := make([]string, len(p.backends))
-	for i, b := range p.backends {
-		out[i] = b.addr
-	}
-	return out
-}
-
 // BackendStatus is one backend's routing state at a point in time.
 type BackendStatus struct {
 	Addr     string

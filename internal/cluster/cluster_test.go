@@ -514,7 +514,7 @@ func TestClusterNewValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got := c.Addrs(); len(got) != 1 || got[0] != a1 {
-		t.Fatalf("Addrs() = %v, want just %s deduped", got, a1)
+	if got := c.Status(); len(got) != 1 || got[0].Addr != a1 {
+		t.Fatalf("Status() = %v, want just %s deduped", got, a1)
 	}
 }

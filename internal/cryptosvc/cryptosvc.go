@@ -507,10 +507,11 @@ func writeLenPrefixed(w io.Writer, v *big.Int) {
 }
 
 // checkDigest rejects an ECDSA digest longer than the group order.
-// FIPS 186-4 (and crypto/ecdsa) keep a longer hash's leftmost
-// order-length bits, which depends on the hash's byte length; an
-// integer digest has lost that length, so such a digest has no
-// standard signature here. The caller truncates the hash first. A
+// The caller turns its hash into the digest the FIPS 186-4 way, as
+// crypto/ecdsa does: keep the hash's leftmost order-bit-length bits. A
+// hash that fits the order (SHA-256 on P-256 and P-384) is the digest
+// whole. An integer has lost the hash's byte length that the rule
+// depends on, so a longer digest has no standard signature here. A
 // digest no longer than the order is used reduced mod the order, as
 // the standard does.
 func checkDigest(digest, order *big.Int) error {

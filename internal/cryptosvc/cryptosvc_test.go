@@ -241,6 +241,9 @@ func TestSignECDSADeterministicAndVerifies(t *testing.T) {
 	}
 }
 
+// TestVerifyECDSABatchPerItem checks each batch item on its own: a
+// well-formed but wrong signature is OK=false with a nil Err, and only a
+// malformed item (here an off-curve point) carries an error.
 func TestVerifyECDSABatchPerItem(t *testing.T) {
 	eng := testEngine(t)
 	svc := New(eng, WithBlindSeed(13))
@@ -249,41 +252,57 @@ func TestVerifyECDSABatchPerItem(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(31))
-	d := new(big.Int).Rand(rng, new(big.Int).Sub(curve.Order, big.NewInt(2)))
-	d.Add(d, big.NewInt(1))
-	pt, _ := curve.ScalarBaseMult(d)
-	qx, qy, _ := curve.Affine(pt)
+	key := func() (d, x, y *big.Int) {
+		d = new(big.Int).Rand(rng, new(big.Int).Sub(curve.Order, big.NewInt(2)))
+		d.Add(d, big.NewInt(1))
+		pt, _ := curve.ScalarBaseMult(d)
+		x, y, _ = curve.Affine(pt)
+		return d, x, y
+	}
+	d, qx, qy := key()
+	_, otherX, otherY := key()
 	digest := big.NewInt(0x5ca1ab1e)
 	r, s, err := svc.SignECDSA(context.Background(), CurveP256, d, digest, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	plus1 := func(v *big.Int) *big.Int { return new(big.Int).Add(v, big.NewInt(1)) }
 
-	items := []ECDSAVerifyItem{
-		{Qx: qx, Qy: qy, R: r, S: s, Digest: digest},                                  // valid
-		{Qx: qx, Qy: qy, R: r, S: s, Digest: big.NewInt(1)},                           // wrong digest
-		{Qx: qx, Qy: qy, R: big.NewInt(0), S: s, Digest: digest},                      // r out of range
-		{Qx: big.NewInt(1), Qy: big.NewInt(2), R: r, S: s, Digest: digest},            // bad point
-		{Qx: qx, Qy: qy, R: r, S: new(big.Int).Add(s, big.NewInt(1)), Digest: digest}, // tampered s
+	rows := []struct {
+		name string
+		item ECDSAVerifyItem
+		ok   bool
+		err  error
+	}{
+		{"valid", ECDSAVerifyItem{Qx: qx, Qy: qy, R: r, S: s, Digest: digest}, true, nil},
+		{"wrong digest", ECDSAVerifyItem{Qx: qx, Qy: qy, R: r, S: s, Digest: big.NewInt(1)}, false, nil},
+		{"r = 0", ECDSAVerifyItem{Qx: qx, Qy: qy, R: big.NewInt(0), S: s, Digest: digest}, false, nil},
+		{"off-curve point", ECDSAVerifyItem{Qx: big.NewInt(1), Qy: big.NewInt(2), R: r, S: s, Digest: digest}, false, errs.ErrBadKey},
+		{"tampered s", ECDSAVerifyItem{Qx: qx, Qy: qy, R: r, S: plus1(s), Digest: digest}, false, nil},
+		{"tampered r", ECDSAVerifyItem{Qx: qx, Qy: qy, R: plus1(r), S: s, Digest: digest}, false, nil},
+		{"r = order", ECDSAVerifyItem{Qx: qx, Qy: qy, R: curve.Order, S: s, Digest: digest}, false, nil},
+		{"s = order", ECDSAVerifyItem{Qx: qx, Qy: qy, R: r, S: curve.Order, Digest: digest}, false, nil},
+		{"other key", ECDSAVerifyItem{Qx: otherX, Qy: otherY, R: r, S: s, Digest: digest}, false, nil},
+	}
+	items := make([]ECDSAVerifyItem, len(rows))
+	for i, row := range rows {
+		items[i] = row.item
 	}
 	res, err := svc.VerifyECDSABatch(context.Background(), CurveP256, items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res[0].OK || res[0].Err != nil {
-		t.Fatalf("item 0: %+v", res[0])
-	}
-	if res[1].OK || res[1].Err != nil {
-		t.Fatalf("item 1 (wrong digest): %+v", res[1])
-	}
-	if res[2].OK || res[2].Err != nil {
-		t.Fatalf("item 2 (r=0): %+v", res[2])
-	}
-	if !errors.Is(res[3].Err, errs.ErrBadKey) {
-		t.Fatalf("item 3 (off-curve point): err = %v, want ErrBadKey", res[3].Err)
-	}
-	if res[4].OK || res[4].Err != nil {
-		t.Fatalf("item 4 (tampered s): %+v", res[4])
+	for i, row := range rows {
+		got := res[i]
+		if row.err != nil {
+			if !errors.Is(got.Err, row.err) {
+				t.Errorf("%s: err = %v, want %v", row.name, got.Err, row.err)
+			}
+			continue
+		}
+		if got.OK != row.ok || got.Err != nil {
+			t.Errorf("%s: got (OK=%v, Err=%v), want (OK=%v, Err=nil)", row.name, got.OK, got.Err, row.ok)
+		}
 	}
 }
 

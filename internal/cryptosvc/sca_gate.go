@@ -30,11 +30,19 @@
 // expectation) retain a parity channel no additive blind can close.
 // The gate therefore scores the schedule window that blinding is
 // responsible for — all but the trailing tailSkip steps — which is
-// also what a real campaign sees for >99% of the exponentiation. The
-// tail channel is closed structurally, not statistically, by the
-// Montgomery powering ladder (expo.ModExpLadder), whose per-step
-// operation sequence is one square and one multiply regardless of the
-// bit.
+// also what a real campaign sees for >99% of the exponentiation. What
+// each kit does about the tail depends on the schedule it runs:
+//
+//   - Model and Sim run Algorithm 3, so the trailing v₂(p−1) steps keep
+//     their parity channel.
+//   - CIOS runs highradix.Word.expWindow for exponents longer than
+//     binaryMaxBits (64 bits), which every blinded CRT exponent is
+//     (the blindBits randomizer alone makes it longer); there the
+//     product sequence depends only on the exponent's length, tail
+//     included.
+//   - CIOS runs expBinary for exponents of binaryMaxBits or fewer (an
+//     unblinded half of a small key), so it does not close the channel
+//     there.
 package cryptosvc
 
 import (

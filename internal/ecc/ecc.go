@@ -318,3 +318,14 @@ func P256() (*Curve, error) {
 	a := new(big.Int).Sub(p, big.NewInt(3)) // a = -3 mod p
 	return NewCurve(p, a, b, gx, gy, n)
 }
+
+// P384 returns the NIST P-384 curve (FIPS 186-4 parameters).
+func P384() (*Curve, error) {
+	p, _ := new(big.Int).SetString("fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffeffffffff0000000000000000ffffffff", 16)
+	b, _ := new(big.Int).SetString("b3312fa7e23ee7e4988e056be3f82d19181d9c6efe8141120314088f5013875ac656398d8a2ed19d2a85c8edd3ec2aef", 16)
+	gx, _ := new(big.Int).SetString("aa87ca22be8b05378eb1c71ef320ad746e1d3b628ba79b9859f741e082542a385502f25dbf55296c3a545e3872760ab7", 16)
+	gy, _ := new(big.Int).SetString("3617de4a96262c6f5d9e98bf9292dc29f8f41dbd289a147ce9da3113b5f0b8c00a60b1ce1d7e819d7a431d7c90ea0e5f", 16)
+	n, _ := new(big.Int).SetString("ffffffffffffffffffffffffffffffffffffffffffffffffc7634d81f4372ddf581a0db248b0a77aecec196accc52973", 16)
+	a := new(big.Int).Sub(p, big.NewInt(3))
+	return NewCurve(p, a, b, gx, gy, n)
+}

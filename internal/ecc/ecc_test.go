@@ -248,3 +248,35 @@ func TestFieldMulAccounting(t *testing.T) {
 		t.Error("no field multiplications counted")
 	}
 }
+
+// P-384 cross-check against crypto/elliptic.
+func TestP384AgainstStdlib(t *testing.T) {
+	c, err := P384()
+	if err != nil {
+		t.Fatal(err)
+	}
+	std := elliptic.P384()
+	rng := rand.New(rand.NewSource(243))
+	g, err := c.Base()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 2; trial++ {
+		k := new(big.Int).Rand(rng, c.Order)
+		if k.Sign() == 0 {
+			k.SetInt64(1)
+		}
+		pt, err := c.ScalarMult(g, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gx, gy, ok := c.Affine(pt)
+		if !ok {
+			t.Fatal("unexpected infinity")
+		}
+		wx, wy := std.ScalarBaseMult(k.Bytes())
+		if gx.Cmp(wx) != 0 || gy.Cmp(wy) != 0 {
+			t.Fatalf("P-384 mismatch")
+		}
+	}
+}

@@ -205,11 +205,11 @@ func (e *Exponentiator) fromMont(a *big.Int, rep *Report) (*big.Int, error) {
 }
 
 // price fills the §4.5 cycle model from the square/multiply counts:
-// pre-processing 5l+10 plus tableMuls extra precomputed products,
-// 3l+4 per square or multiply, l+2 post-processing.
-func (r *Report) price(tableMuls int) {
+// pre-processing 5l+10, 3l+4 per square or multiply, l+2
+// post-processing.
+func (r *Report) price() {
 	l := r.L
-	r.PreCycles = 5*l + 10 + tableMuls*(3*l+4)
+	r.PreCycles = 5*l + 10
 	r.MulCycles = (r.Squares + r.Multiplies) * (3*l + 4)
 	r.PostCycles = l + 2
 	r.TotalCycles = r.PreCycles + r.MulCycles + r.PostCycles
@@ -224,7 +224,7 @@ func (r *Report) countBinary(exp *big.Int) {
 	for _, w := range exp.Bits() {
 		r.Multiplies += mathbits.OnesCount(uint(w))
 	}
-	r.price(0)
+	r.price()
 }
 
 // ModExp computes m^exp mod N via Algorithm 3. m must lie in [0, N-1];
@@ -240,7 +240,7 @@ func (e *Exponentiator) ModExp(m, exp *big.Int) (*big.Int, Report, error) {
 	// fewer, a 5-bit fixed window with a constant product schedule above
 	// that; Big runs math/big's own windowed exponentiation. The Report
 	// deliberately stays the paper's Algorithm-3 cycle accounting on
-	// every kit — squares and multiplies of the binary ladder, a function
+	// every kit — the squares and multiplies of Algorithm 3, a function
 	// of the exponent alone — so the decomposition and cycle model are
 	// identical across kits and do not count the products a fast kit
 	// actually ran.
@@ -281,6 +281,6 @@ func (e *Exponentiator) ModExp(m, exp *big.Int) (*big.Int, Report, error) {
 	if a, err = e.fromMont(a, &rep); err != nil {
 		return nil, rep, err
 	}
-	rep.price(0)
+	rep.price()
 	return a, rep, nil
 }
