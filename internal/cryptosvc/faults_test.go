@@ -35,7 +35,12 @@ func TestCRTSignBellcoreSafety(t *testing.T) {
 	svc := New(eng, WithBlindSeed(99))
 	key := testKey(t, 512, 77)
 
-	const signs = 80
+	// A signature is released only when all four of its engine results
+	// (r^E, both CRT halves, the verify) escape the 50% injector: 1 in
+	// 16. Which core, and so which fault stream, runs each result
+	// depends on scheduling, so the chance that none is released is
+	// (15/16)^signs on any run: ~0.6% at 80 signs, ~6e-12 at 400.
+	const signs = 400
 	released, caught := 0, 0
 	for i := 0; i < signs; i++ {
 		digest := big.NewInt(int64(1_000_003 * (i + 1)))
