@@ -11,7 +11,7 @@
 //	        [-exp full|f4] [-queue 0] [-timeout 0]
 //	        [-listen :9090] [-linger 0] [-trace 4096] [-trace-sample 0]
 //	        [-connect host:7077] [-clients 8] [-retries 3]
-//	        [-tolerate integrity,overloaded] [-integrity]
+//	        [-tolerate integrity,overloaded] [-integrity] [-integrity-recompute]
 //	        [-fault-rate 0] [-fault-seed 1] [-fault-cores 0]
 //	        [-scenario modexp|sign|tenants|soak]
 //	        [-duration 60s] [-adversaries 4]
@@ -52,9 +52,10 @@
 //
 // In local (in-process) mode, -fault-rate/-fault-seed/-fault-cores
 // wire the deterministic fault injector into the sweep engines and
-// -integrity/-integrity-sample/-integrity-recompute arm the engine's
-// result verification, so the whole chaos story can be rehearsed
-// without a network.
+// -integrity/-integrity-recompute arm the engine's result verification
+// (every result checked; a corrupt one recomputed on math/big, or
+// failed with recompute off), so the whole chaos story can be
+// rehearsed without a network.
 //
 // With -connect the same workload is fired at remote montsysd (or
 // montsyslb) instances over the binary wire protocol instead of an
@@ -128,7 +129,6 @@ func main() {
 	retries := flag.Int("retries", 3, "client retry budget per call in -connect mode")
 	tolerate := flag.String("tolerate", "", "comma-separated error classes to count instead of abort (e.g. integrity,overloaded)")
 	integrity := flag.Bool("integrity", false, "local mode: verify every result inside the engine")
-	integritySample := flag.Float64("integrity-sample", 1, "local mode: fraction of exponentiations fully re-verified")
 	integrityRecompute := flag.Bool("integrity-recompute", true, "local mode: recompute corrupted jobs instead of failing them")
 	faultRate := flag.Float64("fault-rate", 0, "local mode: inject bit-flip faults into this fraction of core results")
 	faultSeed := flag.Int64("fault-seed", 1, "local mode: deterministic seed for -fault-rate")
@@ -151,9 +151,8 @@ func main() {
 		connect: *connect, clients: *clients, retries: *retries,
 		traceSample: *traceSample,
 		tolerate:    parseTolerate(*tolerate),
-		integrity:   *integrity, integritySample: *integritySample,
-		integrityRecompute: *integrityRecompute,
-		faultRate:          *faultRate, faultSeed: *faultSeed, faultCores: *faultCores,
+		integrity:   *integrity, integrityRecompute: *integrityRecompute,
+		faultRate: *faultRate, faultSeed: *faultSeed, faultCores: *faultCores,
 	}
 	if *listen != "" {
 		col := obs.NewCollector(obs.WithTracing(*traceCap))
@@ -210,7 +209,6 @@ type sweepConfig struct {
 
 	// Local-mode chaos/integrity knobs.
 	integrity          bool
-	integritySample    float64
 	integrityRecompute bool
 	faultRate          float64
 	faultSeed          int64
@@ -591,7 +589,7 @@ func (cfg sweepConfig) engine(w int, kit kits.Kit, variant systolic.Variant) (*e
 	}
 	if cfg.integrity {
 		opts = append(opts,
-			engine.WithIntegrityCheck(cfg.integritySample),
+			engine.WithIntegrityCheck(),
 			engine.WithIntegrityRecompute(cfg.integrityRecompute))
 	}
 	if cfg.collector != nil {

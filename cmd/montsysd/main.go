@@ -10,7 +10,7 @@
 //	         [-metrics :9090] [-trace 4096]
 //	         [-wide-events stderr|stdout|PATH]
 //	         [-slo-latency 500ms] [-slo-target 0.999]
-//	         [-integrity] [-integrity-sample 1] [-integrity-recompute]
+//	         [-integrity] [-integrity-recompute]
 //	         [-fault-rate 0] [-fault-seed 1] [-fault-cores 0,2]
 //	         [-sign-blinding=true] [-qos SPEC|@FILE]
 //	         [-register lb1:7070,lb2:7070] [-advertise host:port] [-zone Z]
@@ -46,10 +46,13 @@
 // uses it as its positive control); production leaves it on.
 //
 // -integrity arms the engine's per-operation result verification (see
-// engine.WithIntegrityCheck). -fault-rate > 0 wires in the
-// deterministic fault injector — a chaos backend that corrupts its own
-// results on purpose. With recompute on (the default) the damage is
-// healed internally and only metrics show it; with
+// engine.WithIntegrityCheck): every result is checked before it is
+// answered. -fault-rate > 0 wires in the deterministic fault injector —
+// a chaos backend that corrupts its own results on purpose. With
+// recompute on (the default) a corrupt job is recomputed inline on
+// math/big, checked again and answered, so only metrics show the damage
+// (montsys_integrity_events_total{event="recompute"} and the kit="big"
+// series of montsys_job_kit_latency_seconds); with
 // -integrity-recompute=false corrupted jobs answer with the integrity
 // wire code, which a cluster front end turns into a free failover —
 // the configuration the CI chaos job runs.
@@ -122,7 +125,6 @@ func main() {
 	sloLatency := flag.Duration("slo-latency", 500*time.Millisecond, "per-op latency SLO objective (with -metrics)")
 	sloTarget := flag.Float64("slo-target", 0.999, "SLO success-ratio target for availability and latency objectives")
 	integrity := flag.Bool("integrity", false, "verify every result before answering (quarantine + recompute on mismatch)")
-	integritySample := flag.Float64("integrity-sample", 1, "fraction of exponentiations fully re-verified (with -integrity)")
 	integrityRecompute := flag.Bool("integrity-recompute", true, "recompute corrupted jobs instead of answering with the integrity code")
 	faultRate := flag.Float64("fault-rate", 0, "inject bit-flip faults into this fraction of core results (chaos testing)")
 	faultSeed := flag.Int64("fault-seed", 1, "deterministic seed for -fault-rate")
@@ -136,7 +138,7 @@ func main() {
 	flag.Parse()
 
 	fc := faultConfig{rate: *faultRate, seed: *faultSeed, cores: *faultCores,
-		integrity: *integrity, sample: *integritySample, recompute: *integrityRecompute}
+		integrity: *integrity, recompute: *integrityRecompute}
 	oc := obsConfig{metricsAddr: *metricsAddr, traceCap: *traceCap, wideDest: *wideDest,
 		sloLatency: *sloLatency, sloTarget: *sloTarget}
 	rc := regConfig{balancers: *register, advertise: *advertise, zone: *zone}
@@ -162,7 +164,6 @@ type faultConfig struct {
 	seed      int64
 	cores     string
 	integrity bool
-	sample    float64
 	recompute bool
 }
 
@@ -192,7 +193,7 @@ func (fc faultConfig) engineOptions() ([]engine.Option, error) {
 	}
 	if fc.integrity {
 		opts = append(opts,
-			engine.WithIntegrityCheck(fc.sample),
+			engine.WithIntegrityCheck(),
 			engine.WithIntegrityRecompute(fc.recompute))
 	}
 	return opts, nil

@@ -20,7 +20,7 @@ import (
 func TestClusterIntegrityFailover(t *testing.T) {
 	faultyOpts := []engine.Option{
 		engine.WithWorkers(1),
-		engine.WithIntegrityCheck(1),
+		engine.WithIntegrityCheck(),
 		engine.WithIntegrityRecompute(false),
 		engine.WithFaultInjector(faults.New(faults.WithBitFlip(-1), faults.WithSeed(9))),
 	}
@@ -99,7 +99,7 @@ func TestClusterIntegrityStreakReset(t *testing.T) {
 	// One-shot fault: exactly one corrupted answer, then clean forever.
 	faultyOpts := []engine.Option{
 		engine.WithWorkers(1),
-		engine.WithIntegrityCheck(1),
+		engine.WithIntegrityCheck(),
 		engine.WithIntegrityRecompute(false),
 		engine.WithFaultInjector(faults.New(
 			faults.WithBitFlip(-1), faults.WithSeed(13), faults.WithOneShot())),

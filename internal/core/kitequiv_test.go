@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/highradix"
-	"repro/internal/integrity"
 	"repro/internal/kits"
 	"repro/internal/mont"
 )
@@ -131,42 +129,6 @@ func TestCrossKitModExpEquivalence(t *testing.T) {
 			if rep.Squares != exp.BitLen()-1 || rep.Multiplies != 1 {
 				t.Errorf("l=%d kit=%s: ladder report %d squares / %d multiplies for F4",
 					tc.l, k, rep.Squares, rep.Multiplies)
-			}
-		}
-	}
-}
-
-// TestCIOSWitnessIntegrity runs the integrity system's quotient-witness
-// verification over the high-radix path: MulWitness exposes the CIOS
-// quotient digits m as the witness M, and T·R = x·y + M·N must hold over
-// the integers for the word-level R = 2^(64·S) and the product T before
-// the final subtraction — checked by the R-generic residue verifier on
-// operands across the kernel's [0, R) domain. A corrupted T must be
-// refuted.
-func TestCIOSWitnessIntegrity(t *testing.T) {
-	sys := integrity.NewSystem(0)
-	for _, l := range []int{256, 1024, 2048} {
-		rng := rand.New(rand.NewSource(int64(0x317 + l)))
-		n := randOdd(rng, l)
-		ctx, err := mont.NewCtx(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := highradix.NewWord(ctx)
-		r := w.Params().R
-		for trial := 0; trial < 8; trial++ {
-			x := new(big.Int).Rand(rng, r)
-			y := new(big.Int).Rand(rng, r)
-			tt, m, err := w.MulWitness(x, y)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sys.VerifyWitnessRN(n, r, x, y, tt, m); err != nil {
-				t.Fatalf("l=%d trial=%d: witness refused: %v", l, trial, err)
-			}
-			bad := new(big.Int).Xor(tt, big.NewInt(1<<7))
-			if err := sys.VerifyWitnessRN(n, r, x, y, bad, m); err == nil {
-				t.Fatalf("l=%d trial=%d: corrupted T passed the witness check", l, trial)
 			}
 		}
 	}

@@ -135,22 +135,20 @@ func BenchmarkEngineModExpSampled(b *testing.B) {
 }
 
 // BenchmarkEngineIntegrity measures the clean-path cost of the
-// integrity net on the model-mode modexp hot path: checking off,
-// sampled at 10%, and every job fully re-verified. The re-check is one
-// math/big Exp — word-level Montgomery arithmetic, an order of
-// magnitude faster than the bit-serial Model path it guards — so even
-// check=1 must stay under 10% overhead; EXPERIMENTS.md ("Integrity
-// checking on the clean path") records a run. No faults are injected:
-// this is the price paid when nothing is wrong, which is all the time
-// in production.
+// integrity net on the model-mode modexp hot path: checking off, and
+// every job fully re-verified. The re-check is one math/big Exp —
+// word-level Montgomery arithmetic, an order of magnitude faster than
+// the bit-serial Model path it guards — so it must stay under 10%
+// overhead; EXPERIMENTS.md ("Integrity checking on the clean path")
+// records a run. No faults are injected: this is the price paid when
+// nothing is wrong, which is all the time in production.
 func BenchmarkEngineIntegrity(b *testing.B) {
 	cases := []struct {
 		name string
 		opts []Option
 	}{
 		{"integrity=off", nil},
-		{"integrity=sample0.1", []Option{WithIntegrityCheck(0.1)}},
-		{"integrity=all", []Option{WithIntegrityCheck(1)}},
+		{"integrity=all", []Option{WithIntegrityCheck()}},
 	}
 	for _, c := range cases {
 		b.Run("l=512/w=2/"+c.name, func(b *testing.B) {

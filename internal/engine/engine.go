@@ -37,7 +37,6 @@ import (
 	"repro/internal/errs"
 	"repro/internal/expo"
 	"repro/internal/faults"
-	"repro/internal/integrity"
 	"repro/internal/kits"
 	"repro/internal/mont"
 	"repro/internal/obs"
@@ -57,7 +56,6 @@ type config struct {
 	observer  Observer
 
 	integrity          bool
-	integritySample    float64 // modexp full-recheck rate in [0, 1]
 	integrityRecompute bool
 	injector           *faults.Injector
 	watchdogK          float64
@@ -101,16 +99,15 @@ func WithObserver(o Observer) Option { return func(c *config) { c.observer = o }
 
 // WithIntegrityCheck turns on per-operation result verification.
 // Every Montgomery product is checked against the residue identity
-// T·R ≡ x·y (mod N) plus the T < 2N range invariant, and sample ∈
-// [0, 1] of exponentiations get a full big.Int re-verification (1
-// checks every job — the setting the end-to-end "zero wrong answers"
-// guarantee assumes; see internal/integrity for the cost model). A
-// result that fails its check never reaches the caller: the offending
-// core is quarantined and, unless WithIntegrityRecompute(false) was
-// given, the job is recomputed — on a different core when one is
-// healthy, otherwise inline on the trusted reference arithmetic.
-func WithIntegrityCheck(sample float64) Option {
-	return func(c *config) { c.integrity = true; c.integritySample = sample }
+// T·R ≡ x·y (mod N) plus the T < 2N range invariant, and every
+// exponentiation gets a full math/big re-verification (see
+// internal/integrity for the cost model). A result that fails its
+// check never reaches the caller: the offending core is quarantined
+// and, unless WithIntegrityRecompute(false) was given, the job is
+// recomputed inline on a fresh math/big (kits.Big) exponentiator and
+// checked again before it is answered.
+func WithIntegrityCheck() Option {
+	return func(c *config) { c.integrity = true }
 }
 
 // WithIntegrityRecompute controls what happens to a job whose result
@@ -131,17 +128,6 @@ func WithFaultInjector(in *faults.Injector) Option {
 	return func(c *config) { c.injector = in }
 }
 
-// WithWatchdog arms the per-job watchdog: a job still running after
-// k × its hardware cycle bound (3l+4 cycles for a Montgomery product,
-// the Eq. 10 upper bound 6l²+14l+12 for an exponentiation, budgeted
-// at 1µs per cycle — three orders of magnitude above the reference
-// arithmetic's real per-cycle cost) is declared stuck, failed with a
-// wrapped ErrIntegrity, and its core quarantined. k ≤ 0 (the default)
-// disables the watchdog.
-func WithWatchdog(k float64) Option {
-	return func(c *config) { c.watchdogK = k }
-}
-
 // QoSObserver receives the lane scheduler's tenant-facing events. The
 // server daemon wires the qos.Plane here so engine sheds land on the
 // montsys_qos_* series with the tenant that owned the job.
@@ -159,6 +145,17 @@ func WithQoSObserver(o QoSObserver) Option { return func(c *config) { c.qosObs =
 
 // withClock overrides the engine's time source (tests only).
 func withClock(c clock) Option { return func(cfg *config) { cfg.clk = c } }
+
+// withWatchdog arms the per-job watchdog (tests only): a job still
+// running after k × its hardware cycle bound (3l+4 cycles for a
+// Montgomery product, the Eq. 10 upper bound 6l²+14l+12 for an
+// exponentiation, budgeted at 1µs per cycle — three orders of
+// magnitude above the reference arithmetic's real per-cycle cost) is
+// declared stuck, failed with a wrapped ErrIntegrity, and its core
+// quarantined. k ≤ 0 (the default) disables the watchdog.
+func withWatchdog(k float64) Option {
+	return func(c *config) { c.watchdogK = k }
+}
 
 // withFactory overrides how workers build their cores (tests only).
 func withFactory(f func(worker int, ctx *mont.Ctx) (exponentiator, error)) Option {
@@ -181,7 +178,6 @@ type Engine struct {
 	// so Close never has to wait out a reinstatement timer.
 	closing chan struct{}
 	healthy atomic.Int64 // workers not currently quarantined
-	integ   *integrity.System
 
 	met   *metrics
 	sheds atomic.Int64 // queued jobs evicted lowest-class-first
@@ -212,12 +208,6 @@ func New(opts ...Option) (*Engine, error) {
 	if cfg.cacheSize < 1 {
 		return nil, fmt.Errorf("engine: context cache size must be positive, got %d", cfg.cacheSize)
 	}
-	if cfg.integritySample < 0 {
-		cfg.integritySample = 0
-	}
-	if cfg.integritySample > 1 {
-		cfg.integritySample = 1
-	}
 	var reg *obs.Registry
 	if cfg.observer != nil {
 		reg = cfg.observer.Registry()
@@ -236,9 +226,6 @@ func New(opts ...Option) (*Engine, error) {
 		e.sched.onDepth = cfg.qosObs.LaneDepth
 	}
 	e.healthy.Store(int64(cfg.workers))
-	if cfg.integrity {
-		e.integ = integrity.NewSystem(0)
-	}
 	e.wg.Add(cfg.workers)
 	for i := 0; i < cfg.workers; i++ {
 		w := newWorker(e, i)
@@ -340,12 +327,6 @@ type job struct {
 
 	n, a, b *big.Int // modexp: base/exp; mont: x/y
 
-	// redo counts integrity-driven requeues: a job whose result failed
-	// its check is re-enqueued so a different (healthy) core recomputes
-	// it, at most maxRedo times before falling back to the inline
-	// reference oracle.
-	redo int
-
 	expOut  *ModExpResult
 	montOut *MontResult
 	wg      *sync.WaitGroup
@@ -384,7 +365,7 @@ func (e *Engine) submit(ctx context.Context, j *job) error {
 		return err
 	}
 	e.met.submitted[j.kind].Inc()
-	e.met.enqueued()
+	e.met.queueHighWater.SetMax(e.met.queueDepth.Add(1))
 	if victim != nil {
 		e.finalizeShed(victim)
 	}
@@ -406,24 +387,6 @@ func (e *Engine) finalizeShed(v *job) {
 		e.cfg.qosObs.Shed(v.tenant, v.class)
 	}
 	v.wg.Done()
-}
-
-// requeue puts a job whose result failed its integrity check back on
-// the queue so a different core picks it up. It never blocks or sheds:
-// a full queue or a closing engine returns false and the caller
-// recomputes inline instead — a corrupted job must not deadlock the
-// worker that detected the corruption.
-func (e *Engine) requeue(j *job) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return false
-	}
-	if !e.sched.tryPush(j) {
-		return false
-	}
-	e.met.enqueued()
-	return true
 }
 
 // ModExp runs one exponentiation through the pool and waits for it.

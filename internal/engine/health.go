@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/integrity"
+	"repro/internal/mont"
 )
 
 // clock abstracts the engine's timers (quarantine backoff, watchdog)
@@ -53,7 +54,7 @@ func (w *worker) quarantine() {
 // probes once without waiting and then serves the next job anyway —
 // safely, because quarantine implies the integrity checks that caught
 // the fault are still active and every further corrupt result is
-// recomputed on the trusted reference path.
+// recomputed on math/big.
 func (w *worker) quarantineWait() {
 	for w.quar {
 		if w.eng.healthy.Load() <= 0 {
@@ -106,11 +107,19 @@ func (w *worker) probeOnce() {
 	w.eng.integrityEvent(evProbeFailed, w.id)
 }
 
-// katModulus is the probe modulus, 2⁶¹−1 (a Mersenne prime): small
-// enough that even a gate-level simulated probe is cheap, large
-// enough that a stuck or flipped bit in the probe results is very
-// unlikely to hide for all katProbeOps products.
-var katModulus = new(big.Int).SetUint64(1<<61 - 1)
+// katCtx is the probe context, over the Mersenne prime 2⁶¹−1: small
+// enough that even a gate-level simulated probe is cheap, large enough
+// that a stuck or flipped bit in the probe results is very unlikely to
+// hide for all katProbeOps products. It is built once and kept out of
+// the engine's context LRU, so a probe never evicts a serving modulus
+// or moves the cache counters.
+var katCtx = func() *mont.Ctx {
+	ctx, err := mont.NewCtx(new(big.Int).SetUint64(1<<61 - 1))
+	if err != nil {
+		panic(err)
+	}
+	return ctx
+}()
 
 const katProbeOps = 16
 
@@ -125,11 +134,7 @@ func (w *worker) probe() (ok bool) {
 			ok = false
 		}
 	}()
-	ctx, err := w.eng.modCtx(katModulus)
-	if err != nil {
-		return false
-	}
-	ex, err := w.exponentiatorIn(w.kit, katModulus)
+	ex, err := w.newExponentiator(w.kit, katCtx)
 	if err != nil {
 		return false
 	}
@@ -137,10 +142,10 @@ func (w *worker) probe() (ok bool) {
 	y := new(big.Int).SetUint64(0x0FEDCBA987654321)
 	step := new(big.Int).SetUint64(0x9E3779B97F4A7C15) // golden-ratio stride
 	for i := 0; i < katProbeOps; i++ {
-		x.Add(x, step).Mod(x, ctx.N2)
-		y.Add(y, step).Mod(y, ctx.N2)
+		x.Add(x, step).Mod(x, katCtx.N2)
+		y.Add(y, step).Mod(y, katCtx.N2)
 		v, _, err := ex.Mont(x, y)
-		if err != nil || integrity.CheckMont(ctx, x, y, v) != nil {
+		if err != nil || integrity.CheckMont(katCtx, x, y, v) != nil {
 			return false
 		}
 	}

@@ -70,14 +70,14 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // TestQuarantineLifecycle is the full fault→quarantine→drain→reinstate
 // story: a persistent stuck-at defect in 1 of 4 cores corrupts results,
 // the integrity check catches every one, the poisoned core is benched
-// while the healthy three serve recomputed (correct) answers, and once
+// while every answer comes back recomputed or clean, and once
 // the fault clears a known-answer probe brings the core back.
 func TestQuarantineLifecycle(t *testing.T) {
 	inj := faults.New(faults.WithStuckAt(-1, 0), faults.WithCores(0), faults.WithSeed(11))
 	clk := &fakeClock{}
 	eng, err := New(
 		WithWorkers(4),
-		WithIntegrityCheck(1),
+		WithIntegrityCheck(),
 		WithFaultInjector(inj),
 		withClock(clk),
 	)
@@ -166,7 +166,7 @@ func TestIntegrityRecomputeOff(t *testing.T) {
 	inj := faults.New(faults.WithBitFlip(-1), faults.WithSeed(5))
 	eng, err := New(
 		WithWorkers(1),
-		WithIntegrityCheck(1),
+		WithIntegrityCheck(),
 		WithIntegrityRecompute(false),
 		WithFaultInjector(inj),
 	)
@@ -192,7 +192,7 @@ func TestIntegrityRecomputeOff(t *testing.T) {
 // subsystem exists for.
 func TestZeroWrongAnswersUnderFaults(t *testing.T) {
 	inj := faults.New(faults.WithBitFlip(-1), faults.WithRate(0.5), faults.WithSeed(77))
-	eng, err := New(WithWorkers(4), WithIntegrityCheck(1), WithFaultInjector(inj))
+	eng, err := New(WithWorkers(4), WithIntegrityCheck(), WithFaultInjector(inj))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,8 +250,8 @@ func (panicExp) Mont(x, y *big.Int) (*big.Int, int, error) {
 
 // TestPanickingCoreRecovered: a panicking core must fail its job with a
 // typed error and quarantine — never kill the process. With integrity +
-// recompute on, the caller still gets the right answer via the trusted
-// reference path.
+// recompute on, the caller still gets the right answer via the inline
+// math/big recompute.
 func TestPanickingCoreRecovered(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	n := randOdd(rng, 128)
@@ -281,7 +281,7 @@ func TestPanickingCoreRecovered(t *testing.T) {
 	t.Run("integrity on: healed inline", func(t *testing.T) {
 		eng, err := New(
 			WithWorkers(1),
-			WithIntegrityCheck(1),
+			WithIntegrityCheck(),
 			withFactory(func(worker int, ctx *mont.Ctx) (exponentiator, error) {
 				return panicExp{}, nil
 			}),
@@ -290,8 +290,7 @@ func TestPanickingCoreRecovered(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer eng.Close()
-		// Every core panics and there is only one, so redirect is
-		// impossible: the inline reference oracle must answer.
+		// Every core panics: the inline math/big recompute must answer.
 		v, _, err := eng.ModExp(context.Background(), n, big.NewInt(5), big.NewInt(65537))
 		if err != nil {
 			t.Fatal(err)
@@ -331,7 +330,7 @@ func TestWatchdogTimeout(t *testing.T) {
 	clk := &fakeClock{}
 	eng, err := New(
 		WithWorkers(1),
-		WithWatchdog(4),
+		withWatchdog(4),
 		withClock(clk),
 		withFactory(func(worker int, ctx *mont.Ctx) (exponentiator, error) {
 			return blockingMul{gate: gate, ctx: ctx}, nil
@@ -413,7 +412,7 @@ func TestWatchdogBudget(t *testing.T) {
 // line reports it.
 func TestIntegrityStatsString(t *testing.T) {
 	inj := faults.New(faults.WithBitFlip(-1), faults.WithSeed(5))
-	eng, err := New(WithWorkers(1), WithIntegrityCheck(1), WithFaultInjector(inj))
+	eng, err := New(WithWorkers(1), WithIntegrityCheck(), WithFaultInjector(inj))
 	if err != nil {
 		t.Fatal(err)
 	}

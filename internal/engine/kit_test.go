@@ -18,7 +18,7 @@ func TestEngineCIOSIntegrity(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xC105))
 	n := randOdd(rng, 1024)
 
-	eng, err := New(WithWorkers(2), WithKit(kits.CIOS), WithIntegrityCheck(1))
+	eng, err := New(WithWorkers(2), WithKit(kits.CIOS), WithIntegrityCheck())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,26 +80,26 @@ func TestWorkerCacheKeyAllocs(t *testing.T) {
 	w := newWorker(eng, 1)
 	rng := rand.New(rand.NewSource(3))
 	n1, n2 := randOdd(rng, 2048), randOdd(rng, 1024)
-	ex1, err := w.exponentiatorIn(w.kit, n1)
+	c1, err := w.coreFor(w.kit, n1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex2, err := w.exponentiatorIn(w.kit, n2)
+	c2, err := w.coreFor(w.kit, n2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex1 == ex2 {
+	if c1.ex == c2.ex {
 		t.Fatal("two moduli share one exponentiator")
 	}
-	var got1, got2 exponentiator
+	var got1, got2 core
 	allocs := testing.AllocsPerRun(100, func() {
-		got1, _ = w.exponentiatorIn(w.kit, n1)
-		got2, _ = w.exponentiatorIn(w.kit, n2)
+		got1, _ = w.coreFor(w.kit, n1)
+		got2, _ = w.coreFor(w.kit, n2)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm cache lookups: %v allocs, want 0", allocs)
 	}
-	if got1 != ex1 || got2 != ex2 {
+	if got1 != c1 || got2 != c2 {
 		t.Fatal("warm lookup did not return the cached exponentiator")
 	}
 }

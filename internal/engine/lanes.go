@@ -25,9 +25,8 @@ package engine
 //
 // The channel semantics the rest of the engine was built on are
 // preserved exactly: push blocks under backpressure honouring the
-// caller's context, tryPush never blocks (a corrupted job's requeue
-// must not deadlock the worker that detected the corruption), close
-// lets workers drain every queued job before pop reports exhaustion.
+// caller's context, and close lets workers drain every queued job
+// before pop reports exhaustion.
 
 import (
 	"container/heap"
@@ -177,22 +176,6 @@ func (s *laneScheduler) push(ctx context.Context, j *job) (victim *job, err erro
 			return nil, ctx.Err()
 		}
 	}
-}
-
-// tryPush enqueues j without ever blocking or shedding; false means
-// the queue is full or the scheduler closed and the caller must handle
-// the job itself (the integrity requeue path recomputes inline).
-func (s *laneScheduler) tryPush(j *job) bool {
-	s.mu.Lock()
-	if s.closed || s.size >= s.cap {
-		s.mu.Unlock()
-		return false
-	}
-	s.insertLocked(j)
-	depth := len(s.lanes[j.class])
-	s.mu.Unlock()
-	s.reportDepth(j.class, depth)
-	return true
 }
 
 // shedVictimLocked removes and returns the least-urgent job of the

@@ -13,7 +13,7 @@ import (
 //
 //	montsys_jobs_submitted_total{kind}        jobs accepted into the queue
 //	montsys_jobs_finished_total{kind}         jobs that reached a terminal state
-//	montsys_job_outcomes_total{kind,outcome}  ok | failed | canceled, plus requeued
+//	montsys_job_outcomes_total{kind,outcome}  ok | failed | canceled
 //	montsys_mont_muls_total{kind}             Montgomery products of completed jobs
 //	montsys_model_cycles_total                cycles by the paper's accounting
 //	montsys_simulated_cycles_total            cycles measured on simulated MMMCs
@@ -34,8 +34,8 @@ type metrics struct {
 	muls      [numKinds]*obs.Counter
 	latency   [numKinds]*obs.Histogram
 
-	// kitLat is registered for the engine's kit and kits.Model, the
-	// kit of the inline recompute; the other entries stay nil.
+	// kitLat is registered for the engine's kit and kits.Big, the kit
+	// of the integrity recompute; the other entries stay nil.
 	kitLat [kits.NumKits]*obs.Histogram
 
 	modelCycles, simCycles     *obs.Counter
@@ -48,18 +48,17 @@ type metrics struct {
 	quarantined *obs.Gauge
 }
 
-// outcome is how one run of a job ended.
+// outcome is how a job ended.
 type outcome uint8
 
 const (
 	outcomeOK       outcome = iota
 	outcomeFailed           // invalid operands or arithmetic errors
 	outcomeCanceled         // batch context done or per-job deadline passed
-	outcomeRequeued         // not terminal: sent back for recompute
 	numOutcomes
 )
 
-var outcomeNames = [numOutcomes]string{"ok", "failed", "canceled", "requeued"}
+var outcomeNames = [numOutcomes]string{"ok", "failed", "canceled"}
 
 // integEvent is one integrity lifecycle event (see
 // Observer.IntegrityEvent).
@@ -95,11 +94,11 @@ func newMetrics(reg *obs.Registry, kit kits.Kit) *metrics {
 			"Submit-to-finish latency of completed jobs.", kind)
 		for o := outcome(0); o < numOutcomes; o++ {
 			m.outcomes[k][o] = reg.CounterLabeled("montsys_job_outcomes_total",
-				"Job outcomes by kind: the terminal states plus requeued.",
+				"Job outcomes by kind: ok, failed or canceled.",
 				kind, obs.Label("outcome", outcomeNames[o]))
 		}
 	}
-	for _, kt := range []kits.Kit{kit, kits.Model} {
+	for _, kt := range []kits.Kit{kit, kits.Big} {
 		m.kitLat[kt] = reg.HistogramLabeled("montsys_job_kit_latency_seconds",
 			"Submit-to-finish latency of completed jobs by concrete compute kit.",
 			obs.Label("kit", kt.String()))
@@ -133,6 +132,3 @@ func newMetrics(reg *obs.Registry, kit kits.Kit) *metrics {
 		"Worker cores currently benched by the integrity subsystem.")
 	return m
 }
-
-// enqueued moves the queue gauges for one job put on the queue.
-func (m *metrics) enqueued() { m.queueHighWater.SetMax(m.queueDepth.Add(1)) }

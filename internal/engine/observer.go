@@ -23,19 +23,18 @@ type Observer interface {
 	// registry.
 	Registry() *obs.Registry
 
-	// JobSpan fires once when a job reaches a terminal state — Outcome
-	// "ok", "failed" (invalid operands, arithmetic errors, or shed from
-	// the queue under overload) or "canceled" (batch context done /
-	// per-job deadline passed) — and once more with Outcome "requeued"
-	// each time a job whose result failed an integrity check goes back
-	// on the queue for recompute (not terminal: the same job finishes
-	// later on another core). Start is the enqueue instant; QueueWait
+	// JobSpan fires exactly once per job, when it reaches its terminal
+	// state — Outcome "ok", "failed" (invalid operands, arithmetic
+	// errors, a corrupt result with recompute off, or shed from the
+	// queue under overload) or "canceled" (batch context done /
+	// per-job deadline passed). Start is the enqueue instant; QueueWait
 	// and Exec partition the job's total latency, Integrity is the tail
 	// of Exec spent re-verifying the result. Worker is −1 for a job
 	// shed before any core ran it. Muls, ModelCycles, SimCycles and Kit
 	// report the work the job performed and the kit that did it (zero
-	// unless Outcome is "ok"). For requests sampled by the tracing
-	// plane the trace/span ids join this job into its request's
+	// unless Outcome is "ok"; Kit is "big" for a job recomputed after
+	// an integrity failure). For requests sampled by the tracing plane
+	// the trace/span ids join this job into its request's
 	// cross-process trace tree.
 	JobSpan(s obs.Span)
 
@@ -44,7 +43,7 @@ type Observer interface {
 	// check), "quarantine" / "probe_failed" / "reinstate" (the
 	// benched-core lifecycle), "panic" (a core panicked mid-job),
 	// "watchdog" (a job blew its cycle budget) or "recompute" (a
-	// corrupted job was redone, by requeue or inline oracle). It may
+	// corrupted job was redone inline on math/big). It may
 	// fire after the worker has moved on: watchdog-abandoned
 	// goroutines report "panic" late.
 	IntegrityEvent(event string, worker int)

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/errs"
-	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/qos"
 )
@@ -143,9 +142,9 @@ func checkMetricsAgree(t *testing.T, phase string, col *obs.Collector, st Stats)
 
 // TestObserverCollectorAgreesWithStats runs the real obs.Collector as
 // the observer and cross-checks its /metrics page against
-// engine.Stats in three phases — clean traffic, overload sheds and an
-// integrity requeue — so the two views must tell the same story on the
-// failure paths too.
+// engine.Stats in two phases — clean traffic and overload sheds — so
+// the two views must tell the same story on the failure path too
+// (TestIntegrityRecomputeOneSpanPerJob adds the integrity recompute).
 func TestObserverCollectorAgreesWithStats(t *testing.T) {
 	t.Run("clean", func(t *testing.T) {
 		col := obs.NewCollector(obs.WithTracing(64))
@@ -261,34 +260,6 @@ func TestObserverCollectorAgreesWithStats(t *testing.T) {
 			t.Errorf("Sheds = %d, ErrOverloaded results = %d (want equal and > 0)", st.Sheds, overloaded)
 		}
 		checkMetricsAgree(t, "shed", col, st)
-	})
-
-	t.Run("requeue", func(t *testing.T) {
-		col := obs.NewCollector()
-		eng, err := New(
-			WithWorkers(2),
-			WithObserver(col),
-			WithFaultInjector(faults.New(faults.WithRate(1), faults.WithSeed(1),
-				faults.WithBitFlip(-1), faults.WithOneShot())),
-			WithIntegrityCheck(1),
-			WithIntegrityRecompute(true),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(31))
-		n := randOdd(rng, 64)
-		if _, _, err := eng.ModExp(context.Background(), n, big.NewInt(5), big.NewInt(65537)); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Close(); err != nil {
-			t.Fatal(err)
-		}
-		st := eng.Stats()
-		if st.Recomputes == 0 || st.Completed != 1 {
-			t.Errorf("recomputes=%d completed=%d, want a recompute and one completed job", st.Recomputes, st.Completed)
-		}
-		checkMetricsAgree(t, "requeue", col, st)
 	})
 }
 

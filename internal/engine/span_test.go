@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/errs"
 	"repro/internal/faults"
+	"repro/internal/kits"
 	"repro/internal/mont"
 	"repro/internal/obs"
 	"repro/internal/qos"
@@ -185,7 +186,7 @@ func TestJobSpanIntegrityFailed(t *testing.T) {
 		WithWorkers(1),
 		WithObserver(rec),
 		WithFaultInjector(faults.New(faults.WithRate(1), faults.WithSeed(1), faults.WithBitFlip(-1))),
-		WithIntegrityCheck(1),
+		WithIntegrityCheck(),
 		WithIntegrityRecompute(false),
 	)
 	if err != nil {
@@ -225,7 +226,7 @@ func TestJobSpanWatchdogAbandoned(t *testing.T) {
 	eng, err := New(
 		WithWorkers(1),
 		WithObserver(rec),
-		WithWatchdog(4),
+		withWatchdog(4),
 		withClock(clk),
 		withFactory(func(worker int, ctx *mont.Ctx) (exponentiator, error) {
 			return blockingMul{gate: gate, ctx: ctx}, nil
@@ -276,39 +277,103 @@ func TestJobSpanWatchdogAbandoned(t *testing.T) {
 	}
 }
 
-// TestJobSpanRequeuedRecompute: with recompute on, a corrupted job is
-// requeued (a non-terminal "requeued" span) and finishes ok on the
-// second run — two spans, one job, no lost accounting.
-func TestJobSpanRequeuedRecompute(t *testing.T) {
-	rec := &spanRecorder{}
+// spanTee is the real collector with every job span also kept in a
+// spanRecorder, so a test can count spans and read /metrics together.
+type spanTee struct {
+	*obs.Collector
+	rec spanRecorder
+}
+
+func (t *spanTee) JobSpan(s obs.Span) {
+	t.rec.JobSpan(s)
+	t.Collector.JobSpan(s)
+}
+
+// TestIntegrityRecomputeOneSpanPerJob: with recompute on, every
+// corrupt result is redone inline on math/big and its job still ends
+// exactly once — one ok span with the right answer, one terminal
+// outcome, the recompute counted under kit big — and the queue gauge
+// comes back to rest.
+func TestIntegrityRecomputeOneSpanPerJob(t *testing.T) {
+	tee := &spanTee{Collector: obs.NewCollector()}
+	inj := faults.New(faults.WithBitFlip(-1), faults.WithRate(0.5), faults.WithSeed(9))
 	eng, err := New(
-		WithWorkers(2),
-		WithObserver(rec),
-		WithFaultInjector(faults.New(faults.WithRate(1), faults.WithSeed(1),
-			faults.WithBitFlip(-1), faults.WithOneShot())),
-		WithIntegrityCheck(1),
-		WithIntegrityRecompute(true),
+		WithWorkers(4),
+		WithKit(kits.CIOS),
+		WithObserver(tee),
+		WithFaultInjector(inj),
+		WithIntegrityCheck(),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 
-	rng := rand.New(rand.NewSource(31))
-	n := randOdd(rng, 64)
-	v, _, err := eng.ModExp(context.Background(), n, big.NewInt(5), big.NewInt(65537))
+	rng := rand.New(rand.NewSource(29))
+	n := randOdd(rng, 256)
+	ctx, err := mont.NewCtx(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Cmp(new(big.Int).Exp(big.NewInt(5), big.NewInt(65537), n)) != 0 {
-		t.Fatal("recomputed answer is wrong")
+	const count = 48
+	exps := make([]ModExpJob, count)
+	monts := make([]MontJob, count)
+	for i := range exps {
+		exps[i] = ModExpJob{N: n, Base: new(big.Int).Rand(rng, n), Exp: big.NewInt(65537)}
+		monts[i] = MontJob{N: n, X: new(big.Int).Rand(rng, ctx.N2), Y: new(big.Int).Rand(rng, ctx.N2)}
+	}
+	expRes, err := eng.ModExpBatch(context.Background(), exps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	montRes, err := eng.MontBatch(context.Background(), monts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range expRes {
+		if r.Err != nil || r.Value.Cmp(new(big.Int).Exp(exps[i].Base, exps[i].Exp, n)) != 0 {
+			t.Fatalf("modexp job %d: value %v, err %v: not math/big's answer", i, r.Value, r.Err)
+		}
+	}
+	for i, r := range montRes {
+		// CIOS and the math/big recompute both answer below N.
+		if r.Err != nil || r.Value.Cmp(ctx.MulClosedForm(monts[i].X, monts[i].Y)) != 0 {
+			t.Fatalf("mont job %d: value %v, err %v: not the closed form", i, r.Value, r.Err)
+		}
 	}
 
-	by := rec.byOutcome()
-	if len(by["ok"]) != 1 {
-		t.Fatalf("ok spans = %d, want 1 (%v)", len(by["ok"]), by)
+	st := eng.Stats()
+	if inj.Injected() == 0 || st.Recomputes == 0 {
+		t.Fatalf("injected %d faults, %d recomputes: the test proves nothing", inj.Injected(), st.Recomputes)
 	}
-	if len(by["requeued"])+len(by["failed"]) == 0 {
-		t.Fatalf("corruption left no requeued/failed span: %v", by)
+	if st.Recomputes != st.KitJobs[kits.Big] {
+		t.Errorf("Recomputes = %d, KitJobs[big] = %d, want equal", st.Recomputes, st.KitJobs[kits.Big])
 	}
+	if st.KitJobs[kits.CIOS]+st.KitJobs[kits.Big] != 2*count {
+		t.Errorf("KitJobs = %v, want %d jobs between cios and big", st.KitJobs, 2*count)
+	}
+	if sum := st.Completed + st.Failed + st.Canceled; sum != st.Submitted || st.Completed != 2*count {
+		t.Errorf("outcomes ok=%d failed=%d canceled=%d sum to %d, submitted %d",
+			st.Completed, st.Failed, st.Canceled, sum, st.Submitted)
+	}
+	if st.QueueDepth != 0 {
+		t.Errorf("QueueDepth = %d after Close, want 0", st.QueueDepth)
+	}
+	by := tee.rec.byOutcome()
+	if len(by["ok"]) != 2*count || len(by) != 1 {
+		t.Errorf("spans: %d ok in %d outcome buckets, want %d ok only", len(by["ok"]), len(by), 2*count)
+	}
+	var bigSpans int64
+	for _, s := range by["ok"] {
+		if s.Kit == kits.Big.String() {
+			bigSpans++
+		}
+	}
+	if bigSpans != st.Recomputes {
+		t.Errorf("%d spans on kit big, want one per recompute (%d)", bigSpans, st.Recomputes)
+	}
+	t.Logf("%s", st)
+	checkMetricsAgree(t, "recompute", tee.Collector, st)
 }

@@ -34,18 +34,18 @@ type Stats struct {
 	CtxEvictions int64 // modulus contexts dropped at LRU capacity
 
 	// KitJobs counts completed jobs by the kit that computed them: the
-	// engine's kit, plus kits.Model for every job an integrity failure
-	// sent to the inline reference recompute.
+	// engine's kit, plus kits.Big for every job an integrity failure
+	// sent to the inline math/big recompute.
 	KitJobs map[kits.Kit]int64
 
-	// Integrity subsystem (all zero unless WithIntegrityCheck /
-	// WithWatchdog is in effect or a core panicked).
+	// Integrity subsystem (all zero unless WithIntegrityCheck or the
+	// watchdog is in effect or a core panicked).
 	IntegrityFailures int64 // results refuted by a residue/re-verification check
 	Panics            int64 // core panics recovered into job failures
 	WatchdogTimeouts  int64 // jobs declared stuck past their cycle budget
 	Quarantines       int64 // cores benched by the integrity subsystem
 	Reinstatements    int64 // benched cores returned after a clean probe
-	Recomputes        int64 // corrupted jobs redone (requeue or inline oracle)
+	Recomputes        int64 // corrupted jobs redone inline on math/big
 	HealthyWorkers    int   // workers currently serving (not quarantined)
 
 	// Latency distributions, all in nanoseconds. Latency covers

@@ -12,6 +12,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/integrity"
 	"repro/internal/kits"
+	"repro/internal/mont"
 	"repro/internal/obs"
 )
 
@@ -25,20 +26,26 @@ type exponentiator interface {
 }
 
 // kit is a worker's disposable compute state: its one exclusive
-// exponentiator per modulus (exps), which runs both job kinds, its
-// fault-injection handle and its integrity sampler. It exists as one
-// swappable unit for two reasons. Quarantine replaces the kit so a
-// core suspected of corruption restarts from fresh circuits — the
-// software analogue of resetting the cell array. And the watchdog
-// replaces it when it abandons a stuck job: the timed-out goroutine
-// keeps exclusive ownership of the old kit (maps, circuits, rand
-// streams are all single-owner), so worker and stray never share
-// mutable state.
+// exponentiator per modulus (exps), which runs both job kinds, and its
+// fault-injection handle. It exists as one swappable unit for two
+// reasons. Quarantine replaces the kit so a core suspected of
+// corruption restarts from fresh circuits — the software analogue of
+// resetting the cell array. And the watchdog replaces it when it
+// abandons a stuck job: the timed-out goroutine keeps exclusive
+// ownership of the old kit (maps, circuits, rand streams are all
+// single-owner), so worker and stray never share mutable state.
 type kit struct {
-	exps    map[string]exponentiator
-	key     []byte // scratch for an exps lookup's modulus bytes
-	fcore   *faults.Core
-	sampler *integrity.Sampler
+	exps  map[string]core
+	key   []byte // scratch for an exps lookup's modulus bytes
+	fcore *faults.Core
+}
+
+// core is one cached exponentiator with the context it was built on,
+// so a job's checks and recompute reuse the context its core already
+// has instead of looking it up in the shared LRU again.
+type core struct {
+	ex  exponentiator
+	ctx *mont.Ctx
 }
 
 // worker is one engine core. It owns its kit outright — simulated
@@ -62,10 +69,6 @@ type worker struct {
 // maxLocal bounds each worker's core cache.
 const maxLocal = 32
 
-// maxRedo bounds integrity-driven requeues per job before the worker
-// falls back to the inline reference oracle.
-const maxRedo = 2
-
 func newWorker(e *Engine, id int) *worker {
 	w := &worker{
 		eng: e,
@@ -77,12 +80,9 @@ func newWorker(e *Engine, id int) *worker {
 }
 
 func (w *worker) newKit() *kit {
-	k := &kit{exps: make(map[string]exponentiator)}
+	k := &kit{exps: make(map[string]core)}
 	if in := w.eng.cfg.injector; in != nil {
 		k.fcore = in.Core(w.id)
-	}
-	if w.eng.cfg.integrity {
-		k.sampler = integrity.NewSampler(w.eng.cfg.integritySample)
 	}
 	return k
 }
@@ -95,9 +95,8 @@ func (w *worker) loop() {
 			return
 		}
 		w.eng.met.queueDepth.Add(-1)
-		if w.run(j) {
-			j.wg.Done()
-		}
+		w.run(j)
+		j.wg.Done()
 		w.quarantineWait()
 	}
 }
@@ -115,38 +114,41 @@ type jobResult struct {
 
 // run executes one dequeued job, splitting its latency into queue wait
 // (enqueue→dequeue) and execute time (dequeue→finish), and accounts
-// its end through Engine.finish. It returns false when the job was
-// requeued for recompute on another core — the job is not finished and
-// its WaitGroup must not be released yet.
-func (w *worker) run(j *job) bool {
+// its end through Engine.finish.
+func (w *worker) run(j *job) {
 	dequeued := time.Now()
-	start := j.enqueued // redirect re-stamps j.enqueued for the next run
-	queueWait := dequeued.Sub(start)
+	queueWait := dequeued.Sub(j.enqueued)
 	w.eng.met.queueWait.ObserveDuration(queueWait)
 
 	var integDur time.Duration // tail of execution spent re-verifying
 	finish := func(o outcome, wk work) {
 		w.eng.finish(j, o, wk, obs.Span{
-			Worker: w.id, Start: start, QueueWait: queueWait,
+			Worker: w.id, Start: j.enqueued, QueueWait: queueWait,
 			Exec: time.Since(dequeued), Integrity: integDur,
 		})
 	}
-
 	if err := j.expired(dequeued); err != nil {
 		j.fail(err)
 		finish(outcomeCanceled, work{})
-		return true
+		return
 	}
 	if j.n == nil || j.a == nil || j.b == nil {
 		j.fail(fmt.Errorf("engine: nil job operand: %w", errs.ErrOperandRange))
 		finish(outcomeFailed, work{})
-		return true
+		return
+	}
+	c, err := w.coreFor(w.kit, j.n)
+	if err != nil {
+		j.fail(err)
+		finish(outcomeFailed, work{})
+		return
 	}
 
-	res := w.execute(j)
-	if !res.corrupt && res.err == nil && w.eng.cfg.integrity {
+	res := w.execute(j, c)
+	integ := w.eng.cfg.integrity
+	if !res.corrupt && res.err == nil && integ {
 		vStart := time.Now()
-		ierr := w.verify(j, res.v)
+		ierr := verify(j, c.ctx, res.v)
 		integDur = time.Since(vStart)
 		if ierr != nil {
 			w.eng.integrityEvent(evCheckFailed, w.id)
@@ -155,24 +157,14 @@ func (w *worker) run(j *job) bool {
 	}
 	if res.corrupt {
 		w.quarantine()
-		if w.eng.cfg.integrity && w.eng.cfg.integrityRecompute {
-			// Hold the batch open until the requeued span is recorded:
-			// once the job is back in the queue another core may finish
-			// it and release the caller.
-			j.wg.Add(1)
-			if w.redirect(j) {
-				finish(outcomeRequeued, work{})
-				j.wg.Done()
-				return false
-			}
-			j.wg.Done()
-			res = w.recomputeInline(j, res)
+		if integ && w.eng.cfg.integrityRecompute {
+			res = w.recompute(j, c.ctx)
 		}
 	}
 	if res.err != nil {
 		j.fail(res.err)
 		finish(outcomeFailed, work{})
-		return true
+		return
 	}
 
 	switch j.kind {
@@ -185,21 +177,20 @@ func (w *worker) run(j *job) bool {
 		j.montOut.Err = nil
 	}
 	finish(outcomeOK, res.wk)
-	return true
 }
 
-// finish is the one place the end of a job's run is accounted: the
-// outcome counters, the latency histograms and, for a completed job,
-// its work and kit; then the span goes to the observer. Workers call it
-// for every run, requeued ones included, and finalizeShed for a job
-// shed from the queue. s carries the worker and the timings.
+// finish is the one place the end of a job is accounted: the outcome
+// counters, the latency histograms and, for a completed job, its work
+// and kit; then the span goes to the observer. Workers call it once
+// per dequeued job, and finalizeShed once per job shed from the queue,
+// so every job records exactly one span. s carries the worker and the
+// timings.
 func (e *Engine) finish(j *job, o outcome, wk work, s obs.Span) {
 	m := e.met
 	m.outcomes[j.kind][o].Inc()
+	m.finished[j.kind].Inc()
 	total := s.QueueWait + s.Exec
-	switch o {
-	case outcomeOK:
-		m.finished[j.kind].Inc()
+	if o == outcomeOK {
 		m.latency[j.kind].ObserveDuration(total)
 		m.kitLat[wk.kit].ObserveDuration(total)
 		m.exec.ObserveDuration(s.Exec)
@@ -208,10 +199,7 @@ func (e *Engine) finish(j *job, o outcome, wk work, s obs.Span) {
 		m.simCycles.Add(wk.simCycles)
 		s.Kit = wk.kit.String()
 		s.Muls, s.ModelCycles, s.SimCycles = wk.muls, wk.modelCycles, wk.simCycles
-	case outcomeRequeued:
-		// Not terminal: the job's next run does the accounting.
-	default:
-		m.finished[j.kind].Inc()
+	} else {
 		m.failedLat.ObserveDuration(total)
 	}
 	ob := e.cfg.observer
@@ -243,21 +231,16 @@ func (j *job) fail(err error) {
 	}
 }
 
-// execute runs the job's arithmetic, under the watchdog when armed.
+// execute runs the job on its core, under the watchdog when armed.
 // On a watchdog timeout the worker abandons its kit to the stuck
 // goroutine (see kit) and reports the job corrupt.
-func (w *worker) execute(j *job) jobResult {
+func (w *worker) execute(j *job, c core) jobResult {
 	if w.eng.cfg.watchdogK <= 0 {
-		return w.compute(j, w.kit)
+		return w.compute(j, c.ex)
 	}
-	ctx, err := w.eng.modCtx(j.n)
-	if err != nil {
-		return jobResult{err: err}
-	}
-	budget := watchdogBudget(w.eng.cfg.watchdogK, j.kind, ctx.L)
+	budget := watchdogBudget(w.eng.cfg.watchdogK, j.kind, c.ctx.L)
 	ch := make(chan jobResult, 1)
-	k := w.kit
-	go func() { ch <- w.compute(j, k) }()
+	go func() { ch <- w.compute(j, c.ex) }()
 	select {
 	case res := <-ch:
 		return res
@@ -267,7 +250,7 @@ func (w *worker) execute(j *job) jobResult {
 		return jobResult{
 			err: fmt.Errorf("engine: worker %d: watchdog: %s stuck past %v (k=%g × %d cycles): %w",
 				w.id, j.kind.kindName(), budget, w.eng.cfg.watchdogK,
-				cycleBound(j.kind, ctx.L), errs.ErrIntegrity),
+				cycleBound(j.kind, c.ctx.L), errs.ErrIntegrity),
 			corrupt: true,
 		}
 	}
@@ -299,11 +282,11 @@ func watchdogBudget(k float64, kind jobKind, l int) time.Duration {
 	return d
 }
 
-// compute runs the job on the given kit and returns its result. A
-// panicking core is recovered here: the panic fails this job with a
-// wrapped ErrIntegrity instead of killing the process, and marks the
-// result corrupt so the core is quarantined.
-func (w *worker) compute(j *job, k *kit) (res jobResult) {
+// compute runs the job on the worker's core ex. A panicking core is
+// recovered here: the panic fails this job with a wrapped ErrIntegrity
+// instead of killing the process, and marks the result corrupt so the
+// core is quarantined.
+func (w *worker) compute(j *job, ex exponentiator) (res jobResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			w.eng.integrityEvent(evPanic, w.id)
@@ -314,133 +297,100 @@ func (w *worker) compute(j *job, k *kit) (res jobResult) {
 			}
 		}
 	}()
-	ex, err := w.exponentiatorIn(k, j.n)
-	if err != nil {
-		return jobResult{err: err}
-	}
-	kt := w.eng.cfg.kit
+	return runOn(j, ex, w.eng.cfg.kit)
+}
+
+// runOn runs the job on ex and accounts it to kit kt: a Montgomery
+// product costs the paper's 3l+4 cycles plus whatever the core
+// simulated; an exponentiation its report's squares and multiplies
+// plus the explicit pre- and post-products.
+func runOn(j *job, ex exponentiator, kt kits.Kit) jobResult {
 	if j.kind == kindMont {
 		v, cycles, err := ex.Mont(j.a, j.b)
 		if err != nil {
 			return jobResult{err: err}
 		}
-		return jobResult{v: v, wk: montWork(kt, j.n.BitLen(), cycles)}
+		return jobResult{v: v, wk: work{kit: kt, muls: 1,
+			modelCycles: cycleBound(kindMont, j.n.BitLen()), simCycles: int64(cycles)}}
 	}
 	v, rep, err := ex.ModExp(j.a, j.b)
 	if err != nil {
 		return jobResult{err: err}
 	}
-	return jobResult{v: v, rep: rep, wk: modExpWork(kt, rep)}
-}
-
-// montWork accounts one Montgomery product at modulus length l on kit
-// kt: the paper's 3l+4 cycles, and the cycles the core simulated.
-func montWork(kt kits.Kit, l, simCycles int) work {
-	return work{kit: kt, muls: 1, modelCycles: cycleBound(kindMont, l), simCycles: int64(simCycles)}
-}
-
-// modExpWork accounts one exponentiation on kit kt from its report:
-// squares and multiplies plus the explicit pre- and post-products.
-func modExpWork(kt kits.Kit, rep expo.Report) work {
-	return work{
+	return jobResult{v: v, rep: rep, wk: work{
 		kit:         kt,
 		muls:        int64(rep.Squares + rep.Multiplies + 2),
 		modelCycles: int64(rep.TotalCycles),
 		simCycles:   int64(rep.SimulatedMulCycles),
-	}
+	}}
 }
 
-// verify applies the integrity checks: every Montgomery product gets
-// the full residue-identity check (no witness crosses the exponentiator
-// interface, and residues alone cannot verify a mod-N congruence —
-// see internal/integrity), and a sampled fraction of exponentiations
-// get the big.Int re-verification.
-func (w *worker) verify(j *job, v *big.Int) error {
-	switch j.kind {
-	case kindMont:
-		ctx, err := w.eng.modCtx(j.n)
-		if err != nil {
-			return err
-		}
+// verify is the check every result gets with integrity on: a
+// Montgomery product its range and residue identity (no witness
+// crosses the exponentiator interface, and residues alone cannot
+// verify a mod-N congruence — see internal/integrity), an
+// exponentiation a full math/big re-verification.
+func verify(j *job, ctx *mont.Ctx, v *big.Int) error {
+	if j.kind == kindMont {
 		return integrity.CheckMont(ctx, j.a, j.b, v)
-	case kindModExp:
-		if w.kit.sampler.Next() {
-			return integrity.CheckModExp(j.n, j.a, j.b, v)
-		}
 	}
-	return nil
+	return integrity.CheckModExp(j.n, j.a, j.b, v)
 }
 
-// redirect requeues a corrupted job so a different core recomputes it.
-// False means the caller must recompute inline: the job already used
-// its retries, no healthy core exists to pick it up, the queue is
-// full, or the engine is closing.
-func (w *worker) redirect(j *job) bool {
-	if j.redo >= maxRedo || w.eng.healthy.Load() <= 0 {
-		return false
-	}
-	j.redo++
-	j.enqueued = time.Now()
-	if !w.eng.requeue(j) {
-		return false
-	}
+// recompute is the one recovery path for a corrupt result: the job runs
+// again inline on a fresh math/big exponentiator — the oracle
+// CheckModExp already trusts, outside the worker's (possibly
+// fault-wrapped) cores — and its value passes the same check every
+// result gets before it is handed back. The report is the same
+// Algorithm-3 accounting every kit produces, so only the kit label
+// tells a recomputed job apart.
+func (w *worker) recompute(j *job, ctx *mont.Ctx) jobResult {
 	w.eng.integrityEvent(evRecompute, w.id)
-	return true
-}
-
-// recomputeInline is the last-resort recovery path: recompute on the
-// trusted reference arithmetic, verify, and only then hand the value
-// back. It bypasses the worker's (possibly fault-wrapped) cores
-// entirely.
-func (w *worker) recomputeInline(j *job, failed jobResult) jobResult {
-	w.eng.integrityEvent(evRecompute, w.id)
-	ctx, err := w.eng.modCtx(j.n)
+	ex, err := expo.NewKitFromCtx(ctx, kits.Big)
 	if err != nil {
 		return jobResult{err: err}
 	}
-	switch j.kind {
-	case kindMont:
-		v, err := w.eng.integ.RecomputeMont(ctx, j.a, j.b)
-		if err != nil {
-			return jobResult{err: err}
-		}
-		return jobResult{v: v, wk: montWork(kits.Model, ctx.L, 0)}
-	case kindModExp:
-		ex, err := expo.NewKitFromCtx(ctx, kits.Model)
-		if err != nil {
-			return jobResult{err: err}
-		}
-		v, rep, err := ex.ModExp(j.a, j.b)
-		if err != nil {
-			return jobResult{err: err}
-		}
-		if ierr := integrity.CheckModExp(j.n, j.a, j.b, v); ierr != nil {
-			return jobResult{err: ierr}
-		}
-		return jobResult{v: v, rep: rep, wk: modExpWork(kits.Model, rep)}
+	res := runOn(j, ex, kits.Big)
+	if res.err == nil {
+		res.err = verify(j, ctx, res.v)
 	}
-	return failed
+	return res
 }
 
-// exponentiatorIn returns the kit's exclusive exponentiator for
-// modulus n on the engine's compute kit, building it over the shared
-// LRU-cached context on first use and wrapping it with the fault
-// injector when one is configured. ModExp jobs, Mont jobs and the
-// health probe all compute through it.
-func (w *worker) exponentiatorIn(k *kit, n *big.Int) (exponentiator, error) {
+// coreFor returns the kit's exclusive core for modulus n, building it
+// over the shared LRU-cached context on first use. Only that first use
+// looks the context up, so a job counts at most one LRU lookup.
+func (w *worker) coreFor(k *kit, n *big.Int) (core, error) {
 	// The cache is keyed by the modulus' big-endian bytes. They are
 	// filled into the kit's scratch, and a map index by string(bytes)
 	// does not allocate, so only a miss allocates its key.
 	size := (n.BitLen() + 7) / 8
 	k.key = n.FillBytes(slices.Grow(k.key[:0], size)[:size])
-	if ex, ok := k.exps[string(k.key)]; ok {
-		return ex, nil
+	if c, ok := k.exps[string(k.key)]; ok {
+		return c, nil
 	}
 	ctx, err := w.eng.modCtx(n)
 	if err != nil {
-		return nil, err
+		return core{}, err
 	}
+	ex, err := w.newExponentiator(k, ctx)
+	if err != nil {
+		return core{}, err
+	}
+	if len(k.exps) >= maxLocal {
+		k.exps = make(map[string]core)
+	}
+	c := core{ex: ex, ctx: ctx}
+	k.exps[string(k.key)] = c
+	return c, nil
+}
+
+// newExponentiator builds an exponentiator over ctx on the engine's
+// compute kit, wrapped with the kit's fault injector when one is
+// configured. Jobs and the health probe both compute through it.
+func (w *worker) newExponentiator(k *kit, ctx *mont.Ctx) (exponentiator, error) {
 	var ex exponentiator
+	var err error
 	if f := w.eng.cfg.factory; f != nil {
 		ex, err = f(w.id, ctx)
 	} else {
@@ -452,9 +402,5 @@ func (w *worker) exponentiatorIn(k *kit, n *big.Int) (exponentiator, error) {
 	if k.fcore != nil {
 		ex = k.fcore.Wrap(ex, ctx.L)
 	}
-	if len(k.exps) >= maxLocal {
-		k.exps = make(map[string]exponentiator)
-	}
-	k.exps[string(k.key)] = ex
 	return ex, nil
 }

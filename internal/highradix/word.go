@@ -120,14 +120,13 @@ func (w *Word) MulInto(out, a, b []uint64) {
 
 // MulWitnessInto is MulInto with a receipt: wit receives the S quotient
 // digits m_i (little-endian limbs), tying the product to its inputs over
-// the integers exactly as mont.Ctx.MulWitness does for the bit-serial
-// path:
+// the integers:
 //
 //	T·R = a·b + M·N   with M = Σ m_i·2^(64·i),  T = out + carry·N
 //
 // T is the value before the final masked subtraction, and carry (0 or
-// 1) reports whether the subtraction fired. The engine's residue-system
-// integrity checker works on T unchanged — the m_i words are what a
+// 1) reports whether the subtraction fired. The kernel tests check the
+// identity exactly over ℤ on T unchanged — the m_i words are what a
 // radix-2^α array would broadcast where the paper's Fig. 1 cells
 // broadcast the m_i bits.
 func (w *Word) MulWitnessInto(out, wit, a, b []uint64) (carry uint64) {
@@ -352,7 +351,7 @@ func rowMask(r int, d uint64) uint64 {
 
 // MulWitness is the big.Int face of MulWitnessInto for operands in
 // [0, R), returning the product T before the final subtraction and the
-// witness M, so integrity checkers can verify T·R = x·y + M·N over ℤ
+// witness M, so tests can check T·R = x·y + M·N over ℤ
 // (R = 2^(64·S)). T lies in [0, R+N).
 func (w *Word) MulWitness(x, y *big.Int) (t, m *big.Int, err error) {
 	if x.Sign() < 0 || x.Cmp(w.p.R) >= 0 || y.Sign() < 0 || y.Cmp(w.p.R) >= 0 {

@@ -23,61 +23,6 @@ func randCtx(t *testing.T, rng *rand.Rand, l int) *mont.Ctx {
 	return ctx
 }
 
-// TestResidue: the word-arithmetic residue fold agrees with big.Int
-// division across sizes that straddle word boundaries.
-func TestResidue(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, bits := range []int{0, 1, 31, 32, 33, 63, 64, 65, 512, 1031} {
-		v := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(bits)))
-		for _, p := range defaultPrimes {
-			want := new(big.Int).Mod(v, big.NewInt(int64(p))).Uint64()
-			if got := residue(v, p); got != want {
-				t.Fatalf("residue(%d-bit, %d) = %d, want %d", bits, p, got, want)
-			}
-		}
-	}
-}
-
-// TestWitnessIdentity: MulWitness's quotient makes T·R = x·y + M·N an
-// exact integer identity, VerifyWitness accepts it, and any single-bit
-// corruption of T is refuted.
-func TestWitnessIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	s := NewSystem(0)
-	for trial := 0; trial < 20; trial++ {
-		ctx := randCtx(t, rng, 64+trial*16)
-		x := new(big.Int).Rand(rng, ctx.N)
-		y := new(big.Int).Rand(rng, ctx.N)
-		tt, m := ctx.MulWitness(x, y)
-
-		// Exact over ℤ, not merely mod N.
-		lhs := new(big.Int).Mul(tt, ctx.R)
-		rhs := new(big.Int).Mul(x, y)
-		rhs.Add(rhs, new(big.Int).Mul(m, ctx.N))
-		if lhs.Cmp(rhs) != 0 {
-			t.Fatal("T·R != x·y + M·N over the integers")
-		}
-		if tt.Cmp(ctx.Mul(x, y)) != 0 {
-			t.Fatal("MulWitness product disagrees with Mul")
-		}
-		if err := s.VerifyWitness(ctx, x, y, tt, m); err != nil {
-			t.Fatalf("clean witness refused: %v", err)
-		}
-
-		// Flip one bit of T: must be caught and typed.
-		bad := new(big.Int).Set(tt)
-		bit := rng.Intn(ctx.L)
-		bad.SetBit(bad, bit, bad.Bit(bit)^1)
-		err := s.VerifyWitness(ctx, x, y, bad, m)
-		if err == nil {
-			t.Fatalf("bit %d corruption passed the witness check", bit)
-		}
-		if !errors.Is(err, errs.ErrIntegrity) {
-			t.Fatalf("witness failure not typed ErrIntegrity: %v", err)
-		}
-	}
-}
-
 // TestCheckMont: accepts real products, rejects corrupted and
 // out-of-range ones with ErrIntegrity.
 func TestCheckMont(t *testing.T) {
@@ -124,74 +69,5 @@ func TestCheckModExp(t *testing.T) {
 	}
 	if err := CheckModExp(n, base, exp, n); !errors.Is(err, errs.ErrIntegrity) {
 		t.Fatalf("v = N out of range: err = %v, want ErrIntegrity", err)
-	}
-}
-
-// TestRecomputeMont: the trusted fallback returns the same product as
-// the plain reference path.
-func TestRecomputeMont(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	ctx := randCtx(t, rng, 192)
-	s := NewSystem(0)
-	for i := 0; i < 10; i++ {
-		x := new(big.Int).Rand(rng, ctx.N)
-		y := new(big.Int).Rand(rng, ctx.N)
-		v, err := s.RecomputeMont(ctx, x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.Cmp(ctx.Mul(x, y)) != 0 {
-			t.Fatal("RecomputeMont disagrees with Mul")
-		}
-	}
-}
-
-// TestSampler: the error accumulator checks exactly rate×n of n ops,
-// spread evenly rather than in bursts.
-func TestSampler(t *testing.T) {
-	if s := NewSampler(1); !s.Next() || !s.Next() {
-		t.Fatal("rate 1 must check every op")
-	}
-	s := NewSampler(0)
-	for i := 0; i < 100; i++ {
-		if s.Next() {
-			t.Fatal("rate 0 must never check")
-		}
-	}
-	s = NewSampler(0.25)
-	hits, maxGap, gap := 0, 0, 0
-	for i := 0; i < 100; i++ {
-		if s.Next() {
-			hits++
-			if gap > maxGap {
-				maxGap = gap
-			}
-			gap = 0
-		} else {
-			gap++
-		}
-	}
-	if hits != 25 {
-		t.Fatalf("rate 0.25 over 100 ops: %d checks, want 25", hits)
-	}
-	if maxGap > 4 {
-		t.Fatalf("checks bursty: max gap %d between checks", maxGap)
-	}
-	// Clamping.
-	if NewSampler(-1).Rate() != 0 || NewSampler(2).Rate() != 1 {
-		t.Fatal("rate not clamped into [0, 1]")
-	}
-}
-
-// TestSystemPrimeCount: NewSystem clamps its prime count.
-func TestSystemPrimeCount(t *testing.T) {
-	if NewSystem(0).Primes() != len(defaultPrimes) {
-		t.Fatal("k=0 must select all primes")
-	}
-	if NewSystem(2).Primes() != 2 {
-		t.Fatal("k=2 must select two primes")
-	}
-	if NewSystem(99).Primes() != len(defaultPrimes) {
-		t.Fatal("oversized k must clamp to all primes")
 	}
 }

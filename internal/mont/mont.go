@@ -106,41 +106,6 @@ func (c *Ctx) Mul(x, y *big.Int) *big.Int {
 	return t
 }
 
-// MulWitness is Mul with a receipt: alongside the product T it returns
-// the quotient witness M = Σ mᵢ·2ⁱ accumulated by Algorithm 2, which
-// ties the result to its inputs over the integers:
-//
-//	T·R = x·y + M·N   (exactly, no modular reduction)
-//
-// The identity is what makes cheap integrity checking possible. A
-// residue system cannot verify T ≡ x·y·R⁻¹ (mod N) from residues alone
-// — reduction mod N erases information mod every other prime — but
-// with the witness in hand the identity holds over ℤ and therefore
-// holds mod any small prime p, turning verification into a handful of
-// word-sized multiplications (internal/integrity.System). This mirrors
-// the hardware story: the mᵢ bits are exactly the qᵢ digits the
-// paper's cells compute in Fig. 1, so a real array gets the witness
-// for free on the mᵢ broadcast wire.
-func (c *Ctx) MulWitness(x, y *big.Int) (t, m *big.Int) {
-	c.checkOperand("x", x)
-	c.checkOperand("y", y)
-	t = new(big.Int)
-	m = new(big.Int)
-	xiy := new(big.Int)
-	for i := 0; i <= c.L+1; i++ {
-		mi := (t.Bit(0) + x.Bit(i)*y.Bit(0)) & 1
-		if x.Bit(i) == 1 {
-			t.Add(t, xiy.Set(y))
-		}
-		if mi == 1 {
-			t.Add(t, c.N)
-			m.SetBit(m, i, 1)
-		}
-		t.Rsh(t, 1)
-	}
-	return t, m
-}
-
 // MulClosedForm computes x·y·R⁻¹ mod N directly with math/big. It is the
 // oracle that Mul (and everything stacked on Mul) is verified against:
 // Mul's result taken mod N must equal MulClosedForm.
